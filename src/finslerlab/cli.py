@@ -101,6 +101,11 @@ def _fail(code: int, error: Exception, **extra) -> int:
     return code
 
 
+def _bad_option(option: str, message: str) -> int:
+    """JSON usage error for an option value outside the command's range."""
+    return _fail(EXIT_USAGE, ValueError(f"{option} {message}"), option=option)
+
+
 def _load_structure(config_path: str):
     try:
         cfg = load_config(config_path)
@@ -185,6 +190,12 @@ def geodesic() -> None:
 @click.option("--out", default="-", show_default=True)
 def geodesic_trace(config_path, x0, y0, length, step, tolerance, out) -> int:
     """Integrate x'' + 2G(x, x') = 0 and write the trace as CSV."""
+    if length == 0.0:
+        return _bad_option("--length", "must be nonzero")
+    if step is not None and not step > 0.0:
+        return _bad_option("--step", "must be positive")
+    if not tolerance > 0.0:
+        return _bad_option("--tolerance", "must be positive")
     S = _load_structure(config_path)
     x0v = _parse_vector(x0, S.dimension, "--x0")
     y0v = _parse_vector(y0, S.dimension, "--y0")
@@ -269,7 +280,13 @@ def einstein() -> None:
 @click.option("--out", default=None)
 def einstein_check(config_path, samples, directions, seed, out) -> int:
     """Sample Ric and test for the normal form Ric_ij = -c^2 g_ij."""
+    if samples < 2:
+        return _bad_option("--samples", "must be at least 2")
+    if not 8 <= directions <= 16:
+        return _bad_option("--directions", "must lie between 8 and 16")
     S = _load_structure(config_path)
+    if S.dimension < 2:
+        return _bad_option("--config", "needs dimension >= 2")
     report = einstein_classify(S, x_samples=samples, y_directions=directions, seed=seed)
     _emit(report.to_dict(), out)
     return EXIT_OK
@@ -292,6 +309,8 @@ def distance(config_path, from_, to, pseudo, funk_k, seed, out) -> int:
     if pseudo:
         if S.dimension < 2:
             raise _UsageExit("--pseudo needs dimension >= 2")
+        if not funk_k > 0.0:
+            return _bad_option("--funk-k", "must be positive")
         gauge = FunkGauge(k=funk_k)
         result = pseudo_distance(S, p, q, gauge, seed=seed)
         payload["d_F"] = result.d_finsler
@@ -322,7 +341,13 @@ def theorem1() -> None:
 @click.option("--out", default=None)
 def theorem1_verify_cmd(config_path, pairs, seed, tol, funk_k, threads, out) -> int:
     """Check d_M = (2c / (sqrt(n-1) k)) d_F over random ordered pairs."""
+    if pairs < 1:
+        return _bad_option("--pairs", "must be at least 1")
+    if not funk_k > 0.0:
+        return _bad_option("--funk-k", "must be positive")
     S = _load_structure(config_path)
+    if S.dimension < 2:
+        return _bad_option("--config", "needs dimension >= 2")
     gauge = FunkGauge(k=funk_k)
     nthreads = _threads_option(threads)
     try:
@@ -352,8 +377,12 @@ def projective() -> None:
 @click.option("--out", default=None)
 def projective_compare(config_a, config_b, samples, seed, out) -> int:
     """Spray comparison: same unparameterized geodesics? homothetic?"""
+    if samples < 1:
+        return _bad_option("--samples", "must be at least 1")
     A = _load_structure(config_a)
     B = _load_structure(config_b)
+    if A.dimension != B.dimension:
+        return _bad_option("--config-b", "must have the dimension of --config-a")
     report = projective_relation(A, B, samples=samples, seed=seed)
     _emit(report.to_dict(), out)
     return EXIT_OK

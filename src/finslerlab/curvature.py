@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFlagError
+from .errors import DegenerateFlagError, EvaluationDomainError
 from .geodesics import spray_jet_functions
 from .metrics import FinslerStructure, fundamental_tensor
 from .jets import jet_space
@@ -24,6 +24,8 @@ from .jets import jet_space
 
 def _riemann_jet_matrix(S: FinslerStructure, x, y, r_order: int, via: str):
     """R^i_k as jets of total order r_order over the 2n phase seeds."""
+    if not y.any():
+        raise EvaluationDomainError("curvature undefined at y = 0")
     n = S.dimension
     G = spray_jet_functions(S, x, y, g_order=r_order + 2, via=via)
     space = G[0].space

@@ -169,6 +169,8 @@ class Geodesic:
             )
 
     def resample_csv(self, fh, step: float) -> None:
+        if not step > 0.0:
+            raise ValueError("resample step must be positive")
         n = self.n
         writer = csv.writer(fh)
         writer.writerow(
@@ -334,13 +336,21 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
     return s_star, miss
 
 
+@dataclass
+class _ShotTally:
+    """Trajectories integrated by one distance search."""
+
+    shots: int = 0
+
+
 def _unit_against_F(S, p, v):
     f = float(S.F(p, v))
     return v / f
 
 
-def _integrate_shot(S, p, v, s_max, tol):
+def _integrate_shot(S, p, v, s_max, tol, tally):
     n = S.dimension
+    tally.shots += 1
 
     def rhs(z):
         return np.concatenate((z[n:], -2.0 * _spray_values(S, z[:n], z[n:])))
@@ -349,10 +359,10 @@ def _integrate_shot(S, p, v, s_max, tol):
     return integrate_ivp(rhs, z0, (0.0, s_max), tolerance=tol, domain=lambda z: S.domain(z[:n]))
 
 
-def _shoot_miss(S, p, v, q, s_max, tol):
+def _shoot_miss(S, p, v, q, s_max, tol, tally):
     """(s*, miss, trajectory); a domain exit counts as a failed shot."""
     try:
-        traj = _integrate_shot(S, p, v, s_max, tol)
+        traj = _integrate_shot(S, p, v, s_max, tol, tally)
     except DomainExitError:
         return None
     s_star, miss = _closest_approach(traj, q, S.dimension)
@@ -366,8 +376,13 @@ def _direction_basis(p_dim: int, d0: np.ndarray) -> np.ndarray:
     return qmat[:, 1:p_dim]
 
 
-def _newton_polish(S, p, d0, basis, s0, q, tol_int, max_iter=25):
-    """Square-system Newton on (direction offsets, arc length) -> x(s) - q."""
+def _newton_polish(S, p, d0, basis, s0, q, tol_int, tally, max_iter=25, one_sided=False):
+    """Square-system Newton on (direction offsets, arc length) -> x(s) - q.
+
+    The direction columns of the Jacobian are central differences, or
+    one-sided ones against the current endpoint (n - 1 shots fewer) when the
+    start is already near a hit and an O(h) Jacobian error cannot matter.
+    """
     n = S.dimension
     m = n - 1
     u = np.zeros(m)
@@ -382,7 +397,7 @@ def _newton_polish(S, p, d0, basis, s0, q, tol_int, max_iter=25):
             return None
         v = _unit_against_F(S, p, v)
         try:
-            traj = _integrate_shot(S, p, v, s_loc, tol_int)
+            traj = _integrate_shot(S, p, v, s_loc, tol_int, tally)
         except DomainExitError:
             return None
         z = traj(s_loc)
@@ -402,13 +417,16 @@ def _newton_polish(S, p, d0, basis, s0, q, tol_int, max_iter=25):
         for a in range(m):
             up = u.copy()
             up[a] += h
-            um = u.copy()
-            um[a] -= h
             ep = endpoint(up, s)
-            em = endpoint(um, s)
+            if one_sided:
+                em, width = cur, h
+            else:
+                um = u.copy()
+                um[a] -= h
+                em, width = endpoint(um, s), 2.0 * h
             if ep is None or em is None:
                 return None
-            J[:, a] = (ep[0] - em[0]) / (2.0 * h)
+            J[:, a] = (ep[0] - em[0]) / width
         J[:, n - 1] = cur[1]
         try:
             delta = np.linalg.solve(J, r)
@@ -466,11 +484,18 @@ def finsler_distance(
 ) -> DistanceResult:
     """Ordered Finslerian distance d_F(p, q) by geodesic shooting.
 
-    Multi-start over initial directions (the chord first, then a spread over
-    the indicatrix), derivative-free refinement of the squared miss
-    (golden-section in dimension 2, Nelder-Mead above) and a final Newton
-    polish of the endpoint map.  The infimum over joining curves is realized
-    by the best connecting geodesic on these convex ball charts.
+    Chord-first Newton: on structures with unique geodesics (the ball
+    models, whose geodesics are straight chords) the endpoint map is
+    Newton-polished from the chord direction and the chord's own Finsler
+    length, and a hit within miss_tolerance is the distance.  Otherwise, and
+    on every other family, a multi-start fan is the fallback: coarse shots
+    over initial directions (the chord first, then a spread over the
+    indicatrix), derivative-free refinement of the squared miss
+    (golden-section in dimension 2, Nelder-Mead above) and a Newton polish
+    of the best candidates; the shortest hit is the distance.
+
+    diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
+    every integrated trajectory, the final geodesic included.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -483,9 +508,44 @@ def finsler_distance(
     if n == 1:
         return _distance_dim1(S, p, q, integration_tolerance)
 
-    chord = q - p
-    chord_dir = _unit_against_F(S, p, chord)
+    tally = _ShotTally()
+    chord_dir = _unit_against_F(S, p, q - p)
     chord_len = path_length(S, np.stack([p, q]), interpolation="linear")
+
+    def polish(v, s0, one_sided=False):
+        """Newton-polished (s, v, miss, iterations), or None unless it hits q."""
+        polished = _newton_polish(
+            S, p, v, _direction_basis(n, v), s0, q, integration_tolerance, tally,
+            one_sided=one_sided,
+        )
+        if polished is None:
+            return None
+        v_fin, s_fin, miss_fin, iters = polished
+        if miss_fin <= miss_tolerance and s_fin > 0:
+            return s_fin, v_fin, miss_fin, iters
+        return None
+
+    # With unique geodesics the chord direction and the chord's length start
+    # Newton at a hit up to integration error; no fan shot is needed.
+    hit = polish(chord_dir, chord_len, one_sided=True) if S.unique_geodesics else None
+    if hit is not None:
+        diagnostics = {"path": "chord", "starts": 1, "candidates_polished": 1}
+    else:
+        hit, diagnostics = _fan_search(
+            S, p, q, chord_dir, chord_len, starts, seed, integration_tolerance, polish, tally
+        )
+        if S.unique_geodesics:
+            diagnostics["candidates_polished"] += 1  # the chord polish that missed
+    s_best, v_best, miss_best, iters = hit
+    geo = geodesic_ivp(S, p, v_best, s_best, tolerance=1e-11)
+    tally.shots += 1
+    diagnostics.update(miss=miss_best, newton_iterations=iters, shots=tally.shots)
+    return DistanceResult(float(s_best), geo, diagnostics)
+
+
+def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, tol_int, polish, tally):
+    """Multi-start fallback: the shortest polished hit over a fan of directions."""
+    n = S.dimension
     s_max = 1.05 * chord_len + 0.05
 
     rng = np.random.default_rng(seed)
@@ -502,7 +562,7 @@ def finsler_distance(
 
     coarse = []
     for idx, v in enumerate(candidates):
-        shot = _shoot_miss(S, p, v, q, s_max, 1e-8)
+        shot = _shoot_miss(S, p, v, q, s_max, 1e-8, tally)
         if shot is not None:
             coarse.append((shot[1], idx, v, shot[0]))
     if not coarse:
@@ -519,15 +579,11 @@ def finsler_distance(
         refined_v, refined_s = v, s0
         if miss0 > 1e-10:
             refined_v, refined_s = _refine_direction(
-                S, p, q, v, s_max, spacing, n, miss0, integration_tolerance
+                S, p, q, v, s_max, spacing, n, tol_int, tally
             )
-        basis = _direction_basis(n, refined_v)
-        polished = _newton_polish(S, p, refined_v, basis, refined_s, q, integration_tolerance)
-        if polished is None:
-            continue
-        v_fin, s_fin, miss_fin, iters = polished
-        if miss_fin <= miss_tolerance and s_fin > 0:
-            hits.append((s_fin, v_fin, miss_fin, iters))
+        hit = polish(refined_v, refined_s)
+        if hit is not None:
+            hits.append(hit)
             if S.unique_geodesics:
                 break
     if not hits:
@@ -535,21 +591,10 @@ def finsler_distance(
             f"no connecting geodesic found from {p} to {q} (best miss {coarse[0][0]:.3e})"
         )
     hits.sort(key=lambda item: item[0])
-    s_best, v_best, miss_best, iters = hits[0]
-    geo = geodesic_ivp(S, p, v_best, s_best, tolerance=1e-11)
-    return DistanceResult(
-        float(s_best),
-        geo,
-        {
-            "miss": miss_best,
-            "starts": len(candidates),
-            "newton_iterations": iters,
-            "candidates_polished": tried,
-        },
-    )
+    return hits[0], {"path": "fan", "starts": len(candidates), "candidates_polished": tried}
 
 
-def _refine_direction(S, p, q, v, s_max, spacing, n, miss0, tol_int):
+def _refine_direction(S, p, q, v, s_max, spacing, n, tol_int, tally):
     """Golden-section (n=2) or Nelder-Mead (n>=3) on the squared miss."""
     best_state = {"s": None}
 
@@ -558,7 +603,7 @@ def _refine_direction(S, p, q, v, s_max, spacing, n, miss0, tol_int):
 
         def fun(ang):
             d = np.array([math.cos(ang), math.sin(ang)])
-            shot = _shoot_miss(S, p, _unit_against_F(S, p, d), q, s_max, 1e-9)
+            shot = _shoot_miss(S, p, _unit_against_F(S, p, d), q, s_max, 1e-9, tally)
             if shot is None:
                 return 1e6
             best_state["s"] = shot[0]
@@ -574,7 +619,7 @@ def _refine_direction(S, p, q, v, s_max, spacing, n, miss0, tol_int):
             d = v + basis @ u
             if np.linalg.norm(d) < 1e-8:
                 return 1e6
-            shot = _shoot_miss(S, p, _unit_against_F(S, p, d), q, s_max, 1e-9)
+            shot = _shoot_miss(S, p, _unit_against_F(S, p, d), q, s_max, 1e-9, tally)
             if shot is None:
                 return 1e6
             best_state["s"] = shot[0]
@@ -588,7 +633,7 @@ def _refine_direction(S, p, q, v, s_max, spacing, n, miss0, tol_int):
         )
         d = v + basis @ res.x
         v_ref = _unit_against_F(S, p, d)
-    shot = _shoot_miss(S, p, v_ref, q, s_max, tol_int)
+    shot = _shoot_miss(S, p, v_ref, q, s_max, tol_int, tally)
     if shot is None:
         return v, best_state["s"] if best_state["s"] else s_max / 2.0
     return v_ref, shot[0]
@@ -597,6 +642,7 @@ def _refine_direction(S, p, q, v, s_max, spacing, n, miss0, tol_int):
 def _distance_dim1(S, p, q, tol_int):
     from .ode import solve_scalar_root
 
+    tally = _ShotTally()
     direction = np.array([1.0 if q[0] > p[0] else -1.0])
     v = _unit_against_F(S, p, direction)
     gap = abs(float(q[0] - p[0]))
@@ -604,7 +650,7 @@ def _distance_dim1(S, p, q, tol_int):
     traj = None
     for _ in range(60):
         try:
-            traj = _integrate_shot(S, p, v, s_hi, tol_int)
+            traj = _integrate_shot(S, p, v, s_hi, tol_int, tally)
         except DomainExitError as exc:
             traj = exc.trajectory
             break
@@ -621,4 +667,6 @@ def _distance_dim1(S, p, q, tol_int):
     s_star = solve_scalar_root(resid, bracket=(lo, hi), tolerance=1e-14 * max(1.0, gap))
     geo = geodesic_ivp(S, p, v, s_star, tolerance=1e-11)
     miss = abs(float(geo.x(s_star)[0] - q[0]))
-    return DistanceResult(float(s_star), geo, {"miss": miss, "starts": 1})
+    return DistanceResult(
+        float(s_star), geo, {"miss": miss, "starts": 1, "shots": tally.shots + 1}
+    )

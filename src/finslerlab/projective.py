@@ -645,6 +645,8 @@ def theorem1_verify(
     Pairs are ordered (forward-oriented), which keeps positively complete
     non-reversible structures inside their forward geodesic range.
     """
+    if pairs < 1:
+        raise ValueError("need at least one pair")
     if einstein is None:
         einstein = einstein_classify(S, x_samples=classify_samples, seed=seed)
     c = einstein.einstein_constant_c

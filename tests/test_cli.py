@@ -155,6 +155,41 @@ class TestUsageErrors:
         assert "dimension" in err
 
 
+class TestOptionRanges:
+    """Out-of-range option values exit 64 with a JSON error naming the option."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["theorem1", "verify", "--config", "klein2", "--pairs", "0"], "--pairs"),
+            (["einstein", "check", "--config", "klein2", "--samples", "1"], "--samples"),
+            (
+                ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0",
+                 "--length", "0.5", "--step", "0"],
+                "--step",
+            ),
+            (
+                ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0",
+                 "--length", "0"],
+                "--length",
+            ),
+            (["theorem1", "verify", "--config", "klein2", "--funk-k", "0"], "--funk-k"),
+            (["einstein", "check", "--config", "interval1"], "--config"),
+            (
+                ["projective", "compare", "--config-a", "klein2", "--config-b", "interval1"],
+                "--config-b",
+            ),
+        ],
+    )
+    def test_exits_64_with_json(self, cfg, capsys, argv, option):
+        code, out, err = run(capsys, *[cfg.get(a, a) for a in argv])
+        assert code == 64
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["option"] == option
+        assert doc["message"].startswith(option)
+
+
 class TestTraceCommand:
     def test_radial_trace_csv(self, cfg, capsys):
         length = repr(math.atanh(0.5))
@@ -291,6 +326,21 @@ class TestCurvatureCommand:
         )
         assert code == 3
         assert json.loads(err)["error"] == "DegenerateFlagError"
+
+    def test_zero_flagpole_exits_3(self, cfg, capsys):
+        code, _, err = run(
+            capsys,
+            "curvature",
+            "report",
+            "--config",
+            cfg["klein2"],
+            "--x",
+            "0.1,0.2",
+            "--y",
+            "0,0",
+        )
+        assert code == 3
+        assert json.loads(err)["error"] == "EvaluationDomainError"
 
 
 class TestEinsteinCommand:

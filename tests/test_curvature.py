@@ -5,6 +5,7 @@ import pytest
 
 from finslerlab import (
     DegenerateFlagError,
+    EvaluationDomainError,
     einstein_classify,
     flag_curvature,
     fundamental_tensor,
@@ -212,6 +213,13 @@ class TestRicci:
             a = ricci_scalar(S, x, y)
             b = ricci_scalar(S, x, 3.0 * y)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+    def test_zero_flagpole_rejected(self, klein2, euclid2):
+        for S in (klein2, euclid2):
+            with pytest.raises(EvaluationDomainError):
+                ricci_scalar(S, [0.1, 0.2], [0.0, 0.0])
+            with pytest.raises(EvaluationDomainError):
+                ricci_tensor(S, [0.1, 0.2], [0.0, 0.0])
 
     def test_klein_tensor_center(self, klein2):
         data = ricci_tensor(klein2, [0.0, 0.0], [1.0, 0.0])

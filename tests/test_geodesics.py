@@ -14,6 +14,7 @@ from finslerlab import (
     path_length,
     spray_coefficients,
 )
+from finslerlab import geodesics
 from finslerlab.geodesics import _spray_values
 
 from conftest import ball_point
@@ -138,6 +139,9 @@ class TestGeodesicIvp:
         rows = buf.getvalue().strip().splitlines()[1:]
         svals = [float(r.split(",")[0]) for r in rows]
         assert svals == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        for step in (0.0, -0.25):
+            with pytest.raises(ValueError):
+                geo.resample_csv(io.StringIO(), step=step)
 
 
 class TestPathLength:
@@ -258,6 +262,37 @@ class TestDistance:
         rev = finsler_distance(interval1, [0.5], [0.0], integration_tolerance=1e-12)
         assert fwd.distance == pytest.approx(interval_funk_closed(1.0, 0.0, 0.5), abs=5e-9)
         assert rev.distance == pytest.approx(interval_funk_closed(1.0, 0.5, 0.0), abs=5e-9)
+
+    @pytest.mark.parametrize(
+        "ball, oracle",
+        [("klein2", klein_distance), ("klein3", klein_distance), ("funk2", funk_distance_ball)],
+    )
+    def test_ball_distances_take_the_chord_path(self, request, ball, oracle):
+        S = request.getfixturevalue(ball)
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            p = ball_point(rng, S.dimension)
+            q = ball_point(rng, S.dimension)
+            res = finsler_distance(S, p, q)
+            assert res.diagnostics["path"] == "chord"
+            assert res.diagnostics["shots"] <= 6
+            assert res.distance == pytest.approx(oracle(p, q), abs=1e-6)
+
+    def test_both_paths_count_every_integration(self, klein2, monkeypatch):
+        integrate = geodesics.integrate_ivp
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "integrate_ivp", counted)
+        S = make_metric(curved_riemannian_config())
+        for T, path in ((klein2, "chord"), (S, "fan")):
+            calls.clear()
+            res = finsler_distance(T, [-0.2, 0.3], [0.4, -0.1])
+            assert res.diagnostics["path"] == path
+            assert res.diagnostics["shots"] == len(calls)
 
     def test_unreachable_tolerance_raises_search_failure(self, klein2):
         with pytest.raises(SearchFailureError):

@@ -575,6 +575,10 @@ class TestProportionalityTheorem:
             pooled.to_dict(), sort_keys=True
         )
 
+    def test_needs_a_pair(self, klein2):
+        with pytest.raises(ValueError):
+            theorem1_verify(klein2, FunkGauge(k=1.0), pairs=0)
+
     def test_non_einstein_rejected(self):
         S = make_metric(curved_config())
         with pytest.raises(NotEinsteinError):
