@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import sys
 
 import click
@@ -128,18 +127,6 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _threads_option(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("FINSLERLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageExit(f"FINSLERLAB_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 @click.group()
 def cli() -> None:
     """Finsler geometry toolkit: metrics, geodesics, curvature, distances."""
@@ -157,6 +144,8 @@ def metric() -> None:
 @click.option("--out", default=None)
 def metric_validate(config_path, samples, seed, out) -> int:
     """Sample the defining axioms and report pass/fail per property."""
+    if samples < 1:
+        return _bad_option("--samples", "must be at least 1")
     try:
         S = _load_structure(config_path)
     except StrongConvexityError as exc:
@@ -337,9 +326,8 @@ def theorem1() -> None:
 @click.option("--seed", default=0, show_default=True)
 @click.option("--tol", default=1e-4, show_default=True, type=float)
 @click.option("--funk-k", default=1.0, show_default=True, type=float)
-@click.option("--threads", default=None, type=int)
 @click.option("--out", default=None)
-def theorem1_verify_cmd(config_path, pairs, seed, tol, funk_k, threads, out) -> int:
+def theorem1_verify_cmd(config_path, pairs, seed, tol, funk_k, out) -> int:
     """Check d_M = (2c / (sqrt(n-1) k)) d_F over random ordered pairs."""
     if pairs < 1:
         return _bad_option("--pairs", "must be at least 1")
@@ -349,11 +337,8 @@ def theorem1_verify_cmd(config_path, pairs, seed, tol, funk_k, threads, out) -> 
     if S.dimension < 2:
         return _bad_option("--config", "needs dimension >= 2")
     gauge = FunkGauge(k=funk_k)
-    nthreads = _threads_option(threads)
     try:
-        report = theorem1_verify(
-            S, gauge, pairs=pairs, seed=seed, tolerance=tol, threads=nthreads
-        )
+        report = theorem1_verify(S, gauge, pairs=pairs, seed=seed, tolerance=tol)
     except NotEinsteinError as exc:
         return _fail(
             EXIT_PRECONDITION,

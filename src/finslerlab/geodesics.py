@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
 from .jets import Jet, jet_space
@@ -79,25 +79,6 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "aut
         return list(S.spray_fast(xj, yj))
     _, xj, yj = phase_jet_args(S, x, y, g_order + 2)
     return spray_from_f2_jets(S, xj, yj)
-
-
-@dataclass
-class SprayField:
-    """Callable spray evaluator for one structure."""
-
-    structure: FinslerStructure
-    via: str = "auto"
-
-    def __call__(self, x, y) -> np.ndarray:
-        S = self.structure
-        if self.via in ("auto", "fast") and S.spray_fast is not None:
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            if float(y @ y) == 0.0:
-                raise EvaluationDomainError("spray undefined at y = 0")
-            return np.asarray(
-                [float(v) for v in S.spray_fast(np.atleast_1d(np.asarray(x, dtype=float)), y)]
-            )
-        return spray_coefficients(S, x, y)
 
 
 def _spray_values(S: FinslerStructure, x, y) -> np.ndarray:
@@ -452,26 +433,6 @@ def _newton_polish(S, p, d0, basis, s0, q, tol_int, tally, max_iter=25, one_side
     return v, s, best, iters
 
 
-def _golden_section(fun, lo, hi, iters=60):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-        if b - a < 1e-12:
-            break
-    return 0.5 * (a + b)
-
-
 def finsler_distance(
     S: FinslerStructure,
     p,
@@ -484,15 +445,16 @@ def finsler_distance(
 ) -> DistanceResult:
     """Ordered Finslerian distance d_F(p, q) by geodesic shooting.
 
-    Chord-first Newton: on structures with unique geodesics (the ball
-    models, whose geodesics are straight chords) the endpoint map is
-    Newton-polished from the chord direction and the chord's own Finsler
-    length, and a hit within miss_tolerance is the distance.  Otherwise, and
-    on every other family, a multi-start fan is the fallback: coarse shots
+    Newton on the endpoint map (direction offsets, arc length) -> x(s) - q
+    is the only solver; what varies is where it starts.  On structures with
+    unique geodesics (the ball models, whose geodesics are straight chords)
+    it starts from the chord direction and the chord's own Finsler length,
+    and a hit within miss_tolerance is the distance.  Otherwise, and on
+    every other family, a multi-start fan supplies the starts: coarse shots
     over initial directions (the chord first, then a spread over the
-    indicatrix), derivative-free refinement of the squared miss
-    (golden-section in dimension 2, Nelder-Mead above) and a Newton polish
-    of the best candidates; the shortest hit is the distance.
+    indicatrix), ranked by closest-approach miss and polished in that order,
+    each from its closest-approach arc length, until one hits and at least
+    three were tried; the shortest hit is the distance.
 
     diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
     every integrated trajectory, the final geodesic included.
@@ -531,9 +493,7 @@ def finsler_distance(
     if hit is not None:
         diagnostics = {"path": "chord", "starts": 1, "candidates_polished": 1}
     else:
-        hit, diagnostics = _fan_search(
-            S, p, q, chord_dir, chord_len, starts, seed, integration_tolerance, polish, tally
-        )
+        hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, starts, seed, polish, tally)
         if S.unique_geodesics:
             diagnostics["candidates_polished"] += 1  # the chord polish that missed
     s_best, v_best, miss_best, iters = hit
@@ -543,7 +503,7 @@ def finsler_distance(
     return DistanceResult(float(s_best), geo, diagnostics)
 
 
-def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, tol_int, polish, tally):
+def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, polish, tally):
     """Multi-start fallback: the shortest polished hit over a fan of directions."""
     n = S.dimension
     s_max = 1.05 * chord_len + 0.05
@@ -561,82 +521,32 @@ def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, tol_int, polish, ta
             candidates.append(_unit_against_F(S, p, v))
 
     coarse = []
-    for idx, v in enumerate(candidates):
+    for v in candidates:
         shot = _shoot_miss(S, p, v, q, s_max, 1e-8, tally)
         if shot is not None:
-            coarse.append((shot[1], idx, v, shot[0]))
+            coarse.append((shot[1], v, shot[0]))
     if not coarse:
         raise SearchFailureError("all shooting starts left the domain")
     coarse.sort(key=lambda item: item[0])
 
     hits = []
-    spacing = 2.0 * math.pi / (starts + 1)
     tried = 0
-    for miss0, idx, v, s0 in coarse:
+    for _, v, s0 in coarse:
         if tried >= 3 and hits:
             break
         tried += 1
-        refined_v, refined_s = v, s0
-        if miss0 > 1e-10:
-            refined_v, refined_s = _refine_direction(
-                S, p, q, v, s_max, spacing, n, tol_int, tally
-            )
-        hit = polish(refined_v, refined_s)
+        hit = polish(v, s0)
         if hit is not None:
             hits.append(hit)
             if S.unique_geodesics:
                 break
     if not hits:
         raise SearchFailureError(
-            f"no connecting geodesic found from {p} to {q} (best miss {coarse[0][0]:.3e})"
+            f"no connecting geodesic found from {p} to {q} "
+            f"(best miss {coarse[0][0]:.3e}, {tally.shots} shots tried)"
         )
     hits.sort(key=lambda item: item[0])
     return hits[0], {"path": "fan", "starts": len(candidates), "candidates_polished": tried}
-
-
-def _refine_direction(S, p, q, v, s_max, spacing, n, tol_int, tally):
-    """Golden-section (n=2) or Nelder-Mead (n>=3) on the squared miss."""
-    best_state = {"s": None}
-
-    if n == 2:
-        ang0 = math.atan2(v[1], v[0])
-
-        def fun(ang):
-            d = np.array([math.cos(ang), math.sin(ang)])
-            shot = _shoot_miss(S, p, _unit_against_F(S, p, d), q, s_max, 1e-9, tally)
-            if shot is None:
-                return 1e6
-            best_state["s"] = shot[0]
-            return shot[1] ** 2
-
-        ang = _golden_section(fun, ang0 - 0.75 * spacing, ang0 + 0.75 * spacing, iters=48)
-        d = np.array([math.cos(ang), math.sin(ang)])
-        v_ref = _unit_against_F(S, p, d)
-    else:
-        basis = _direction_basis(n, v)
-
-        def fun(u):
-            d = v + basis @ u
-            if np.linalg.norm(d) < 1e-8:
-                return 1e6
-            shot = _shoot_miss(S, p, _unit_against_F(S, p, d), q, s_max, 1e-9, tally)
-            if shot is None:
-                return 1e6
-            best_state["s"] = shot[0]
-            return shot[1] ** 2
-
-        res = minimize(
-            fun,
-            np.zeros(n - 1),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-20, "maxiter": 400},
-        )
-        d = v + basis @ res.x
-        v_ref = _unit_against_F(S, p, d)
-    shot = _shoot_miss(S, p, v_ref, q, s_max, tol_int, tally)
-    if shot is None:
-        return v, best_state["s"] if best_state["s"] else s_max / 2.0
-    return v_ref, shot[0]
 
 
 def _distance_dim1(S, p, q, tol_int):

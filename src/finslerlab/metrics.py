@@ -592,6 +592,8 @@ class StructureValidation:
 
 def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -> StructureValidation:
     """Sampled check of positive 1-homogeneity, strong convexity and reversibility."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     lambdas = (0.5, 2.0, 10.0)
     worst_hom = 0.0

@@ -12,7 +12,6 @@ with factor 2c / (sqrt(n-1) k), which theorem1_verify checks numerically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -634,7 +633,6 @@ def theorem1_verify(
     tolerance: float = 1e-4,
     *,
     einstein: EinsteinReport | None = None,
-    threads: int = 1,
     radius: float = 0.7,
     min_separation: float = 0.05,
     classify_samples: int = 6,
@@ -688,11 +686,7 @@ def theorem1_verify(
             "lemma2_margin": float(min(full.margin, sub.margin)),
         }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_pair, pair_list))
-    else:
-        records = [run_pair(pq) for pq in pair_list]
+    records = [run_pair(pq) for pq in pair_list]
 
     max_disc = max(r["discrepancy"] for r in records)
     min_margin = min(r["lemma2_margin"] for r in records)

@@ -24,6 +24,18 @@ def euclid_config(n=2):
     return {"family": "riemannian", "dimension": n, "riemannian": {"metric": metric}}
 
 
+def exact_randers_config():
+    """Randers metric |y| + beta with beta = df, f = 0.15 (x1^2 - x2^2)."""
+    return {
+        "family": "randers",
+        "dimension": 2,
+        "randers": {
+            "metric": euclid_config(2)["riemannian"]["metric"],
+            "one_form": [[[0.3, 1, 0]], [[-0.3, 0, 1]]],
+        },
+    }
+
+
 @pytest.fixture(scope="session")
 def klein2():
     return make_metric(klein_config(2))

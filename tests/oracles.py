@@ -53,6 +53,23 @@ def funk_distance_ball(p, q) -> float:
     return math.log(np.linalg.norm(pl - p) / np.linalg.norm(pl - q))
 
 
+def euclidean_distance(p, q) -> float:
+    return float(np.linalg.norm(np.asarray(q, dtype=float) - np.asarray(p, dtype=float)))
+
+
+def exact_randers_distance(p, q) -> float:
+    """Distance of |y| + df(y) with f = 0.15 (x1^2 - x2^2) (conftest's exact_randers_config).
+
+    An exact form adds f(q) - f(p) to the length of every path from p to q,
+    so the geodesics stay straight and d_F(p, q) = |q - p| + f(q) - f(p).
+    """
+
+    def f(x):
+        return 0.15 * (float(x[0]) ** 2 - float(x[1]) ** 2)
+
+    return euclidean_distance(p, q) + f(q) - f(p)
+
+
 def interval_funk_quadrature(k: float, a: float, b: float) -> float:
     """Gauge distance on (-1, 1) by direct quadrature of the line element.
 

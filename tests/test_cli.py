@@ -179,6 +179,7 @@ class TestOptionRanges:
                 ["projective", "compare", "--config-a", "klein2", "--config-b", "interval1"],
                 "--config-b",
             ),
+            (["metric", "validate", "--config", "klein2", "--samples", "0"], "--samples"),
         ],
     )
     def test_exits_64_with_json(self, cfg, capsys, argv, option):
@@ -449,50 +450,6 @@ class TestTheoremCommand:
         doc = json.loads(err)
         assert doc["error"] == "NotEinsteinError"
         assert "Einstein normal form" in doc["detail"]
-
-    def test_threads_env_is_deterministic(self, cfg, capsys, tmp_path, monkeypatch):
-        f1 = tmp_path / "serial.json"
-        f2 = tmp_path / "pooled.json"
-        monkeypatch.delenv("FINSLERLAB_THREADS", raising=False)
-        code1, _, _ = run(
-            capsys,
-            "theorem1",
-            "verify",
-            "--config",
-            cfg["klein2"],
-            "--pairs",
-            "2",
-            "--out",
-            str(f1),
-        )
-        monkeypatch.setenv("FINSLERLAB_THREADS", "2")
-        code2, _, _ = run(
-            capsys,
-            "theorem1",
-            "verify",
-            "--config",
-            cfg["klein2"],
-            "--pairs",
-            "2",
-            "--out",
-            str(f2),
-        )
-        assert code1 == 0 and code2 == 0
-        assert f1.read_bytes() == f2.read_bytes()
-
-    def test_threads_env_must_be_integer(self, cfg, capsys, monkeypatch):
-        monkeypatch.setenv("FINSLERLAB_THREADS", "many")
-        code, _, err = run(
-            capsys,
-            "theorem1",
-            "verify",
-            "--config",
-            cfg["klein2"],
-            "--pairs",
-            "2",
-        )
-        assert code == 64
-        assert "FINSLERLAB_THREADS" in err
 
 
 class TestCompareCommand:

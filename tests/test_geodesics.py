@@ -7,18 +7,24 @@ import pytest
 from finslerlab import (
     DomainExitError,
     SearchFailureError,
-    SprayField,
     finsler_distance,
     geodesic_ivp,
     make_metric,
     path_length,
     spray_coefficients,
+    spray_jet_functions,
 )
 from finslerlab import geodesics
 from finslerlab.geodesics import _spray_values
 
-from conftest import ball_point
-from oracles import funk_distance_ball, interval_funk_closed, klein_distance
+from conftest import ball_point, euclid_config, exact_randers_config
+from oracles import (
+    euclidean_distance,
+    exact_randers_distance,
+    funk_distance_ball,
+    interval_funk_closed,
+    klein_distance,
+)
 
 
 def curved_riemannian_config():
@@ -31,6 +37,11 @@ def curved_riemannian_config():
         "dimension": 2,
         "riemannian": {"metric": [[g11, zero], [zero, g22]]},
     }
+
+
+def spray_via(S, x, y, via):
+    """Spray values from spray_jet_functions on the given route."""
+    return np.array([g.value for g in spray_jet_functions(S, x, y, 0, via=via)])
 
 
 class TestSpray:
@@ -55,20 +66,18 @@ class TestSpray:
     def test_klein_fast_path_agrees_with_jets(self, klein2):
         x = np.array([0.3, 0.0])
         y = np.array([1.0, 0.0])
-        fast = SprayField(klein2, via="fast")(x, y)
-        jet = SprayField(klein2, via="f2")(x, y)
+        fast = spray_via(klein2, x, y, "fast")
+        jet = spray_via(klein2, x, y, "f2")
         assert np.max(np.abs(fast - jet)) <= 1e-9
 
     def test_riemannian_christoffel_vs_jets(self):
         S = make_metric(curved_riemannian_config())
         rng = np.random.default_rng(3)
-        fast_field = SprayField(S, via="fast")
-        jet_field = SprayField(S, via="f2")
         for _ in range(100):
             x = S.sample_point(rng)
             y = S.sample_direction(rng) * rng.uniform(0.5, 2.0)
-            fast = fast_field(x, y)
-            jet = jet_field(x, y)
+            fast = spray_via(S, x, y, "fast")
+            jet = spray_via(S, x, y, "f2")
             scale = max(1.0, float(np.max(np.abs(fast))))
             assert np.max(np.abs(fast - jet)) <= 1e-9 * scale
 
@@ -294,6 +303,37 @@ class TestDistance:
             assert res.diagnostics["path"] == path
             assert res.diagnostics["shots"] == len(calls)
 
-    def test_unreachable_tolerance_raises_search_failure(self, klein2):
-        with pytest.raises(SearchFailureError):
-            finsler_distance(klein2, [0.0, 0.0], [0.4, 0.1], miss_tolerance=0.0)
+    @pytest.mark.parametrize(
+        "config, oracle",
+        [
+            (euclid_config(2), euclidean_distance),
+            (euclid_config(3), euclidean_distance),
+            (exact_randers_config(), exact_randers_distance),
+        ],
+        ids=["euclid2", "euclid3", "randers_exact"],
+    )
+    def test_fan_distances_match_closed_forms(self, config, oracle):
+        S = make_metric(config)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            p = ball_point(rng, S.dimension, radius=0.6)
+            q = ball_point(rng, S.dimension, radius=0.6)
+            res = finsler_distance(S, p, q)
+            assert res.diagnostics["path"] == "fan"
+            assert res.diagnostics["shots"] <= 60
+            assert res.distance == pytest.approx(oracle(p, q), abs=1e-8)
+
+    def test_unreachable_tolerance_raises_search_failure(self, klein2, monkeypatch):
+        # Every polish reports a miss of 1e-3, so no candidate meets the
+        # default tolerance: klein2 fails the chord polish and then the fan,
+        # the curved Riemannian metric fails the fan alone.
+        polish = geodesics._newton_polish
+
+        def always_misses(*args, **kwargs):
+            out = polish(*args, **kwargs)
+            return None if out is None else (out[0], out[1], 1e-3, out[3])
+
+        monkeypatch.setattr(geodesics, "_newton_polish", always_misses)
+        for S in (klein2, make_metric(curved_riemannian_config())):
+            with pytest.raises(SearchFailureError, match=r"best miss \S+, \d+ shots tried"):
+                finsler_distance(S, [0.0, 0.0], [0.4, 0.1])

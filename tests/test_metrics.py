@@ -220,6 +220,10 @@ class TestValidateStructure:
         assert report.passed
         assert report.homogeneity_residual <= 1e-14
 
+    def test_needs_a_sample(self, klein2):
+        with pytest.raises(ValueError):
+            validate_structure(klein2, samples=0)
+
     def test_report_serializes(self, klein2):
         report = validate_structure(klein2, samples=20, seed=0)
         doc = report.to_dict()

@@ -567,14 +567,6 @@ class TestProportionalityTheorem:
         assert rep.max_discrepancy <= 1e-9
         assert rep.min_lemma2_margin >= -1e-6
 
-    def test_thread_pool_is_deterministic(self, klein2):
-        gauge = FunkGauge(k=1.0)
-        serial = theorem1_verify(klein2, gauge, pairs=3, seed=0)
-        pooled = theorem1_verify(klein2, gauge, pairs=3, seed=0, threads=2)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            pooled.to_dict(), sort_keys=True
-        )
-
     def test_needs_a_pair(self, klein2):
         with pytest.raises(ValueError):
             theorem1_verify(klein2, FunkGauge(k=1.0), pairs=0)
