@@ -22,7 +22,7 @@ from .metrics import FinslerStructure, fundamental_tensor
 from .jets import jet_space
 
 
-def _riemann_jet_matrix(S: FinslerStructure, x, y, r_order: int, via: str):
+def _riemann_jet_matrix(S: FinslerStructure, x, y, r_order: int, via: str = "auto"):
     """R^i_k as jets of total order r_order over the 2n phase seeds."""
     if not y.any():
         raise EvaluationDomainError("curvature undefined at y = 0")
@@ -66,7 +66,7 @@ def riemann_curvature(S: FinslerStructure, x, y, via: str = "auto") -> RiemannCu
     return RiemannCurvature(matrix=mat, x=x, y=y)
 
 
-def flag_curvature(S: FinslerStructure, x, y, u, via: str = "auto") -> float:
+def flag_curvature(S: FinslerStructure, x, y, u) -> float:
     """Sectional curvature of the flag (y; u).
 
     K = g_y(u, R_y u) / ( g_y(y,y) g_y(u,u) - g_y(y,u)^2 ).
@@ -81,13 +81,13 @@ def flag_curvature(S: FinslerStructure, x, y, u, via: str = "auto") -> float:
     denom = gyy * guu - gyu * gyu
     if denom <= 1e-12 * max(1.0, gyy * guu):
         raise DegenerateFlagError("flag plane degenerate: u is parallel to the flagpole")
-    R = riemann_curvature(S, x, y, via=via)
+    R = riemann_curvature(S, x, y)
     return float(ft.inner(u, R.matrix @ u) / denom)
 
 
-def ricci_scalar(S: FinslerStructure, x, y, via: str = "auto") -> float:
+def ricci_scalar(S: FinslerStructure, x, y) -> float:
     """Ric(x, y) = R^k_k / F^2; zero-homogeneous in y."""
-    R = riemann_curvature(S, x, y, via=via)
+    R = riemann_curvature(S, x, y)
     f2 = float(S.F2(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(y, float))))
     return float(np.trace(R.matrix) / f2)
 
@@ -102,12 +102,12 @@ class RicciData:
     y: np.ndarray
 
 
-def ricci_tensor(S: FinslerStructure, x, y, via: str = "auto") -> RicciData:
+def ricci_tensor(S: FinslerStructure, x, y) -> RicciData:
     """Ric_ij = (R^k_k / 2)_{y^i y^j} at (x, y), plus the scalar from the trace."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = S.dimension
-    R = _riemann_jet_matrix(S, x, y, r_order=2, via=via)
+    R = _riemann_jet_matrix(S, x, y, r_order=2)
     trace = R[0][0]
     for i in range(1, n):
         trace = trace + R[i][i]
@@ -120,7 +120,7 @@ def ricci_tensor(S: FinslerStructure, x, y, via: str = "auto") -> RicciData:
     return RicciData(ric=float(trace.value / f2), ric_tensor=ric_ij, x=x, y=y)
 
 
-def scalar_curvature_residual(S: FinslerStructure, x, y, lam: float, via: str = "auto") -> float:
+def scalar_curvature_residual(S: FinslerStructure, x, y, lam: float) -> float:
     """Relative deviation of R^i_k from the scalar-curvature shape.
 
     Constant flag curvature lam forces
@@ -129,7 +129,7 @@ def scalar_curvature_residual(S: FinslerStructure, x, y, lam: float, via: str = 
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     n = S.dimension
-    R = riemann_curvature(S, x, y, via=via).matrix
+    R = riemann_curvature(S, x, y).matrix
     space = jet_space(n, 1)
     yj = [space.variable(i, float(v)) for i, v in enumerate(y)]
     fjet = S.F(list(x), yj)
@@ -188,7 +188,6 @@ def einstein_classify(
     tolerance: float = 1e-6,
     matrix_tolerance: float = 1e-4,
     y_directions: int = 12,
-    via: str = "auto",
 ) -> EinsteinReport:
     """Sampled classification: Einstein iff Ric(x, y) has no y-dependence.
 
@@ -214,7 +213,7 @@ def einstein_classify(
         vals = []
         for _ in range(y_directions):
             y = S.sample_direction(rng)
-            vals.append(ricci_scalar(S, x, y, via=via))
+            vals.append(ricci_scalar(S, x, y))
         vals = np.asarray(vals)
         ric_values.append(vals.tolist())
         y_spread = max(y_spread, float(vals.max() - vals.min()))
@@ -230,7 +229,7 @@ def einstein_classify(
     for x in xs[: min(len(xs), 6)]:
         for _ in range(2):
             y = S.sample_direction(rng)
-            data = ricci_tensor(S, x, y, via=via)
+            data = ricci_tensor(S, x, y)
             g = fundamental_tensor(S, x, y).g
             lam = float(np.sum(data.ric_tensor * g) / np.sum(g * g))
             fit_vals.append(lam)
@@ -260,7 +259,7 @@ def einstein_classify(
         denom = gy.inner(y, y) * gy.inner(u, u) - gy.inner(y, u) ** 2
         if denom <= 1e-8:
             continue
-        flags.append(flag_curvature(S, x, y, u, via=via))
+        flags.append(flag_curvature(S, x, y, u))
     flag_constant = None
     if flags:
         flags = np.asarray(flags)

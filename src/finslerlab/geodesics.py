@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
-from .jets import Jet, jet_space
+from .jets import jet_space
 from .metrics import FinslerStructure, invert_scalarlike_matrix
 from .ode import OdeTrajectory, integrate_ivp
 
@@ -295,6 +295,11 @@ def path_length(S: FinslerStructure, points, params=None, interpolation: str = "
 
 # ----- boundary value problem -----------------------------------------------
 
+MISS_TOLERANCE = 1e-8  # endpoint miss (max norm) that counts as a hit
+INTEGRATION_TOLERANCE = 1e-10  # Newton shots; coarse fan shots use 1e-8
+NEWTON_MAX_ITER = 25
+FAN_DIRECTIONS = 12  # fan directions besides the chord
+
 
 def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
     """Arc parameter of the closest dense-output approach to q."""
@@ -357,28 +362,32 @@ def _direction_basis(p_dim: int, d0: np.ndarray) -> np.ndarray:
     return qmat[:, 1:p_dim]
 
 
-def _newton_polish(S, p, d0, basis, s0, q, tol_int, tally, max_iter=25, one_sided=False):
+def _newton_polish(S, p, d0, s0, q, tally):
     """Square-system Newton on (direction offsets, arc length) -> x(s) - q.
 
-    The direction columns of the Jacobian are central differences, or
-    one-sided ones against the current endpoint (n - 1 shots fewer) when the
-    start is already near a hit and an O(h) Jacobian error cannot matter.
+    The m = n - 1 direction offsets span the complement of d0 (none in
+    dimension one, where Newton runs on the arc length alone).  Their
+    Jacobian columns are one-sided differences against the current
+    endpoint; the arc-length column is the endpoint velocity.  Returns the
+    best iterate as (v, s, miss, iterations), also when a probe leaves the
+    chart or the Jacobian is singular; None only when the start itself fails.
     """
     n = S.dimension
     m = n - 1
+    basis = _direction_basis(n, d0)
     u = np.zeros(m)
     s = s0
 
     def endpoint(u_loc, s_loc):
         if s_loc <= 0.0:
             return None
-        v = d0 + basis @ u_loc if m else d0.copy()
+        v = d0 + basis @ u_loc
         nv = np.linalg.norm(v)
         if nv < 1e-10:
             return None
         v = _unit_against_F(S, p, v)
         try:
-            traj = _integrate_shot(S, p, v, s_loc, tol_int, tally)
+            traj = _integrate_shot(S, p, v, s_loc, INTEGRATION_TOLERANCE, tally)
         except DomainExitError:
             return None
         z = traj(s_loc)
@@ -390,33 +399,22 @@ def _newton_polish(S, p, d0, basis, s0, q, tol_int, tally, max_iter=25, one_side
     r = cur[0] - q
     best = float(np.max(np.abs(r)))
     iters = 0
-    for _ in range(max_iter):
+    h = 1e-7
+    for _ in range(NEWTON_MAX_ITER):
         if best <= 1e-12:
             break
-        J = np.empty((n, n))
-        h = 1e-7
-        for a in range(m):
-            up = u.copy()
-            up[a] += h
-            ep = endpoint(up, s)
-            if one_sided:
-                em, width = cur, h
-            else:
-                um = u.copy()
-                um[a] -= h
-                em, width = endpoint(um, s), 2.0 * h
-            if ep is None or em is None:
-                return None
-            J[:, a] = (ep[0] - em[0]) / width
-        J[:, n - 1] = cur[1]
+        probes = [endpoint(u + h * e, s) for e in np.eye(m)]
+        if any(ep is None for ep in probes):
+            break
+        J = np.column_stack([(ep[0] - cur[0]) / h for ep in probes] + [cur[1]])
         try:
             delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
-            return None
+            break
         step = 1.0
         for _ in range(8):
             u_new = u - step * delta[:m]
-            s_new = s - step * delta[n - 1]
+            s_new = s - step * delta[m]
             cand = endpoint(u_new, s_new)
             if cand is not None:
                 r_new = cand[0] - q
@@ -428,82 +426,58 @@ def _newton_polish(S, p, d0, basis, s0, q, tol_int, tally, max_iter=25, one_side
         else:
             break
         iters += 1
-    v = d0 + basis @ u if m else d0.copy()
-    v = _unit_against_F(S, p, v)
+    v = _unit_against_F(S, p, d0 + basis @ u)
     return v, s, best, iters
 
 
-def finsler_distance(
-    S: FinslerStructure,
-    p,
-    q,
-    *,
-    starts: int = 12,
-    miss_tolerance: float = 1e-8,
-    integration_tolerance: float = 1e-10,
-    seed: int = 0,
-) -> DistanceResult:
+def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceResult:
     """Ordered Finslerian distance d_F(p, q) by geodesic shooting.
 
     Newton on the endpoint map (direction offsets, arc length) -> x(s) - q
-    is the only solver; what varies is where it starts.  On structures with
-    unique geodesics (the ball models, whose geodesics are straight chords)
-    it starts from the chord direction and the chord's own Finsler length,
-    and a hit within miss_tolerance is the distance.  Otherwise, and on
-    every other family, a multi-start fan supplies the starts: coarse shots
-    over initial directions (the chord first, then a spread over the
-    indicatrix), ranked by closest-approach miss and polished in that order,
-    each from its closest-approach arc length, until one hits and at least
-    three were tried; the shortest hit is the distance.
+    is the only solver, in every dimension; what varies is where it starts.
+    On structures with unique geodesics (the ball models and the interval,
+    whose geodesics are straight chords) it starts from the chord direction
+    and the chord's own Finsler length, and a hit within MISS_TOLERANCE is
+    the distance; in dimension one the direction is fixed and Newton moves
+    the arc length alone.  Otherwise, and on every other family, a
+    multi-start fan supplies the starts: coarse shots over initial
+    directions (the chord first, then a spread over the indicatrix), ranked
+    by closest-approach miss and polished in that order, each from its
+    closest-approach arc length, until one hits and at least three were
+    tried; the shortest hit is the distance.  seed draws the fan's
+    directions in dimension >= 3.
 
     diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
     every integrated trajectory, the final geodesic included.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    n = S.dimension
     if not S.domain(p) or not S.domain(q):
         raise EvaluationDomainError("endpoints must lie inside the chart")
     if float(np.max(np.abs(q - p))) < 1e-14:
         return DistanceResult(0.0, None, {"trivial": True})
 
-    if n == 1:
-        return _distance_dim1(S, p, q, integration_tolerance)
-
     tally = _ShotTally()
     chord_dir = _unit_against_F(S, p, q - p)
     chord_len = path_length(S, np.stack([p, q]), interpolation="linear")
 
-    def polish(v, s0, one_sided=False):
-        """Newton-polished (s, v, miss, iterations), or None unless it hits q."""
-        polished = _newton_polish(
-            S, p, v, _direction_basis(n, v), s0, q, integration_tolerance, tally,
-            one_sided=one_sided,
-        )
-        if polished is None:
-            return None
-        v_fin, s_fin, miss_fin, iters = polished
-        if miss_fin <= miss_tolerance and s_fin > 0:
-            return s_fin, v_fin, miss_fin, iters
-        return None
-
     # With unique geodesics the chord direction and the chord's length start
     # Newton at a hit up to integration error; no fan shot is needed.
-    hit = polish(chord_dir, chord_len, one_sided=True) if S.unique_geodesics else None
-    if hit is not None:
+    hit = _newton_polish(S, p, chord_dir, chord_len, q, tally) if S.unique_geodesics else None
+    if hit is not None and hit[2] <= MISS_TOLERANCE:
         diagnostics = {"path": "chord", "starts": 1, "candidates_polished": 1}
     else:
-        hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, starts, seed, polish, tally)
+        hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, seed, tally)
         if S.unique_geodesics:
             diagnostics["candidates_polished"] += 1  # the chord polish that missed
-    s_best, v_best, miss_best, iters = hit
+    v_best, s_best, miss_best, iters = hit
     geo = geodesic_ivp(S, p, v_best, s_best, tolerance=1e-11)
     tally.shots += 1
     diagnostics.update(miss=miss_best, newton_iterations=iters, shots=tally.shots)
     return DistanceResult(float(s_best), geo, diagnostics)
 
 
-def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, polish, tally):
+def _fan_search(S, p, q, chord_dir, chord_len, seed, tally):
     """Multi-start fallback: the shortest polished hit over a fan of directions."""
     n = S.dimension
     s_max = 1.05 * chord_len + 0.05
@@ -512,11 +486,11 @@ def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, polish, tally):
     candidates = [chord_dir]
     if n == 2:
         base_angle = math.atan2(chord_dir[1], chord_dir[0])
-        for i in range(max(starts, 8)):
-            ang = base_angle + 2.0 * math.pi * (i + 1) / (starts + 1)
+        for i in range(FAN_DIRECTIONS):
+            ang = base_angle + 2.0 * math.pi * (i + 1) / (FAN_DIRECTIONS + 1)
             candidates.append(_unit_against_F(S, p, np.array([math.cos(ang), math.sin(ang)])))
     else:
-        for _ in range(max(starts, 8)):
+        for _ in range(FAN_DIRECTIONS):
             v = rng.standard_normal(n)
             candidates.append(_unit_against_F(S, p, v))
 
@@ -530,53 +504,24 @@ def _fan_search(S, p, q, chord_dir, chord_len, starts, seed, polish, tally):
     coarse.sort(key=lambda item: item[0])
 
     hits = []
+    best_miss = math.inf
     tried = 0
     for _, v, s0 in coarse:
         if tried >= 3 and hits:
             break
         tried += 1
-        hit = polish(v, s0)
-        if hit is not None:
-            hits.append(hit)
+        polished = _newton_polish(S, p, v, s0, q, tally)
+        if polished is None:
+            continue
+        best_miss = min(best_miss, polished[2])
+        if polished[2] <= MISS_TOLERANCE:
+            hits.append(polished)
             if S.unique_geodesics:
                 break
     if not hits:
         raise SearchFailureError(
             f"no connecting geodesic found from {p} to {q} "
-            f"(best miss {coarse[0][0]:.3e}, {tally.shots} shots tried)"
+            f"(best miss {best_miss:.3e}, {tally.shots} shots tried)"
         )
-    hits.sort(key=lambda item: item[0])
+    hits.sort(key=lambda item: item[1])
     return hits[0], {"path": "fan", "starts": len(candidates), "candidates_polished": tried}
-
-
-def _distance_dim1(S, p, q, tol_int):
-    from .ode import solve_scalar_root
-
-    tally = _ShotTally()
-    direction = np.array([1.0 if q[0] > p[0] else -1.0])
-    v = _unit_against_F(S, p, direction)
-    gap = abs(float(q[0] - p[0]))
-    s_hi = 1.0
-    traj = None
-    for _ in range(60):
-        try:
-            traj = _integrate_shot(S, p, v, s_hi, tol_int, tally)
-        except DomainExitError as exc:
-            traj = exc.trajectory
-            break
-        if (traj.states[-1][0] - q[0]) * direction[0] > 0:
-            break
-        s_hi *= 2.0
-        if s_hi > 1e6:
-            raise SearchFailureError("target not reachable in forward direction")
-
-    def resid(s):
-        return float(traj(s)[0] - q[0])
-
-    lo, hi = traj.t0, traj.t1
-    s_star = solve_scalar_root(resid, bracket=(lo, hi), tolerance=1e-14 * max(1.0, gap))
-    geo = geodesic_ivp(S, p, v, s_star, tolerance=1e-11)
-    miss = abs(float(geo.x(s_star)[0] - q[0]))
-    return DistanceResult(
-        float(s_star), geo, {"miss": miss, "starts": 1, "shots": tally.shots + 1}
-    )

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, EvaluationDomainError, StrongConvexityError
-from .jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
+from .jets import jet_abs, jet_space, jet_sqrt, scalar_value
 
 FAMILIES = ("riemannian", "randers", "funk_ball", "klein_ball", "interval_funk")
 MAX_POLY_DEGREE = 4

@@ -25,10 +25,15 @@ from .errors import (
     NotEinsteinError,
     PoleError,
 )
-from .geodesics import DistanceResult, Geodesic, finsler_distance, geodesic_ivp
+from .geodesics import DistanceResult, Geodesic, finsler_distance
 from .jets import Jet, jet_exp, jet_space
 from .metrics import FinslerStructure
 from .ode import integrate_ivp
+
+CLASSIFY_SAMPLES = 6  # base points of the Einstein classification
+MAX_INTERMEDIATE = 2  # intermediate points of a random chain
+PAIR_RADIUS = 0.7  # theorem-1 pairs are sampled inside this radius
+MIN_SEPARATION = 0.05  # and at least this far apart
 
 
 def schwarzian(f, t: float) -> float:
@@ -127,7 +132,6 @@ def projective_parameter(
     tolerance: float = 1e-13,
     grid: int = 129,
     einstein_c: float | None = None,
-    via: str = "auto",
 ) -> ProjectiveParameter:
     """Solve for the projective parameter along a unit-speed geodesic.
 
@@ -144,7 +148,7 @@ def projective_parameter(
     def qfun(s: float) -> float:
         x = geodesic.x(s)
         v = geodesic.v(s)
-        return (2.0 / (n - 1.0)) * ricci_scalar(S, x, v, via=via)
+        return (2.0 / (n - 1.0)) * ricci_scalar(S, x, v)
 
     def rhs(z):
         # z = (u1, u1', u2, u2', s); carrying s keeps the system autonomous
@@ -358,21 +362,18 @@ def build_canonical_chain(
     gauge: FunkGauge,
     points,
     c: float | None,
-    *,
-    distance_kwargs: dict | None = None,
 ) -> Chain:
     """Chain through the given points, one projective segment per leg.
 
     Legs use the canonical exponential map when c is given and the
     numerically solved parameter otherwise.
     """
-    distance_kwargs = distance_kwargs or {}
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     if len(pts) < 2:
         raise MalformedChainError("a chain needs at least two points")
     segments = []
     for i in range(len(pts) - 1):
-        res = finsler_distance(S, pts[i], pts[i + 1], **distance_kwargs)
+        res = finsler_distance(S, pts[i], pts[i + 1])
         if res.geodesic is None:
             raise MalformedChainError("degenerate leg: identical consecutive points")
         pmap, t0, t1 = _segment_for(S, res.geodesic, c)
@@ -444,10 +445,7 @@ def pseudo_distance(
     *,
     einstein: EinsteinReport | None = None,
     random_chains: int = 0,
-    max_intermediate: int = 2,
     seed: int = 0,
-    classify_samples: int = 6,
-    distance_kwargs: dict | None = None,
 ) -> PseudoDistanceResult:
     """Upper bound for the projectively invariant pseudo-distance d_M(p, q).
 
@@ -457,13 +455,12 @@ def pseudo_distance(
     theoretical_available).  Optional random multi-segment chains probe the
     infimum from above.
     """
-    distance_kwargs = distance_kwargs or {}
     if einstein is None:
-        einstein = einstein_classify(S, x_samples=classify_samples, seed=seed)
+        einstein = einstein_classify(S, x_samples=CLASSIFY_SAMPLES, seed=seed)
     c = einstein.einstein_constant_c
     n = S.dimension
     factor = None if c is None else 2.0 * c / (math.sqrt(n - 1.0) * gauge.k)
-    res = finsler_distance(S, p, q, **distance_kwargs)
+    res = finsler_distance(S, p, q)
     if res.geodesic is None:
         return PseudoDistanceResult(
             d_finsler=0.0,
@@ -485,15 +482,13 @@ def pseudo_distance(
         q_arr = np.atleast_1d(np.asarray(q, dtype=float))
         best_random = math.inf
         for _ in range(random_chains):
-            kmid = int(rng.integers(1, max_intermediate + 1))
+            kmid = int(rng.integers(1, MAX_INTERMEDIATE + 1))
             pts = [p_arr]
             for _ in range(kmid):
                 pts.append(S.sample_point(rng, 0.8 * S.sampling_radius))
             pts.append(q_arr)
             try:
-                chain = build_canonical_chain(
-                    S, gauge, pts, c, distance_kwargs=distance_kwargs
-                )
+                chain = build_canonical_chain(S, gauge, pts, c)
                 best_random = min(best_random, chain_length(gauge, chain))
             except (MalformedChainError, EvaluationDomainError, PoleError):
                 continue
@@ -633,10 +628,6 @@ def theorem1_verify(
     tolerance: float = 1e-4,
     *,
     einstein: EinsteinReport | None = None,
-    radius: float = 0.7,
-    min_separation: float = 0.05,
-    classify_samples: int = 6,
-    distance_kwargs: dict | None = None,
 ) -> Theorem1Report:
     """Numerical check of d_M = (2c / (sqrt(n-1) k)) d_F over sampled pairs.
 
@@ -646,7 +637,7 @@ def theorem1_verify(
     if pairs < 1:
         raise ValueError("need at least one pair")
     if einstein is None:
-        einstein = einstein_classify(S, x_samples=classify_samples, seed=seed)
+        einstein = einstein_classify(S, x_samples=CLASSIFY_SAMPLES, seed=seed)
     c = einstein.einstein_constant_c
     if c is None:
         raise NotEinsteinError(
@@ -657,15 +648,14 @@ def theorem1_verify(
     rng = np.random.default_rng(seed)
     pair_list = []
     while len(pair_list) < pairs:
-        p = S.sample_point(rng, radius)
-        q = S.sample_point(rng, radius)
-        if float(np.linalg.norm(q - p)) >= min_separation:
+        p = S.sample_point(rng, PAIR_RADIUS)
+        q = S.sample_point(rng, PAIR_RADIUS)
+        if float(np.linalg.norm(q - p)) >= MIN_SEPARATION:
             pair_list.append((p, q))
-    dk = distance_kwargs or {}
 
     def run_pair(pq):
         p, q = pq
-        res = finsler_distance(S, p, q, **dk)
+        res = finsler_distance(S, p, q)
         pmap, (t0, t1) = canonical_projective_map(S, res.geodesic, c)
         canonical = funk_distance(gauge, t0, t1)
         theoretical = factor * res.distance

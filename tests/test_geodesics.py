@@ -39,6 +39,11 @@ def curved_riemannian_config():
     }
 
 
+def interval1_distance(p, q):
+    """Closed-form Funk distance on the interval (k = 1) between 1-point arrays."""
+    return interval_funk_closed(1.0, p[0], q[0])
+
+
 def spray_via(S, x, y, via):
     """Spray values from spray_jet_functions on the given route."""
     return np.array([g.value for g in spray_jet_functions(S, x, y, 0, via=via)])
@@ -267,14 +272,19 @@ class TestDistance:
                 assert best <= competitor + 1e-9
 
     def test_interval_funk_distance(self, interval1):
-        fwd = finsler_distance(interval1, [0.0], [0.5], integration_tolerance=1e-12)
-        rev = finsler_distance(interval1, [0.5], [0.0], integration_tolerance=1e-12)
+        fwd = finsler_distance(interval1, [0.0], [0.5])
+        rev = finsler_distance(interval1, [0.5], [0.0])
         assert fwd.distance == pytest.approx(interval_funk_closed(1.0, 0.0, 0.5), abs=5e-9)
         assert rev.distance == pytest.approx(interval_funk_closed(1.0, 0.5, 0.0), abs=5e-9)
 
     @pytest.mark.parametrize(
         "ball, oracle",
-        [("klein2", klein_distance), ("klein3", klein_distance), ("funk2", funk_distance_ball)],
+        [
+            ("klein2", klein_distance),
+            ("klein3", klein_distance),
+            ("funk2", funk_distance_ball),
+            ("interval1", interval1_distance),
+        ],
     )
     def test_ball_distances_take_the_chord_path(self, request, ball, oracle):
         S = request.getfixturevalue(ball)
@@ -335,5 +345,33 @@ class TestDistance:
 
         monkeypatch.setattr(geodesics, "_newton_polish", always_misses)
         for S in (klein2, make_metric(curved_riemannian_config())):
-            with pytest.raises(SearchFailureError, match=r"best miss \S+, \d+ shots tried"):
+            with pytest.raises(SearchFailureError, match=r"best miss 1\.000e-03, \d+ shots tried"):
                 finsler_distance(S, [0.0, 0.0], [0.4, 0.1])
+
+    def test_failed_probe_returns_the_start(self, klein2, monkeypatch):
+        # Every shot after the start leaves the chart, so the first Jacobian
+        # probe fails; the polish keeps the start instead of discarding it.
+        integrate = geodesics._integrate_shot
+        calls = []
+
+        def exits_after_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise DomainExitError("probe left the chart")
+            return integrate(*args, **kwargs)
+
+        p, q, s0 = np.array([0.0, 0.0]), np.array([0.4, 0.1]), 0.3
+        d0 = geodesics._unit_against_F(klein2, p, np.array([1.0, 0.5]))
+        offset = geodesics._direction_basis(2, d0) @ np.zeros(1)
+        v0 = geodesics._unit_against_F(klein2, p, d0 + offset)
+        tol = geodesics.INTEGRATION_TOLERANCE
+        traj = integrate(klein2, p, v0, s0, tol, geodesics._ShotTally())
+        start_miss = float(np.max(np.abs(traj(s0)[:2] - q)))
+
+        monkeypatch.setattr(geodesics, "_integrate_shot", exits_after_first)
+        out = geodesics._newton_polish(klein2, p, d0, s0, q, geodesics._ShotTally())
+        assert out is not None and len(out) == 4
+        v, s, miss, iters = out
+        assert len(calls) == 2
+        assert np.array_equal(v, v0) and s == s0 and iters == 0
+        assert miss == start_miss > 1e-3

@@ -1,0 +1,40 @@
+"""Every name a library module imports is used in that module.
+
+An AST scan in place of a linter: it collects the names bound by import
+statements and the names the module reads, and reports the difference.
+The package __init__ is skipped; it imports in order to re-export.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finslerlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
+        "math (line 1)",
+        "path (line 2)",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(module):
+    assert unused_imports(module.read_text()) == []
