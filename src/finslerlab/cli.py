@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 
 import click
@@ -105,6 +106,34 @@ def _bad_option(option: str, message: str) -> int:
     return _fail(EXIT_USAGE, ValueError(f"{option} {message}"), option=option)
 
 
+class _OptionRangeError(Exception):
+    """An option value outside its range; main() reports it with _bad_option."""
+
+    def __init__(self, option: str, message: str):
+        super().__init__(f"{option} {message}")
+        self.option = option
+        self.message = message
+
+
+def _in_range(test, message: str):
+    """Click callback that rejects a given value for which test(value) is false."""
+
+    def callback(ctx, param, value):
+        if value is not None and not test(value):
+            raise _OptionRangeError(param.opts[0], message)
+        return value
+
+    return callback
+
+
+def _at_least(low: int):
+    return _in_range(lambda v: v >= low, f"must be at least {low}")
+
+
+_FINITE = _in_range(math.isfinite, "must be finite")
+_POSITIVE = _in_range(lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite")
+
+
 def _load_structure(config_path: str):
     try:
         cfg = load_config(config_path)
@@ -124,6 +153,8 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
         raise _UsageExit(f"{what} must be comma-separated floats, got {text!r}") from exc
     if len(vals) != dim:
         raise _UsageExit(f"{what} needs {dim} components, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise _UsageExit(f"{what} components must be finite, got {text!r}")
     return np.asarray(vals)
 
 
@@ -139,13 +170,11 @@ def metric() -> None:
 
 @metric.command("validate")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--samples", default=100, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--samples", default=100, show_default=True, callback=_at_least(1))
+@click.option("--seed", default=0, show_default=True, callback=_at_least(0))
 @click.option("--out", default=None)
 def metric_validate(config_path, samples, seed, out) -> int:
     """Sample the defining axioms and report pass/fail per property."""
-    if samples < 1:
-        return _bad_option("--samples", "must be at least 1")
     try:
         S = _load_structure(config_path)
     except StrongConvexityError as exc:
@@ -173,18 +202,18 @@ def geodesic() -> None:
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--x0", required=True, help="start point, comma separated")
 @click.option("--y0", required=True, help="start direction, comma separated")
-@click.option("--length", required=True, type=float, help="signed arc length")
-@click.option("--step", default=None, type=float, help="resample spacing for the CSV")
-@click.option("--tolerance", default=1e-10, show_default=True, type=float)
+@click.option(
+    "--length",
+    required=True,
+    type=float,
+    help="signed arc length",
+    callback=_in_range(lambda v: math.isfinite(v) and v != 0.0, "must be finite and nonzero"),
+)
+@click.option("--step", default=None, type=float, help="resample spacing for the CSV", callback=_POSITIVE)
+@click.option("--tolerance", default=1e-10, show_default=True, type=float, callback=_POSITIVE)
 @click.option("--out", default="-", show_default=True)
 def geodesic_trace(config_path, x0, y0, length, step, tolerance, out) -> int:
     """Integrate x'' + 2G(x, x') = 0 and write the trace as CSV."""
-    if length == 0.0:
-        return _bad_option("--length", "must be nonzero")
-    if step is not None and not step > 0.0:
-        return _bad_option("--step", "must be positive")
-    if not tolerance > 0.0:
-        return _bad_option("--tolerance", "must be positive")
     S = _load_structure(config_path)
     x0v = _parse_vector(x0, S.dimension, "--x0")
     y0v = _parse_vector(y0, S.dimension, "--y0")
@@ -263,16 +292,17 @@ def einstein() -> None:
 
 @einstein.command("check")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--samples", default=10, show_default=True)
-@click.option("--directions", default=12, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--samples", default=10, show_default=True, callback=_at_least(2))
+@click.option(
+    "--directions",
+    default=12,
+    show_default=True,
+    callback=_in_range(lambda v: 8 <= v <= 16, "must lie between 8 and 16"),
+)
+@click.option("--seed", default=0, show_default=True, callback=_at_least(0))
 @click.option("--out", default=None)
 def einstein_check(config_path, samples, directions, seed, out) -> int:
     """Sample Ric and test for the normal form Ric_ij = -c^2 g_ij."""
-    if samples < 2:
-        return _bad_option("--samples", "must be at least 2")
-    if not 8 <= directions <= 16:
-        return _bad_option("--directions", "must lie between 8 and 16")
     S = _load_structure(config_path)
     if S.dimension < 2:
         return _bad_option("--config", "needs dimension >= 2")
@@ -286,8 +316,8 @@ def einstein_check(config_path, samples, directions, seed, out) -> int:
 @click.option("--from", "from_", required=True, help="start point, comma separated")
 @click.option("--to", required=True, help="end point, comma separated")
 @click.option("--pseudo", is_flag=True, help="also bound the projective pseudo-distance")
-@click.option("--funk-k", default=1.0, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--funk-k", default=1.0, show_default=True, type=float, callback=_POSITIVE)
+@click.option("--seed", default=0, show_default=True, callback=_at_least(0))
 @click.option("--out", default=None)
 def distance(config_path, from_, to, pseudo, funk_k, seed, out) -> int:
     """Ordered Finslerian distance d_F, optionally with the d_M bound."""
@@ -298,8 +328,6 @@ def distance(config_path, from_, to, pseudo, funk_k, seed, out) -> int:
     if pseudo:
         if S.dimension < 2:
             raise _UsageExit("--pseudo needs dimension >= 2")
-        if not funk_k > 0.0:
-            return _bad_option("--funk-k", "must be positive")
         gauge = FunkGauge(k=funk_k)
         result = pseudo_distance(S, p, q, gauge, seed=seed)
         payload["d_F"] = result.d_finsler
@@ -322,17 +350,13 @@ def theorem1() -> None:
 
 @theorem1.command("verify")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--pairs", default=20, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-4, show_default=True, type=float)
-@click.option("--funk-k", default=1.0, show_default=True, type=float)
+@click.option("--pairs", default=20, show_default=True, callback=_at_least(1))
+@click.option("--seed", default=0, show_default=True, callback=_at_least(0))
+@click.option("--tol", default=1e-4, show_default=True, type=float, callback=_FINITE)
+@click.option("--funk-k", default=1.0, show_default=True, type=float, callback=_POSITIVE)
 @click.option("--out", default=None)
 def theorem1_verify_cmd(config_path, pairs, seed, tol, funk_k, out) -> int:
     """Check d_M = (2c / (sqrt(n-1) k)) d_F over random ordered pairs."""
-    if pairs < 1:
-        return _bad_option("--pairs", "must be at least 1")
-    if not funk_k > 0.0:
-        return _bad_option("--funk-k", "must be positive")
     S = _load_structure(config_path)
     if S.dimension < 2:
         return _bad_option("--config", "needs dimension >= 2")
@@ -357,13 +381,11 @@ def projective() -> None:
 @projective.command("compare")
 @click.option("--config-a", "config_a", required=True, type=click.Path())
 @click.option("--config-b", "config_b", required=True, type=click.Path())
-@click.option("--samples", default=40, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--samples", default=40, show_default=True, callback=_at_least(1))
+@click.option("--seed", default=0, show_default=True, callback=_at_least(0))
 @click.option("--out", default=None)
 def projective_compare(config_a, config_b, samples, seed, out) -> int:
     """Spray comparison: same unparameterized geodesics? homothetic?"""
-    if samples < 1:
-        return _bad_option("--samples", "must be at least 1")
     A = _load_structure(config_a)
     B = _load_structure(config_b)
     if A.dimension != B.dimension:
@@ -378,6 +400,8 @@ def main(argv=None) -> int:
     try:
         rv = cli.main(args=argv, standalone_mode=False)
         return int(rv) if isinstance(rv, int) else EXIT_OK
+    except _OptionRangeError as exc:
+        return _bad_option(exc.option, exc.message)
     except _UsageExit as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE

@@ -6,8 +6,10 @@ intermediate jet-valued function:
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/(dy^k dx^j)
             + 2 G^j d2G^i/(dy^k dy^j) - (dG^i/dy^j)(dG^j/dy^k)
 
-The Ricci tensor is the fibre Hessian of R^k_k / 2, which costs two more
-derivative orders on top of the spray.
+R^i_k values come from order-2 spray jets batched over many phase points, so
+one evaluation serves all of einstein_classify's samples of a kind.  The
+Ricci tensor is the fibre Hessian of R^k_k / 2, which costs two more
+derivative orders on top of the spray and keeps the formula on jets.
 """
 
 from __future__ import annotations
@@ -22,26 +24,51 @@ from .metrics import FinslerStructure, fundamental_tensor
 from .jets import jet_space
 
 
-def _riemann_jet_matrix(S: FinslerStructure, x, y, r_order: int, via: str = "auto"):
-    """R^i_k as jets of total order r_order over the 2n phase seeds."""
-    if not y.any():
+def _require_flagpole(y):
+    """y has shape (n,) or (n, B); every column must be nonzero."""
+    if not y.any(axis=0).all():
         raise EvaluationDomainError("curvature undefined at y = 0")
-    n = S.dimension
-    G = spray_jet_functions(S, x, y, g_order=r_order + 2, via=via)
-    space = G[0].space
-    yj = [space.variable(n + i, float(v)) for i, v in enumerate(np.atleast_1d(y))]
-    Gx = [[G[i].partial(j) for j in range(n)] for i in range(n)]
+
+
+def _riemann_formula(G, y, at):
+    """R^i_k from the spray jets G^i and the fibre coordinates y.
+
+    at(jet) is what the formula reads of a spray derivative: the jet itself,
+    or its value; y holds jets or values to match.
+    """
+    n = len(G)
     Gy = [[G[i].partial(n + j) for j in range(n)] for i in range(n)]
     R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
-            term = 2.0 * Gx[i][k]
+            term = 2.0 * at(G[i].partial(k))
             for j in range(n):
-                term = term - yj[j] * Gy[i][k].partial(j)
-                term = term + 2.0 * (G[j] * Gy[i][k].partial(n + j))
-                term = term - Gy[i][j] * Gy[j][k]
+                term = term - y[j] * at(Gy[i][k].partial(j))
+                term = term + 2.0 * (at(G[j]) * at(Gy[i][k].partial(n + j)))
+                term = term - at(Gy[i][j]) * at(Gy[j][k])
             R[i][k] = term
     return R
+
+
+def _riemann_values(S: FinslerStructure, x, y, via: str = "auto") -> np.ndarray:
+    """R^i_k at B phase points, x and y of shape (n, B); returns shape (B, n, n).
+
+    One batched evaluation of the order-2 spray jets supplies every value the
+    formula reads; the formula itself runs on (B,) float arrays.
+    """
+    _require_flagpole(y)
+    G = spray_jet_functions(S, x, y, g_order=2, via=via)
+    R = _riemann_formula(G, y, lambda jet: jet.coef[0])
+    return np.ascontiguousarray(np.array(R).transpose(2, 0, 1))
+
+
+def _riemann_jets(S: FinslerStructure, x, y):
+    """R^i_k as jets of total order 2 over the 2n phase seeds."""
+    _require_flagpole(y)
+    G = spray_jet_functions(S, x, y, g_order=4)
+    n = S.dimension
+    yj = [G[0].space.variable(n + i, v) for i, v in enumerate(y)]
+    return _riemann_formula(G, yj, lambda jet: jet)
 
 
 @dataclass
@@ -60,10 +87,19 @@ class RiemannCurvature:
 def riemann_curvature(S: FinslerStructure, x, y, via: str = "auto") -> RiemannCurvature:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    R = _riemann_jet_matrix(S, x, y, r_order=0, via=via)
-    n = S.dimension
-    mat = np.array([[R[i][k].value for k in range(n)] for i in range(n)])
+    mat = _riemann_values(S, x[:, None], y[:, None], via=via)[0]
     return RiemannCurvature(matrix=mat, x=x, y=y)
+
+
+def _flag_denominator(ft, y, u) -> float:
+    """g_y(y,y) g_y(u,u) - g_y(y,u)^2; raises when u is parallel to y."""
+    gyy = ft.inner(y, y)
+    guu = ft.inner(u, u)
+    gyu = ft.inner(y, u)
+    denom = gyy * guu - gyu * gyu
+    if denom <= 1e-12 * max(1.0, gyy * guu):
+        raise DegenerateFlagError("flag plane degenerate: u is parallel to the flagpole")
+    return denom
 
 
 def flag_curvature(S: FinslerStructure, x, y, u) -> float:
@@ -75,21 +111,30 @@ def flag_curvature(S: FinslerStructure, x, y, u) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ft = fundamental_tensor(S, x, y)
-    gyy = ft.inner(y, y)
-    guu = ft.inner(u, u)
-    gyu = ft.inner(y, u)
-    denom = gyy * guu - gyu * gyu
-    if denom <= 1e-12 * max(1.0, gyy * guu):
-        raise DegenerateFlagError("flag plane degenerate: u is parallel to the flagpole")
+    denom = _flag_denominator(ft, y, u)
     R = riemann_curvature(S, x, y)
     return float(ft.inner(u, R.matrix @ u) / denom)
 
 
+def _f2_values(S: FinslerStructure, x, y) -> np.ndarray:
+    """F^2 at B phase points by the float evaluator, one point at a time."""
+    return np.array([float(S.F2(x[:, b], y[:, b])) for b in range(y.shape[1])])
+
+
+def _ricci_scalars(S: FinslerStructure, x, y) -> np.ndarray:
+    """Ric = R^k_k / F^2 at B phase points, x and y of shape (n, B)."""
+    R = _riemann_values(S, x, y)
+    trace = R[:, 0, 0]
+    for i in range(1, S.dimension):
+        trace = trace + R[:, i, i]
+    return trace / _f2_values(S, x, y)
+
+
 def ricci_scalar(S: FinslerStructure, x, y) -> float:
     """Ric(x, y) = R^k_k / F^2; zero-homogeneous in y."""
-    R = riemann_curvature(S, x, y)
-    f2 = float(S.F2(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(y, float))))
-    return float(np.trace(R.matrix) / f2)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return float(_ricci_scalars(S, x[:, None], y[:, None])[0])
 
 
 @dataclass
@@ -102,22 +147,26 @@ class RicciData:
     y: np.ndarray
 
 
+def _ricci_tensors(S: FinslerStructure, x, y):
+    """Ric, shape (B,), and Ric_ij, shape (B, n, n), at B phase points."""
+    n = S.dimension
+    R = _riemann_jets(S, x, y)
+    trace = R[0][0]
+    for i in range(1, n):
+        trace = trace + R[i][i]
+    ric_ij = np.empty((y.shape[1], n, n))
+    for i in range(n):
+        for j in range(i, n):
+            ric_ij[:, i, j] = ric_ij[:, j, i] = 0.5 * trace.partial(n + i).partial(n + j).coef[0]
+    return trace.coef[0] / _f2_values(S, x, y), ric_ij
+
+
 def ricci_tensor(S: FinslerStructure, x, y) -> RicciData:
     """Ric_ij = (R^k_k / 2)_{y^i y^j} at (x, y), plus the scalar from the trace."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = S.dimension
-    R = _riemann_jet_matrix(S, x, y, r_order=2)
-    trace = R[0][0]
-    for i in range(1, n):
-        trace = trace + R[i][i]
-    ric_ij = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = 0.5 * trace.partial(n + i).partial(n + j).value
-            ric_ij[i, j] = ric_ij[j, i] = val
-    f2 = float(S.F2(x, y))
-    return RicciData(ric=float(trace.value / f2), ric_tensor=ric_ij, x=x, y=y)
+    ric, ric_ij = _ricci_tensors(S, x[:, None], y[:, None])
+    return RicciData(ric=float(ric[0]), ric_tensor=ric_ij[0], x=x, y=y)
 
 
 def scalar_curvature_residual(S: FinslerStructure, x, y, lam: float) -> float:
@@ -203,18 +252,16 @@ def einstein_classify(
         raise ValueError("classification needs dimension >= 2")
     rng = np.random.default_rng(seed)
     radius = 0.8 * S.sampling_radius
+    xs = []
+    ys = []
+    for _ in range(x_samples):
+        xs.append(S.sample_point(rng, radius))
+        ys.extend(S.sample_direction(rng) for _ in range(y_directions))
+    ric = _ricci_scalars(S, np.repeat(np.array(xs).T, y_directions, axis=1), np.array(ys).T)
     per_x_means = []
     y_spread = 0.0
     ric_values = []
-    xs = []
-    for _ in range(x_samples):
-        x = S.sample_point(rng, radius)
-        xs.append(x)
-        vals = []
-        for _ in range(y_directions):
-            y = S.sample_direction(rng)
-            vals.append(ricci_scalar(S, x, y))
-        vals = np.asarray(vals)
+    for vals in ric.reshape(x_samples, y_directions):
         ric_values.append(vals.tolist())
         y_spread = max(y_spread, float(vals.max() - vals.min()))
         per_x_means.append(float(vals.mean()))
@@ -224,19 +271,16 @@ def einstein_classify(
     is_einstein = y_spread <= tolerance
 
     # least-squares proportionality of Ric_ij against g_ij at a subsample
+    fit_xs = [x for x in xs[: min(len(xs), 6)] for _ in range(2)]
+    fit_ys = [S.sample_direction(rng) for _ in fit_xs]
+    _, fit_ric = _ricci_tensors(S, np.array(fit_xs).T, np.array(fit_ys).T)
     fit_vals = []
     fit_resid = 0.0
-    for x in xs[: min(len(xs), 6)]:
-        for _ in range(2):
-            y = S.sample_direction(rng)
-            data = ricci_tensor(S, x, y)
-            g = fundamental_tensor(S, x, y).g
-            lam = float(np.sum(data.ric_tensor * g) / np.sum(g * g))
-            fit_vals.append(lam)
-            fit_resid = max(
-                fit_resid,
-                float(np.max(np.abs(data.ric_tensor - lam * g)) / np.max(np.abs(g))),
-            )
+    for x, y, ric_ij in zip(fit_xs, fit_ys, fit_ric):
+        g = fundamental_tensor(S, x, y).g
+        lam = float(np.sum(ric_ij * g) / np.sum(g * g))
+        fit_vals.append(lam)
+        fit_resid = max(fit_resid, float(np.max(np.abs(ric_ij - lam * g)) / np.max(np.abs(g))))
     fit_vals = np.asarray(fit_vals)
     fit_spread = float(fit_vals.max() - fit_vals.min())
     fit_factor = float(fit_vals.mean())
@@ -250,19 +294,20 @@ def einstein_classify(
         c = float(np.sqrt(-fit_factor))
 
     # sampled flag curvatures; a constant value is reported when the spread allows
-    flags = []
+    flag_samples = []  # (x, y, u, g_y, flag denominator)
     for _ in range(10):
         x = S.sample_point(rng, radius)
         y = S.sample_direction(rng)
         u = S.sample_direction(rng)
         gy = fundamental_tensor(S, x, y)
-        denom = gy.inner(y, y) * gy.inner(u, u) - gy.inner(y, u) ** 2
-        if denom <= 1e-8:
+        if gy.inner(y, y) * gy.inner(u, u) - gy.inner(y, u) ** 2 <= 1e-8:
             continue
-        flags.append(flag_curvature(S, x, y, u))
+        flag_samples.append((x, y, u, gy, _flag_denominator(gy, y, u)))
     flag_constant = None
-    if flags:
-        flags = np.asarray(flags)
+    if flag_samples:
+        fxs, fys, fus, fts, denoms = zip(*flag_samples)
+        R = _riemann_values(S, np.array(fxs).T, np.array(fys).T)
+        flags = np.asarray([float(ft.inner(u, Rb @ u) / d) for ft, u, Rb, d in zip(fts, fus, R, denoms)])
         if float(flags.max() - flags.min()) <= matrix_tolerance * max(1.0, float(np.abs(flags).max())):
             flag_constant = float(flags.mean())
 

@@ -24,11 +24,14 @@ from .ode import OdeTrajectory, integrate_ivp
 
 
 def phase_jet_args(S: FinslerStructure, x, y, order: int):
-    """Jets for (x + xi, y + eta): seeds 0..n-1 are base, n..2n-1 are fibre."""
+    """Jets for (x + xi, y + eta): seeds 0..n-1 are base, n..2n-1 are fibre.
+
+    x and y have shape (n,), or (n, B) for a batch of B phase points.
+    """
     n = S.dimension
     space = jet_space(2 * n, order)
-    xj = [space.variable(i, float(v)) for i, v in enumerate(np.atleast_1d(x))]
-    yj = [space.variable(n + i, float(v)) for i, v in enumerate(np.atleast_1d(y))]
+    xj = [space.variable(i, v) for i, v in enumerate(np.atleast_1d(np.asarray(x, dtype=float)))]
+    yj = [space.variable(n + i, v) for i, v in enumerate(np.atleast_1d(np.asarray(y, dtype=float)))]
     return space, xj, yj
 
 
@@ -68,7 +71,10 @@ def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
 
 
 def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "auto"):
-    """G^i as jets of total order `g_order` over the 2n phase seeds."""
+    """G^i as jets of total order `g_order` over the 2n phase seeds.
+
+    x and y of shape (n, B) give jets batched over B phase points.
+    """
     if via not in ("auto", "fast", "f2"):
         raise ValueError("via must be auto, fast or f2")
     use_fast = S.spray_fast is not None and via in ("auto", "fast")

@@ -7,6 +7,12 @@ evaluation of an expression every mixed directional derivative up to the
 truncation order can be read off.  A central-difference oracle with
 Richardson extrapolation is provided as an independent cross-check path; it
 is deliberately not used anywhere in the production formulas.
+
+The coefficient array may carry a trailing batch axis, shape (ncoef, B): one
+evaluation then serves B base points (vector-mode Taylor arithmetic, Griewank
+& Walther, *Evaluating Derivatives*, ch. 13).  Every batch column is
+bit-identical to the unbatched evaluation at its point, and a domain check
+rejects the whole batch when any column fails it.
 """
 
 from __future__ import annotations
@@ -50,16 +56,18 @@ class JetSpace:
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
         self.ncoef = len(self.indices)
         self._mul = None
+        self._batched_mul: dict[int, np.ndarray] = {}
         self._partials: dict[int, tuple] = {}
 
     def constant(self, c) -> "Jet":
-        coef = np.zeros(self.ncoef)
+        """Constant jet; an array c of shape (B,) gives a batch of B constants."""
+        coef = np.zeros((self.ncoef,) + getattr(c, "shape", ()))
         coef[0] = c
         return Jet(self, coef)
 
     def variable(self, v: int, value) -> "Jet":
-        """Jet of value + xi_v, where xi_v is the v-th seed direction."""
-        coef = np.zeros(self.ncoef)
+        """Jet of value + xi_v, where xi_v is the v-th seed direction; value may be a (B,) array."""
+        coef = np.zeros((self.ncoef,) + getattr(value, "shape", ()))
         coef[0] = value
         if self.order >= 1:
             coef[1 + v] = 1.0
@@ -82,6 +90,15 @@ class JetSpace:
             )
         return self._mul
 
+    def _batched_mul_index(self, batch: int) -> np.ndarray:
+        """Flattened output index K*B + b of every (product term, batch column)."""
+        idx = self._batched_mul.get(batch)
+        if idx is None:
+            K = self._mul_table()[2]
+            idx = (K[:, None] * batch + np.arange(batch)).ravel()
+            self._batched_mul[batch] = idx
+        return idx
+
     def _partial_table(self, v: int):
         tab = self._partials.get(v)
         if tab is None:
@@ -93,7 +110,7 @@ class JetSpace:
                 bumped[v] += 1
                 src[t] = self.index_of[tuple(bumped)]
                 fac[t] = alpha[v] + 1
-            tab = (lower, src, fac)
+            tab = (lower, src, fac, fac[:, None])
             self._partials[v] = tab
         return tab
 
@@ -108,17 +125,24 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 
 
 class Jet:
-    """A truncated Taylor expansion; treat instances as immutable."""
+    """A truncated Taylor expansion; treat instances as immutable.
+
+    `coef` has shape (ncoef,), or (ncoef, B) for a batch of B base points.
+    """
 
     __slots__ = ("space", "coef")
+    # numpy arrays of batch values defer to the reflected Jet operators
+    __array_ufunc__ = None
 
     def __init__(self, space: JetSpace, coef: np.ndarray):
         self.space = space
         self.coef = coef
 
     @property
-    def value(self) -> float:
-        return float(self.coef[0])
+    def value(self):
+        """The value at the base point: a float, or a (B,) array for a batch."""
+        c0 = self.coef[0]
+        return float(c0) if self.coef.ndim == 1 else c0
 
     def truncated(self, order: int) -> "Jet":
         if order == self.space.order:
@@ -132,11 +156,11 @@ class Jet:
         """Derivative jet along seed v; lives one order lower."""
         if self.space.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        lower, src, fac = self.space._partial_table(v)
-        return Jet(lower, self.coef[src] * fac)
+        lower, src, fac, fac_col = self.space._partial_table(v)
+        return Jet(lower, self.coef[src] * (fac if self.coef.ndim == 1 else fac_col))
 
     def derivative(self, alpha) -> float:
-        """Mixed partial d^alpha f at the base point (coefficient times alpha!)."""
+        """Mixed partial d^alpha f at the base point (coefficient times alpha!); unbatched only."""
         alpha = tuple(int(a) for a in alpha)
         idx = self.space.index_of.get(alpha)
         if idx is None:
@@ -149,10 +173,19 @@ class Jet:
     # ----- arithmetic ------------------------------------------------------
 
     def _align(self, other: "Jet"):
-        if self.space.nvars != other.space.nvars:
-            raise ValueError("jets built over different seed sets")
-        order = min(self.space.order, other.space.order)
-        return self.truncated(order), other.truncated(order)
+        a, b = self, other
+        if a.space is not b.space:
+            if a.space.nvars != b.space.nvars:
+                raise ValueError("jets built over different seed sets")
+            order = min(a.space.order, b.space.order)
+            a, b = a.truncated(order), b.truncated(order)
+        if a.coef.ndim != b.coef.ndim:
+            # an unbatched operand broadcasts over the other's batch axis
+            if a.coef.ndim == 1:
+                a = Jet(a.space, a.coef[:, None])
+            else:
+                b = Jet(b.space, b.coef[:, None])
+        return a, b
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -184,8 +217,16 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._align(other)
             I, J, K = a.space._mul_table()
-            coef = np.bincount(K, weights=a.coef[I] * b.coef[J], minlength=a.space.ncoef)
-            return Jet(a.space, coef)
+            w = a.coef[I] * b.coef[J]
+            if w.ndim == 1:
+                return Jet(a.space, np.bincount(K, weights=w, minlength=a.space.ncoef))
+            # One bincount over the flattened index K*B + b sums every column's
+            # terms in the unbatched order, so each column is bit-identical.
+            batch = w.shape[1]
+            coef = np.bincount(
+                a.space._batched_mul_index(batch), weights=w.ravel(), minlength=a.space.ncoef * batch
+            )
+            return Jet(a.space, coef.reshape(-1, batch))
         return Jet(self.space, self.coef * other)
 
     __rmul__ = __mul__
@@ -214,21 +255,33 @@ class Jet:
             return result
         if p == 0.5:
             return self.sqrt()
-        # general real exponent via the binomial series around the value
-        c0 = self.value
-        if c0 <= 0.0:
-            raise EvaluationDomainError(f"jet power {p} needs positive value, got {c0}")
-        coeffs = [c0 ** p]
-        b = 1.0
-        for k in range(1, self.space.order + 1):
-            b *= (p - (k - 1)) / k
-            coeffs.append(b * c0 ** (p - k))
-        return self._series(coeffs)
+
+        def coefficients(c0):
+            # general real exponent via the binomial series around the value
+            if c0 <= 0.0:
+                raise EvaluationDomainError(f"jet power {p} needs positive value, got {c0}")
+            coeffs = [c0 ** p]
+            b = 1.0
+            for k in range(1, self.space.order + 1):
+                b *= (p - (k - 1)) / k
+                coeffs.append(b * c0 ** (p - k))
+            return coeffs
+
+        return self._series(coefficients)
 
     # ----- analytic functions ---------------------------------------------
 
-    def _series(self, coeffs) -> "Jet":
-        """Evaluate sum coeffs[k] * w^k with w = self - value (Horner)."""
+    def _series(self, coefficients) -> "Jet":
+        """Evaluate sum c[k] * w^k with w = self - value and c = coefficients(value) (Horner).
+
+        coefficients runs once per batch column on a float, so a batch
+        reproduces the unbatched floats exactly, and a column outside its
+        domain raises for the whole batch.
+        """
+        if self.coef.ndim == 1:
+            coeffs = coefficients(float(self.coef[0]))
+        else:
+            coeffs = np.array([coefficients(c0) for c0 in self.coef[0].tolist()]).T
         w_coef = self.coef.copy()
         w_coef[0] = 0.0
         w = Jet(self.space, w_coef)
@@ -238,40 +291,51 @@ class Jet:
         return acc
 
     def _reciprocal(self) -> "Jet":
-        c0 = self.value
-        if c0 == 0.0:
-            raise EvaluationDomainError("division by a jet with zero value")
-        coeffs = [((-1.0) ** k) / c0 ** (k + 1) for k in range(self.space.order + 1)]
-        return self._series(coeffs)
+        def coefficients(c0):
+            if c0 == 0.0:
+                raise EvaluationDomainError("division by a jet with zero value")
+            return [((-1.0) ** k) / c0 ** (k + 1) for k in range(self.space.order + 1)]
+
+        return self._series(coefficients)
 
     def sqrt(self) -> "Jet":
-        c0 = self.value
-        if c0 <= 0.0:
-            raise EvaluationDomainError(f"jet sqrt needs positive value, got {c0}")
-        s = math.sqrt(c0)
-        coeffs = [s]
-        b = 1.0
-        for k in range(1, self.space.order + 1):
-            b *= (0.5 - (k - 1)) / k
-            coeffs.append(s * b / c0 ** k)
-        return self._series(coeffs)
+        def coefficients(c0):
+            if c0 <= 0.0:
+                raise EvaluationDomainError(f"jet sqrt needs positive value, got {c0}")
+            s = math.sqrt(c0)
+            coeffs = [s]
+            b = 1.0
+            for k in range(1, self.space.order + 1):
+                b *= (0.5 - (k - 1)) / k
+                coeffs.append(s * b / c0 ** k)
+            return coeffs
+
+        return self._series(coefficients)
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        coeffs = [e / math.factorial(k) for k in range(self.space.order + 1)]
-        return self._series(coeffs)
+        def coefficients(c0):
+            e = math.exp(c0)
+            return [e / math.factorial(k) for k in range(self.space.order + 1)]
+
+        return self._series(coefficients)
 
     def log(self) -> "Jet":
-        c0 = self.value
-        if c0 <= 0.0:
-            raise EvaluationDomainError(f"jet log needs positive value, got {c0}")
-        coeffs = [math.log(c0)]
-        for k in range(1, self.space.order + 1):
-            coeffs.append(((-1.0) ** (k + 1)) / (k * c0 ** k))
-        return self._series(coeffs)
+        def coefficients(c0):
+            if c0 <= 0.0:
+                raise EvaluationDomainError(f"jet log needs positive value, got {c0}")
+            coeffs = [math.log(c0)]
+            for k in range(1, self.space.order + 1):
+                coeffs.append(((-1.0) ** (k + 1)) / (k * c0 ** k))
+            return coeffs
+
+        return self._series(coefficients)
 
     def __abs__(self) -> "Jet":
         c0 = self.value
+        if self.coef.ndim == 2:
+            if not ((c0 > 0.0) | (c0 < 0.0)).all():
+                raise EvaluationDomainError("abs of a jet with zero value is not differentiable")
+            return Jet(self.space, self.coef * np.where(c0 < 0.0, -1.0, 1.0))
         if c0 > 0.0:
             return self
         if c0 < 0.0:

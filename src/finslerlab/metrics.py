@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, EvaluationDomainError, StrongConvexityError
-from .jets import jet_abs, jet_space, jet_sqrt, scalar_value
+from .jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
 
 FAMILIES = ("riemannian", "randers", "funk_ball", "klein_ball", "interval_funk")
 MAX_POLY_DEGREE = 4
@@ -234,7 +234,7 @@ class FinslerStructure:
 
 
 def _require_chart(d):
-    if scalar_value(d) <= 0.0:
+    if (d.coef[0] <= 0.0).any() if isinstance(d, Jet) else d <= 0.0:
         raise EvaluationDomainError("point outside the unit-ball chart")
 
 
@@ -477,17 +477,26 @@ def make_metric(config: MetricConfig | dict) -> FinslerStructure:
 
 
 def invert_scalarlike_matrix(M):
-    """Gauss-Jordan inverse for matrices of floats or jets (n <= 4 expected)."""
+    """Gauss-Jordan inverse for matrices of floats or jets (n <= 4 expected).
+
+    With batched jets every batch column keeps its own pivot sequence: where
+    the columns disagree on the pivot row, rows are swapped per column by
+    selection.
+    """
     n = len(M)
     a = [[M[i][j] for j in range(n)] for i in range(n)]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(scalar_value(a[r][col])))
-        if abs(scalar_value(a[pivot][col])) < 1e-300:
-            raise EvaluationDomainError("singular matrix in scalar-like inverse")
-        if pivot != col:
-            a[pivot], a[col] = a[col], a[pivot]
-            inv[pivot], inv[col] = inv[col], inv[pivot]
+        mags = [abs(scalar_value(a[r][col])) for r in range(col, n)]
+        if any(isinstance(m, np.ndarray) for m in mags):
+            _swap_pivots_per_column(a, inv, col, mags)
+        else:
+            pivot = col + max(range(n - col), key=lambda t: mags[t])
+            if mags[pivot - col] < 1e-300:
+                raise EvaluationDomainError("singular matrix in scalar-like inverse")
+            if pivot != col:
+                a[pivot], a[col] = a[col], a[pivot]
+                inv[pivot], inv[col] = inv[col], inv[pivot]
         piv = a[col][col]
         for j in range(n):
             a[col][j] = a[col][j] / piv
@@ -502,6 +511,37 @@ def invert_scalarlike_matrix(M):
                 a[r][j] = a[r][j] - factor * a[col][j]
                 inv[r][j] = inv[r][j] - factor * inv[col][j]
     return inv
+
+
+def _swap_pivots_per_column(a, inv, col, mags):
+    """Bring each batch column's pivot row to row col; mags[t] is |a[col + t][col]|."""
+    mags = np.array(np.broadcast_arrays(*mags))
+    best = np.argmax(mags, axis=0)  # the first maximum, as max() picks it
+    if (np.take_along_axis(mags, best[None], axis=0) < 1e-300).any():
+        raise EvaluationDomainError("singular matrix in scalar-like inverse")
+    for pivot in range(col + 1, len(a)):
+        mask = best == pivot - col
+        if mask.all():
+            a[pivot], a[col] = a[col], a[pivot]
+            inv[pivot], inv[col] = inv[col], inv[pivot]
+        elif mask.any():
+            for m in (a, inv):
+                m[pivot], m[col] = (
+                    [_select(mask, u, v) for u, v in zip(m[col], m[pivot])],
+                    [_select(mask, v, u) for u, v in zip(m[col], m[pivot])],
+                )
+
+
+def _select(mask, u, v):
+    """Per batch column: u where mask holds, else v (floats, arrays or jets)."""
+    if not isinstance(u, Jet) and not isinstance(v, Jet):
+        return np.where(mask, u, v)
+    if not isinstance(u, Jet):
+        u = v.space.constant(u)
+    elif not isinstance(v, Jet):
+        v = u.space.constant(v)
+    u, v = u._align(v)
+    return Jet(u.space, np.where(mask, u.coef, v.coef))
 
 
 @dataclass

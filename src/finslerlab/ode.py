@@ -10,6 +10,7 @@ StiffnessError instead of looping forever.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,8 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_step
     integration stops with DomainExitError at the (bisected) exit parameter.
     """
     t0, t1 = float(span[0]), float(span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"span must be finite, got ({t0}, {t1})")
     if not t1 > t0:
         raise ValueError("span must satisfy t1 > t0")
     if tolerance <= 0.0:

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON/CSV payloads, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finslerlab.cli import main
 
-from conftest import euclid_config, funk_config, klein_config
+from conftest import euclid_config, exact_randers_config, funk_config, klein_config
 
 LN3 = math.log(3.0)
 
@@ -53,6 +56,7 @@ def cfg(tmp_path_factory):
         "euclid2": euclid_config(2),
         "curved": curved_config(),
         "randers_bad": randers_bad_config(),
+        "randers": exact_randers_config(),
         "interval1": {"family": "interval_funk", "dimension": 1, "k": 1.0},
     }
     paths = {}
@@ -155,6 +159,22 @@ class TestUsageErrors:
         assert "dimension" in err
 
 
+class TestNonFiniteVectors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature", "report", "--config", "klein2", "--x", "nan,0", "--y", "1,0"],
+            ["distance", "--config", "klein2", "--from", "0,0", "--to", "inf,0"],
+        ],
+        ids=["curvature-nan", "distance-inf"],
+    )
+    def test_exits_64(self, cfg, capsys, argv):
+        code, out, err = run(capsys, *[cfg.get(a, a) for a in argv])
+        assert code == 64
+        assert out == ""
+        assert "must be finite" in err
+
+
 class TestOptionRanges:
     """Out-of-range option values exit 64 with a JSON error naming the option."""
 
@@ -180,6 +200,36 @@ class TestOptionRanges:
                 "--config-b",
             ),
             (["metric", "validate", "--config", "klein2", "--samples", "0"], "--samples"),
+            (["einstein", "check", "--config", "klein2", "--seed", "-1"], "--seed"),
+            (["theorem1", "verify", "--config", "klein2", "--seed", "-1"], "--seed"),
+            (["metric", "validate", "--config", "klein2", "--seed", "-1"], "--seed"),
+            (
+                ["projective", "compare", "--config-a", "klein2", "--config-b", "funk2",
+                 "--seed", "-1"],
+                "--seed",
+            ),
+            (
+                ["distance", "--config", "klein2", "--from", "0,0", "--to", "0.1,0", "--pseudo",
+                 "--seed", "-1"],
+                "--seed",
+            ),
+            (
+                ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0",
+                 "--length", "inf"],
+                "--length",
+            ),
+            (
+                ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0",
+                 "--length", "0.5", "--step", "nan"],
+                "--step",
+            ),
+            (
+                ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0",
+                 "--length", "0.5", "--tolerance", "inf"],
+                "--tolerance",
+            ),
+            (["theorem1", "verify", "--config", "klein2", "--tol", "nan"], "--tol"),
+            (["theorem1", "verify", "--config", "klein2", "--funk-k", "inf"], "--funk-k"),
         ],
     )
     def test_exits_64_with_json(self, cfg, capsys, argv, option):
@@ -520,3 +570,99 @@ class TestOutputFiles:
         assert f1.read_bytes() == f2.read_bytes()
         doc = json.loads(f1.read_text())
         assert doc["d_F"] == pytest.approx(math.atanh(0.5), abs=1e-8)
+
+
+# ----- the exit-code contract under random invocations ------------------------
+
+FAMILY_CONFIGS = ("klein2", "funk2", "curved", "randers", "interval1")
+DIMENSION = {"interval1": 1}
+EXIT_CODES = {0, 2, 3, 4, 64}
+# Radii of drawn points, up to 1e-9 from the boundary of the unit-ball chart.
+RADII = (0.0, 0.3, 0.6, 0.95, 1.0 - 1e-6, 1.0 - 1e-9)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def vectors(draw, dim, radii=RADII):
+    """A point or direction: random, zero, or with a non-finite component."""
+    kind = draw(st.sampled_from(("random", "random", "random", "zero", "non-finite")))
+    if kind == "zero":
+        return [0.0] * dim
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    norm = float(np.linalg.norm(v))
+    unit = v / norm if norm > 1e-3 else np.eye(dim)[0]
+    v = [float(c) for c in draw(st.sampled_from(radii)) * unit]
+    if kind == "non-finite":
+        v[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(NON_FINITE))
+    return v
+
+
+def _text(v):
+    return ",".join(repr(c) for c in v)
+
+
+@st.composite
+def invocations(draw):
+    """argv over every command and the five metric families."""
+    config = draw(st.sampled_from(FAMILY_CONFIGS))
+    dim = DIMENSION.get(config, 2)
+    seed = str(draw(st.integers(-2, 50)))
+    command = draw(
+        st.sampled_from(("validate", "trace", "curvature", "einstein", "distance", "theorem1", "compare"))
+    )
+    if command == "validate":
+        return ["metric", "validate", "--config", config, "--samples", "2", "--seed", seed]
+    if command == "trace":
+        y0 = draw(vectors(dim))
+        length = draw(st.sampled_from((0.3, -0.2, 2.0) + NON_FINITE))
+        return ["geodesic", "trace", "--config", config, "--x0", _text(draw(vectors(dim))),
+                "--y0", _text(y0), "--length", repr(length), "--step", "0.1"]
+    if command == "curvature":
+        y = draw(vectors(dim))
+        argv = ["curvature", "report", "--config", config, "--x", _text(draw(vectors(dim))),
+                "--y", _text(y)]
+        if draw(st.booleans()):
+            # a drawn edge, or one parallel to the flagpole
+            u = [2.0 * c for c in y] if draw(st.booleans()) else draw(vectors(dim))
+            argv += ["--u", _text(u)]
+        return argv
+    if command == "einstein":
+        return ["einstein", "check", "--config", config, "--samples", "2", "--seed", seed]
+    if command == "distance":
+        # An endpoint near the boundary costs seconds before its search fails
+        # (exit 3), so distances stay in the interior.
+        inner = (0.0, 0.3, 0.6)
+        argv = ["distance", "--config", config, "--from", _text(draw(vectors(dim, inner))),
+                "--to", _text(draw(vectors(dim, inner))), "--seed", seed]
+        if config in ("klein2", "funk2") and draw(st.booleans()):
+            argv += ["--pseudo", "--funk-k", repr(draw(st.sampled_from((1.0, 0.5) + NON_FINITE)))]
+        return argv
+    if command == "theorem1":
+        tol = draw(st.sampled_from((1e-4, 1e-3) + NON_FINITE))
+        return ["theorem1", "verify", "--config", config, "--pairs", "1", "--seed", seed,
+                "--tol", repr(tol)]
+    other = draw(st.sampled_from(FAMILY_CONFIGS))
+    return ["projective", "compare", "--config-a", config, "--config-b", other,
+            "--samples", "2", "--seed", seed]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON token {name}")
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=invocations())
+def test_every_invocation_keeps_the_exit_code_contract(cfg, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([cfg.get(a, a) for a in argv])
+    assert code in EXIT_CODES, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        return
+    if argv[:2] == ["geodesic", "trace"]:
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert len(rows) > 1
+        assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -15,7 +15,10 @@ from finslerlab import (
     riemann_curvature,
     scalar_curvature_residual,
 )
+from finslerlab.curvature import _ricci_scalars, _ricci_tensors, _riemann_values
 from finslerlab.geodesics import _spray_values
+
+from conftest import exact_randers_config, funk_config, klein_config
 
 
 def fd_riemann(S, x, y):
@@ -323,3 +326,54 @@ class TestEinsteinClassify:
         doc = einstein_classify(klein2, x_samples=4, seed=0).to_dict()
         assert doc["family"] == "klein_ball"
         assert doc["seed"] == 0
+
+
+def skew_randers_config():
+    """Constant Randers metric whose g_y pivots on either row, depending on y."""
+    const = [[0.5, 0, 0]]
+    return {
+        "family": "randers",
+        "dimension": 2,
+        "randers": {
+            "metric": [[[[0.5, 0, 0]], const], [const, [[1.0, 0, 0]]]],
+            "one_form": [[[0.3, 0, 0]], [[0.3, 0, 0]]],
+        },
+    }
+
+
+class TestBatchedCurvature:
+    """One batched evaluation reproduces the per-point results bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            klein_config(2),
+            klein_config(3),
+            funk_config(2),
+            curved_config(),
+            exact_randers_config(),
+            skew_randers_config(),
+        ],
+        ids=["klein2", "klein3", "funk2", "riemannian2", "randers2", "randers_skew"],
+    )
+    def test_batch_equals_per_point(self, config):
+        S = make_metric(config)
+        rng = np.random.default_rng(8)
+        xs = [S.sample_point(rng, 0.7) for _ in range(5)]
+        ys = [S.sample_direction(rng) for _ in range(5)]
+        X, Y = np.array(xs).T, np.array(ys).T
+        ric = _ricci_scalars(S, X, Y)
+        R = _riemann_values(S, X, Y)
+        tensor_ric, tensors = _ricci_tensors(S, X, Y)
+        for b, (x, y) in enumerate(zip(xs, ys)):
+            assert ric[b] == ricci_scalar(S, x, y)
+            assert np.array_equal(R[b], riemann_curvature(S, x, y).matrix)
+            data = ricci_tensor(S, x, y)
+            assert tensor_ric[b] == data.ric
+            assert np.array_equal(tensors[b], data.ric_tensor)
+
+    def test_zero_flagpole_in_a_batch_rejected(self, klein2):
+        X = np.zeros((2, 3))
+        Y = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
+        with pytest.raises(EvaluationDomainError):
+            _ricci_scalars(klein2, X, Y)

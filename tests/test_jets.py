@@ -12,7 +12,7 @@ from finslerlab import (
     finite_difference_oracle,
     jet_space,
 )
-from finslerlab.jets import MAX_JET_ORDER, jet_abs, jet_exp, jet_log, jet_sqrt
+from finslerlab.jets import MAX_JET_ORDER, Jet, jet_abs, jet_exp, jet_log, jet_sqrt
 
 
 def poly_derivative(coeffs, a, m):
@@ -200,3 +200,66 @@ def test_jet_space_prefix_structure():
     lo = jet_space(2, 2)
     hi = jet_space(2, 4)
     assert hi.indices[: lo.ncoef] == lo.indices
+
+
+@st.composite
+def batched_jet_pairs(draw):
+    """Two batched jets with positive values, in a random (nvars, order, B)."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=0, max_value=4))
+    batch = draw(st.integers(min_value=1, max_value=5))
+    space = jet_space(nvars, order)
+    coefs = []
+    for _ in range(2):
+        flat = draw(
+            st.lists(
+                st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                min_size=space.ncoef * batch,
+                max_size=space.ncoef * batch,
+            )
+        )
+        coef = np.array(flat).reshape(space.ncoef, batch)
+        coef[0] = 0.25 + np.abs(coef[0])
+        coefs.append(coef)
+    return space, coefs[0], coefs[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=batched_jet_pairs())
+def test_batched_jets_match_columns_exactly(pair):
+    space, ca, cb = pair
+    a, b = Jet(space, ca), Jet(space, cb)
+    ops = {
+        "+": lambda u, v: u + v,
+        "-": lambda u, v: u - v,
+        "*": lambda u, v: u * v,
+        "/": lambda u, v: u / v,
+        "sqrt": lambda u, v: u.sqrt(),
+        "scalar": lambda u, v: 1.5 - 2.0 * u / 3.0,
+    }
+    if space.order >= 1:
+        ops["partial"] = lambda u, v: u.partial(space.nvars - 1) * v
+    for name, op in ops.items():
+        batched = op(a, b).coef
+        for col in range(ca.shape[1]):
+            single = op(Jet(space, ca[:, col].copy()), Jet(space, cb[:, col].copy())).coef
+            assert np.array_equal(batched[:, col], single), name
+    # an unbatched jet broadcasts over the batch axis
+    lone = Jet(space, cb[:, 0].copy())
+    mixed = (lone * a - lone).coef
+    for col in range(ca.shape[1]):
+        single = (lone * Jet(space, ca[:, col].copy()) - lone).coef
+        assert np.array_equal(mixed[:, col], single)
+
+
+def test_batched_domain_check_rejects_the_batch():
+    space = jet_space(1, 2)
+    x = space.variable(0, np.array([4.0, -1.0, 9.0]))
+    with pytest.raises(EvaluationDomainError):
+        x.sqrt()
+    with pytest.raises(EvaluationDomainError):
+        1.0 / (x - 4.0)
+    assert np.array_equal(x.value, [4.0, -1.0, 9.0])
+    flipped = abs(x)
+    for col, value in enumerate([4.0, -1.0, 9.0]):
+        assert np.array_equal(flipped.coef[:, col], abs(space.variable(0, value)).coef)

@@ -14,6 +14,8 @@ from finslerlab import (
     make_metric,
     validate_structure,
 )
+from finslerlab.jets import Jet, jet_space
+from finslerlab.metrics import invert_scalarlike_matrix
 
 from conftest import ball_point, euclid_config, klein_config, unit_direction
 
@@ -229,3 +231,43 @@ class TestValidateStructure:
         doc = report.to_dict()
         assert doc["family"] == "klein_ball"
         assert isinstance(doc["failures"], list)
+
+
+class TestScalarLikeInverse:
+    def test_batch_columns_keep_their_own_pivots(self):
+        # Column 0 of the matrix peaks on row b in batch element b, so the three
+        # elements pivot on different rows; the float entry is shared by all.
+        space = jet_space(2, 2)
+        rng = np.random.default_rng(4)
+
+        def entry(values):
+            coef = rng.uniform(-0.5, 0.5, size=(space.ncoef, 3))
+            coef[0] = values
+            return Jet(space, coef)
+
+        M = [
+            [entry([3.0, 0.2, 0.1]), entry([0.4, 1.0, -0.3]), entry([0.2, 0.5, 1.1])],
+            [entry([0.5, -2.5, 0.3]), entry([1.2, 0.1, 0.4]), entry([-0.6, 0.3, 0.2])],
+            [entry([-0.7, 0.9, 4.0]), 0.5, entry([1.5, 1.3, -0.2])],
+        ]
+        inv = invert_scalarlike_matrix(M)
+
+        def column(cell, b):
+            return Jet(space, cell.coef[:, b].copy()) if isinstance(cell, Jet) else cell
+
+        for b in range(3):
+            single = invert_scalarlike_matrix([[column(c, b) for c in row] for row in M])
+            for i in range(3):
+                for j in range(3):
+                    got = inv[i][j].coef[:, b] if isinstance(inv[i][j], Jet) else inv[i][j]
+                    want = single[i][j].coef if isinstance(single[i][j], Jet) else single[i][j]
+                    assert np.array_equal(got, want), (b, i, j)
+            values = np.array([[column(c, b).value if isinstance(c, Jet) else c for c in row] for row in M])
+            inv_values = np.array([[inv[i][j].coef[0, b] for j in range(3)] for i in range(3)])
+            assert np.allclose(values @ inv_values, np.eye(3), atol=1e-12)
+
+    def test_singular_column_rejects_the_batch(self):
+        space = jet_space(1, 1)
+        a = space.variable(0, np.array([1.0, 0.0]))
+        with pytest.raises(EvaluationDomainError):
+            invert_scalarlike_matrix([[a, 0.0], [0.0, a]])

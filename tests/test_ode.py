@@ -82,6 +82,11 @@ class TestIntegrateIvp:
         with pytest.raises(ValueError):
             integrate_ivp(lambda y: y, np.array([1.0]), (1.0, 0.0))
 
+    @pytest.mark.parametrize("t1", [math.inf, math.nan])
+    def test_non_finite_span_rejected(self, t1):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_ivp(lambda y: y, np.array([1.0]), (0.0, t1))
+
 
 class TestSolveScalarRoot:
     def test_sqrt_two(self):
