@@ -130,7 +130,6 @@ def _at_least(low: int):
     return _in_range(lambda v: v >= low, f"must be at least {low}")
 
 
-_FINITE = _in_range(math.isfinite, "must be finite")
 _POSITIVE = _in_range(lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite")
 
 
@@ -352,7 +351,7 @@ def theorem1() -> None:
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--pairs", default=20, show_default=True, callback=_at_least(1))
 @click.option("--seed", default=0, show_default=True, callback=_at_least(0))
-@click.option("--tol", default=1e-4, show_default=True, type=float, callback=_FINITE)
+@click.option("--tol", default=1e-4, show_default=True, type=float, callback=_POSITIVE)
 @click.option("--funk-k", default=1.0, show_default=True, type=float, callback=_POSITIVE)
 @click.option("--out", default=None)
 def theorem1_verify_cmd(config_path, pairs, seed, tol, funk_k, out) -> int:

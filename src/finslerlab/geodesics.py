@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
@@ -368,15 +369,17 @@ def _direction_basis(p_dim: int, d0: np.ndarray) -> np.ndarray:
     return qmat[:, 1:p_dim]
 
 
-def _newton_polish(S, p, d0, s0, q, tally):
+def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
     """Square-system Newton on (direction offsets, arc length) -> x(s) - q.
 
     The m = n - 1 direction offsets span the complement of d0 (none in
     dimension one, where Newton runs on the arc length alone).  Their
     Jacobian columns are one-sided differences against the current
-    endpoint; the arc-length column is the endpoint velocity.  Returns the
-    best iterate as (v, s, miss, iterations), also when a probe leaves the
-    chart or the Jacobian is singular; None only when the start itself fails.
+    endpoint; the arc-length column is the endpoint velocity.  Iteration
+    stops once the miss is at most `stop`.  Returns the best iterate as
+    (v, s, miss, iterations, trajectory), the trajectory being that
+    iterate's shot over [0, s], also when a probe leaves the chart or the
+    Jacobian is singular; None only when the start itself fails.
     """
     n = S.dimension
     m = n - 1
@@ -397,7 +400,7 @@ def _newton_polish(S, p, d0, s0, q, tally):
         except DomainExitError:
             return None
         z = traj(s_loc)
-        return z[:n], z[n:]
+        return z[:n], z[n:], traj
 
     cur = endpoint(u, s)
     if cur is None:
@@ -407,7 +410,7 @@ def _newton_polish(S, p, d0, s0, q, tally):
     iters = 0
     h = 1e-7
     for _ in range(NEWTON_MAX_ITER):
-        if best <= 1e-12:
+        if best <= stop:
             break
         probes = [endpoint(u + h * e, s) for e in np.eye(m)]
         if any(ep is None for ep in probes):
@@ -433,7 +436,7 @@ def _newton_polish(S, p, d0, s0, q, tally):
             break
         iters += 1
     v = _unit_against_F(S, p, d0 + basis @ u)
-    return v, s, best, iters
+    return v, s, best, iters, cur[2]
 
 
 def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceResult:
@@ -444,17 +447,19 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
     On structures with unique geodesics (the ball models and the interval,
     whose geodesics are straight chords) it starts from the chord direction
     and the chord's own Finsler length, and a hit within MISS_TOLERANCE is
-    the distance; in dimension one the direction is fixed and Newton moves
-    the arc length alone.  Otherwise, and on every other family, a
-    multi-start fan supplies the starts: coarse shots over initial
-    directions (the chord first, then a spread over the indicatrix), ranked
-    by closest-approach miss and polished in that order, each from its
-    closest-approach arc length, until one hits and at least three were
+    the distance, so Newton stops at the first hit and keeps the chord
+    length whenever the start already hits; in dimension one the direction
+    is fixed and Newton moves the arc length alone.  Otherwise, and on every
+    other family, a multi-start fan supplies the starts: coarse shots over
+    initial directions (the chord first, then a spread over the indicatrix),
+    ranked by closest-approach miss and polished in that order, each from
+    its closest-approach arc length, until one hits and at least three were
     tried; the shortest hit is the distance.  seed draws the fan's
-    directions in dimension >= 3.
+    directions in dimension >= 3.  The returned geodesic is the hit's own
+    shot, so its endpoint lies within MISS_TOLERANCE of q.
 
     diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
-    every integrated trajectory, the final geodesic included.
+    every integrated trajectory.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -465,20 +470,28 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
 
     tally = _ShotTally()
     chord_dir = _unit_against_F(S, p, q - p)
-    chord_len = path_length(S, np.stack([p, q]), interpolation="linear")
+    # The shot's miss, not quad's error estimate, certifies this length, so
+    # quad's warnings near the chart boundary are noise here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        chord_len = path_length(S, np.stack([p, q]), interpolation="linear")
 
     # With unique geodesics the chord direction and the chord's length start
-    # Newton at a hit up to integration error; no fan shot is needed.
-    hit = _newton_polish(S, p, chord_dir, chord_len, q, tally) if S.unique_geodesics else None
+    # Newton at a hit up to integration error; no fan shot is needed, and
+    # polishing past MISS_TOLERANCE would only move s off the exact length.
+    hit = (
+        _newton_polish(S, p, chord_dir, chord_len, q, tally, stop=MISS_TOLERANCE)
+        if S.unique_geodesics
+        else None
+    )
     if hit is not None and hit[2] <= MISS_TOLERANCE:
         diagnostics = {"path": "chord", "starts": 1, "candidates_polished": 1}
     else:
         hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, seed, tally)
         if S.unique_geodesics:
             diagnostics["candidates_polished"] += 1  # the chord polish that missed
-    v_best, s_best, miss_best, iters = hit
-    geo = geodesic_ivp(S, p, v_best, s_best, tolerance=1e-11)
-    tally.shots += 1
+    v_best, s_best, miss_best, iters, traj = hit
+    geo = Geodesic(structure=S, trajectory=traj, length=s_best, x0=p, v0=v_best)
     diagnostics.update(miss=miss_best, newton_iterations=iters, shots=tally.shots)
     return DistanceResult(float(s_best), geo, diagnostics)
 

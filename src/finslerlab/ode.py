@@ -23,18 +23,20 @@ from .errors import (
     StiffnessError,
 )
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau; the right-hand side is autonomous, so the
+# stage nodes c_s are not needed.  Row s of _A holds stage s's weights.
+_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B5 = _A[6]  # FSAL: the last stage is evaluated at the fifth-order solution
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
 
@@ -135,8 +137,7 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_step
         k[0] = f
         try:
             for s in range(1, 7):
-                acc = y + h_try * sum(a * k[j] for j, a in enumerate(_A[s]))
-                k[s] = rhs(acc)
+                k[s] = rhs(y + h_try * (_A[s, :s] @ k[:s]))
         except EvaluationDomainError:
             return None
         y_new = y + h_try * (_B5 @ k)

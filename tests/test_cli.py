@@ -230,6 +230,7 @@ class TestOptionRanges:
             ),
             (["theorem1", "verify", "--config", "klein2", "--tol", "nan"], "--tol"),
             (["theorem1", "verify", "--config", "klein2", "--funk-k", "inf"], "--funk-k"),
+            (["theorem1", "verify", "--config", "klein2", "--tol", "-1"], "--tol"),
         ],
     )
     def test_exits_64_with_json(self, cfg, capsys, argv, option):

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,8 +295,34 @@ class TestDistance:
             q = ball_point(rng, S.dimension)
             res = finsler_distance(S, p, q)
             assert res.diagnostics["path"] == "chord"
-            assert res.diagnostics["shots"] <= 6
-            assert res.distance == pytest.approx(oracle(p, q), abs=1e-6)
+            assert res.diagnostics["shots"] == 1
+            assert res.distance == pytest.approx(oracle(p, q), abs=1e-12)
+
+    def test_returned_geodesic_ends_at_q(self, klein2):
+        # The hit shot is the geodesic on both paths: no re-integration
+        # moves its endpoint off the miss the search certified.
+        S = make_metric(curved_riemannian_config())
+        for T, path in ((klein2, "chord"), (S, "fan")):
+            p, q = np.array([-0.2, 0.3]), np.array([0.4, -0.1])
+            res = finsler_distance(T, p, q)
+            assert res.diagnostics["path"] == path
+            assert res.geodesic.length == res.distance
+            assert np.max(np.abs(res.geodesic.x(0.0) - p)) == 0.0
+            miss = float(np.max(np.abs(res.geodesic.x(res.distance) - q)))
+            assert miss == res.diagnostics["miss"] <= geodesics.MISS_TOLERANCE
+
+    def test_chord_length_quadrature_warnings_stay_silent(self, klein2, monkeypatch):
+        # Near the boundary quad warns about the chord length; the shot's
+        # miss certifies that length, so the warning must not escape.  Every
+        # shot leaves the chart here, so the search fails at once.
+        def exits(*args, **kwargs):
+            raise DomainExitError("shot left the chart")
+
+        monkeypatch.setattr(geodesics, "_integrate_shot", exits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SearchFailureError):
+                finsler_distance(klein2, [0.999999999, 0.0], [-0.7, 0.7])
 
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
         integrate = geodesics.integrate_ivp
@@ -370,8 +397,8 @@ class TestDistance:
 
         monkeypatch.setattr(geodesics, "_integrate_shot", exits_after_first)
         out = geodesics._newton_polish(klein2, p, d0, s0, q, geodesics._ShotTally())
-        assert out is not None and len(out) == 4
-        v, s, miss, iters = out
+        assert out is not None and len(out) == 5
+        v, s, miss, iters, _ = out
         assert len(calls) == 2
         assert np.array_equal(v, v0) and s == s0 and iters == 0
         assert miss == start_miss > 1e-3
