@@ -25,7 +25,6 @@ from .curvature import (
     scalar_curvature_residual,
 )
 from .errors import (
-    BracketError,
     ConfigError,
     CriticalPointError,
     DegenerateFitError,
@@ -56,7 +55,6 @@ _NUMERICAL_ERRORS = (
     DomainExitError,
     StiffnessError,
     IterationLimitError,
-    BracketError,
     SearchFailureError,
     EvaluationDomainError,
     PoleError,

@@ -32,10 +32,6 @@ class StiffnessError(FinslerError):
     """Adaptive step size underflowed; the problem looks stiff or singular."""
 
 
-class BracketError(FinslerError):
-    """Root bracket does not change sign."""
-
-
 class IterationLimitError(FinslerError):
     """An iterative solver hit its iteration cap without converging."""
 

@@ -99,7 +99,8 @@ class Geodesic:
     """Unit-speed geodesic wrapped around a phase-space trajectory.
 
     For backward runs (length < 0) the trajectory parameter is |s| and the
-    exposed arc length s runs negative.
+    exposed arc length s runs negative; the state's velocity half is dx/ds
+    in both directions.
     """
 
     structure: FinslerStructure
@@ -123,8 +124,7 @@ class Geodesic:
         return self.state(s)[: self.n]
 
     def v(self, s) -> np.ndarray:
-        vel = self.state(s)[self.n :]
-        return -vel if self.backward else vel
+        return self.state(s)[self.n :]
 
     @property
     def s_grid(self) -> np.ndarray:
@@ -139,39 +139,28 @@ class Geodesic:
         return worst
 
     def write_csv(self, fh) -> None:
-        n = self.n
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["s"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["F_residual"]
-        )
-        sign = -1.0 if self.backward else 1.0
-        for t, state in zip(self.trajectory.ts, self.trajectory.states):
-            xx = state[:n]
-            vv = sign * state[n:]
-            resid = float(self.structure.F(xx, sign * vv)) - 1.0
-            writer.writerow(
-                [repr(float(sign * t))]
-                + [repr(float(v)) for v in xx]
-                + [repr(float(v)) for v in vv]
-                + [repr(resid)]
-            )
+        """CSV rows at the accepted integration nodes."""
+        self._write_rows(fh, self.s_grid)
 
     def resample_csv(self, fh, step: float) -> None:
+        """CSV rows every `step` of arc length, plus the endpoint."""
         if not step > 0.0:
             raise ValueError("resample step must be positive")
-        n = self.n
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["s"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["F_residual"]
-        )
         total = abs(self.length)
         count = max(2, int(math.floor(total / step)) + 1)
         svals = [min(i * step, total) for i in range(count)]
         if svals[-1] < total:
             svals.append(total)
         sign = -1.0 if self.backward else 1.0
-        for sv in svals:
-            s = sign * sv
+        self._write_rows(fh, [sign * sv for sv in svals])
+
+    def _write_rows(self, fh, s_values) -> None:
+        n = self.n
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["s"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["F_residual"]
+        )
+        for s in s_values:
             xx = self.x(s)
             vv = self.v(s)
             resid = float(self.structure.F(xx, vv)) - 1.0

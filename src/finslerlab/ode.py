@@ -1,11 +1,13 @@
-"""Adaptive explicit Runge-Kutta 5(4) integration and scalar root finding.
+"""Adaptive explicit Runge-Kutta 5(4) integration.
 
 The integrator is a Dormand-Prince pair with FSAL, PI-free step control and
-cubic Hermite dense output between accepted steps.  It understands an
-optional domain predicate: when a step lands outside, the exit is localized
-by bisecting the step and a DomainExitError carrying the last valid state
-(and the partial trajectory) is raised.  Step-size underflow raises
-StiffnessError instead of looping forever.
+cubic Hermite dense output between accepted steps.  Leaving the optional
+domain predicate is one more reason to reject a step, as a too-large error
+estimate is: the step is halved and retried, so a solution that stays inside
+is followed up to the chart boundary.  When a step that left the domain
+shrinks below the underflow floor, DomainExitError carries the last accepted
+node and the trajectory up to it; an underflow from the error estimate alone
+raises StiffnessError instead of looping forever.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BracketError,
     DomainExitError,
     EvaluationDomainError,
     IterationLimitError,
@@ -39,6 +40,8 @@ _A = np.array(
 _B5 = _A[6]  # FSAL: the last stage is evaluated at the fifth-order solution
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
+
+MAX_STEPS = 200_000
 
 
 @dataclass
@@ -94,11 +97,13 @@ def _rms_norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
-def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_steps: int = 200_000) -> OdeTrajectory:
+def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTrajectory:
     """Integrate y' = rhs(y) over span = (t0, t1) with local error <= tolerance.
 
-    rhs is autonomous.  `domain`, when given, is a predicate on the state; the
-    integration stops with DomainExitError at the (bisected) exit parameter.
+    rhs is autonomous.  `domain`, when given, is a predicate on the state.  A
+    step whose stage raises EvaluationDomainError, or whose result is not
+    finite or fails `domain`, is rejected and retried at half the size; when
+    the step then underflows, DomainExitError reports the last accepted node.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -121,6 +126,11 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_step
     derivs = [f.copy()]
     steps: list[float] = []
 
+    def trajectory() -> OdeTrajectory:
+        return OdeTrajectory(
+            np.asarray(ts), np.asarray(states), np.asarray(derivs), np.asarray(steps), tolerance
+        )
+
     # initial step from the usual curvature-free heuristic
     sc = tolerance + tolerance * np.abs(y)
     d0 = _rms_norm(y / sc)
@@ -129,10 +139,10 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_step
     h = min(max(h, 1e-10), t1 - t0)
 
     t = t0
-    nsteps = 0
+    left_domain = False  # a step was rejected for leaving the domain since the last node
 
     def attempt(h_try: float):
-        """One DP step; returns (y_new, f_new, err_norm) or None if rhs blew up."""
+        """One DP step; returns (y_new, f_new, err_norm), or None if it left the domain."""
         k = np.empty((7, y.size))
         k[0] = f
         try:
@@ -141,71 +151,32 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_step
         except EvaluationDomainError:
             return None
         y_new = y + h_try * (_B5 @ k)
-        if not np.all(np.isfinite(y_new)):
+        if not np.all(np.isfinite(y_new)) or (domain is not None and not domain(y_new)):
             return None
         err = h_try * (_E @ k)
         sc_loc = tolerance + tolerance * np.maximum(np.abs(y), np.abs(y_new))
         return y_new, k[6], _rms_norm(err / sc_loc)
 
-    def localize_exit(h_hi: float):
-        """Walk the last node up to the boundary, then raise.
-
-        RK stages overshoot the endpoint, so a single largest-valid-substep
-        bisection stalls a fraction of its own span short of the exit;
-        restarting from each advanced node shrinks that gap geometrically.
-        """
-        nonlocal t, y, f
-        for _ in range(60):
-            lo, hi = 0.0, h_hi
-            best = None
-            for _ in range(80):
-                if hi - lo <= 1e-15 * max(1.0, hi):
-                    break
-                mid = 0.5 * (lo + hi)
-                res = attempt(mid)
-                ok = res is not None and res[2] <= 1.0 and (domain is None or domain(res[0]))
-                if ok:
-                    lo = mid
-                    best = res
-                else:
-                    hi = mid
-            if best is None or lo <= 0.0:
-                break
-            t += lo
-            y = best[0]
-            f = best[1]
-            ts.append(t)
-            states.append(y.copy())
-            derivs.append(f.copy())
-            steps.append(lo)
-            if lo <= 1e-13 * max(1.0, abs(t)):
-                break
-            # remaining gap is at most the stage-overshoot fraction of lo
-            h_hi = max(lo, 4e-13 * max(1.0, abs(t)))
-        traj = OdeTrajectory(
-            np.asarray(ts), np.asarray(states), np.asarray(derivs), np.asarray(steps), tolerance
-        )
-        raise DomainExitError(
-            f"integration left the domain near t = {t:.12g}",
-            t_exit=t,
-            state=states[-1].copy(),
-            trajectory=traj,
-        )
-
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if nsteps >= max_steps:
-            raise IterationLimitError(f"integration exceeded {max_steps} steps")
+        if len(steps) >= MAX_STEPS:
+            raise IterationLimitError(f"integration exceeded {MAX_STEPS} steps")
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
+            if left_domain:
+                raise DomainExitError(
+                    f"integration left the domain near t = {t:.12g}",
+                    t_exit=t,
+                    state=y.copy(),
+                    trajectory=trajectory(),
+                )
             raise StiffnessError(f"step size underflow at t = {t:.12g}")
         res = attempt(h)
         if res is None:
-            # rhs failed inside the step: treat like a domain violation
-            localize_exit(h)
+            left_domain = True
+            h *= 0.5
+            continue
         y_new, f_new, err = res
         if err <= 1.0:
-            if domain is not None and not domain(y_new):
-                localize_exit(h)
             t += h
             y = y_new
             f = f_new
@@ -213,77 +184,10 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None, max_step
             states.append(y.copy())
             derivs.append(f.copy())
             steps.append(h)
-            nsteps += 1
+            left_domain = False
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    return OdeTrajectory(
-        np.asarray(ts), np.asarray(states), np.asarray(derivs), np.asarray(steps), tolerance
-    )
-
-
-def solve_scalar_root(g, bracket=None, guess=None, tolerance: float = 1e-12, max_iter: int = 200) -> float:
-    """Hybrid secant/bisection root finder; stops when |g(x)| <= tolerance.
-
-    Either a sign-changing bracket or an initial guess must be supplied.  A
-    guess-mode run switches to the bracketed loop as soon as it straddles a
-    sign change.
-    """
-    if bracket is None and guess is None:
-        raise ValueError("either bracket or guess is required")
-
-    if bracket is not None:
-        a, b = float(bracket[0]), float(bracket[1])
-        fa, fb = float(g(a)), float(g(b))
-        if abs(fa) <= tolerance:
-            return a
-        if abs(fb) <= tolerance:
-            return b
-        if fa * fb > 0.0:
-            raise BracketError(f"no sign change on [{a}, {b}]: g = ({fa:.3g}, {fb:.3g})")
-        return _bracketed(g, a, b, fa, fb, tolerance, max_iter)
-
-    x0 = float(guess)
-    x1 = x0 + max(1e-6, 1e-6 * abs(x0))
-    f0, f1 = float(g(x0)), float(g(x1))
-    for _ in range(max_iter):
-        if abs(f1) <= tolerance:
-            return x1
-        if f0 * f1 < 0.0:
-            return _bracketed(g, x0, x1, f0, f1, tolerance, max_iter)
-        if f1 == f0:
-            raise IterationLimitError("secant stalled on a flat residual")
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not np.isfinite(x2):
-            raise IterationLimitError("secant produced a non-finite iterate")
-        x0, f0 = x1, f1
-        x1, f1 = x2, float(g(x2))
-    raise IterationLimitError(f"root search did not converge in {max_iter} iterations")
-
-
-def _bracketed(g, a, b, fa, fb, tolerance, max_iter):
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    for _ in range(max_iter):
-        # secant candidate, falling back to the midpoint when it leaves [a, b]
-        if f_cur != f_prev:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-        else:
-            cand = 0.5 * (a + b)
-        lo, hi = min(a, b), max(a, b)
-        if not (lo < cand < hi) or not np.isfinite(cand):
-            cand = 0.5 * (a + b)
-        fc = float(g(cand))
-        if abs(fc) <= tolerance:
-            return cand
-        if fa * fc < 0.0:
-            b, fb = cand, fc
-        else:
-            a, fa = cand, fc
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = cand, fc
-        if abs(b - a) < 1e-17 * max(1.0, abs(a), abs(b)):
-            break
-    raise IterationLimitError(f"bracketed root search did not reach |g| <= {tolerance}")
+    return trajectory()

@@ -8,6 +8,7 @@ tolerances are the contract — they must not be loosened to make a run green.
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from finslerlab import (
     FunkGauge,
@@ -33,7 +34,6 @@ from finslerlab import (
     riemann_curvature,
     scalar_curvature_residual,
     schwarzian,
-    solve_scalar_root,
     theorem1_verify,
 )
 from finslerlab.jets import jet_exp, jet_log
@@ -294,9 +294,8 @@ def test_criterion_7_projective_invariance(klein2, funk2):
         for s in np.linspace(0.05, 1.05, 21):
             r = float(np.linalg.norm(geo_k.x(float(s))))
             # arc length at which the funk geodesic reaches the same radius
-            sf = solve_scalar_root(
-                lambda t: float(np.linalg.norm(geo_f.x(t))) - r,
-                bracket=(1e-9, 1.6),
+            sf = brentq(
+                lambda t: float(np.linalg.norm(geo_f.x(t))) - r, 1e-9, 1.6, xtol=1e-15
             )
             pi_k.append(pk(float(s)))
             pi_f.append(pf(float(sf)))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from finslerlab import make_metric
 from finslerlab.cli import main
 
 from conftest import euclid_config, exact_randers_config, funk_config, klein_config
@@ -287,6 +288,30 @@ class TestTraceCommand:
         rows = list(csv.reader(io.StringIO(out)))
         svals = [float(r[0]) for r in rows[1:]]
         assert svals == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("resample", [[], ["--step", "0.1"]], ids=["nodes", "step"])
+    def test_backward_trace_reports_the_velocity(self, cfg, capsys, resample):
+        # backward along the non-reversible Funk metric: the y columns are
+        # dx/ds at unit speed, so F(x, y) = 1 and the first row is y0 / F(x0, y0)
+        code, out, _ = run(
+            capsys,
+            "geodesic",
+            "trace",
+            "--config",
+            cfg["funk2"],
+            "--x0",
+            "0.3,0",
+            "--y0",
+            "1,0",
+            "--length",
+            "-0.2",
+            *resample,
+        )
+        assert code == 0
+        data = np.array([[float(v) for v in row] for row in list(csv.reader(io.StringIO(out)))[1:]])
+        assert np.max(np.abs(data[:, 5])) <= 1e-9
+        x0, y0 = np.array([0.3, 0.0]), np.array([1.0, 0.0])
+        assert np.array_equal(data[0, 3:5], y0 / float(make_metric(funk_config(2)).F(x0, y0)))
 
     def test_domain_exit_reports_arc_length(self, cfg, capsys):
         # tracing backwards through the Funk ball exits the chart at -ln 2

@@ -298,6 +298,23 @@ class TestDistance:
             assert res.diagnostics["shots"] == 1
             assert res.distance == pytest.approx(oracle(p, q), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "ball, p, q, oracle",
+        [
+            ("klein2", [0.9999, 0.0], [0.0, 0.5], klein_distance),
+            ("klein2", [0.707106781, 0.707106781], [-0.707106781, -0.707106781], klein_distance),
+            ("funk2", [0.0, 0.999999999], [0.999999999, 0.0], funk_distance_ball),
+            ("interval1", [0.999999999], [-0.999999999], interval1_distance),
+        ],
+        ids=["klein2-1e-4", "klein2-antipode", "funk2-1e-9", "interval1-1e-9"],
+    )
+    def test_endpoints_near_the_sphere_resolve(self, request, ball, p, q, oracle):
+        # Geodesics of these complete metrics never reach the sphere, so an
+        # RK stage that overshoots it must shrink the step, not end the shot.
+        S = request.getfixturevalue(ball)
+        res = finsler_distance(S, p, q)
+        assert res.distance == pytest.approx(oracle(p, q), rel=1e-6)
+
     def test_returned_geodesic_ends_at_q(self, klein2):
         # The hit shot is the geodesic on both paths: no re-integration
         # moves its endpoint off the miss the search certified.

@@ -2,7 +2,8 @@
 
 An AST scan in place of a linter: it collects the names bound by import
 statements and the names the module reads, and reports the difference.
-The package __init__ is skipped; it imports in order to re-export.
+The package __init__ is skipped; it imports in order to re-export, so it
+is checked instead to export exactly the names it imports.
 """
 
 import ast
@@ -38,3 +39,17 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_package_exports_exactly_its_imports():
+    import finslerlab
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert set(finslerlab.__all__) == imported
+    assert len(finslerlab.__all__) == len(imported)

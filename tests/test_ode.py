@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from finslerlab import (
-    BracketError,
     DomainExitError,
-    IterationLimitError,
+    EvaluationDomainError,
     StiffnessError,
     integrate_ivp,
-    solve_scalar_root,
 )
 
 
@@ -65,6 +63,23 @@ class TestIntegrateIvp:
         assert err.state[0] <= 1.0
         assert err.state[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_stage_outside_domain_shrinks_the_step(self):
+        # y' = 1 - y creeps up to the boundary y = 1 without reaching it;
+        # stages that overshoot it must shrink the step, not end the run
+        def rhs(y):
+            if y[0] >= 1.0:
+                raise EvaluationDomainError("y >= 1")
+            return 1.0 - y
+
+        try:
+            traj = integrate_ivp(rhs, np.array([0.0]), (0.0, 40.0), domain=lambda y: y[0] < 1.0)
+        except DomainExitError as exc:
+            assert exc.t_exit <= 40.0
+            raise
+        assert traj.t1 == pytest.approx(40.0, abs=1e-12)
+        assert traj(40.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert traj(10.0)[0] == pytest.approx(1.0 - math.exp(-10.0), abs=1e-8)
+
     def test_initial_state_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             integrate_ivp(
@@ -86,29 +101,3 @@ class TestIntegrateIvp:
     def test_non_finite_span_rejected(self, t1):
         with pytest.raises(ValueError, match="finite"):
             integrate_ivp(lambda y: y, np.array([1.0]), (0.0, t1))
-
-
-class TestSolveScalarRoot:
-    def test_sqrt_two(self):
-        root = solve_scalar_root(lambda t: t * t - 2.0, bracket=(0.0, 2.0), tolerance=1e-13)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
-
-    def test_linear_root(self):
-        root = solve_scalar_root(lambda t: t, bracket=(-1.0, 1.0))
-        assert root == pytest.approx(0.0, abs=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            solve_scalar_root(lambda t: 1.0, bracket=(0.0, 1.0))
-
-    def test_guess_mode(self):
-        root = solve_scalar_root(lambda t: t * t - 2.0, guess=1.0, tolerance=1e-13)
-        assert abs(abs(root) - math.sqrt(2.0)) <= 1e-10
-
-    def test_guess_mode_flat_function(self):
-        with pytest.raises(IterationLimitError):
-            solve_scalar_root(lambda t: 1.0, guess=0.0)
-
-    def test_requires_bracket_or_guess(self):
-        with pytest.raises(ValueError):
-            solve_scalar_root(lambda t: t)
