@@ -89,9 +89,38 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "aut
 
 
 def _spray_values(S: FinslerStructure, x, y) -> np.ndarray:
+    """G^i(x, y) for float arrays; a closed form runs on Python floats, bit-equal to numpy's."""
     if S.spray_fast is not None:
-        return np.asarray([float(v) for v in S.spray_fast(x, y)])
+        return np.array(S.spray_fast(x.tolist(), y.tolist()), dtype=float)
     return spray_coefficients(S, x, y)
+
+
+def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
+    """(x, v)' = (v, -2G(x, v)), both halves negated when backward (parameter |s|).
+
+    S.spray_fast is read on every call, so a wrapper installed later sees each one.
+    """
+    n = S.dimension
+    c = 2.0 if backward else -2.0
+
+    def rhs(z):
+        zl = z.tolist()
+        v = zl[n:]
+        spray = S.spray_fast
+        if spray is None:
+            G = spray_coefficients(S, z[:n], z[n:]).tolist()
+        else:
+            G = spray(zl[:n], v)
+        if backward:
+            v = [-vi for vi in v]
+        return np.array(v + [c * gi for gi in G])
+
+    return rhs
+
+
+def _in_chart(S: FinslerStructure):
+    """Domain predicate on phase states: the base point lies in the chart."""
+    return lambda z: S.domain_fn(z[: S.dimension])
 
 
 @dataclass
@@ -183,7 +212,6 @@ def geodesic_ivp(
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n = S.dimension
     if not S.domain(x0):
         raise EvaluationDomainError(f"start point outside the chart: {x0}")
     if float(y0 @ y0) == 0.0:
@@ -193,24 +221,13 @@ def geodesic_ivp(
     f0 = float(S.F(x0, y0))
     v0 = y0 / f0
     backward = length < 0.0
-
-    if backward:
-        def rhs(z):
-            x, v = z[:n], z[n:]
-            return np.concatenate((-v, 2.0 * _spray_values(S, x, v)))
-    else:
-        def rhs(z):
-            x, v = z[:n], z[n:]
-            return np.concatenate((v, -2.0 * _spray_values(S, x, v)))
-
     z0 = np.concatenate((x0, v0))
     span = (0.0, abs(length))
 
-    def in_domain(z):
-        return S.domain(z[:n])
-
     try:
-        traj = integrate_ivp(rhs, z0, span, tolerance=tolerance, domain=in_domain)
+        traj = integrate_ivp(
+            _geodesic_rhs(S, backward), z0, span, tolerance=tolerance, domain=_in_chart(S)
+        )
     except DomainExitError as exc:
         sign = -1.0 if backward else 1.0
         exc.t_exit = sign * exc.t_exit if exc.t_exit is not None else None
@@ -236,15 +253,13 @@ def path_length(S: FinslerStructure, points, params=None, interpolation: str = "
     """
     if isinstance(points, Geodesic):
         geo = points
-        total = abs(geo.length)
-        val, _ = quad(
-            lambda t: float(S.F(geo.trajectory(t)[: geo.n], geo.trajectory(t)[geo.n :])),
-            0.0,
-            total,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=400,
-        )
+        n = geo.n
+
+        def speed(t):
+            z = geo.trajectory(t)
+            return float(S.F(z[:n], z[n:]))
+
+        val, _ = quad(speed, 0.0, abs(geo.length), epsabs=1e-12, epsrel=1e-12, limit=400)
         return float(val)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -264,10 +279,11 @@ def path_length(S: FinslerStructure, points, params=None, interpolation: str = "
     if interpolation == "linear":
         total = 0.0
         for i in range(k - 1):
-            a, b = pts[i], pts[i + 1]
-            d = b - a
+            a = pts[i].tolist()
+            d = (pts[i + 1] - pts[i]).tolist()
             seg, _ = quad(
-                lambda t: float(S.F(a + t * d, d)), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200
+                lambda t: float(S.F([ai + t * di for ai, di in zip(a, d)], d)),
+                0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
             )
             total += seg
         return float(total)
@@ -320,9 +336,16 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
 
 @dataclass
 class _ShotTally:
-    """Trajectories integrated by one distance search."""
+    """Trajectories integrated by one distance search, and their ODE work."""
 
     shots: int = 0
+    rhs_calls: int = 0
+    steps_rejected: int = 0
+
+    def add(self, traj: OdeTrajectory | None) -> None:
+        if traj is not None:
+            self.rhs_calls += traj.rhs_calls
+            self.steps_rejected += traj.steps_rejected
 
 
 def _unit_against_F(S, p, v):
@@ -331,14 +354,17 @@ def _unit_against_F(S, p, v):
 
 
 def _integrate_shot(S, p, v, s_max, tol, tally):
-    n = S.dimension
     tally.shots += 1
-
-    def rhs(z):
-        return np.concatenate((z[n:], -2.0 * _spray_values(S, z[:n], z[n:])))
-
     z0 = np.concatenate((p, v))
-    return integrate_ivp(rhs, z0, (0.0, s_max), tolerance=tol, domain=lambda z: S.domain(z[:n]))
+    try:
+        traj = integrate_ivp(
+            _geodesic_rhs(S), z0, (0.0, s_max), tolerance=tol, domain=_in_chart(S)
+        )
+    except DomainExitError as exc:
+        tally.add(exc.trajectory)
+        raise
+    tally.add(traj)
+    return traj
 
 
 def _shoot_miss(S, p, v, q, s_max, tol, tally):
@@ -448,7 +474,8 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
     shot, so its endpoint lies within MISS_TOLERANCE of q.
 
     diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
-    every integrated trajectory.
+    every integrated trajectory, and diagnostics["rhs_calls"] and
+    diagnostics["steps_rejected"] sum their ODE work, failed shots included.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -481,7 +508,13 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
             diagnostics["candidates_polished"] += 1  # the chord polish that missed
     v_best, s_best, miss_best, iters, traj = hit
     geo = Geodesic(structure=S, trajectory=traj, length=s_best, x0=p, v0=v_best)
-    diagnostics.update(miss=miss_best, newton_iterations=iters, shots=tally.shots)
+    diagnostics.update(
+        miss=miss_best,
+        newton_iterations=iters,
+        shots=tally.shots,
+        rhs_calls=tally.rhs_calls,
+        steps_rejected=tally.steps_rejected,
+    )
     return DistanceResult(float(s_best), geo, diagnostics)
 
 

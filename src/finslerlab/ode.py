@@ -38,6 +38,7 @@ _A = np.array(
     ]
 )
 _B5 = _A[6]  # FSAL: the last stage is evaluated at the fifth-order solution
+_STAGES = tuple((s, _A[s, :s]) for s in range(1, 7))
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
 
@@ -46,13 +47,19 @@ MAX_STEPS = 200_000
 
 @dataclass
 class OdeTrajectory:
-    """Accepted integration nodes plus enough data for dense evaluation."""
+    """Accepted integration nodes plus enough data for dense evaluation.
+
+    rhs_calls counts every right-hand-side evaluation, steps_rejected every
+    attempted step that was not accepted (over tolerance or off the domain).
+    """
 
     ts: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
     steps: np.ndarray
     tolerance: float
+    rhs_calls: int = 0
+    steps_rejected: int = 0
 
     @property
     def t0(self) -> float:
@@ -94,7 +101,8 @@ class OdeTrajectory:
 
 
 def _rms_norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+    # np.mean's own sum and division, without its wrapper
+    return math.sqrt(float(np.add.reduce(v * v)) / v.size)
 
 
 def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTrajectory:
@@ -117,19 +125,21 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
         raise ValueError("state must be one-dimensional")
     if domain is not None and not domain(y):
         raise ValueError("initial state violates the domain predicate")
-    f = np.asarray(rhs(y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    # a copy: f is the first stage of every attempt, and rhs may reuse its buffer
+    f = np.array(rhs(y), dtype=float)
+    if not np.isfinite(f).all():
         raise EvaluationDomainError("rhs not finite at the initial state")
 
     ts = [t0]
-    states = [y.copy()]
-    derivs = [f.copy()]
+    states = [y]
+    derivs = [f]
     steps: list[float] = []
+    rhs_calls = 1
+    rejected = 0
 
     def trajectory() -> OdeTrajectory:
-        return OdeTrajectory(
-            np.asarray(ts), np.asarray(states), np.asarray(derivs), np.asarray(steps), tolerance
-        )
+        arrays = (np.asarray(ts), np.asarray(states), np.asarray(derivs), np.asarray(steps))
+        return OdeTrajectory(*arrays, tolerance, rhs_calls, rejected)
 
     # initial step from the usual curvature-free heuristic
     sc = tolerance + tolerance * np.abs(y)
@@ -143,15 +153,23 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
 
     def attempt(h_try: float):
         """One DP step; returns (y_new, f_new, err_norm), or None if it left the domain."""
+        nonlocal rhs_calls
         k = np.empty((7, y.size))
         k[0] = f
         try:
-            for s in range(1, 7):
-                k[s] = rhs(y + h_try * (_A[s, :s] @ k[:s]))
+            for s, a in _STAGES:
+                y_s = y + h_try * (a @ k[:s])
+                k[s] = rhs(y_s)
         except EvaluationDomainError:
+            rhs_calls += s
             return None
-        y_new = y + h_try * (_B5 @ k)
-        if not np.all(np.isfinite(y_new)) or (domain is not None and not domain(y_new)):
+        rhs_calls += 6
+        # FSAL: the last stage's input is the fifth-order solution y + h (_B5 @ k);
+        # keep the step only where it and the derivative there are finite
+        y_new = y_s
+        if not (np.isfinite(y_new).all() and np.isfinite(k[6]).all()) or (
+            domain is not None and not domain(y_new)
+        ):
             return None
         err = h_try * (_E @ k)
         sc_loc = tolerance + tolerance * np.maximum(np.abs(y), np.abs(y_new))
@@ -172,6 +190,7 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
             raise StiffnessError(f"step size underflow at t = {t:.12g}")
         res = attempt(h)
         if res is None:
+            rejected += 1
             left_domain = True
             h *= 0.5
             continue
@@ -181,13 +200,14 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
             y = y_new
             f = f_new
             ts.append(t)
-            states.append(y.copy())
-            derivs.append(f.copy())
+            states.append(y)  # y and k are fresh arrays on every attempt
+            derivs.append(f)
             steps.append(h)
             left_domain = False
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
         else:
+            rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
 
     return trajectory()

@@ -88,6 +88,69 @@ class TestSpray:
             assert np.max(np.abs(fast - jet)) <= 1e-9 * scale
 
 
+def numpy_scalar_rhs(S, backward=False):
+    """The geodesic right-hand side with the spray on numpy scalars."""
+    n = S.dimension
+
+    def rhs(z):
+        x, v = z[:n], z[n:]
+        G = np.asarray([float(g) for g in S.spray_fast(x, v)])
+        if backward:
+            return np.concatenate((-v, 2.0 * G))
+        return np.concatenate((v, -2.0 * G))
+
+    return rhs
+
+
+def assert_same_trajectory(a, b):
+    for name in ("ts", "states", "derivs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestFloatSprayPath:
+    """The float spray path must reproduce the numpy-scalar route bit for bit."""
+
+    @pytest.mark.parametrize("name", ["klein2", "klein3", "funk2", "riemannian"])
+    def test_spray_values_equal_numpy_scalar_route(self, request, name):
+        if name == "riemannian":
+            S = make_metric(curved_riemannian_config())
+        else:
+            S = request.getfixturevalue(name)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            x = ball_point(rng, S.dimension, radius=0.9)
+            y = rng.standard_normal(S.dimension)
+            want = np.asarray([float(v) for v in S.spray_fast(x, y)])
+            assert np.array_equal(_spray_values(S, x, y), want)
+
+    def test_chord_shot_equals_numpy_scalar_rhs(self, klein2):
+        p, q = np.array([-0.2, 0.3]), np.array([0.4, -0.1])
+        v = geodesics._unit_against_F(klein2, p, q - p)
+        s = 1.3
+        shot = geodesics._integrate_shot(klein2, p, v, s, 1e-10, geodesics._ShotTally())
+        ref = geodesics.integrate_ivp(
+            numpy_scalar_rhs(klein2),
+            np.concatenate((p, v)),
+            (0.0, s),
+            tolerance=1e-10,
+            domain=lambda z: klein2.domain(z[:2]),
+        )
+        assert_same_trajectory(shot, ref)
+
+    def test_backward_geodesic_equals_numpy_scalar_rhs(self, funk2):
+        x0, y0 = np.array([0.2, 0.1]), np.array([0.3, -1.0])
+        geo = geodesic_ivp(funk2, x0, y0, -0.2)
+        v0 = y0 / float(funk2.F(x0, y0))
+        ref = geodesics.integrate_ivp(
+            numpy_scalar_rhs(funk2, backward=True),
+            np.concatenate((x0, v0)),
+            (0.0, 0.2),
+            tolerance=1e-10,
+            domain=lambda z: funk2.domain(z[:2]),
+        )
+        assert_same_trajectory(geo.trajectory, ref)
+
+
 class TestGeodesicIvp:
     def test_euclidean_straight_line(self, euclid2):
         geo = geodesic_ivp(euclid2, [0.1, 0.2], [3.0, 4.0], 0.5)
@@ -160,6 +223,16 @@ class TestGeodesicIvp:
 
 
 class TestPathLength:
+    @pytest.mark.parametrize(
+        "ball, x0, y0, length",
+        [("klein2", [0.1, -0.2], [1.0, 0.3], 1.2), ("funk2", [0.2, 0.1], [0.3, -1.0], -0.2)],
+        ids=["klein2-forward", "funk2-backward"],
+    )
+    def test_unit_speed_geodesic_length(self, request, ball, x0, y0, length):
+        S = request.getfixturevalue(ball)
+        geo = geodesic_ivp(S, x0, y0, length)
+        assert path_length(S, geo) == pytest.approx(abs(length), abs=1e-8)
+
     def test_euclidean_segment(self, euclid2):
         pts = np.stack([np.array([-0.6, 0.0]), np.array([0.6, 0.0]), np.array([0.6, 0.8])])
         # two straight legs of lengths 1.2 and 0.8 traced through a midpoint grid
@@ -342,20 +415,29 @@ class TestDistance:
                 finsler_distance(klein2, [0.999999999, 0.0], [-0.7, 0.7])
 
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
-        integrate = geodesics.integrate_ivp
-        calls = []
+        # Wrappers installed on the module's integrate_ivp and on the
+        # structure's spray_fast, as a tracer installs them, must see every
+        # shot and every right-hand-side evaluation the diagnostics report.
+        calls = {"integrate": 0, "spray": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
+        def counting(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(geodesics, "integrate_ivp", counted)
+            return counted
+
+        integrate = counting("integrate", geodesics.integrate_ivp)
+        monkeypatch.setattr(geodesics, "integrate_ivp", integrate)
         S = make_metric(curved_riemannian_config())
         for T, path in ((klein2, "chord"), (S, "fan")):
-            calls.clear()
+            monkeypatch.setattr(T, "spray_fast", counting("spray", T.spray_fast))
+            calls.update(integrate=0, spray=0)
             res = finsler_distance(T, [-0.2, 0.3], [0.4, -0.1])
             assert res.diagnostics["path"] == path
-            assert res.diagnostics["shots"] == len(calls)
+            assert res.diagnostics["shots"] == calls["integrate"]
+            assert res.diagnostics["rhs_calls"] == calls["spray"]
+            assert res.diagnostics["rhs_calls"] > 6 * res.diagnostics["shots"]
 
     @pytest.mark.parametrize(
         "config, oracle",

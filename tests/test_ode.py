@@ -9,6 +9,7 @@ from finslerlab import (
     StiffnessError,
     integrate_ivp,
 )
+from finslerlab import geodesics
 
 
 class TestIntegrateIvp:
@@ -101,3 +102,80 @@ class TestIntegrateIvp:
     def test_non_finite_span_rejected(self, t1):
         with pytest.raises(ValueError, match="finite"):
             integrate_ivp(lambda y: y, np.array([1.0]), (0.0, t1))
+
+
+class TestStoredNodes:
+    """Accepted nodes must be exactly what the right-hand side gives there."""
+
+    @staticmethod
+    def relax(buf):
+        # y' = 1 - y, written into one reused buffer
+        def rhs(y):
+            buf[:] = 1.0 - y
+            return buf
+
+        return rhs
+
+    @staticmethod
+    def assert_fsal_nodes(rhs, traj):
+        # derivs[i] == rhs(states[i]) fails if y_new ever differs from the
+        # last stage's input, or if a stored node aliases a reused buffer
+        for state, deriv in zip(traj.states, traj.derivs):
+            assert np.array_equal(np.asarray(rhs(state)).copy(), deriv)
+
+    def test_klein_shot_stores_its_last_stage(self, klein2):
+        p = np.array([0.1, -0.3])
+        v = geodesics._unit_against_F(klein2, p, np.array([0.8, 0.5]))
+        traj = geodesics._integrate_shot(klein2, p, v, 1.5, 1e-10, geodesics._ShotTally())
+        assert len(traj.ts) > 5
+        self.assert_fsal_nodes(geodesics._geodesic_rhs(klein2), traj)
+
+    @pytest.mark.parametrize("y0", [0.0, 0.999])
+    def test_reused_buffer_rhs_stores_its_last_stage(self, y0):
+        rhs = self.relax(np.empty(1))
+        traj = integrate_ivp(rhs, np.array([y0]), (0.0, 5.0), tolerance=1e-10)
+        self.assert_fsal_nodes(self.relax(np.empty(1)), traj)
+
+    def test_reused_buffer_rhs_gives_the_fresh_array_trajectory(self):
+        # From y0 = 0.999 the first step is rejected, so the initial
+        # derivative is the first stage of a second attempt: it must not be
+        # the buffer the rejected attempt's stages overwrote.
+        y0, span = np.array([0.999]), (0.0, 5.0)
+        fresh = integrate_ivp(lambda y: 1.0 - y, y0, span, tolerance=1e-10)
+        reused = integrate_ivp(self.relax(np.empty(1)), y0, span, tolerance=1e-10)
+        assert fresh.steps_rejected > 0
+        for name in ("ts", "states", "derivs", "steps"):
+            assert np.array_equal(getattr(fresh, name), getattr(reused, name))
+
+
+class TestWorkCounts:
+    @staticmethod
+    def counted(rhs, calls):
+        def wrapped(y):
+            calls.append(1)
+            return rhs(y)
+
+        return wrapped
+
+    def test_counts_match_the_calls_made(self):
+        calls = []
+        traj = integrate_ivp(
+            self.counted(lambda y: 1.0 - y, calls), np.array([0.999]), (0.0, 5.0), tolerance=1e-10
+        )
+        assert traj.steps_rejected > 0
+        assert traj.rhs_calls == len(calls) == 1 + 6 * (len(traj.steps) + traj.steps_rejected)
+
+    def test_domain_exit_trajectory_carries_the_counts(self):
+        calls = []
+
+        def rhs(y):
+            if y[0] >= 1.0:
+                raise EvaluationDomainError("y >= 1")
+            return np.array([1.0])
+
+        with pytest.raises(DomainExitError) as info:
+            integrate_ivp(self.counted(rhs, calls), np.array([0.0]), (0.0, 5.0),
+                          domain=lambda y: y[0] < 1.0)
+        traj = info.value.trajectory
+        assert traj.steps_rejected > 0
+        assert traj.rhs_calls == len(calls)
