@@ -1,7 +1,9 @@
 """Riemann curvature in spray form, flag curvature, Ricci data, Einstein fits.
 
 Everything is evaluated through the jet engine, with the spray as an
-intermediate jet-valued function:
+intermediate jet-valued function.  Every family has a closed-form spray, and
+it is run on jets; via="f2" instead takes the spray from F^2 alone, two
+orders higher, as the independent cross-check:
 
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/(dy^k dx^j)
             + 2 G^j d2G^i/(dy^k dy^j) - (dG^i/dy^j)(dG^j/dy^k)

@@ -1,9 +1,10 @@
 """Spray coefficients, geodesic initial/boundary value solving, path length.
 
-The spray is always available through the jet engine from F^2 alone;
-families that carry a closed-form fast path (Christoffel contraction for
-Riemannian tables, projective factors for the ball models) use it for
-integration speed, and the two routes are required to agree.
+Every family carries a closed-form spray (the Christoffel contraction for
+Riemannian tables, the Randers formula on top of it, projective factors for
+the ball models and the interval), and geodesics and curvature use it.  The
+spray from F^2 alone through the jet engine (via="f2", spray_coefficients)
+is the independent cross-check, and the two routes are required to agree.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
 def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "auto"):
     """G^i as jets of total order `g_order` over the 2n phase seeds.
 
-    x and y of shape (n, B) give jets batched over B phase points.
+    via "auto" or "fast" runs the family's closed form; "f2" runs the jet
+    spray from F^2, two orders higher, as the cross-check.  x and y of shape
+    (n, B) give jets batched over B phase points.
     """
     if via not in ("auto", "fast", "f2"):
         raise ValueError("via must be auto, fast or f2")
-    use_fast = S.spray_fast is not None and via in ("auto", "fast")
-    if via == "fast" and S.spray_fast is None:
-        raise ValueError(f"family {S.family} has no closed-form spray")
-    if use_fast:
+    if via != "f2":
         _, xj, yj = phase_jet_args(S, x, y, g_order)
         return list(S.spray_fast(xj, yj))
     _, xj, yj = phase_jet_args(S, x, y, g_order + 2)
@@ -89,10 +89,8 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "aut
 
 
 def _spray_values(S: FinslerStructure, x, y) -> np.ndarray:
-    """G^i(x, y) for float arrays; a closed form runs on Python floats, bit-equal to numpy's."""
-    if S.spray_fast is not None:
-        return np.array(S.spray_fast(x.tolist(), y.tolist()), dtype=float)
-    return spray_coefficients(S, x, y)
+    """G^i(x, y) for float arrays; the closed form runs on Python floats, bit-equal to numpy's."""
+    return np.array(S.spray_fast(x.tolist(), y.tolist()), dtype=float)
 
 
 def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
@@ -106,11 +104,7 @@ def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
     def rhs(z):
         zl = z.tolist()
         v = zl[n:]
-        spray = S.spray_fast
-        if spray is None:
-            G = spray_coefficients(S, z[:n], z[n:]).tolist()
-        else:
-            G = spray(zl[:n], v)
+        G = S.spray_fast(zl[:n], v)
         if backward:
             v = [-vi for vi in v]
         return np.array(v + [c * gi for gi in G])

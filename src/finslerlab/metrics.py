@@ -29,6 +29,48 @@ def _dot(u, v):
     return total
 
 
+def _eval_table(table, x):
+    return [[p(x) for p in row] for row in table]
+
+
+def _quadratic_form(g, y):
+    """g_ij y^i y^j, row by row."""
+    total = 0.0
+    for i in range(len(y)):
+        row = 0.0
+        for j in range(len(y)):
+            row = row + g[i][j] * y[j]
+        total = total + y[i] * row
+    return total
+
+
+def _levi_civita_spray(gpoly, n):
+    """(x, y) -> (G^i, g, g^-1) for the Riemannian metric table gpoly.
+
+    G^i = (1/4) g^il (2 d_k g_lj - d_l g_jk) y^j y^k, with the x-partials of
+    the table taken once here.
+    """
+    dg = [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)]
+
+    def spray(x, y):
+        g = _eval_table(gpoly, x)
+        ginv = invert_scalarlike_matrix(g)
+        dgx = [_eval_table(dg[l], x) for l in range(n)]
+        out = []
+        for i in range(n):
+            acc = 0.0
+            for l in range(n):
+                inner = 0.0
+                for j in range(n):
+                    for kk in range(n):
+                        inner = inner + (2.0 * dgx[kk][l][j] - dgx[l][j][kk]) * y[j] * y[kk]
+                acc = acc + ginv[i][l] * inner
+            out.append(0.25 * acc)
+        return out, g, ginv
+
+    return spray
+
+
 class Polynomial:
     """Multivariate polynomial in the chart coordinates; exact on jets."""
 
@@ -189,7 +231,7 @@ def load_config(path: str) -> MetricConfig:
 
 @dataclass
 class FinslerStructure:
-    """A metric instance: scalar-like F^2 evaluator plus optional fast paths."""
+    """A metric instance: scalar-like F^2 and spray evaluators, optional closed-form g."""
 
     dimension: int
     family: str
@@ -197,7 +239,7 @@ class FinslerStructure:
     config: MetricConfig
     f2: Callable
     domain_fn: Callable
-    spray_fast: Callable | None = None
+    spray_fast: Callable
     g_fast: Callable | None = None
     unique_geodesics: bool = False
     sampling_radius: float = SAMPLING_RADIUS
@@ -317,6 +359,15 @@ def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
         F = (jet_abs(w) + u * w) / (k * D)
         return (scale * scale) * F * F
 
+    def spray_fast(x, y):
+        # The k = 1 gauge solves F_u = F F_w, so as on the Funk ball the spray
+        # is F w / 2; k and scale rescale F and drop out.
+        u = x[0]
+        w = y[0]
+        D = 1.0 - u * u
+        _require_chart(D)
+        return [0.5 * ((jet_abs(w) + u * w) / D) * w]
+
     return FinslerStructure(
         dimension=1,
         family="interval_funk",
@@ -324,6 +375,7 @@ def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         domain_fn=lambda x: abs(float(x[0])) < 1.0,
+        spray_fast=spray_fast,
         unique_geodesics=True,
     )
 
@@ -333,38 +385,13 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
     gpoly = config.riemannian_metric
     s2 = config.scale * config.scale
     _check_symmetric_tables(gpoly, n, "riemannian.metric")
-    # x-derivatives of the coefficient tables, for the Christoffel fast path
-    dg = [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)]
-
-    def eval_matrix(x):
-        return [[gpoly[i][j](x) for j in range(n)] for i in range(n)]
+    christoffel = _levi_civita_spray(gpoly, n)
 
     def f2(x, y):
-        g = eval_matrix(x)
-        total = 0.0
-        for i in range(n):
-            row = 0.0
-            for j in range(n):
-                row = row + g[i][j] * y[j]
-            total = total + y[i] * row
-        return s2 * total
+        return s2 * _quadratic_form(_eval_table(gpoly, x), y)
 
     def spray_fast(x, y):
-        # G^i = (1/2) Gamma^i_jk y^j y^k with Gamma from the coefficient tables
-        g = eval_matrix(x)
-        ginv = invert_scalarlike_matrix(g)
-        dgx = [[[dg[l][i][j](x) for j in range(n)] for i in range(n)] for l in range(n)]
-        out = []
-        for i in range(n):
-            acc = 0.0
-            for l in range(n):
-                inner = 0.0
-                for j in range(n):
-                    for kk in range(n):
-                        inner = inner + (2.0 * dgx[kk][l][j] - dgx[l][j][kk]) * y[j] * y[kk]
-                acc = acc + ginv[i][l] * inner
-            out.append(0.25 * acc)
-        return out
+        return christoffel(x, y)[0]
 
     def g_fast(x, y):
         return s2 * np.array([[scalar_value(gpoly[i][j](x)) for j in range(n)] for i in range(n)])
@@ -390,21 +417,34 @@ def _randers_structure(config: MetricConfig) -> FinslerStructure:
     bpoly = config.randers_form
     scale = config.scale
     _check_symmetric_tables(apoly, n, "randers.metric")
+    christoffel = _levi_civita_spray(apoly, n)
+    db = [[bpoly[i].partial(j) for j in range(n)] for i in range(n)]  # db[i][j] = d_j b_i
 
     def f2(x, y):
-        a = [[apoly[i][j](x) for j in range(n)] for i in range(n)]
-        quad = 0.0
-        for i in range(n):
-            row = 0.0
-            for j in range(n):
-                row = row + a[i][j] * y[j]
-            quad = quad + y[i] * row
-        alpha = jet_sqrt(quad)
+        alpha = jet_sqrt(_quadratic_form(_eval_table(apoly, x), y))
         beta = 0.0
         for i in range(n):
             beta = beta + bpoly[i](x) * y[i]
         F = alpha + beta
         return (scale * scale) * F * F
+
+    def spray_fast(x, y):
+        # G^i = G^i_a + (e_00 / (2F) - s_0) y^i + alpha s^i_0 (Chern & Shen,
+        # Riemann-Finsler Geometry, 2005).  The Christoffel terms of b_{i|j}
+        # cancel in s_ij and give r_00 = (d_j b_i) y^i y^j - 2 b_k G^k_a; then
+        # e_00 = r_00 + 2 beta s_0 and s_0 = b_k s^k_0.  scale drops out.
+        Ga, a, ainv = christoffel(x, y)
+        b = [p(x) for p in bpoly]
+        J = _eval_table(db, x)
+        Jy = [_dot(row, y) for row in J]
+        s_lo = [0.5 * (Jy[i] - _dot([row[i] for row in J], y)) for i in range(n)]
+        s_up = [_dot(row, s_lo) for row in ainv]
+        alpha = jet_sqrt(_quadratic_form(a, y))
+        beta = _dot(b, y)
+        s_0 = _dot(b, s_up)
+        e_00 = _dot(Jy, y) - 2.0 * _dot(b, Ga) + 2.0 * beta * s_0
+        P = e_00 / (2.0 * (alpha + beta)) - s_0
+        return [Ga[i] + P * y[i] + alpha * s_up[i] for i in range(n)]
 
     reversible = all(not p.terms for p in bpoly)
     structure = FinslerStructure(
@@ -414,6 +454,7 @@ def _randers_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         domain_fn=lambda x: float(x @ x) < 1.0,
+        spray_fast=spray_fast,
         unique_geodesics=False,
     )
     _check_randers_convexity(structure)

@@ -434,6 +434,7 @@ class PseudoDistanceResult:
             "theoretical_available": self.theoretical_available,
             "best_random_chain": self.best_random_chain,
             "discrepancy": self.discrepancy,
+            "diagnostics": self.distance.diagnostics,
         }
 
 
@@ -453,7 +454,7 @@ def pseudo_distance(
     (where it matches the theoretical value factor * d_F), built from the
     numerically solved parameter otherwise (upper bound only, flagged via
     theoretical_available).  Optional random multi-segment chains probe the
-    infimum from above.
+    infimum from above.  to_dict() includes the finsler_distance diagnostics.
     """
     if einstein is None:
         einstein = einstein_classify(S, x_samples=CLASSIFY_SAMPLES, seed=seed)
@@ -632,7 +633,8 @@ def theorem1_verify(
     """Numerical check of d_M = (2c / (sqrt(n-1) k)) d_F over sampled pairs.
 
     Pairs are ordered (forward-oriented), which keeps positively complete
-    non-reversible structures inside their forward geodesic range.
+    non-reversible structures inside their forward geodesic range.  Each
+    record carries its finsler_distance diagnostics.
     """
     if pairs < 1:
         raise ValueError("need at least one pair")
@@ -674,6 +676,7 @@ def theorem1_verify(
             "d_M_canonical": float(canonical),
             "discrepancy": float(disc),
             "lemma2_margin": float(min(full.margin, sub.margin)),
+            "diagnostics": res.diagnostics,
         }
 
     records = [run_pair(pq) for pq in pair_list]

@@ -36,6 +36,22 @@ def exact_randers_config():
     }
 
 
+def nonclosed_randers_config():
+    """Randers metric on the README's a (g11 = 1 + 0.3 x2^2, g22 = 1 + 0.3 x1^2)
+    with the non-closed beta = (0.3 x2 + 0.1 x1^2) dx1 - 0.2 x1 x2 dx2."""
+    return {
+        "family": "randers",
+        "dimension": 2,
+        "randers": {
+            "metric": [
+                [[[1.0, 0, 0], [0.3, 0, 2]], [[0.0, 0, 0]]],
+                [[[0.0, 0, 0]], [[1.0, 0, 0], [0.3, 2, 0]]],
+            ],
+            "one_form": [[[0.3, 0, 1], [0.1, 2, 0]], [[-0.2, 1, 1]]],
+        },
+    }
+
+
 @pytest.fixture(scope="session")
 def klein2():
     return make_metric(klein_config(2))

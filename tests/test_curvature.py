@@ -139,7 +139,7 @@ class TestRiemann:
 
     def test_fast_and_generic_routes_agree(self, klein2, funk2):
         rng = np.random.default_rng(4)
-        for S in (klein2, funk2):
+        for S in (klein2, funk2, make_metric(exact_randers_config())):
             for _ in range(5):
                 x = S.sample_point(rng)
                 y = S.sample_direction(rng)

@@ -18,7 +18,7 @@ from finslerlab import (
 from finslerlab import geodesics
 from finslerlab.geodesics import _spray_values
 
-from conftest import ball_point, euclid_config, exact_randers_config
+from conftest import ball_point, euclid_config, exact_randers_config, nonclosed_randers_config
 from oracles import (
     euclidean_distance,
     exact_randers_distance,
@@ -87,6 +87,47 @@ class TestSpray:
             scale = max(1.0, float(np.max(np.abs(fast))))
             assert np.max(np.abs(fast - jet)) <= 1e-9 * scale
 
+    @pytest.mark.parametrize(
+        "config", [exact_randers_config(), nonclosed_randers_config()], ids=["exact", "nonclosed"]
+    )
+    def test_randers_closed_form_vs_jets(self, config):
+        S = make_metric(config)
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            x = S.sample_point(rng)
+            y = S.sample_direction(rng) * rng.uniform(0.5, 2.0)
+            fast = spray_via(S, x, y, "fast")
+            jet = spray_via(S, x, y, "f2")
+            scale = max(1.0, float(np.max(np.abs(fast))))
+            assert np.max(np.abs(fast - jet)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("k", [1.0, 2.5])
+    def test_interval_closed_form_vs_jets(self, k):
+        S = make_metric({"family": "interval_funk", "dimension": 1, "k": k})
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            x = S.sample_point(rng)
+            for sign in (1.0, -1.0):
+                y = np.array([sign * rng.uniform(0.5, 2.0)])
+                fast = spray_via(S, x, y, "fast")
+                jet = spray_via(S, x, y, "f2")
+                scale = max(1.0, float(np.max(np.abs(fast))))
+                assert np.max(np.abs(fast - jet)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "config", [exact_randers_config(), nonclosed_randers_config()], ids=["exact", "nonclosed"]
+    )
+    def test_batched_randers_spray_jets_equal_columns(self, config):
+        S = make_metric(config)
+        rng = np.random.default_rng(15)
+        X = np.array([S.sample_point(rng) for _ in range(7)]).T
+        Y = np.array([S.sample_direction(rng) for _ in range(7)]).T
+        batched = spray_jet_functions(S, X, Y, 2)
+        for b in range(7):
+            single = spray_jet_functions(S, X[:, b], Y[:, b], 2)
+            for gb, gs in zip(batched, single):
+                assert np.array_equal(gb.coef[:, b], gs.coef)
+
 
 def numpy_scalar_rhs(S, backward=False):
     """The geodesic right-hand side with the spray on numpy scalars."""
@@ -110,10 +151,14 @@ def assert_same_trajectory(a, b):
 class TestFloatSprayPath:
     """The float spray path must reproduce the numpy-scalar route bit for bit."""
 
-    @pytest.mark.parametrize("name", ["klein2", "klein3", "funk2", "riemannian"])
+    @pytest.mark.parametrize(
+        "name", ["klein2", "klein3", "funk2", "riemannian", "randers_nonclosed", "interval1"]
+    )
     def test_spray_values_equal_numpy_scalar_route(self, request, name):
         if name == "riemannian":
             S = make_metric(curved_riemannian_config())
+        elif name == "randers_nonclosed":
+            S = make_metric(nonclosed_randers_config())
         else:
             S = request.getfixturevalue(name)
         rng = np.random.default_rng(31)

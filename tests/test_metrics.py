@@ -15,9 +15,16 @@ from finslerlab import (
     validate_structure,
 )
 from finslerlab.jets import Jet, jet_space
-from finslerlab.metrics import invert_scalarlike_matrix
+from finslerlab.metrics import FAMILIES, invert_scalarlike_matrix
 
-from conftest import ball_point, euclid_config, klein_config, unit_direction
+from conftest import (
+    ball_point,
+    euclid_config,
+    exact_randers_config,
+    funk_config,
+    klein_config,
+    unit_direction,
+)
 
 
 def poly_const(n, value):
@@ -160,6 +167,22 @@ class TestEvaluators:
     def test_randers_oversized_form_rejected(self):
         with pytest.raises(StrongConvexityError):
             make_metric(randers_config(2, 1.1))
+
+
+FAMILY_CONFIGS = {
+    "riemannian": euclid_config(2),
+    "randers": exact_randers_config(),
+    "funk_ball": funk_config(2),
+    "klein_ball": klein_config(2),
+    "interval_funk": {"family": "interval_funk", "dimension": 1},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_has_a_closed_form_spray(family):
+    S = make_metric(FAMILY_CONFIGS[family])
+    assert S.family == family
+    assert S.spray_fast is not None
 
 
 class TestFundamentalTensor:

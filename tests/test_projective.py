@@ -486,8 +486,11 @@ class TestPseudoDistance:
             "theoretical_available",
             "best_random_chain",
             "discrepancy",
+            "diagnostics",
         }
         json.dumps(doc)
+        p, q = np.zeros(2), np.array([0.3, 0.0])
+        assert doc["diagnostics"] == finsler_distance(klein2, p, q).diagnostics
 
 
 class TestProjectiveRelation:
@@ -549,8 +552,16 @@ class TestProportionalityTheorem:
                 "d_M_canonical",
                 "discrepancy",
                 "lemma2_margin",
+                "diagnostics",
             }
             assert abs(rec["d_M_theoretical"] - 2.0 * rec["d_F"]) <= 1e-9
+
+    def test_records_carry_distance_diagnostics(self, funk2):
+        rep = theorem1_verify(funk2, FunkGauge(k=1.0), pairs=2, seed=1, tolerance=1e-3)
+        for rec in rep.records:
+            direct = finsler_distance(funk2, np.array(rec["p"]), np.array(rec["q"]))
+            assert rec["diagnostics"] == direct.diagnostics
+            assert {"path", "shots", "rhs_calls", "steps_rejected"} <= set(rec["diagnostics"])
 
     def test_gauge_constant_rescales_factor(self, klein2):
         # doubling k halves both the Funk gaps and the factor
