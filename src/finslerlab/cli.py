@@ -26,19 +26,9 @@ from .curvature import (
 )
 from .errors import (
     ConfigError,
-    CriticalPointError,
-    DegenerateFitError,
-    DegenerateFlagError,
-    DegenerateSeedsError,
     DomainExitError,
-    EvaluationDomainError,
     FinslerError,
-    IterationLimitError,
-    MalformedChainError,
     NotEinsteinError,
-    PoleError,
-    SearchFailureError,
-    StiffnessError,
     StrongConvexityError,
 )
 from .geodesics import finsler_distance, geodesic_ivp
@@ -50,20 +40,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
 EXIT_USAGE = 64
-
-_NUMERICAL_ERRORS = (
-    DomainExitError,
-    StiffnessError,
-    IterationLimitError,
-    SearchFailureError,
-    EvaluationDomainError,
-    PoleError,
-    DegenerateFlagError,
-    DegenerateSeedsError,
-    CriticalPointError,
-    DegenerateFitError,
-    MalformedChainError,
-)
 
 
 def _clean(obj):
@@ -214,10 +190,7 @@ def geodesic_trace(config_path, x0, y0, length, step, tolerance, out) -> int:
     S = _load_structure(config_path)
     x0v = _parse_vector(x0, S.dimension, "--x0")
     y0v = _parse_vector(y0, S.dimension, "--y0")
-    try:
-        geo = geodesic_ivp(S, x0v, y0v, length, tolerance=tolerance)
-    except DomainExitError as exc:
-        return _fail(EXIT_NUMERICAL, exc, exit_arc_length=exc.t_exit)
+    geo = geodesic_ivp(S, x0v, y0v, length, tolerance=tolerance)
     buf = io.StringIO()
     if step is not None:
         geo.resample_csv(buf, step)
@@ -273,11 +246,8 @@ def curvature_report(config_path, x, y, u, out) -> int:
                 if float(np.max(np.abs(cand - yv))) > 1e-9:
                     uv = cand
                     break
-        try:
-            payload["flag_curvature"] = flag_curvature(S, xv, yv, uv)
-            payload["flag_edge"] = list(uv)
-        except DegenerateFlagError as exc:
-            return _fail(EXIT_NUMERICAL, exc)
+        payload["flag_curvature"] = flag_curvature(S, xv, yv, uv)
+        payload["flag_edge"] = list(uv)
     _emit(payload, out)
     return EXIT_OK
 
@@ -399,9 +369,6 @@ def main(argv=None) -> int:
         return int(rv) if isinstance(rv, int) else EXIT_OK
     except _OptionRangeError as exc:
         return _bad_option(exc.option, exc.message)
-    except _UsageExit as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
@@ -414,16 +381,14 @@ def main(argv=None) -> int:
         return _fail(EXIT_PRECONDITION, exc)
     except StrongConvexityError as exc:
         return _fail(EXIT_VALIDATION, exc)
-    except _NUMERICAL_ERRORS as exc:
-        extra = {}
-        if isinstance(exc, DomainExitError) and exc.t_exit is not None:
-            extra["exit_arc_length"] = exc.t_exit
-        return _fail(EXIT_NUMERICAL, exc, **extra)
     except ConfigError as exc:
         click.echo(f"usage error: {exc}", err=True)
         return EXIT_USAGE
     except FinslerError as exc:
-        return _fail(EXIT_NUMERICAL, exc)
+        extra = {}
+        if isinstance(exc, DomainExitError) and exc.t_exit is not None:
+            extra["exit_arc_length"] = exc.t_exit
+        return _fail(EXIT_NUMERICAL, exc, **extra)
 
 
 def entrypoint() -> None:

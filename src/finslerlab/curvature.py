@@ -52,7 +52,7 @@ def _riemann_formula(G, y, at):
     return R
 
 
-def _riemann_values(S: FinslerStructure, x, y, via: str = "auto") -> np.ndarray:
+def _riemann_values(S: FinslerStructure, x, y, via: str = "fast") -> np.ndarray:
     """R^i_k at B phase points, x and y of shape (n, B); returns shape (B, n, n).
 
     One batched evaluation of the order-2 spray jets supplies every value the
@@ -86,7 +86,7 @@ class RiemannCurvature:
         return float(np.max(np.abs(self.matrix @ self.y)))
 
 
-def riemann_curvature(S: FinslerStructure, x, y, via: str = "auto") -> RiemannCurvature:
+def riemann_curvature(S: FinslerStructure, x, y, via: str = "fast") -> RiemannCurvature:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     mat = _riemann_values(S, x[:, None], y[:, None], via=via)[0]

@@ -72,25 +72,20 @@ def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
     return np.array([gi.value for gi in G])
 
 
-def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "auto"):
+def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fast"):
     """G^i as jets of total order `g_order` over the 2n phase seeds.
 
-    via "auto" or "fast" runs the family's closed form; "f2" runs the jet
-    spray from F^2, two orders higher, as the cross-check.  x and y of shape
-    (n, B) give jets batched over B phase points.
+    via "fast" runs the family's closed form; "f2" runs the jet spray from
+    F^2, two orders higher, as the cross-check.  x and y of shape (n, B) give
+    jets batched over B phase points.
     """
-    if via not in ("auto", "fast", "f2"):
-        raise ValueError("via must be auto, fast or f2")
-    if via != "f2":
+    if via == "fast":
         _, xj, yj = phase_jet_args(S, x, y, g_order)
         return list(S.spray_fast(xj, yj))
+    if via != "f2":
+        raise ValueError("via must be fast or f2")
     _, xj, yj = phase_jet_args(S, x, y, g_order + 2)
     return spray_from_f2_jets(S, xj, yj)
-
-
-def _spray_values(S: FinslerStructure, x, y) -> np.ndarray:
-    """G^i(x, y) for float arrays; the closed form runs on Python floats, bit-equal to numpy's."""
-    return np.array(S.spray_fast(x.tolist(), y.tolist()), dtype=float)
 
 
 def _geodesic_rhs(S: FinslerStructure, backward: bool = False):

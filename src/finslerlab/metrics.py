@@ -100,10 +100,6 @@ class Polynomial:
             out.append((c * exps[v], tuple(new)))
         return Polynomial(self.nvars, out)
 
-    @property
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for _, exps in self.terms)
-
     @staticmethod
     def from_json(obj, nvars: int, where: str) -> "Polynomial":
         if not isinstance(obj, list):

@@ -34,6 +34,11 @@ CLASSIFY_SAMPLES = 6  # base points of the Einstein classification
 MAX_INTERMEDIATE = 2  # intermediate points of a random chain
 PAIR_RADIUS = 0.7  # theorem-1 pairs are sampled inside this radius
 MIN_SEPARATION = 0.05  # and at least this far apart
+PARAMETER_TOLERANCE = 1e-13  # ODE tolerance of the projective-parameter solve
+PARAMETER_GRID = 129  # samples of pi on [0, L]
+STITCH_TOLERANCE = 1e-8  # max-norm gap between a chain point and its segment end
+LEMMA2_SLACK = 1e-6  # a lemma-2 margin down to -LEMMA2_SLACK still passes
+RELATION_TOLERANCE = 1e-6  # relative spread of spray quotients of related sprays
 
 
 def schwarzian(f, t: float) -> float:
@@ -97,9 +102,6 @@ class ProjectiveParameter:
     s: np.ndarray
     pi: np.ndarray
     q: np.ndarray
-    einstein_j: float | None = None
-    mobius: tuple | None = None
-    mobius_residual: float | None = None
 
     def __call__(self, s):
         """Local degree-6 Lagrange interpolation; accepts floats or jets."""
@@ -126,13 +128,7 @@ class ProjectiveParameter:
         return worst
 
 
-def projective_parameter(
-    S: FinslerStructure,
-    geodesic: Geodesic,
-    tolerance: float = 1e-13,
-    grid: int = 129,
-    einstein_c: float | None = None,
-) -> ProjectiveParameter:
+def projective_parameter(S: FinslerStructure, geodesic: Geodesic) -> ProjectiveParameter:
     """Solve for the projective parameter along a unit-speed geodesic.
 
     q(s) = (2/(n-1)) Ric_jk x'^j x'^k.  Along a unit-speed geodesic the
@@ -156,8 +152,8 @@ def projective_parameter(
         return np.array([z[1], -0.5 * q * z[0], z[3], -0.5 * q * z[2], 1.0])
 
     z0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
-    traj = integrate_ivp(rhs, z0, (0.0, L), tolerance=tolerance)
-    svals = np.linspace(0.0, L, grid)
+    traj = integrate_ivp(rhs, z0, (0.0, L), tolerance=PARAMETER_TOLERANCE)
+    svals = np.linspace(0.0, L, PARAMETER_GRID)
     states = traj(svals)
     u1 = states[:, 0]
     u2 = states[:, 2]
@@ -167,15 +163,7 @@ def projective_parameter(
     if np.any(np.diff(pi) <= 0.0):
         raise PoleError("projective parameter is not strictly increasing")
     qgrid = np.array([qfun(float(s)) for s in svals])
-    param = ProjectiveParameter(geodesic=geodesic, s=svals, pi=pi, q=qgrid)
-    if einstein_c is not None:
-        j = einstein_c / math.sqrt(n - 1.0)
-        param.einstein_j = j
-        base = np.exp(2.0 * j * svals)
-        fit = mobius_fit(base, pi)
-        param.mobius = fit.coefficients
-        param.mobius_residual = fit.residual
-    return param
+    return ProjectiveParameter(geodesic=geodesic, s=svals, pi=pi, q=qgrid)
 
 
 @dataclass
@@ -220,8 +208,32 @@ def mobius_fit(pi1, pi2) -> MobiusFit:
     return MobiusFit(coefficients=(float(a), float(b), float(c), float(d)), residual=residual)
 
 
+class _MobiusProjectiveMap:
+    """t = m(w(s)) for a base projective parameter w and a Moebius map m.
+
+    A subclass supplies geodesic, mobius, _base(s) = w(s) and
+    _base_inverse(w, t), the arc length s with w(s) = w (t names the map
+    parameter in errors).
+    """
+
+    def parameter(self, s: float) -> float:
+        w = self._base(s)
+        a, b, c, d = self.mobius
+        return (a * w + b) / (c * w + d)
+
+    def arc_of(self, t: float) -> float:
+        a, b, c, d = self.mobius
+        return self._base_inverse((d * t - b) / (-c * t + a), t)
+
+    def point(self, t: float) -> np.ndarray:
+        return self.geodesic.x(self.arc_of(t))
+
+    def interval(self) -> tuple[float, float]:
+        return self.parameter(0.0), self.parameter(abs(self.geodesic.length))
+
+
 @dataclass
-class GeodesicProjectiveMap:
+class GeodesicProjectiveMap(_MobiusProjectiveMap):
     """Projective map f: (subinterval of) I -> M along a unit-speed geodesic.
 
     The canonical parameter is pi0(s) = 1 - exp(-2 j s), composed with an
@@ -234,24 +246,14 @@ class GeodesicProjectiveMap:
     j: float
     mobius: tuple = (1.0, 0.0, 0.0, 1.0)
 
-    def parameter(self, s: float) -> float:
+    def _base(self, s):
         # jet_exp keeps the map evaluatable by schwarzian(), which feeds jets
-        w = 1.0 - jet_exp(-2.0 * self.j * s)
-        a, b, c, d = self.mobius
-        return (a * w + b) / (c * w + d)
+        return 1.0 - jet_exp(-2.0 * self.j * s)
 
-    def arc_of(self, t: float) -> float:
-        a, b, c, d = self.mobius
-        w = (d * t - b) / (-c * t + a)
+    def _base_inverse(self, w: float, t: float) -> float:
         if w >= 1.0:
             raise EvaluationDomainError(f"parameter {t} beyond the forward range")
         return -math.log(1.0 - w) / (2.0 * self.j)
-
-    def point(self, t: float) -> np.ndarray:
-        return self.geodesic.x(self.arc_of(t))
-
-    def interval(self) -> tuple[float, float]:
-        return self.parameter(0.0), self.parameter(abs(self.geodesic.length))
 
 
 def canonical_projective_map(
@@ -273,7 +275,7 @@ def canonical_projective_map(
 
 
 @dataclass
-class NumericalProjectiveMap:
+class NumericalProjectiveMap(_MobiusProjectiveMap):
     """Projective map built from a numerically solved parameter.
 
     Used when no Einstein constant is available.  The default Moebius
@@ -288,14 +290,10 @@ class NumericalProjectiveMap:
     def geodesic(self) -> Geodesic:
         return self.parameterization.geodesic
 
-    def parameter(self, s: float) -> float:
-        w = float(self.parameterization(s))
-        a, b, c, d = self.mobius
-        return (a * w + b) / (c * w + d)
+    def _base(self, s: float) -> float:
+        return float(self.parameterization(s))
 
-    def arc_of(self, t: float) -> float:
-        a, b, c, d = self.mobius
-        w = (d * t - b) / (-c * t + a)
+    def _base_inverse(self, w: float, t: float) -> float:
         grid = self.parameterization.pi
         if w <= grid[0]:
             return float(self.parameterization.s[0])
@@ -303,30 +301,29 @@ class NumericalProjectiveMap:
             return float(self.parameterization.s[-1])
         return float(np.interp(w, grid, self.parameterization.s))
 
-    def point(self, t: float) -> np.ndarray:
-        return self.geodesic.x(self.arc_of(t))
-
-    def interval(self) -> tuple[float, float]:
-        s = self.parameterization.s
-        return self.parameter(float(s[0])), self.parameter(float(s[-1]))
-
-
-def _segment_for(S: FinslerStructure, geodesic: Geodesic, c: float | None):
-    """Projective map plus endpoint parameters for one geodesic leg."""
-    if c is not None:
-        pmap, (t0, t1) = canonical_projective_map(S, geodesic, c)
-        return pmap, t0, t1
-    param = projective_parameter(S, geodesic)
-    pmap = NumericalProjectiveMap(parameterization=param)
-    t0, t1 = pmap.interval()
-    return pmap, t0, t1
-
 
 @dataclass
 class ChainSegment:
     pmap: GeodesicProjectiveMap | NumericalProjectiveMap
     a: float
     b: float
+
+
+def _leg(S: FinslerStructure, p, q, c: float | None) -> tuple[DistanceResult, ChainSegment | None]:
+    """d_F(p, q) and the projective segment of its geodesic (None when p == q).
+
+    The segment uses the canonical exponential map when c is given and the
+    numerically solved parameter otherwise.
+    """
+    res = finsler_distance(S, p, q)
+    if res.geodesic is None:
+        return res, None
+    if c is not None:
+        pmap, (t0, t1) = canonical_projective_map(S, res.geodesic, c)
+    else:
+        pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, res.geodesic))
+        t0, t1 = pmap.interval()
+    return res, ChainSegment(pmap=pmap, a=t0, b=t1)
 
 
 @dataclass
@@ -339,7 +336,7 @@ class Chain:
         return len(self.segments)
 
 
-def chain_length(gauge: FunkGauge, chain: Chain, stitch_tolerance: float = 1e-8) -> float:
+def chain_length(gauge: FunkGauge, chain: Chain) -> float:
     """Sum of Funk gaps over the segments, after validating the stitching."""
     if len(chain.points) != len(chain.segments) + 1:
         raise MalformedChainError("chain needs one more point than segments")
@@ -349,20 +346,15 @@ def chain_length(gauge: FunkGauge, chain: Chain, stitch_tolerance: float = 1e-8)
         end = np.asarray(chain.points[i + 1], dtype=float)
         fa = seg.pmap.point(seg.a)
         fb = seg.pmap.point(seg.b)
-        if float(np.max(np.abs(fa - start))) > stitch_tolerance:
+        if float(np.max(np.abs(fa - start))) > STITCH_TOLERANCE:
             raise MalformedChainError(f"segment {i} does not start at x_{i}")
-        if float(np.max(np.abs(fb - end))) > stitch_tolerance:
+        if float(np.max(np.abs(fb - end))) > STITCH_TOLERANCE:
             raise MalformedChainError(f"segment {i} does not end at x_{i + 1}")
         total += funk_distance(gauge, seg.a, seg.b)
     return float(total)
 
 
-def build_canonical_chain(
-    S: FinslerStructure,
-    gauge: FunkGauge,
-    points,
-    c: float | None,
-) -> Chain:
+def build_canonical_chain(S: FinslerStructure, points, c: float | None) -> Chain:
     """Chain through the given points, one projective segment per leg.
 
     Legs use the canonical exponential map when c is given and the
@@ -373,11 +365,10 @@ def build_canonical_chain(
         raise MalformedChainError("a chain needs at least two points")
     segments = []
     for i in range(len(pts) - 1):
-        res = finsler_distance(S, pts[i], pts[i + 1])
-        if res.geodesic is None:
+        _, seg = _leg(S, pts[i], pts[i + 1], c)
+        if seg is None:
             raise MalformedChainError("degenerate leg: identical consecutive points")
-        pmap, t0, t1 = _segment_for(S, res.geodesic, c)
-        segments.append(ChainSegment(pmap=pmap, a=t0, b=t1))
+        segments.append(seg)
     return Chain(points=pts, segments=segments)
 
 
@@ -390,13 +381,7 @@ class Lemma2Result:
 
 
 def lemma2_check(
-    S: FinslerStructure,
-    gauge: FunkGauge,
-    pmap: GeodesicProjectiveMap,
-    a: float,
-    b: float,
-    factor: float,
-    slack: float = 1e-6,
+    gauge: FunkGauge, pmap: GeodesicProjectiveMap, a: float, b: float, factor: float
 ) -> Lemma2Result:
     """Check D_f(a, b) >= factor * d_F(f(a), f(b)) for a projective map.
 
@@ -412,7 +397,7 @@ def lemma2_check(
     if d_fins < 0:
         raise ValueError("map is orientation reversing on [a, b]")
     margin = d_funk - factor * d_fins
-    return Lemma2Result(ok=margin >= -slack, margin=float(margin), funk_gap=float(d_funk), finsler_gap=float(d_fins))
+    return Lemma2Result(ok=margin >= -LEMMA2_SLACK, margin=float(margin), funk_gap=float(d_funk), finsler_gap=float(d_fins))
 
 
 @dataclass
@@ -425,6 +410,7 @@ class PseudoDistanceResult:
     discrepancy: float | None
     distance: DistanceResult
     einstein: EinsteinReport
+    segment: ChainSegment | None  # the single leg's map; None when p == q
 
     def to_dict(self) -> dict:
         return {
@@ -461,8 +447,8 @@ def pseudo_distance(
     c = einstein.einstein_constant_c
     n = S.dimension
     factor = None if c is None else 2.0 * c / (math.sqrt(n - 1.0) * gauge.k)
-    res = finsler_distance(S, p, q)
-    if res.geodesic is None:
+    res, seg = _leg(S, p, q, c)
+    if seg is None:
         return PseudoDistanceResult(
             d_finsler=0.0,
             canonical_length=0.0,
@@ -472,9 +458,9 @@ def pseudo_distance(
             discrepancy=0.0 if c is not None else None,
             distance=res,
             einstein=einstein,
+            segment=None,
         )
-    pmap, t0, t1 = _segment_for(S, res.geodesic, c)
-    bound = funk_distance(gauge, t0, t1)
+    bound = funk_distance(gauge, seg.a, seg.b)
     theoretical = None if factor is None else factor * res.distance
     best_random = None
     if random_chains > 0:
@@ -489,7 +475,7 @@ def pseudo_distance(
                 pts.append(S.sample_point(rng, 0.8 * S.sampling_radius))
             pts.append(q_arr)
             try:
-                chain = build_canonical_chain(S, gauge, pts, c)
+                chain = build_canonical_chain(S, pts, c)
                 best_random = min(best_random, chain_length(gauge, chain))
             except (MalformedChainError, EvaluationDomainError, PoleError):
                 continue
@@ -507,6 +493,7 @@ def pseudo_distance(
         discrepancy=discrepancy,
         distance=res,
         einstein=einstein,
+        segment=seg,
     )
 
 
@@ -517,7 +504,6 @@ class ProjectiveRelation:
     related: bool
     homothetic: bool
     scale_ratio: float | None
-    factor_samples: list
     quotient_spread: float
     samples: int
     seed: int
@@ -538,7 +524,6 @@ def projective_relation(
     B: FinslerStructure,
     samples: int = 40,
     seed: int = 0,
-    tolerance: float = 1e-6,
 ) -> ProjectiveRelation:
     """Are the sprays related by G_B = G_A + P y (same unparameterized geodesics)?
 
@@ -555,7 +540,6 @@ def projective_relation(
     radius = 0.8 * min(A.sampling_radius, B.sampling_radius)
     related = True
     spread = 0.0
-    factors = []
     ratios = []
     for _ in range(samples):
         x = A.sample_point(rng, radius)
@@ -569,9 +553,8 @@ def projective_relation(
         scale = max(1.0, float(np.max(np.abs(quot))))
         dev = float(quot.max() - quot.min())
         spread = max(spread, dev / scale)
-        if dev > tolerance * scale:
+        if dev > RELATION_TOLERANCE * scale:
             related = False
-        factors.append(float(quot.mean()))
         ratios.append(float(B.F(x, y)) / float(A.F(x, y)))
     ratios = np.asarray(ratios)
     ratio_spread = float(ratios.max() - ratios.min())
@@ -580,7 +563,6 @@ def projective_relation(
         related=related,
         homothetic=homothetic,
         scale_ratio=float(ratios.mean()) if homothetic else None,
-        factor_samples=factors,
         quotient_spread=spread,
         samples=samples,
         seed=seed,
@@ -655,31 +637,25 @@ def theorem1_verify(
         if float(np.linalg.norm(q - p)) >= MIN_SEPARATION:
             pair_list.append((p, q))
 
-    def run_pair(pq):
-        p, q = pq
-        res = finsler_distance(S, p, q)
-        pmap, (t0, t1) = canonical_projective_map(S, res.geodesic, c)
-        canonical = funk_distance(gauge, t0, t1)
-        theoretical = factor * res.distance
-        disc = abs(canonical - theoretical) / max(theoretical, 1e-300)
-        full = lemma2_check(S, gauge, pmap, t0, t1, factor)
-        L = res.distance
-        s1, s2 = 0.25 * L, 0.75 * L
-        sub = lemma2_check(
-            S, gauge, pmap, pmap.parameter(s1), pmap.parameter(s2), factor
+    records = []
+    for p, q in pair_list:
+        out = pseudo_distance(S, p, q, gauge, einstein=einstein)
+        pmap = out.segment.pmap
+        full = lemma2_check(gauge, pmap, out.segment.a, out.segment.b, factor)
+        L = out.d_finsler
+        sub = lemma2_check(gauge, pmap, pmap.parameter(0.25 * L), pmap.parameter(0.75 * L), factor)
+        records.append(
+            {
+                "p": [float(v) for v in p],
+                "q": [float(v) for v in q],
+                "d_F": float(out.d_finsler),
+                "d_M_theoretical": float(out.theoretical),
+                "d_M_canonical": float(out.canonical_length),
+                "discrepancy": float(out.discrepancy),
+                "lemma2_margin": float(min(full.margin, sub.margin)),
+                "diagnostics": out.distance.diagnostics,
+            }
         )
-        return {
-            "p": [float(v) for v in p],
-            "q": [float(v) for v in q],
-            "d_F": float(res.distance),
-            "d_M_theoretical": float(theoretical),
-            "d_M_canonical": float(canonical),
-            "discrepancy": float(disc),
-            "lemma2_margin": float(min(full.margin, sub.margin)),
-            "diagnostics": res.diagnostics,
-        }
-
-    records = [run_pair(pq) for pq in pair_list]
 
     max_disc = max(r["discrepancy"] for r in records)
     min_margin = min(r["lemma2_margin"] for r in records)
@@ -694,6 +670,6 @@ def theorem1_verify(
         tolerance=tolerance,
         max_discrepancy=float(max_disc),
         min_lemma2_margin=float(min_margin),
-        passed=bool(max_disc <= tolerance and min_margin >= -1e-6),
+        passed=bool(max_disc <= tolerance and min_margin >= -LEMMA2_SLACK),
         records=records,
     )

@@ -225,7 +225,7 @@ def test_criterion_5_proportionality_theorem(klein2, klein3, funk2):
     shifted = GeodesicProjectiveMap(
         geodesic=res.geodesic, j=base.j, mobius=(1.2, -0.2, 0.0, 1.0)
     )
-    renorm = lemma2_check(klein2, FunkGauge(k=1.0), shifted, -0.2, 0.4, 2.0)
+    renorm = lemma2_check(FunkGauge(k=1.0), shifted, -0.2, 0.4, 2.0)
     worst_margin = min(worst_margin, renorm.margin)
 
     ok = all_passed and factor_off <= 1e-9 and worst_margin >= -1e-6
@@ -246,7 +246,7 @@ def test_criterion_6_chain_properties(klein2):
     pts3 = [p, np.array([0.25, 0.0]), q]
     pts5 = [p, np.array([0.1, 0.0]), np.array([0.25, 0.0]), np.array([0.4, 0.0]), q]
     lengths = [
-        chain_length(gauge, build_canonical_chain(klein2, gauge, pts, 1.0))
+        chain_length(gauge, build_canonical_chain(klein2, pts, 1.0))
         for pts in (pts2, pts3, pts5)
     ]
     subdivision = max(lengths) - min(lengths)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from finslerlab import make_metric
+from finslerlab import cli, make_metric
 from finslerlab.cli import main
+from finslerlab.errors import DomainExitError, IterationLimitError, PoleError, StiffnessError
 
 from conftest import euclid_config, exact_randers_config, funk_config, klein_config
 
@@ -526,6 +527,35 @@ class TestTheoremCommand:
         doc = json.loads(err)
         assert doc["error"] == "NotEinsteinError"
         assert "Einstein normal form" in doc["detail"]
+
+
+class TestNumericalFailures:
+    """Every library failure of a command reaches main() and exits 3 with JSON."""
+
+    @pytest.mark.parametrize(
+        "error, arc_length",
+        [
+            (StiffnessError("step size underflow at t = 0.5"), None),
+            (IterationLimitError("integration exceeded 100000 steps"), None),
+            (PoleError("u2 crossed zero"), None),
+            (DomainExitError("integration left the domain near t = 0.25", t_exit=0.25), 0.25),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+    )
+    def test_exits_3_with_error_name(self, cfg, capsys, monkeypatch, error, arc_length):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "finsler_distance", fail)
+        code, out, err = run(
+            capsys, "distance", "--config", cfg["klein2"], "--from", "0,0", "--to", "0.5,0"
+        )
+        assert code == 3
+        assert out == ""
+        want = {"error": type(error).__name__, "message": str(error)}
+        if arc_length is not None:
+            want["exit_arc_length"] = arc_length
+        assert json.loads(err) == want
 
 
 class TestCompareCommand:

@@ -16,7 +16,6 @@ from finslerlab import (
     scalar_curvature_residual,
 )
 from finslerlab.curvature import _ricci_scalars, _ricci_tensors, _riemann_values
-from finslerlab.geodesics import _spray_values
 
 from conftest import exact_randers_config, funk_config, klein_config
 
@@ -32,7 +31,7 @@ def fd_riemann(S, x, y):
     y = np.asarray(y, float)
 
     def G(xx, yy):
-        return _spray_values(S, xx, yy)
+        return np.array(S.spray_fast(xx.tolist(), yy.tolist()))
 
     def d_x(k, h=1e-3):
         e = np.zeros(n)
@@ -147,6 +146,13 @@ class TestRiemann:
                 generic = riemann_curvature(S, x, y, via="f2").matrix
                 scale = max(1.0, float(np.max(np.abs(fast))))
                 assert np.max(np.abs(fast - generic)) <= 1e-8 * scale
+
+    def test_closed_form_is_the_default_route(self, klein2):
+        x, y = [0.2, -0.1], [0.6, 0.8]
+        default = riemann_curvature(klein2, x, y).matrix
+        assert np.array_equal(default, riemann_curvature(klein2, x, y, via="fast").matrix)
+        with pytest.raises(ValueError):
+            riemann_curvature(klein2, x, y, via="auto")
 
 
 class TestFlag:

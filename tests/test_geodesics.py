@@ -16,7 +16,6 @@ from finslerlab import (
     spray_jet_functions,
 )
 from finslerlab import geodesics
-from finslerlab.geodesics import _spray_values
 
 from conftest import ball_point, euclid_config, exact_randers_config, nonclosed_randers_config
 from oracles import (
@@ -75,6 +74,15 @@ class TestSpray:
         fast = spray_via(klein2, x, y, "fast")
         jet = spray_via(klein2, x, y, "f2")
         assert np.max(np.abs(fast - jet)) <= 1e-9
+
+    def test_closed_form_is_the_default_route(self, klein2):
+        x = np.array([0.3, 0.0])
+        y = np.array([1.0, 0.0])
+        default = np.array([g.value for g in spray_jet_functions(klein2, x, y, 0)])
+        assert np.array_equal(default, spray_via(klein2, x, y, "fast"))
+        for via in ("auto", "jet"):
+            with pytest.raises(ValueError):
+                spray_jet_functions(klein2, x, y, 0, via=via)
 
     def test_riemannian_christoffel_vs_jets(self):
         S = make_metric(curved_riemannian_config())
@@ -166,7 +174,7 @@ class TestFloatSprayPath:
             x = ball_point(rng, S.dimension, radius=0.9)
             y = rng.standard_normal(S.dimension)
             want = np.asarray([float(v) for v in S.spray_fast(x, y)])
-            assert np.array_equal(_spray_values(S, x, y), want)
+            assert np.array_equal(np.array(S.spray_fast(x.tolist(), y.tolist())), want)
 
     def test_chord_shot_equals_numpy_scalar_rhs(self, klein2):
         p, q = np.array([-0.2, 0.3]), np.array([0.4, -0.1])
@@ -242,7 +250,7 @@ class TestGeodesicIvp:
             d1 = (vfun(s + h) - vfun(s - h)) / (2.0 * h)
             d2 = (vfun(s + h / 2.0) - vfun(s - h / 2.0)) / h
             dv = (4.0 * d2 - d1) / 3.0
-            resid = dv + 2.0 * _spray_values(klein2, geo.x(s), geo.v(s))
+            resid = dv + 2.0 * np.array(klein2.spray_fast(geo.x(s).tolist(), geo.v(s).tolist()))
             assert np.max(np.abs(resid)) <= 1e-6
 
     def test_csv_export_columns(self, klein2):

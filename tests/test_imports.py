@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
-An AST scan in place of a linter: it collects the names bound by import
-statements and the names the module reads, and reports the difference.
-The package __init__ is skipped; it imports in order to re-export, so it
-is checked instead to export exactly the names it imports.
+AST scans in place of a linter: they collect the names bound by import
+statements or by private top-level definitions and the names the code
+reads, and report the difference.  For imports the package __init__ is
+skipped; it imports in order to re-export, so it is checked instead to
+export exactly the names it imports.
 """
 
 import ast
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finslerlab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +42,49 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants that no source reads.
+
+    A name counts as read where it is loaded as a name or accessed as an
+    attribute (``module._name``) in any of the sources.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [
+                (module, name, node.lineno)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{m}.{name} (line {line})" for m, name, line in defined if name not in read)
+
+
+def test_scan_finds_an_unread_private_name():
+    sources = {
+        "a": "_USED = 1\n_UNUSED = 2\ndef _helper():\n    return _USED\nclass _Dead:\n    pass\n",
+        "b": "from . import a\ndef public():\n    return a._helper()\n",
+    }
+    assert unread_private_names(sources) == ["a._Dead (line 5)", "a._UNUSED (line 2)"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
 
 
 def test_package_exports_exactly_its_imports():

@@ -17,6 +17,7 @@ from finslerlab import (
     build_canonical_chain,
     canonical_projective_map,
     chain_length,
+    einstein_classify,
     finsler_distance,
     funk_distance,
     geodesic_ivp,
@@ -186,21 +187,23 @@ class TestFunkGauge:
 class TestProjectiveParameterSolve:
     def test_klein_diameter_is_tanh(self, klein2):
         geo = geodesic_ivp(klein2, np.zeros(2), np.array([1.0, 0.0]), 1.2)
-        param = projective_parameter(klein2, geo, einstein_c=1.0)
+        param = projective_parameter(klein2, geo)
         # {pi, s} = -2 with pi(0)=0, pi'(0)=1, pi''(0)=0 pins pi = tanh
         assert np.max(np.abs(param.pi - np.tanh(param.s))) <= 1e-10
         assert np.max(np.abs(param.q + 2.0)) <= 1e-9
         assert param.schwarzian_residual() <= 1e-6
-        assert param.mobius_residual <= 1e-9
-        assert param.einstein_j == pytest.approx(1.0, abs=1e-12)
+        # Einstein case: pi is a Moebius image of exp(2 j s), j = c / sqrt(n - 1) = 1
+        j = 1.0
+        assert mobius_fit(np.exp(2.0 * j * param.s), param.pi).residual <= 1e-9
         # off-grid interpolation
         assert abs(param(0.37) - math.tanh(0.37)) <= 1e-10
 
     def test_funk_diameter(self, funk2):
         geo = geodesic_ivp(funk2, np.zeros(2), np.array([1.0, 0.0]), 0.9)
-        param = projective_parameter(funk2, geo, einstein_c=0.5)
+        param = projective_parameter(funk2, geo)
         assert np.max(np.abs(param.q + 0.5)) <= 1e-9
-        assert param.mobius_residual <= 1e-9
+        j = 0.5  # c = 1/2, n = 2
+        assert mobius_fit(np.exp(2.0 * j * param.s), param.pi).residual <= 1e-9
         assert param.schwarzian_residual() <= 5e-6
 
     def test_flat_space_parameter_is_arc_length(self, euclid2):
@@ -261,6 +264,19 @@ class TestCanonicalMap:
             pmap.arc_of(1.0)
 
 
+class TestNumericalMap:
+    def test_interval_and_end_points(self):
+        S = make_metric(curved_config())
+        geo = geodesic_ivp(S, np.array([-0.3, 0.1]), np.array([0.8, -0.3]), 0.7)
+        pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, geo))
+        L = abs(geo.length)
+        t0, t1 = pmap.interval()
+        assert (t0, t1) == (pmap.parameter(0.0), pmap.parameter(L))
+        assert 0.0 <= t0 < t1 < 1.0
+        assert np.max(np.abs(pmap.point(t0) - geo.x(0.0))) <= 1e-12
+        assert np.max(np.abs(pmap.point(t1) - geo.x(L))) <= 1e-12
+
+
 class TestMobiusFit:
     def test_identity_samples(self):
         s = np.linspace(0.1, 1.0, 33)
@@ -293,9 +309,7 @@ class TestMobiusFit:
 class TestChains:
     def test_single_segment_length(self, klein2):
         gauge = FunkGauge(k=1.0)
-        chain = build_canonical_chain(
-            klein2, gauge, [np.zeros(2), np.array([0.5, 0.0])], 1.0
-        )
+        chain = build_canonical_chain(klein2, [np.zeros(2), np.array([0.5, 0.0])], 1.0)
         assert chain.legs == 1
         # factor * d_F = 2 artanh(1/2) = ln 3
         assert abs(chain_length(gauge, chain) - LN3) <= 1e-9
@@ -311,7 +325,7 @@ class TestChains:
             np.array([0.5, 0.0]),
         ]
         lengths = [
-            chain_length(gauge, build_canonical_chain(klein2, gauge, pts, 1.0))
+            chain_length(gauge, build_canonical_chain(klein2, pts, 1.0))
             for pts in (pts2, pts3, pts4)
         ]
         assert max(lengths) - min(lengths) <= 1e-9
@@ -321,15 +335,12 @@ class TestChains:
         gauge = FunkGauge(k=1.0)
         direct = chain_length(
             gauge,
-            build_canonical_chain(klein2, gauge, [np.zeros(2), np.array([0.5, 0.0])], 1.0),
+            build_canonical_chain(klein2, [np.zeros(2), np.array([0.5, 0.0])], 1.0),
         )
         detour = chain_length(
             gauge,
             build_canonical_chain(
-                klein2,
-                gauge,
-                [np.zeros(2), np.array([0.3, 0.1]), np.array([0.5, 0.0])],
-                1.0,
+                klein2, [np.zeros(2), np.array([0.3, 0.1]), np.array([0.5, 0.0])], 1.0
             ),
         )
         assert detour >= direct - 1e-9
@@ -337,10 +348,7 @@ class TestChains:
     def test_stitch_violation(self, klein2):
         gauge = FunkGauge(k=1.0)
         chain = build_canonical_chain(
-            klein2,
-            gauge,
-            [np.zeros(2), np.array([0.3, 0.1]), np.array([0.5, 0.0])],
-            1.0,
+            klein2, [np.zeros(2), np.array([0.3, 0.1]), np.array([0.5, 0.0])], 1.0
         )
         chain.points[1] = chain.points[1] + 1e-3
         with pytest.raises(MalformedChainError):
@@ -348,31 +356,23 @@ class TestChains:
 
     def test_point_count_mismatch(self, klein2):
         gauge = FunkGauge(k=1.0)
-        chain = build_canonical_chain(
-            klein2, gauge, [np.zeros(2), np.array([0.5, 0.0])], 1.0
-        )
+        chain = build_canonical_chain(klein2, [np.zeros(2), np.array([0.5, 0.0])], 1.0)
         chain.points.append(np.array([0.6, 0.0]))
         with pytest.raises(MalformedChainError):
             chain_length(gauge, chain)
 
     def test_needs_two_points(self, klein2):
-        gauge = FunkGauge(k=1.0)
         with pytest.raises(MalformedChainError):
-            build_canonical_chain(klein2, gauge, [np.zeros(2)], 1.0)
+            build_canonical_chain(klein2, [np.zeros(2)], 1.0)
 
     def test_degenerate_leg(self, klein2):
-        gauge = FunkGauge(k=1.0)
         with pytest.raises(MalformedChainError):
-            build_canonical_chain(
-                klein2, gauge, [np.zeros(2), np.zeros(2), np.array([0.5, 0.0])], 1.0
-            )
+            build_canonical_chain(klein2, [np.zeros(2), np.zeros(2), np.array([0.5, 0.0])], 1.0)
 
     def test_numerical_segments_without_einstein_constant(self):
         S = make_metric(curved_config())
         gauge = FunkGauge(k=1.0)
-        chain = build_canonical_chain(
-            S, gauge, [np.array([-0.3, 0.1]), np.array([0.4, -0.2])], None
-        )
+        chain = build_canonical_chain(S, [np.array([-0.3, 0.1]), np.array([0.4, -0.2])], None)
         assert isinstance(chain.segments[0].pmap, NumericalProjectiveMap)
         assert chain_length(gauge, chain) > 0.0
 
@@ -382,7 +382,7 @@ class TestLemma2:
         gauge = FunkGauge(k=1.0)
         res = finsler_distance(klein2, np.zeros(2), np.array([0.5, 0.0]))
         pmap, (t0, t1) = canonical_projective_map(klein2, res.geodesic, 1.0)
-        out = lemma2_check(klein2, gauge, pmap, t0, t1, 2.0)
+        out = lemma2_check(gauge, pmap, t0, t1, 2.0)
         assert out.ok
         # the canonical family is the equality case of the bound
         assert abs(out.margin) <= 1e-9
@@ -395,7 +395,7 @@ class TestLemma2:
         L = res.distance
         a = pmap.parameter(0.25 * L)
         b = pmap.parameter(0.75 * L)
-        out = lemma2_check(klein2, gauge, pmap, a, b, 2.0)
+        out = lemma2_check(gauge, pmap, a, b, 2.0)
         assert out.ok and abs(out.margin) <= 1e-9
 
     def test_arc_shift_renormalization(self, klein2):
@@ -413,7 +413,7 @@ class TestLemma2:
         )
         assert shifted.parameter(0.0) == pytest.approx(-0.2, abs=1e-12)
         assert abs(shifted.arc_of(0.4) - 0.5 * LN2) <= 1e-12
-        out = lemma2_check(klein2, gauge, shifted, -0.2, 0.4, 2.0)
+        out = lemma2_check(gauge, shifted, -0.2, 0.4, 2.0)
         assert out.ok and out.margin >= -1e-6
         assert abs(out.margin) <= 1e-9
         assert abs(out.funk_gap - LN2) <= 1e-12
@@ -423,7 +423,7 @@ class TestLemma2:
         gauge = FunkGauge(k=1.0)
         res = finsler_distance(funk2, np.zeros(2), np.array([0.4, 0.1]))
         pmap, (t0, t1) = canonical_projective_map(funk2, res.geodesic, 0.5)
-        out = lemma2_check(funk2, gauge, pmap, t0, t1, 1.0)
+        out = lemma2_check(gauge, pmap, t0, t1, 1.0)
         assert out.ok and abs(out.margin) <= 1e-9
 
     def test_ordered_endpoints_required(self, klein2):
@@ -431,7 +431,7 @@ class TestLemma2:
         geo = geodesic_ivp(klein2, np.zeros(2), np.array([1.0, 0.0]), 0.8)
         pmap, _ = canonical_projective_map(klein2, geo, 1.0)
         with pytest.raises(ValueError):
-            lemma2_check(klein2, gauge, pmap, 0.5, 0.5, 2.0)
+            lemma2_check(gauge, pmap, 0.5, 0.5, 2.0)
 
 
 class TestPseudoDistance:
@@ -577,6 +577,20 @@ class TestProportionalityTheorem:
         assert rep.factor == pytest.approx(1.0, abs=1e-6)
         assert rep.max_discrepancy <= 1e-9
         assert rep.min_lemma2_margin >= -1e-6
+
+    @pytest.mark.parametrize("name, tolerance", [("klein2", 1e-4), ("funk2", 1e-3)])
+    def test_records_equal_pseudo_distance(self, request, name, tolerance):
+        S = request.getfixturevalue(name)
+        gauge = FunkGauge(k=1.0)
+        report = einstein_classify(S, x_samples=6, seed=2)
+        rep = theorem1_verify(S, gauge, pairs=3, seed=2, tolerance=tolerance, einstein=report)
+        for rec in rep.records:
+            out = pseudo_distance(S, np.array(rec["p"]), np.array(rec["q"]), gauge, einstein=report)
+            assert rec["d_F"] == out.d_finsler
+            assert rec["d_M_canonical"] == out.canonical_length
+            assert rec["d_M_theoretical"] == out.theoretical
+            assert rec["discrepancy"] == out.discrepancy
+            assert rec["diagnostics"] == out.distance.diagnostics
 
     def test_needs_a_pair(self, klein2):
         with pytest.raises(ValueError):
