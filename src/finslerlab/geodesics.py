@@ -91,18 +91,19 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fas
 def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
     """(x, v)' = (v, -2G(x, v)), both halves negated when backward (parameter |s|).
 
-    S.spray_fast is read on every call, so a wrapper installed later sees each one.
+    The state z is a list of floats, as integrate_ivp passes it, and so is
+    the value.  S.spray_fast is read on every call, so a wrapper installed
+    later sees each one.
     """
     n = S.dimension
     c = 2.0 if backward else -2.0
 
     def rhs(z):
-        zl = z.tolist()
-        v = zl[n:]
-        G = S.spray_fast(zl[:n], v)
+        v = z[n:]
+        G = S.spray_fast(z[:n], v)
         if backward:
             v = [-vi for vi in v]
-        return np.array(v + [c * gi for gi in G])
+        return v + [c * gi for gi in G]
 
     return rhs
 
@@ -149,12 +150,13 @@ class Geodesic:
         sign = -1.0 if self.backward else 1.0
         return sign * self.trajectory.ts
 
+    def node_residuals(self) -> list[float]:
+        """F(x, v) - 1 at every accepted node."""
+        n = self.n
+        return [float(self.structure.F(z[:n], z[n:])) - 1.0 for z in self.trajectory.states]
+
     def unit_speed_residual(self) -> float:
-        worst = 0.0
-        for state in self.trajectory.states:
-            f = float(self.structure.F(state[: self.n], state[self.n :]))
-            worst = max(worst, abs(f - 1.0))
-        return worst
+        return max(abs(r) for r in self.node_residuals())
 
     def write_csv(self, fh) -> None:
         """CSV rows at the accepted integration nodes."""
@@ -197,7 +199,11 @@ def geodesic_ivp(
 
     y0 is rescaled so that F(x0, y0) = 1.  Negative length integrates the
     backward extension; leaving the chart raises DomainExitError with the
-    exit arc length.
+    exit arc length.  So does losing unit speed: at the first accepted node
+    where |F(x, v) - 1| exceeds sqrt(tolerance), the error control has run
+    out of precision (near the boundary of a ball, where 1 - |x|^2 falls to
+    a few ulps), and DomainExitError carries that node's arc length and
+    state and the whole trajectory.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -221,9 +227,20 @@ def geodesic_ivp(
         sign = -1.0 if backward else 1.0
         exc.t_exit = sign * exc.t_exit if exc.t_exit is not None else None
         raise
-    return Geodesic(
+    geo = Geodesic(
         structure=S, trajectory=traj, length=length, x0=x0, v0=v0, backward=backward
     )
+    bound = math.sqrt(tolerance)
+    for s, state, resid in zip(geo.s_grid, traj.states, geo.node_residuals()):
+        if abs(resid) > bound:
+            raise DomainExitError(
+                f"unit-speed residual {resid:.3g} exceeds sqrt(tolerance) = {bound:.3g} "
+                f"at arc length {s:.12g}: the integration ran out of precision",
+                t_exit=float(s),
+                state=state.copy(),
+                trajectory=traj,
+            )
+    return geo
 
 
 @dataclass
@@ -387,14 +404,19 @@ def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
     """
     n = S.dimension
     m = n - 1
-    basis = _direction_basis(n, d0)
+    basis = None  # built before the first Jacobian; a start that hits needs none
     u = np.zeros(m)
     s = s0
+
+    def direction(u_loc):
+        # before the basis exists u is 0, and d0 + 0.0 is d0 + basis @ 0 bit
+        # for bit: the product's zeros are +0.0, which turn a -0.0 into +0.0
+        return d0 + 0.0 if basis is None else d0 + basis @ u_loc
 
     def endpoint(u_loc, s_loc):
         if s_loc <= 0.0:
             return None
-        v = d0 + basis @ u_loc
+        v = direction(u_loc)
         nv = np.linalg.norm(v)
         if nv < 1e-10:
             return None
@@ -416,6 +438,8 @@ def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
     for _ in range(NEWTON_MAX_ITER):
         if best <= stop:
             break
+        if basis is None:
+            basis = _direction_basis(n, d0)
         probes = [endpoint(u + h * e, s) for e in np.eye(m)]
         if any(ep is None for ep in probes):
             break
@@ -439,7 +463,7 @@ def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
         else:
             break
         iters += 1
-    v = _unit_against_F(S, p, d0 + basis @ u)
+    v = _unit_against_F(S, p, direction(u))
     return v, s, best, iters, cur[2]
 
 

@@ -303,7 +303,7 @@ def _klein_structure(config: MetricConfig) -> FinslerStructure:
         reversible=True,
         config=config,
         f2=f2,
-        domain_fn=lambda x: float(x @ x) < 1.0,
+        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         g_fast=g_fast,
         unique_geodesics=True,
@@ -336,7 +336,7 @@ def _funk_structure(config: MetricConfig) -> FinslerStructure:
         reversible=False,
         config=config,
         f2=f2,
-        domain_fn=lambda x: float(x @ x) < 1.0,
+        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         g_fast=None,
         unique_geodesics=True,
@@ -370,7 +370,7 @@ def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
         reversible=False,
         config=config,
         f2=f2,
-        domain_fn=lambda x: abs(float(x[0])) < 1.0,
+        domain_fn=lambda x: abs(x[0]) < 1.0,
         spray_fast=spray_fast,
         unique_geodesics=True,
     )
@@ -398,7 +398,7 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
         reversible=True,
         config=config,
         f2=f2,
-        domain_fn=lambda x: float(x @ x) < 1.0,
+        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         g_fast=g_fast,
         unique_geodesics=False,
@@ -449,7 +449,7 @@ def _randers_structure(config: MetricConfig) -> FinslerStructure:
         reversible=reversible,
         config=config,
         f2=f2,
-        domain_fn=lambda x: float(x @ x) < 1.0,
+        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         unique_geodesics=False,
     )

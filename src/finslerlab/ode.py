@@ -1,7 +1,11 @@
-"""Adaptive explicit Runge-Kutta 5(4) integration.
+"""Adaptive explicit Runge-Kutta 5(4) integration on Python floats.
 
 The integrator is a Dormand-Prince pair with FSAL, PI-free step control and
-cubic Hermite dense output between accepted steps.  Leaving the optional
+cubic Hermite dense output between accepted steps.  It steps the state as a
+list of Python floats: the right-hand side takes a list of floats and
+returns a sequence of floats, and the stage sums, the finiteness and domain
+checks and the error norm are plain float arithmetic.  The trajectory's
+ndarrays are built once, when the integration ends.  Leaving the optional
 domain predicate is one more reason to reject a step, as a too-large error
 estimate is: the step is halved and retried, so a solution that stays inside
 is followed up to the chart boundary.  When a step that left the domain
@@ -38,9 +42,10 @@ _A = np.array(
     ]
 )
 _B5 = _A[6]  # FSAL: the last stage is evaluated at the fifth-order solution
-_STAGES = tuple((s, _A[s, :s]) for s in range(1, 7))
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+# the same tableau as Python floats: stage rows 2..7 and the error weights B5 - B4
+_ROWS = tuple(tuple(_A[s, :s].tolist()) for s in range(1, 7))
+_ERROR_WEIGHTS = tuple((_B5 - _B4).tolist())
 
 MAX_STEPS = 200_000
 
@@ -100,18 +105,78 @@ class OdeTrajectory:
         )
 
 
-def _rms_norm(v: np.ndarray) -> float:
-    # np.mean's own sum and division, without its wrapper
-    return math.sqrt(float(np.add.reduce(v * v)) / v.size)
+def _rms(values) -> float:
+    return math.sqrt(math.fsum([v * v for v in values]) / len(values))
+
+
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _dp_step(rhs, y, f, h, tolerance):
+    """One Dormand-Prince attempt of size h from the state y, where f = rhs(y).
+
+    Returns (calls, y_new, f_new, err): the right-hand-side calls made, the
+    fifth-order solution, its derivative (the last stage, reused as the next
+    step's first) and the RMS of the embedded error estimate in units of
+    tolerance * (1 + max(|y_i|, |y_new_i|)).  The last three are None when a
+    stage raised EvaluationDomainError or y_new or f_new is not finite.
+    Every stage is copied into a fresh list, so a right-hand side may reuse
+    the buffer it returns.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), row6, row7 = _ROWS
+    a61, a62, a63, a64, a65 = row6
+    a71, a72, a73, a74, a75, a76 = row7
+    e1, e2, e3, e4, e5, e6, e7 = _ERROR_WEIGHTS
+    k1 = f
+    calls = 1  # the rhs calls made once the next one returns or raises
+    try:
+        k2 = list(rhs([yi + h * (a21 * p1) for yi, p1 in zip(y, k1)]))
+        calls = 2
+        k3 = list(rhs([yi + h * (a31 * p1 + a32 * p2) for yi, p1, p2 in zip(y, k1, k2)]))
+        calls = 3
+        k4 = list(rhs([
+            yi + h * (a41 * p1 + a42 * p2 + a43 * p3) for yi, p1, p2, p3 in zip(y, k1, k2, k3)
+        ]))
+        calls = 4
+        k5 = list(rhs([
+            yi + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+            for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+        ]))
+        calls = 5
+        k6 = list(rhs([
+            yi + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+            for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+        ]))
+        calls = 6
+        # FSAL: the last stage's input is the fifth-order solution
+        y_new = [
+            yi + h * (a71 * p1 + a72 * p2 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
+            for yi, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)
+        ]
+        k7 = list(rhs(y_new))
+    except EvaluationDomainError:
+        return calls, None, None, None
+    if not (_all_finite(y_new) and _all_finite(k7)):
+        return 6, None, None, None
+    err = _rms([
+        h * (e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+        / (tolerance + tolerance * max(abs(yi), abs(zi)))
+        for yi, zi, p1, p2, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
+    ])
+    return 6, y_new, k7, err
 
 
 def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTrajectory:
     """Integrate y' = rhs(y) over span = (t0, t1) with local error <= tolerance.
 
-    rhs is autonomous.  `domain`, when given, is a predicate on the state.  A
-    step whose stage raises EvaluationDomainError, or whose result is not
+    rhs is autonomous: it takes the state as a list of Python floats and
+    returns a sequence of floats (a list, a tuple or a 1-d array; it may
+    reuse one buffer).  `domain`, when given, is a predicate on that list.
+    A step whose stage raises EvaluationDomainError, or whose result is not
     finite or fails `domain`, is rejected and retried at half the size; when
-    the step then underflows, DomainExitError reports the last accepted node.
+    the step then underflows, DomainExitError reports the last accepted node
+    (its state as an array).
     """
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -120,14 +185,15 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
         raise ValueError("span must satisfy t1 > t0")
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float)
     if y.ndim != 1:
         raise ValueError("state must be one-dimensional")
+    y = y.tolist()
     if domain is not None and not domain(y):
         raise ValueError("initial state violates the domain predicate")
     # a copy: f is the first stage of every attempt, and rhs may reuse its buffer
-    f = np.array(rhs(y), dtype=float)
-    if not np.isfinite(f).all():
+    f = list(rhs(y))
+    if not _all_finite(f):
         raise EvaluationDomainError("rhs not finite at the initial state")
 
     ts = [t0]
@@ -142,38 +208,14 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
         return OdeTrajectory(*arrays, tolerance, rhs_calls, rejected)
 
     # initial step from the usual curvature-free heuristic
-    sc = tolerance + tolerance * np.abs(y)
-    d0 = _rms_norm(y / sc)
-    d1 = _rms_norm(f / sc)
+    sc = [tolerance + tolerance * abs(yi) for yi in y]
+    d0 = _rms([yi / si for yi, si in zip(y, sc)])
+    d1 = _rms([fi / si for fi, si in zip(f, sc)])
     h = 0.01 * d0 / d1 if d1 > 1e-300 else (t1 - t0) / 100.0
     h = min(max(h, 1e-10), t1 - t0)
 
     t = t0
     left_domain = False  # a step was rejected for leaving the domain since the last node
-
-    def attempt(h_try: float):
-        """One DP step; returns (y_new, f_new, err_norm), or None if it left the domain."""
-        nonlocal rhs_calls
-        k = np.empty((7, y.size))
-        k[0] = f
-        try:
-            for s, a in _STAGES:
-                y_s = y + h_try * (a @ k[:s])
-                k[s] = rhs(y_s)
-        except EvaluationDomainError:
-            rhs_calls += s
-            return None
-        rhs_calls += 6
-        # FSAL: the last stage's input is the fifth-order solution y + h (_B5 @ k);
-        # keep the step only where it and the derivative there are finite
-        y_new = y_s
-        if not (np.isfinite(y_new).all() and np.isfinite(k[6]).all()) or (
-            domain is not None and not domain(y_new)
-        ):
-            return None
-        err = h_try * (_E @ k)
-        sc_loc = tolerance + tolerance * np.maximum(np.abs(y), np.abs(y_new))
-        return y_new, k[6], _rms_norm(err / sc_loc)
 
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if len(steps) >= MAX_STEPS:
@@ -184,23 +226,23 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
                 raise DomainExitError(
                     f"integration left the domain near t = {t:.12g}",
                     t_exit=t,
-                    state=y.copy(),
+                    state=np.array(y),
                     trajectory=trajectory(),
                 )
             raise StiffnessError(f"step size underflow at t = {t:.12g}")
-        res = attempt(h)
-        if res is None:
+        calls, y_new, f_new, err = _dp_step(rhs, y, f, h, tolerance)
+        rhs_calls += calls
+        if y_new is None or (domain is not None and not domain(y_new)):
             rejected += 1
             left_domain = True
             h *= 0.5
             continue
-        y_new, f_new, err = res
         if err <= 1.0:
             t += h
             y = y_new
             f = f_new
             ts.append(t)
-            states.append(y)  # y and k are fresh arrays on every attempt
+            states.append(y)  # y_new and f_new are fresh lists on every attempt
             derivs.append(f)
             steps.append(h)
             left_domain = False

@@ -149,7 +149,7 @@ def projective_parameter(S: FinslerStructure, geodesic: Geodesic) -> ProjectiveP
     def rhs(z):
         # z = (u1, u1', u2, u2', s); carrying s keeps the system autonomous
         q = qfun(min(max(z[4], 0.0), L))
-        return np.array([z[1], -0.5 * q * z[0], z[3], -0.5 * q * z[2], 1.0])
+        return [z[1], -0.5 * q * z[0], z[3], -0.5 * q * z[2], 1.0]
 
     z0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
     traj = integrate_ivp(rhs, z0, (0.0, L), tolerance=PARAMETER_TOLERANCE)

@@ -94,3 +94,47 @@ def interval_funk_closed(k: float, a: float, b: float) -> float:
     if b < a:
         return math.log((1.0 + a) / (1.0 + b)) / k
     return 0.0
+
+
+# Dormand & Prince (1980), the 5(4) pair with FSAL (Hairer, Norsett & Wanner,
+# Solving ODEs I, Table II.5.2), typed out here independently of the library.
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    ]
+)
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def dormand_prince_step(rhs, y, f, h: float, tolerance: float):
+    """One Dormand-Prince 5(4) attempt on ndarrays: (y_new, f_new, err_norm, err_scale).
+
+    The stage sums are matrix products over a (7, m) stage array; y_new is
+    the fifth-order solution, f_new = rhs(y_new), and err_norm the RMS of the
+    embedded error estimate h (B5 - B4) k over tolerance * (1 + max(|y_i|,
+    |y_new_i|)).  That estimate is a cancellation, so its rounding is
+    relative to err_scale, the same norm of h |B5 - B4| |k|, not to itself.
+    rhs takes and returns 1-d arrays.
+    """
+    y = np.asarray(y, dtype=float)
+    k = np.empty((7, y.size))
+    k[0] = f
+    for s in range(1, 6):
+        k[s] = rhs(y + h * (_DP_A[s, :s] @ k[:s]))
+    y_new = y + h * (_DP_B5[:6] @ k[:6])
+    k[6] = rhs(y_new)
+    weights = _DP_B5 - _DP_B4
+    scale = tolerance + tolerance * np.maximum(np.abs(y), np.abs(y_new))
+
+    def rms(v):
+        return math.sqrt(float(np.mean((h * v / scale) ** 2)))
+
+    return y_new, k[6].copy(), rms(weights @ k), rms(np.abs(weights) @ np.abs(k))

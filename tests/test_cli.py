@@ -334,6 +334,38 @@ class TestTraceCommand:
         assert doc["error"] == "DomainExitError"
         assert doc["exit_arc_length"] == pytest.approx(-math.log(2.0), abs=1e-6)
 
+    @pytest.mark.parametrize("length", [12.0, 14.0, 20.0, 25.0])
+    def test_radial_klein_trace_stops_when_unit_speed_is_lost(self, cfg, capsys, length):
+        # |v| = 1 - |x|^2 = sech^2(s) falls below the error control's reach
+        # past s = 12, and F(x, v) - 1 grows from 1e-6 to 1e2 by s = 25: the
+        # trace must end with exit 3 at the first node past sqrt(tolerance)
+        code, out, err = run(
+            capsys,
+            "geodesic",
+            "trace",
+            "--config",
+            cfg["klein2"],
+            "--x0",
+            "0,0",
+            "--y0",
+            "1,0",
+            "--length",
+            repr(length),
+        )
+        if length == 12.0:
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            data = np.array([[float(v) for v in row] for row in rows])
+            assert data[-1, 0] == 12.0
+            assert np.max(np.abs(data[:, 5])) <= 1e-5
+            return
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "DomainExitError"
+        assert "unit-speed residual" in doc["message"]
+        assert 12.0 < doc["exit_arc_length"] <= length
+
 
 class TestCurvatureCommand:
     def test_klein_center_report(self, cfg, capsys):

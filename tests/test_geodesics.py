@@ -142,6 +142,7 @@ def numpy_scalar_rhs(S, backward=False):
     n = S.dimension
 
     def rhs(z):
+        z = np.asarray(z)
         x, v = z[:n], z[n:]
         G = np.asarray([float(g) for g in S.spray_fast(x, v)])
         if backward:

@@ -9,7 +9,9 @@ from finslerlab import (
     StiffnessError,
     integrate_ivp,
 )
-from finslerlab import geodesics
+from finslerlab import geodesics, ode
+
+from oracles import dormand_prince_step
 
 
 class TestIntegrateIvp:
@@ -70,7 +72,7 @@ class TestIntegrateIvp:
         def rhs(y):
             if y[0] >= 1.0:
                 raise EvaluationDomainError("y >= 1")
-            return 1.0 - y
+            return [1.0 - y[0]]
 
         try:
             traj = integrate_ivp(rhs, np.array([0.0]), (0.0, 40.0), domain=lambda y: y[0] < 1.0)
@@ -92,7 +94,7 @@ class TestIntegrateIvp:
 
     def test_finite_time_blowup_raises_stiffness(self):
         with pytest.raises(StiffnessError):
-            integrate_ivp(lambda y: y * y, np.array([1.0]), (0.0, 2.0), tolerance=1e-10)
+            integrate_ivp(lambda y: [y[0] * y[0]], np.array([1.0]), (0.0, 2.0), tolerance=1e-10)
 
     def test_bad_span_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +113,7 @@ class TestStoredNodes:
     def relax(buf):
         # y' = 1 - y, written into one reused buffer
         def rhs(y):
-            buf[:] = 1.0 - y
+            buf[:] = [1.0 - yi for yi in y]
             return buf
 
         return rhs
@@ -121,7 +123,7 @@ class TestStoredNodes:
         # derivs[i] == rhs(states[i]) fails if y_new ever differs from the
         # last stage's input, or if a stored node aliases a reused buffer
         for state, deriv in zip(traj.states, traj.derivs):
-            assert np.array_equal(np.asarray(rhs(state)).copy(), deriv)
+            assert np.array_equal(np.array(rhs(state.tolist())), deriv)
 
     def test_klein_shot_stores_its_last_stage(self, klein2):
         p = np.array([0.1, -0.3])
@@ -132,17 +134,17 @@ class TestStoredNodes:
 
     @pytest.mark.parametrize("y0", [0.0, 0.999])
     def test_reused_buffer_rhs_stores_its_last_stage(self, y0):
-        rhs = self.relax(np.empty(1))
+        rhs = self.relax([0.0])
         traj = integrate_ivp(rhs, np.array([y0]), (0.0, 5.0), tolerance=1e-10)
-        self.assert_fsal_nodes(self.relax(np.empty(1)), traj)
+        self.assert_fsal_nodes(self.relax([0.0]), traj)
 
     def test_reused_buffer_rhs_gives_the_fresh_array_trajectory(self):
         # From y0 = 0.999 the first step is rejected, so the initial
         # derivative is the first stage of a second attempt: it must not be
         # the buffer the rejected attempt's stages overwrote.
         y0, span = np.array([0.999]), (0.0, 5.0)
-        fresh = integrate_ivp(lambda y: 1.0 - y, y0, span, tolerance=1e-10)
-        reused = integrate_ivp(self.relax(np.empty(1)), y0, span, tolerance=1e-10)
+        fresh = integrate_ivp(lambda y: [1.0 - y[0]], y0, span, tolerance=1e-10)
+        reused = integrate_ivp(self.relax([0.0]), y0, span, tolerance=1e-10)
         assert fresh.steps_rejected > 0
         for name in ("ts", "states", "derivs", "steps"):
             assert np.array_equal(getattr(fresh, name), getattr(reused, name))
@@ -160,7 +162,8 @@ class TestWorkCounts:
     def test_counts_match_the_calls_made(self):
         calls = []
         traj = integrate_ivp(
-            self.counted(lambda y: 1.0 - y, calls), np.array([0.999]), (0.0, 5.0), tolerance=1e-10
+            self.counted(lambda y: [1.0 - y[0]], calls), np.array([0.999]), (0.0, 5.0),
+            tolerance=1e-10,
         )
         assert traj.steps_rejected > 0
         assert traj.rhs_calls == len(calls) == 1 + 6 * (len(traj.steps) + traj.steps_rejected)
@@ -179,3 +182,49 @@ class TestWorkCounts:
         traj = info.value.trajectory
         assert traj.steps_rejected > 0
         assert traj.rhs_calls == len(calls)
+
+
+def coupled(z):
+    """A nonlinear right-hand side that reads its state by index only."""
+    m = len(z)
+    return [math.sin(z[(i + 1) % m]) - 0.5 * z[i] * z[i - 1] + 0.3 for i in range(m)]
+
+
+class TestFloatStep:
+    """The list step against the ndarray reference step of tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_list_step_matches_the_array_step(self, n):
+        # The two differ only in the order of the stage sums, so y_new agrees
+        # to rounding, and the error norm to rounding of the terms it cancels.
+        rng = np.random.default_rng(40 + n)
+        for _ in range(40):
+            y = rng.uniform(-2.0, 2.0, n)
+            h = 10.0 ** rng.uniform(-3.0, -0.3)
+            tol = 10.0 ** rng.uniform(-12.0, -6.0)
+            f = coupled(y.tolist())
+            calls, y_new, f_new, err = ode._dp_step(coupled, y.tolist(), f, h, tol)
+            ref_y, _, ref_err, err_scale = dormand_prince_step(
+                lambda z: np.array(coupled(z)), y, np.array(f), h, tol
+            )
+            assert calls == 6
+            assert isinstance(y_new, list) and isinstance(f_new, list)
+            y_scale = max(1.0, float(np.max(np.abs(ref_y))))
+            assert np.max(np.abs(np.array(y_new) - ref_y)) <= 1e-14 * y_scale
+            assert np.array_equal(np.array(f_new), np.array(coupled(y_new)))
+            assert abs(err - ref_err) <= 1e-14 * err_scale
+
+    def test_rhs_and_domain_receive_lists(self):
+        # no ndarray round trip per stage: every state handed out is a list
+        seen = []
+
+        def rhs(y):
+            seen.append(type(y))
+            return [1.0 - yi for yi in y]
+
+        def domain(y):
+            seen.append(type(y))
+            return True
+
+        integrate_ivp(rhs, np.array([0.5, -0.5]), (0.0, 1.0), domain=domain)
+        assert len(seen) > 10 and set(seen) == {list}
