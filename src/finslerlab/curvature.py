@@ -8,10 +8,13 @@ orders higher, as the independent cross-check:
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/(dy^k dx^j)
             + 2 G^j d2G^i/(dy^k dy^j) - (dG^i/dy^j)(dG^j/dy^k)
 
-R^i_k values come from order-2 spray jets batched over many phase points, so
-one evaluation serves all of einstein_classify's samples of a kind.  The
-Ricci tensor is the fibre Hessian of R^k_k / 2, which costs two more
-derivative orders on top of the spray and keeps the formula on jets.
+R^i_k values come from order-2 spray jets batched over many phase points.
+einstein_classify draws all of its samples first and then evaluates each
+quantity once for all of them: one R^i_k batch for the Ricci scalars and the
+flags, one Ricci-tensor batch, one fundamental-tensor batch, and F^2 in one
+float evaluation.  The Ricci tensor is the fibre Hessian of R^k_k / 2, which
+costs two more derivative orders on top of the spray and keeps the formula on
+jets; there only the diagonal entries R^i_i are built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateFlagError, EvaluationDomainError
 from .geodesics import spray_jet_functions
-from .metrics import FinslerStructure, fundamental_tensor
+from .metrics import FinslerStructure, FundamentalTensor, _fundamental_tensors, fundamental_tensor
 from .jets import jet_space
 
 
@@ -32,17 +35,19 @@ def _require_flagpole(y):
         raise EvaluationDomainError("curvature undefined at y = 0")
 
 
-def _riemann_formula(G, y, at):
+def _riemann_formula(G, y, at, diagonal: bool = False):
     """R^i_k from the spray jets G^i and the fibre coordinates y.
 
     at(jet) is what the formula reads of a spray derivative: the jet itself,
-    or its value; y holds jets or values to match.
+    or its value; y holds jets or values to match.  diagonal=True builds
+    only the entries R^i_i, each by the same arithmetic, and leaves None
+    off the diagonal.
     """
     n = len(G)
     Gy = [[G[i].partial(n + j) for j in range(n)] for i in range(n)]
     R = [[None] * n for _ in range(n)]
     for i in range(n):
-        for k in range(n):
+        for k in (i,) if diagonal else range(n):
             term = 2.0 * at(G[i].partial(k))
             for j in range(n):
                 term = term - y[j] * at(Gy[i][k].partial(j))
@@ -64,13 +69,17 @@ def _riemann_values(S: FinslerStructure, x, y, via: str = "fast") -> np.ndarray:
     return np.ascontiguousarray(np.array(R).transpose(2, 0, 1))
 
 
-def _riemann_jets(S: FinslerStructure, x, y):
-    """R^i_k as jets of total order 2 over the 2n phase seeds."""
+def _riemann_trace_jet(S: FinslerStructure, x, y):
+    """R^k_k as a jet of total order 2 over the 2n phase seeds."""
     _require_flagpole(y)
     G = spray_jet_functions(S, x, y, g_order=4)
     n = S.dimension
     yj = [G[0].space.variable(n + i, v) for i, v in enumerate(y)]
-    return _riemann_formula(G, yj, lambda jet: jet)
+    R = _riemann_formula(G, yj, lambda jet: jet, diagonal=True)
+    trace = R[0][0]
+    for i in range(1, n):
+        trace = trace + R[i][i]
+    return trace
 
 
 @dataclass
@@ -119,17 +128,26 @@ def flag_curvature(S: FinslerStructure, x, y, u) -> float:
 
 
 def _f2_values(S: FinslerStructure, x, y) -> np.ndarray:
-    """F^2 at B phase points by the float evaluator, one point at a time."""
-    return np.array([float(S.F2(x[:, b], y[:, b])) for b in range(y.shape[1])])
+    """F^2 at B phase points by the float evaluator, x and y of shape (n, B).
+
+    The rows go in as object arrays, so every operator acts on Python floats
+    column by column and each value is the single-point one bit for bit
+    (on float arrays numpy squares where Python's ** calls pow).
+    """
+    return np.asarray(S.F2(list(x.astype(object)), list(y.astype(object))), dtype=float)
 
 
-def _ricci_scalars(S: FinslerStructure, x, y) -> np.ndarray:
-    """Ric = R^k_k / F^2 at B phase points, x and y of shape (n, B)."""
-    R = _riemann_values(S, x, y)
+def _ricci_from_riemann(S: FinslerStructure, R, x, y) -> np.ndarray:
+    """Ric = R^k_k / F^2 from R^i_k values of shape (B, n, n) at the B columns of x, y."""
     trace = R[:, 0, 0]
     for i in range(1, S.dimension):
         trace = trace + R[:, i, i]
     return trace / _f2_values(S, x, y)
+
+
+def _ricci_scalars(S: FinslerStructure, x, y) -> np.ndarray:
+    """Ric = R^k_k / F^2 at B phase points, x and y of shape (n, B)."""
+    return _ricci_from_riemann(S, _riemann_values(S, x, y), x, y)
 
 
 def ricci_scalar(S: FinslerStructure, x, y) -> float:
@@ -152,10 +170,7 @@ class RicciData:
 def _ricci_tensors(S: FinslerStructure, x, y):
     """Ric, shape (B,), and Ric_ij, shape (B, n, n), at B phase points."""
     n = S.dimension
-    R = _riemann_jets(S, x, y)
-    trace = R[0][0]
-    for i in range(1, n):
-        trace = trace + R[i][i]
+    trace = _riemann_trace_jet(S, x, y)
     ric_ij = np.empty((y.shape[1], n, n))
     for i in range(n):
         for j in range(i, n):
@@ -252,14 +267,29 @@ def einstein_classify(
         raise ValueError("y_directions should stay between 8 and 16")
     if S.dimension < 2:
         raise ValueError("classification needs dimension >= 2")
+    # every sample is drawn first, in the order the per-point loops drew them
     rng = np.random.default_rng(seed)
     radius = 0.8 * S.sampling_radius
     xs = []
     ys = []
     for _ in range(x_samples):
         xs.append(S.sample_point(rng, radius))
-        ys.extend(S.sample_direction(rng) for _ in range(y_directions))
-    ric = _ricci_scalars(S, np.repeat(np.array(xs).T, y_directions, axis=1), np.array(ys).T)
+        ys.append(S.sample_directions(rng, y_directions))
+    fit_xs = [x for x in xs[: min(len(xs), 6)] for _ in range(2)]
+    fit_ys = S.sample_directions(rng, len(fit_xs))
+    flag_xs = []
+    flag_yus = []  # the rows (y, u) of each flag
+    for _ in range(10):
+        flag_xs.append(S.sample_point(rng, radius))
+        flag_yus.append(S.sample_directions(rng, 2))
+    flag_ys = [yu[0] for yu in flag_yus]
+
+    # one R^i_k batch serves the Ricci scalars and the flags
+    nric = x_samples * y_directions
+    ric_x = np.repeat(np.array(xs).T, y_directions, axis=1)
+    ric_y = np.concatenate(ys).T
+    R = _riemann_values(S, np.hstack([ric_x, np.array(flag_xs).T]), np.hstack([ric_y, np.array(flag_ys).T]))
+    ric = _ricci_from_riemann(S, R[:nric], ric_x, ric_y)
     per_x_means = []
     y_spread = 0.0
     ric_values = []
@@ -272,14 +302,15 @@ def einstein_classify(
     ric_x_spread = float(per_x_means.max() - per_x_means.min())
     is_einstein = y_spread <= tolerance
 
-    # least-squares proportionality of Ric_ij against g_ij at a subsample
-    fit_xs = [x for x in xs[: min(len(xs), 6)] for _ in range(2)]
-    fit_ys = [S.sample_direction(rng) for _ in fit_xs]
-    _, fit_ric = _ricci_tensors(S, np.array(fit_xs).T, np.array(fit_ys).T)
+    # least-squares proportionality of Ric_ij against g_ij at a subsample; one
+    # fundamental-tensor batch serves the fit and the flags
+    _, fit_ric = _ricci_tensors(S, np.array(fit_xs).T, fit_ys.T)
+    g_all, g_inv_all = _fundamental_tensors(
+        S, np.array(fit_xs + flag_xs).T, np.concatenate([fit_ys, flag_ys]).T
+    )
     fit_vals = []
     fit_resid = 0.0
-    for x, y, ric_ij in zip(fit_xs, fit_ys, fit_ric):
-        g = fundamental_tensor(S, x, y).g
+    for ric_ij, g in zip(fit_ric, g_all):
         lam = float(np.sum(ric_ij * g) / np.sum(g * g))
         fit_vals.append(lam)
         fit_resid = max(fit_resid, float(np.max(np.abs(ric_ij - lam * g)) / np.max(np.abs(g))))
@@ -296,20 +327,16 @@ def einstein_classify(
         c = float(np.sqrt(-fit_factor))
 
     # sampled flag curvatures; a constant value is reported when the spread allows
-    flag_samples = []  # (x, y, u, g_y, flag denominator)
-    for _ in range(10):
-        x = S.sample_point(rng, radius)
-        y = S.sample_direction(rng)
-        u = S.sample_direction(rng)
-        gy = fundamental_tensor(S, x, y)
+    flags = []
+    nfit = len(fit_xs)
+    for x, (y, u), g, g_inv, Rb in zip(flag_xs, flag_yus, g_all[nfit:], g_inv_all[nfit:], R[nric:]):
+        gy = FundamentalTensor(g=g, g_inv=g_inv, x=x, y=y)
         if gy.inner(y, y) * gy.inner(u, u) - gy.inner(y, u) ** 2 <= 1e-8:
             continue
-        flag_samples.append((x, y, u, gy, _flag_denominator(gy, y, u)))
+        flags.append(float(gy.inner(u, Rb @ u) / _flag_denominator(gy, y, u)))
     flag_constant = None
-    if flag_samples:
-        fxs, fys, fus, fts, denoms = zip(*flag_samples)
-        R = _riemann_values(S, np.array(fxs).T, np.array(fys).T)
-        flags = np.asarray([float(ft.inner(u, Rb @ u) / d) for ft, u, Rb, d in zip(fts, fus, R, denoms)])
+    if flags:
+        flags = np.asarray(flags)
         if float(flags.max() - flags.min()) <= matrix_tolerance * max(1.0, float(np.abs(flags).max())):
             flag_constant = float(flags.mean())
 

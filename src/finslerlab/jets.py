@@ -363,11 +363,16 @@ class Jet:
 
 
 def jet_sqrt(v):
+    """sqrt of a number, a jet, or elementwise of an array (object arrays too)."""
+    if isinstance(v, float) or not isinstance(v, (Jet, np.ndarray)):
+        if v <= 0.0:
+            raise EvaluationDomainError(f"sqrt domain violation: {v}")
+        return math.sqrt(v)
     if isinstance(v, Jet):
         return v.sqrt()
-    if v <= 0.0:
+    if np.any(v <= 0.0):
         raise EvaluationDomainError(f"sqrt domain violation: {v}")
-    return math.sqrt(v)
+    return np.sqrt(v.astype(float))
 
 
 def jet_exp(v):
@@ -383,9 +388,9 @@ def jet_log(v):
 
 
 def jet_abs(v):
-    if isinstance(v, Jet):
-        return abs(v)
-    return abs(float(v))
+    if isinstance(v, float) or not isinstance(v, (Jet, np.ndarray)):
+        return abs(float(v))
+    return abs(v)
 
 
 def scalar_value(v) -> float:

@@ -56,15 +56,18 @@ def _levi_civita_spray(gpoly, n):
         g = _eval_table(gpoly, x)
         ginv = invert_scalarlike_matrix(g)
         dgx = [_eval_table(dg[l], x) for l in range(n)]
+        inner = []
+        for l in range(n):
+            acc = 0.0
+            for j in range(n):
+                for kk in range(n):
+                    acc = acc + (2.0 * dgx[kk][l][j] - dgx[l][j][kk]) * y[j] * y[kk]
+            inner.append(acc)
         out = []
         for i in range(n):
             acc = 0.0
             for l in range(n):
-                inner = 0.0
-                for j in range(n):
-                    for kk in range(n):
-                        inner = inner + (2.0 * dgx[kk][l][j] - dgx[l][j][kk]) * y[j] * y[kk]
-                acc = acc + ginv[i][l] * inner
+                acc = acc + ginv[i][l] * inner[l]
             out.append(0.25 * acc)
         return out, g, ginv
 
@@ -264,15 +267,27 @@ class FinslerStructure:
         return r * v
 
     def sample_direction(self, rng) -> np.ndarray:
-        while True:
-            v = rng.standard_normal(self.dimension)
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                return v / nv
+        return self.sample_directions(rng, 1)[0]
+
+    def sample_directions(self, rng, k: int) -> np.ndarray:
+        """k unit directions, shape (k, n), the stream of k successive draws.
+
+        A row of norm <= 1e-8 is dropped and replaced by a row drawn at the
+        end, which is where a one-at-a-time redraw takes it from.  The stacked
+        matmul gives each row's norm bit for bit as np.linalg.norm would.
+        """
+        out = np.empty((0, self.dimension))
+        while len(out) < k:
+            v = rng.standard_normal((k - len(out), self.dimension))
+            nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+            keep = nv[:, 0] > 1e-8
+            out = np.concatenate([out, v[keep] / nv[keep]])
+        return out
 
 
 def _require_chart(d):
-    if (d.coef[0] <= 0.0).any() if isinstance(d, Jet) else d <= 0.0:
+    """D = 1 - |x|^2 must be positive: a float, or every column of a (B,) array or jet."""
+    if d <= 0.0 if isinstance(d, float) else np.any(d <= 0.0):
         raise EvaluationDomainError("point outside the unit-ball chart")
 
 
@@ -595,40 +610,57 @@ class FundamentalTensor:
 
 
 def _hessian_half_f2(S: FinslerStructure, x, y) -> np.ndarray:
-    """y-Hessian of F^2/2 through order-2 jets in the fibre directions."""
+    """y-Hessians of F^2/2 at B phase points, x and y of shape (n, B); shape (B, n, n).
+
+    One F^2 evaluation on order-2 jets in the fibre directions, batched over
+    the columns.  x enters as (B,) float rows, not as constant jets, so each
+    column runs the single-point arithmetic.
+    """
     n = S.dimension
     space = jet_space(n, 2)
-    xs = [float(v) for v in np.atleast_1d(x)]
-    ys = [space.variable(i, float(v)) for i, v in enumerate(np.atleast_1d(y))]
-    w = S.F2(xs, ys)
-    g = np.empty((n, n))
+    w = S.F2(list(x), [space.variable(i, y[i]) for i in range(n)])
+    g = np.empty((y.shape[1], n, n))
     for i in range(n):
         for j in range(i, n):
             alpha = [0] * n
             alpha[i] += 1
             alpha[j] += 1
-            g[i, j] = g[j, i] = 0.5 * w.derivative(alpha)
+            # the coefficient times alpha!, as Jet.derivative reads it, on every column
+            d2 = w.coef[space.index_of[tuple(alpha)]] * (2.0 if i == j else 1.0)
+            g[:, i, j] = g[:, j, i] = 0.5 * d2
     return g
+
+
+def _fundamental_tensors(S: FinslerStructure, x, y):
+    """g and g^-1, each of shape (B, n, n), at B phase points, x and y of shape (n, B).
+
+    Raises if any column is not positive definite or inverts badly.
+    """
+    if not (y * y).any(axis=0).all():
+        raise EvaluationDomainError("fundamental tensor undefined at y = 0")
+    if S.g_fast is not None:
+        cols = zip(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
+        g = np.array([S.g_fast(xb, yb) for xb, yb in cols], dtype=float)
+    else:
+        g = _hessian_half_f2(S, x, y)
+    min_eig = np.linalg.eigvalsh(g)[:, 0]
+    if (min_eig <= 0.0).any():
+        bad = float(min_eig[np.argmax(min_eig <= 0.0)])
+        raise StrongConvexityError(f"fundamental tensor not positive definite: min eig = {bad:.3e}")
+    g_inv = np.linalg.inv(g)
+    resid = np.max(np.abs(g @ g_inv - np.eye(S.dimension)), axis=(1, 2))
+    if (resid > 1e-10).any():
+        bad = float(resid[np.argmax(resid > 1e-10)])
+        raise StrongConvexityError(f"fundamental tensor too ill-conditioned: inverse residual {bad:.3e}")
+    return g, g_inv
 
 
 def fundamental_tensor(S: FinslerStructure, x, y) -> FundamentalTensor:
     """Fundamental tensor g_ij = (F^2/2)_{y^i y^j}; raises if not positive definite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if float(y @ y) == 0.0:
-        raise EvaluationDomainError("fundamental tensor undefined at y = 0")
-    if S.g_fast is not None:
-        g = np.asarray(S.g_fast(x, y), dtype=float)
-    else:
-        g = _hessian_half_f2(S, x, y)
-    eig = np.linalg.eigvalsh(g)
-    if float(eig[0]) <= 0.0:
-        raise StrongConvexityError(f"fundamental tensor not positive definite: min eig = {eig[0]:.3e}")
-    g_inv = np.linalg.inv(g)
-    resid = float(np.max(np.abs(g @ g_inv - np.eye(S.dimension))))
-    if resid > 1e-10:
-        raise StrongConvexityError(f"fundamental tensor too ill-conditioned: inverse residual {resid:.3e}")
-    return FundamentalTensor(g=g, g_inv=g_inv, x=x, y=y)
+    g, g_inv = _fundamental_tensors(S, x[:, None], y[:, None])
+    return FundamentalTensor(g=g[0], g_inv=g_inv[0], x=x, y=y)
 
 
 @dataclass
@@ -696,13 +728,13 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
         for lam in lambdas:
             scaled = float(S.F(x, lam * y))
             worst_hom = max(worst_hom, abs(scaled - lam * fval) / (lam * fval))
-        g = _hessian_half_f2(S, x, y)
+        g = _hessian_half_f2(S, x[:, None], y[:, None])[0]
         eig = float(np.min(np.linalg.eigvalsh(g)))
         min_eig = min(min_eig, eig)
         # Euler: g_ij y^i y^j = F^2 for 1-homogeneous F
         euler = abs(float(y @ g @ y) - fval * fval) / (fval * fval)
         worst_euler = max(worst_euler, euler)
-        g2 = _hessian_half_f2(S, x, 2.0 * y)
+        g2 = _hessian_half_f2(S, x[:, None], 2.0 * y[:, None])[0]
         worst_ghom = max(worst_ghom, float(np.max(np.abs(g2 - g))) / max(1.0, float(np.max(np.abs(g)))))
         rev = abs(float(S.F(x, -y)) - fval) / fval
         rev_dev = max(rev_dev, rev)

@@ -2,7 +2,9 @@
 
 Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
-the interval gauge from direct quadrature.
+the interval gauge from direct quadrature.  The one exception is the
+per-point Einstein classification at the end, a second route through the
+library's public single-point functions.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
 
 
 def _chord_boundary_hits(p, q):
@@ -138,3 +142,84 @@ def dormand_prince_step(rhs, y, f, h: float, tolerance: float):
         return math.sqrt(float(np.mean((h * v / scale) ** 2)))
 
     return y_new, k[6].copy(), rms(weights @ k), rms(np.abs(weights) @ np.abs(k))
+
+
+# ----- Einstein classification, one point at a time ---------------------------
+
+
+def sample_point(rng, n, radius):
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return radius * rng.uniform() ** (1.0 / n) * v
+
+
+def sample_direction(rng, n):
+    while True:
+        v = rng.standard_normal(n)
+        nv = np.linalg.norm(v)
+        if nv > 1e-8:
+            return v / nv
+
+
+def einstein_classify_per_point(S, rng, x_samples=10, y_directions=12, tolerance=1e-6, matrix_tolerance=1e-4):
+    """einstein_classify's report fields and ric_values, one sample at a time.
+
+    Every sample is drawn from rng where it is used, and every quantity comes
+    from a public single-point function.  Returns (fields, ric_values), where
+    fields are the to_dict() entries that depend on the samples.
+    """
+    n = S.dimension
+    radius = 0.8 * S.sampling_radius
+    xs = []
+    ric_values = []
+    for _ in range(x_samples):
+        x = sample_point(rng, n, radius)
+        xs.append(x)
+        ric_values.append([ricci_scalar(S, x, sample_direction(rng, n)) for _ in range(y_directions)])
+    per_x_means = np.array([np.mean(vals) for vals in ric_values])
+    y_spread = max(float(max(vals) - min(vals)) for vals in ric_values)
+    ric_mean = float(per_x_means.mean())
+    ric_x_spread = float(per_x_means.max() - per_x_means.min())
+
+    fit_vals = []
+    fit_resid = 0.0
+    for x in [x for x in xs[:6] for _ in range(2)]:
+        y = sample_direction(rng, n)
+        ric_ij = ricci_tensor(S, x, y).ric_tensor
+        g = fundamental_tensor(S, x, y).g
+        lam = float(np.sum(ric_ij * g) / np.sum(g * g))
+        fit_vals.append(lam)
+        fit_resid = max(fit_resid, float(np.max(np.abs(ric_ij - lam * g)) / np.max(np.abs(g))))
+    fit_factor = float(np.mean(fit_vals))
+    matrix_ok = fit_resid <= matrix_tolerance and max(fit_vals) - min(fit_vals) <= matrix_tolerance * max(
+        1.0, abs(fit_factor)
+    )
+    is_einstein = y_spread <= tolerance
+    x_independent = ric_x_spread <= matrix_tolerance * max(1.0, abs(ric_mean))
+    c = None
+    if is_einstein and matrix_ok and x_independent and fit_factor < -tolerance:
+        c = float(np.sqrt(-fit_factor))
+
+    flags = []
+    for _ in range(10):
+        x = sample_point(rng, n, radius)
+        y = sample_direction(rng, n)
+        u = sample_direction(rng, n)
+        ft = fundamental_tensor(S, x, y)
+        if ft.inner(y, y) * ft.inner(u, u) - ft.inner(y, u) ** 2 > 1e-8:
+            flags.append(flag_curvature(S, x, y, u))
+    flag_constant = None
+    if flags and max(flags) - min(flags) <= matrix_tolerance * max(1.0, max(abs(k) for k in flags)):
+        flag_constant = float(np.mean(flags))
+
+    fields = {
+        "is_einstein": is_einstein,
+        "y_spread": y_spread,
+        "ric_mean": ric_mean,
+        "ric_x_spread": ric_x_spread,
+        "fit_factor": fit_factor if matrix_ok else None,
+        "fit_residual": fit_resid,
+        "flag_constant": flag_constant,
+        "einstein_constant_c": c,
+    }
+    return fields, ric_values

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -54,6 +55,7 @@ def cfg(tmp_path_factory):
     files = {
         "klein2": klein_config(2),
         "klein2x2": klein_config(2, scale=2.0),
+        "klein3": klein_config(3),
         "funk2": funk_config(2),
         "euclid2": euclid_config(2),
         "curved": curved_config(),
@@ -466,6 +468,29 @@ class TestEinsteinCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["einstein_constant_c"] is None
+
+    # SHA-256 of the stdout of `finslerlab einstein check --config <name> --seed
+    # <seed>` at commit 59a4851, where the classification evaluated its samples
+    # point by point; the configs are this module's cfg files.  Taken both in
+    # process through main() and from a subprocess, which agreed.
+    DIGESTS = {
+        ("klein2", 0): "414f44b62223ee2c5ef8a68bc929e1c1170c6c5f514002d86e036172331f6c34",
+        ("klein2", 3): "30c29fa1c92db73b018228f72d2f6cdaf9fb3e9df19a285e955e12f25b1ad742",
+        ("funk2", 0): "44781a603c53bd04c039f7510111c104f430fcc0759aeb2d497f998262dfa2b4",
+        ("funk2", 3): "43930f32f9dc121695bcec530647e3c448c25a8a019e492fb187378c89546190",
+        ("klein3", 0): "748459c7b38a3f1a9b5dfe36cdf94b986bd9c3832f094c806aa5f7d2684dc134",
+        ("klein3", 3): "5af479d806d572b1c29a5fbdb8d8bbfa851bda3d154513d9ce52820ef6c4dd8d",
+        ("curved", 0): "d69b9a2e44d28d0a52aff80b8fa0384263547befd6ece1064114850dcb20afec",
+        ("curved", 3): "d188acb794ca6ca0839fca983465edbd2bbe8d2808c7a026a7025ee37588f09d",
+        ("randers", 0): "a9d4bac6389cfc8a552a8037090854c5d2bbcfbd00e95aa098055e83166fb83f",
+        ("randers", 3): "da9dc2444266a2e122a817746c4a54053c09aec20a63c280ab0d279ddeab9f3a",
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(DIGESTS))
+    def test_output_bytes_unchanged(self, cfg, capsys, name, seed):
+        code, out, _ = run(capsys, "einstein", "check", "--config", cfg[name], "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, seed]
 
 
 class TestDistanceCommand:

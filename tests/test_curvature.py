@@ -15,9 +15,18 @@ from finslerlab import (
     riemann_curvature,
     scalar_curvature_residual,
 )
-from finslerlab.curvature import _ricci_scalars, _ricci_tensors, _riemann_values
+from finslerlab.curvature import (
+    _f2_values,
+    _ricci_scalars,
+    _ricci_tensors,
+    _riemann_formula,
+    _riemann_values,
+)
+from finslerlab.geodesics import spray_jet_functions
+from finslerlab.metrics import _fundamental_tensors
 
 from conftest import exact_randers_config, funk_config, klein_config
+from oracles import einstein_classify_per_point, sample_direction
 
 
 def fd_riemann(S, x, y):
@@ -347,21 +356,70 @@ def skew_randers_config():
     }
 
 
+BATCH_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        klein_config(2),
+        klein_config(3),
+        funk_config(2),
+        curved_config(),
+        exact_randers_config(),
+        skew_randers_config(),
+    ],
+    ids=["klein2", "klein3", "funk2", "riemannian2", "randers2", "randers_skew"],
+)
+
+
+class ZeroRowGenerator:
+    """Draws like default_rng(seed), except that normal row `zero_at` comes out as zeros.
+
+    Rows count across calls: a draw of size n is one row, of size (k, n) k rows.
+    """
+
+    def __init__(self, seed, zero_at):
+        self.rng = np.random.default_rng(seed)
+        self.zero_at = zero_at
+        self.rows = 0
+
+    def standard_normal(self, size):
+        v = self.rng.standard_normal(size)
+        for row in np.atleast_2d(v):
+            if self.rows == self.zero_at:
+                row[:] = 0.0
+            self.rows += 1
+        return v
+
+
+class SwappedDraws:
+    """Draws like default_rng(seed), except that normal draws `first` and `first + 1` swap.
+
+    Draws count from 0 across calls, one per standard_normal call.
+    """
+
+    def __init__(self, seed, first):
+        self.rng = np.random.default_rng(seed)
+        self.first = first
+        self.calls = 0
+        self.held = None
+
+    def standard_normal(self, size):
+        call = self.calls
+        self.calls += 1
+        if call == self.first:
+            self.held = self.rng.standard_normal(size)
+            return self.rng.standard_normal(size)
+        if call == self.first + 1:
+            return self.held
+        return self.rng.standard_normal(size)
+
+    def uniform(self):
+        return self.rng.uniform()
+
+
 class TestBatchedCurvature:
     """One batched evaluation reproduces the per-point results bit for bit."""
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            klein_config(2),
-            klein_config(3),
-            funk_config(2),
-            curved_config(),
-            exact_randers_config(),
-            skew_randers_config(),
-        ],
-        ids=["klein2", "klein3", "funk2", "riemannian2", "randers2", "randers_skew"],
-    )
+    @BATCH_CONFIGS
     def test_batch_equals_per_point(self, config):
         S = make_metric(config)
         rng = np.random.default_rng(8)
@@ -383,3 +441,90 @@ class TestBatchedCurvature:
         Y = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
         with pytest.raises(EvaluationDomainError):
             _ricci_scalars(klein2, X, Y)
+
+    @BATCH_CONFIGS
+    def test_fundamental_tensors_equal_per_point(self, config):
+        S = make_metric(config)
+        rng = np.random.default_rng(11)
+        X = np.array([S.sample_point(rng, 0.7) for _ in range(6)]).T
+        Y = np.array([S.sample_direction(rng) * rng.uniform(0.5, 2.0) for _ in range(6)]).T
+        wide = np.zeros((2 * S.dimension, 12))
+        wide[::2, ::2] = X
+        wide[1::2, 1::2] = Y
+        strided = (wide[::2, ::2], wide[1::2, 1::2])
+        for Xb, Yb in ((X, Y), strided, (np.asfortranarray(X), np.asfortranarray(Y))):
+            g, g_inv = _fundamental_tensors(S, Xb, Yb)
+            assert g.flags.c_contiguous
+            for b in range(6):
+                ft = fundamental_tensor(S, X[:, b], Y[:, b])
+                assert np.array_equal(g[b], ft.g)
+                assert np.array_equal(g_inv[b], ft.g_inv)
+
+    @BATCH_CONFIGS
+    def test_f2_values_equal_per_point(self, config):
+        S = make_metric(config)
+        rng = np.random.default_rng(12)
+        X = np.array([S.sample_point(rng) for _ in range(400)]).T
+        Y = rng.standard_normal((S.dimension, 400))
+        want = [float(S.F2(X[:, b], Y[:, b])) for b in range(400)]
+        assert _f2_values(S, X, Y).tolist() == want
+
+    def test_f2_values_on_the_interval(self, interval1):
+        X = np.array([[-0.9, -0.3, 0.0, 0.5, 0.93]])
+        Y = np.array([[1.0, -2.0, 0.7, -0.1, 3.0]])
+        want = [float(interval1.F2(X[:, b], Y[:, b])) for b in range(5)]
+        assert _f2_values(interval1, X, Y).tolist() == want
+
+    @BATCH_CONFIGS
+    def test_sample_directions_equal_successive_draws(self, config):
+        S = make_metric(config)
+        n = S.dimension
+        for zero_at in (None, 0, 3, 6):
+            batched = ZeroRowGenerator(5, zero_at)
+            single = ZeroRowGenerator(5, zero_at)
+            one_by_one = ZeroRowGenerator(5, zero_at)
+            rows = S.sample_directions(batched, 7)
+            assert rows.shape == (7, n)
+            assert np.array_equal(rows, [S.sample_direction(single) for _ in range(7)])
+            assert np.array_equal(rows, [sample_direction(one_by_one, n) for _ in range(7)])
+            assert batched.rows == single.rows == one_by_one.rows == (7 if zero_at is None else 8)
+            assert np.array_equal(batched.rng.standard_normal(n), one_by_one.rng.standard_normal(n))
+
+    @BATCH_CONFIGS
+    def test_riemann_formula_diagonal_equals_full(self, config):
+        S = make_metric(config)
+        n = S.dimension
+        rng = np.random.default_rng(13)
+        X = np.array([S.sample_point(rng, 0.7) for _ in range(4)]).T
+        Y = S.sample_directions(rng, 4).T
+        G = spray_jet_functions(S, X, Y, g_order=4)
+        yj = [G[0].space.variable(n + i, v) for i, v in enumerate(Y)]
+        for y, at in ((yj, lambda jet: jet), (Y, lambda jet: jet.coef[0])):
+            full = _riemann_formula(G, y, at)
+            diag = _riemann_formula(G, y, at, diagonal=True)
+            for i in range(n):
+                want, got = (getattr(R[i][i], "coef", R[i][i]) for R in (full, diag))
+                assert np.array_equal(got, want)
+                assert all(diag[i][k] is None for k in range(n) if k != i)
+
+    @BATCH_CONFIGS
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("x_samples, y_directions", [(2, 8), (3, 12)])
+    def test_classification_equals_per_point_route(self, config, seed, x_samples, y_directions):
+        S = make_metric(config)
+        report = einstein_classify(S, x_samples=x_samples, seed=seed, y_directions=y_directions)
+        fields, ric_values = einstein_classify_per_point(
+            S, np.random.default_rng(seed), x_samples=x_samples, y_directions=y_directions
+        )
+        doc = report.to_dict()
+        assert {key: doc[key] for key in fields} == fields
+        assert report.ric_values == ric_values
+
+    def test_per_point_route_sees_a_reordered_draw(self):
+        # Ric depends on y here, so swapping the first two directions of the
+        # first base point (normal draws 1 and 2) reorders ric_values[0]
+        S = make_metric(exact_randers_config())
+        report = einstein_classify(S, x_samples=2, seed=0, y_directions=8)
+        _, ric_values = einstein_classify_per_point(S, SwappedDraws(0, 1), x_samples=2, y_directions=8)
+        assert ric_values[0][:2] == report.ric_values[0][1::-1]
+        assert ric_values != report.ric_values
