@@ -102,15 +102,13 @@ def riemann_curvature(S: FinslerStructure, x, y, via: str = "fast") -> RiemannCu
     return RiemannCurvature(matrix=mat, x=x, y=y)
 
 
-def _flag_denominator(ft, y, u) -> float:
-    """g_y(y,y) g_y(u,u) - g_y(y,u)^2; raises when u is parallel to y."""
+def _flag_denominator(ft, y, u) -> float | None:
+    """g_y(y,y) g_y(u,u) - g_y(y,u)^2, or None when u is parallel to y."""
     gyy = ft.inner(y, y)
     guu = ft.inner(u, u)
     gyu = ft.inner(y, u)
     denom = gyy * guu - gyu * gyu
-    if denom <= 1e-12 * max(1.0, gyy * guu):
-        raise DegenerateFlagError("flag plane degenerate: u is parallel to the flagpole")
-    return denom
+    return None if denom <= 1e-12 * max(1.0, gyy * guu) else denom
 
 
 def flag_curvature(S: FinslerStructure, x, y, u) -> float:
@@ -123,6 +121,8 @@ def flag_curvature(S: FinslerStructure, x, y, u) -> float:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ft = fundamental_tensor(S, x, y)
     denom = _flag_denominator(ft, y, u)
+    if denom is None:
+        raise DegenerateFlagError("flag plane degenerate: u is parallel to the flagpole")
     R = riemann_curvature(S, x, y)
     return float(ft.inner(u, R.matrix @ u) / denom)
 
@@ -168,22 +168,23 @@ class RicciData:
 
 
 def _ricci_tensors(S: FinslerStructure, x, y):
-    """Ric, shape (B,), and Ric_ij, shape (B, n, n), at B phase points."""
+    """R^k_k, shape (B,), and Ric_ij, shape (B, n, n), at B phase points."""
     n = S.dimension
     trace = _riemann_trace_jet(S, x, y)
     ric_ij = np.empty((y.shape[1], n, n))
     for i in range(n):
         for j in range(i, n):
             ric_ij[:, i, j] = ric_ij[:, j, i] = 0.5 * trace.partial(n + i).partial(n + j).coef[0]
-    return trace.coef[0] / _f2_values(S, x, y), ric_ij
+    return trace.coef[0], ric_ij
 
 
 def ricci_tensor(S: FinslerStructure, x, y) -> RicciData:
     """Ric_ij = (R^k_k / 2)_{y^i y^j} at (x, y), plus the scalar from the trace."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    ric, ric_ij = _ricci_tensors(S, x[:, None], y[:, None])
-    return RicciData(ric=float(ric[0]), ric_tensor=ric_ij[0], x=x, y=y)
+    X, Y = x[:, None], y[:, None]
+    trace, ric_ij = _ricci_tensors(S, X, Y)
+    return RicciData(ric=float((trace / _f2_values(S, X, Y))[0]), ric_tensor=ric_ij[0], x=x, y=y)
 
 
 def scalar_curvature_residual(S: FinslerStructure, x, y, lam: float) -> float:
@@ -331,9 +332,9 @@ def einstein_classify(
     nfit = len(fit_xs)
     for x, (y, u), g, g_inv, Rb in zip(flag_xs, flag_yus, g_all[nfit:], g_inv_all[nfit:], R[nric:]):
         gy = FundamentalTensor(g=g, g_inv=g_inv, x=x, y=y)
-        if gy.inner(y, y) * gy.inner(u, u) - gy.inner(y, u) ** 2 <= 1e-8:
-            continue
-        flags.append(float(gy.inner(u, Rb @ u) / _flag_denominator(gy, y, u)))
+        denom = _flag_denominator(gy, y, u)
+        if denom is not None and denom > 1e-8:
+            flags.append(float(gy.inner(u, Rb @ u) / denom))
     flag_constant = None
     if flags:
         flags = np.asarray(flags)

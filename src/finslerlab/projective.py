@@ -7,6 +7,11 @@ gauge L_f = (|y| + u y) / (k (1 - u^2)) yields a chain length whose infimum
 over chains is projectively invariant.  On Einstein structures with
 Ric_ij = -c^2 g_ij the infimum is proportional to the Finslerian distance
 with factor 2c / (sqrt(n-1) k), which theorem1_verify checks numerically.
+
+Without an Einstein constant pi is solved numerically: q(s) comes from one
+batched Ricci evaluation on a fixed grid, and one local degree-6 Lagrange
+rule reads q between nodes in the solve, pi(s) afterwards, and s against pi
+for the inverse map.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import EinsteinReport, einstein_classify, ricci_scalar
+from .curvature import EinsteinReport, _ricci_scalars, einstein_classify
 from .errors import (
     CriticalPointError,
     DegenerateFitError,
@@ -90,6 +95,23 @@ def funk_distance(gauge: FunkGauge, a: float, b: float) -> float:
     return (cross + sym) / (2.0 * gauge.k)
 
 
+def _lagrange6(nodes, values, s):
+    """Degree-6 Lagrange interpolation on the 7 increasing nodes nearest s (a float or a jet)."""
+    sval = s.value if isinstance(s, Jet) else float(s)
+    i = int(np.searchsorted(nodes, sval))
+    lo = max(0, min(i - 3, len(nodes) - 7))
+    ts = [float(t) for t in nodes[lo : lo + 7]]
+    # Newton form; only + and * so jets pass through
+    coef = [float(v) for v in values[lo : lo + 7]]
+    for lev in range(1, 7):
+        for m in range(6, lev - 1, -1):
+            coef[m] = (coef[m] - coef[m - 1]) / (ts[m] - ts[m - lev])
+    acc = coef[6]
+    for m in range(5, -1, -1):
+        acc = acc * (s - ts[m]) + coef[m]
+    return acc
+
+
 @dataclass
 class ProjectiveParameter:
     """pi(s) on [0, L] from the linear reduction u'' + (q/2) u = 0.
@@ -104,21 +126,8 @@ class ProjectiveParameter:
     q: np.ndarray
 
     def __call__(self, s):
-        """Local degree-6 Lagrange interpolation; accepts floats or jets."""
-        grid = self.s
-        sval = s.value if isinstance(s, Jet) else float(s)
-        i = int(np.searchsorted(grid, sval))
-        lo = max(0, min(i - 3, len(grid) - 7))
-        nodes = [float(t) for t in grid[lo : lo + 7]]
-        # Newton form; only + and * so jets pass through
-        coef = [float(v) for v in self.pi[lo : lo + 7]]
-        for lev in range(1, 7):
-            for m in range(6, lev - 1, -1):
-                coef[m] = (coef[m] - coef[m - 1]) / (nodes[m] - nodes[m - lev])
-        acc = coef[6]
-        for m in range(5, -1, -1):
-            acc = acc * (s - nodes[m]) + coef[m]
-        return acc
+        """pi(s) between grid nodes; accepts floats or jets."""
+        return _lagrange6(self.s, self.pi, s)
 
     def schwarzian_residual(self) -> float:
         """max |{pi, s} - q(s)| over interior grid points."""
@@ -129,31 +138,31 @@ class ProjectiveParameter:
 
 
 def projective_parameter(S: FinslerStructure, geodesic: Geodesic) -> ProjectiveParameter:
-    """Solve for the projective parameter along a unit-speed geodesic.
+    """Solve for the projective parameter along a forward unit-speed geodesic.
 
     q(s) = (2/(n-1)) Ric_jk x'^j x'^k.  Along a unit-speed geodesic the
     quadratic form collapses to the Ricci scalar: the trace R^k_k is
     2-homogeneous in y, so Ric_jk y^j y^k = R^k_k = F^2 Ric = Ric.  (The
-    identity is exercised against the full tensor in the test-suite.)
+    identity is exercised against the full tensor in the test-suite.)  The
+    solve reads q between grid nodes by the rule that pi(s) uses.
     """
     n = S.dimension
     if n < 2:
         raise ValueError("projective parameters need dimension >= 2")
-    L = abs(geodesic.length)
-
-    def qfun(s: float) -> float:
-        x = geodesic.x(s)
-        v = geodesic.v(s)
-        return (2.0 / (n - 1.0)) * ricci_scalar(S, x, v)
+    L = geodesic.length
+    if not L > 0.0:
+        raise ValueError("projective parameters need a forward geodesic (length > 0)")
+    svals = np.linspace(0.0, L, PARAMETER_GRID)
+    states = geodesic.state(svals)
+    qgrid = (2.0 / (n - 1.0)) * _ricci_scalars(S, states[:, :n].T, states[:, n:].T)
 
     def rhs(z):
         # z = (u1, u1', u2, u2', s); carrying s keeps the system autonomous
-        q = qfun(min(max(z[4], 0.0), L))
+        q = _lagrange6(svals, qgrid, min(max(z[4], 0.0), L))
         return [z[1], -0.5 * q * z[0], z[3], -0.5 * q * z[2], 1.0]
 
     z0 = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
     traj = integrate_ivp(rhs, z0, (0.0, L), tolerance=PARAMETER_TOLERANCE)
-    svals = np.linspace(0.0, L, PARAMETER_GRID)
     states = traj(svals)
     u1 = states[:, 0]
     u2 = states[:, 2]
@@ -162,7 +171,6 @@ def projective_parameter(S: FinslerStructure, geodesic: Geodesic) -> ProjectiveP
     pi = u1 / u2
     if np.any(np.diff(pi) <= 0.0):
         raise PoleError("projective parameter is not strictly increasing")
-    qgrid = np.array([qfun(float(s)) for s in svals])
     return ProjectiveParameter(geodesic=geodesic, s=svals, pi=pi, q=qgrid)
 
 
@@ -294,12 +302,13 @@ class NumericalProjectiveMap(_MobiusProjectiveMap):
         return float(self.parameterization(s))
 
     def _base_inverse(self, w: float, t: float) -> float:
-        grid = self.parameterization.pi
-        if w <= grid[0]:
-            return float(self.parameterization.s[0])
-        if w >= grid[-1]:
-            return float(self.parameterization.s[-1])
-        return float(np.interp(w, grid, self.parameterization.s))
+        # pi is strictly increasing on the grid, so s is read off against it
+        param = self.parameterization
+        if w <= param.pi[0]:
+            return float(param.s[0])
+        if w >= param.pi[-1]:
+            return float(param.s[-1])
+        return float(_lagrange6(param.pi, param.s, w))
 
 
 @dataclass
@@ -319,11 +328,10 @@ def _leg(S: FinslerStructure, p, q, c: float | None) -> tuple[DistanceResult, Ch
     if res.geodesic is None:
         return res, None
     if c is not None:
-        pmap, (t0, t1) = canonical_projective_map(S, res.geodesic, c)
+        pmap, _ = canonical_projective_map(S, res.geodesic, c)
     else:
         pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, res.geodesic))
-        t0, t1 = pmap.interval()
-    return res, ChainSegment(pmap=pmap, a=t0, b=t1)
+    return res, ChainSegment(pmap, *pmap.interval())
 
 
 @dataclass
@@ -448,22 +456,11 @@ def pseudo_distance(
     n = S.dimension
     factor = None if c is None else 2.0 * c / (math.sqrt(n - 1.0) * gauge.k)
     res, seg = _leg(S, p, q, c)
-    if seg is None:
-        return PseudoDistanceResult(
-            d_finsler=0.0,
-            canonical_length=0.0,
-            theoretical=0.0 if c is not None else None,
-            theoretical_available=c is not None,
-            best_random_chain=None,
-            discrepancy=0.0 if c is not None else None,
-            distance=res,
-            einstein=einstein,
-            segment=None,
-        )
-    bound = funk_distance(gauge, seg.a, seg.b)
+    # p == q: no leg, every length is 0 and no random chain is drawn
+    bound = 0.0 if seg is None else funk_distance(gauge, seg.a, seg.b)
     theoretical = None if factor is None else factor * res.distance
     best_random = None
-    if random_chains > 0:
+    if random_chains > 0 and seg is not None:
         rng = np.random.default_rng(seed)
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         q_arr = np.atleast_1d(np.asarray(q, dtype=float))

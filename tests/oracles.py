@@ -2,9 +2,10 @@
 
 Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
-the interval gauge from direct quadrature.  The one exception is the
-per-point Einstein classification at the end, a second route through the
-library's public single-point functions.
+the interval gauge from direct quadrature.  The exceptions are the two
+per-point routes at the end, the Einstein classification and the
+projective-parameter solve: second routes through the library's public
+single-point functions.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
+from finslerlab.ode import integrate_ivp
+from finslerlab.projective import PARAMETER_GRID, PARAMETER_TOLERANCE
 
 
 def _chord_boundary_hits(p, q):
@@ -223,3 +226,29 @@ def einstein_classify_per_point(S, rng, x_samples=10, y_directions=12, tolerance
         "einstein_constant_c": c,
     }
     return fields, ric_values
+
+
+# ----- Projective parameter, one Ricci scalar per ODE stage -------------------
+
+
+def projective_parameter_per_point(S, geodesic):
+    """(s, pi, q) on projective_parameter's grid, q evaluated where it is read.
+
+    Every right-hand-side call of the linear solve u'' + (q/2) u = 0 and
+    every grid value takes its own single-point ricci_scalar at the
+    geodesic's state, so no interpolation of q enters the solve.
+    """
+    n = S.dimension
+    L = geodesic.length
+
+    def qfun(s):
+        return (2.0 / (n - 1.0)) * ricci_scalar(S, geodesic.x(s), geodesic.v(s))
+
+    def rhs(z):
+        q = qfun(min(max(z[4], 0.0), L))
+        return [z[1], -0.5 * q * z[0], z[3], -0.5 * q * z[2], 1.0]
+
+    traj = integrate_ivp(rhs, np.array([0.0, 1.0, 1.0, 0.0, 0.0]), (0.0, L), tolerance=PARAMETER_TOLERANCE)
+    svals = np.linspace(0.0, L, PARAMETER_GRID)
+    states = traj(svals)
+    return svals, states[:, 0] / states[:, 2], np.array([qfun(float(s)) for s in svals])

@@ -428,12 +428,13 @@ class TestBatchedCurvature:
         X, Y = np.array(xs).T, np.array(ys).T
         ric = _ricci_scalars(S, X, Y)
         R = _riemann_values(S, X, Y)
-        tensor_ric, tensors = _ricci_tensors(S, X, Y)
+        trace, tensors = _ricci_tensors(S, X, Y)
+        f2 = _f2_values(S, X, Y)
         for b, (x, y) in enumerate(zip(xs, ys)):
             assert ric[b] == ricci_scalar(S, x, y)
             assert np.array_equal(R[b], riemann_curvature(S, x, y).matrix)
             data = ricci_tensor(S, x, y)
-            assert tensor_ric[b] == data.ric
+            assert trace[b] / f2[b] == data.ric
             assert np.array_equal(tensors[b], data.ric_tensor)
 
     def test_zero_flagpole_in_a_batch_rejected(self, klein2):

@@ -40,8 +40,8 @@ from finslerlab.errors import (
 )
 from finslerlab.jets import jet_exp, jet_log
 
-from conftest import klein_config
-from oracles import interval_funk_closed, interval_funk_quadrature
+from conftest import funk_config, klein_config
+from oracles import interval_funk_closed, interval_funk_quadrature, projective_parameter_per_point
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -223,6 +223,35 @@ class TestProjectiveParameterSolve:
         with pytest.raises(ValueError):
             projective_parameter(interval1, geo)
 
+    def test_backward_geodesic_rejected(self):
+        # geodesic.x(s) for s > 0 would clamp to the start point of a backward run
+        S = make_metric(curved_config())
+        geo = geodesic_ivp(S, np.array([0.3, -0.1]), np.array([0.8, -0.3]), -0.7)
+        with pytest.raises(ValueError, match="forward geodesic"):
+            projective_parameter(S, geo)
+
+    @pytest.mark.parametrize(
+        "config, x0, v0, length, pi_tol",
+        [
+            (klein_config(2), [0.2, -0.3], [0.6, 0.8], 0.9, 1e-12),
+            (funk_config(2), [0.1, 0.2], [-0.6, 0.8], 0.7, 1e-12),
+            (curved_config(), [-0.3, 0.1], [0.8, -0.3], 0.7, 1e-12),
+            # near the pole of its parameter; each bound scales with max(1, max |pi|)
+            (conformal_config(), [-0.85, 0.0], [1.0, 0.0], 0.5, 1e-9),
+        ],
+        ids=["klein", "funk", "readme", "conformal"],
+    )
+    def test_matches_per_point_route(self, config, x0, v0, length, pi_tol):
+        S = make_metric(config)
+        x0 = np.array(x0)
+        v0 = np.array(v0) / S.F(x0, np.array(v0))
+        geo = geodesic_ivp(S, x0, v0, length)
+        param = projective_parameter(S, geo)
+        s, pi, q = projective_parameter_per_point(S, geo)
+        assert np.array_equal(param.s, s)
+        assert np.array_equal(param.q, q)
+        assert np.max(np.abs(param.pi - pi)) <= pi_tol * max(1.0, np.max(np.abs(pi)))
+
 
 class TestCanonicalMap:
     def test_exponential_parameter_spot(self, klein2):
@@ -275,6 +304,13 @@ class TestNumericalMap:
         assert 0.0 <= t0 < t1 < 1.0
         assert np.max(np.abs(pmap.point(t0) - geo.x(0.0))) <= 1e-12
         assert np.max(np.abs(pmap.point(t1) - geo.x(L))) <= 1e-12
+
+    def test_roundtrip(self):
+        S = make_metric(curved_config())
+        geo = geodesic_ivp(S, np.array([-0.3, 0.1]), np.array([0.8, -0.3]), 0.7)
+        pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, geo))
+        for s in np.linspace(0.0, geo.length, 73)[1:-1]:
+            assert abs(pmap.arc_of(pmap.parameter(s)) - s) <= 1e-10
 
 
 class TestMobiusFit:
