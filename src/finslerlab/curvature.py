@@ -25,8 +25,13 @@ import numpy as np
 
 from .errors import DegenerateFlagError, EvaluationDomainError
 from .geodesics import spray_jet_functions
-from .metrics import FinslerStructure, FundamentalTensor, _fundamental_tensors, fundamental_tensor
+from .metrics import (
+    SAMPLING_RADIUS, FinslerStructure, FundamentalTensor, _fundamental_tensors, fundamental_tensor,
+)
 from .jets import jet_space
+
+EINSTEIN_TOLERANCE = 1e-6  # largest y-spread of Ric(x, y) that counts as Einstein
+MATRIX_TOLERANCE = 1e-4  # relative residual and spreads of the fit Ric_ij = lambda g_ij
 
 
 def _require_flagpole(y):
@@ -252,8 +257,6 @@ def einstein_classify(
     S: FinslerStructure,
     x_samples: int = 10,
     seed: int = 0,
-    tolerance: float = 1e-6,
-    matrix_tolerance: float = 1e-4,
     y_directions: int = 12,
 ) -> EinsteinReport:
     """Sampled classification: Einstein iff Ric(x, y) has no y-dependence.
@@ -270,7 +273,7 @@ def einstein_classify(
         raise ValueError("classification needs dimension >= 2")
     # every sample is drawn first, in the order the per-point loops drew them
     rng = np.random.default_rng(seed)
-    radius = 0.8 * S.sampling_radius
+    radius = 0.8 * SAMPLING_RADIUS
     xs = []
     ys = []
     for _ in range(x_samples):
@@ -301,7 +304,7 @@ def einstein_classify(
     per_x_means = np.asarray(per_x_means)
     ric_mean = float(per_x_means.mean())
     ric_x_spread = float(per_x_means.max() - per_x_means.min())
-    is_einstein = y_spread <= tolerance
+    is_einstein = y_spread <= EINSTEIN_TOLERANCE
 
     # least-squares proportionality of Ric_ij against g_ij at a subsample; one
     # fundamental-tensor batch serves the fit and the flags
@@ -318,13 +321,13 @@ def einstein_classify(
     fit_vals = np.asarray(fit_vals)
     fit_spread = float(fit_vals.max() - fit_vals.min())
     fit_factor = float(fit_vals.mean())
-    matrix_ok = fit_resid <= matrix_tolerance and fit_spread <= matrix_tolerance * max(
+    matrix_ok = fit_resid <= MATRIX_TOLERANCE and fit_spread <= MATRIX_TOLERANCE * max(
         1.0, abs(fit_factor)
     )
 
     c = None
-    x_independent = ric_x_spread <= matrix_tolerance * max(1.0, abs(ric_mean))
-    if is_einstein and matrix_ok and x_independent and fit_factor < -tolerance:
+    x_independent = ric_x_spread <= MATRIX_TOLERANCE * max(1.0, abs(ric_mean))
+    if is_einstein and matrix_ok and x_independent and fit_factor < -EINSTEIN_TOLERANCE:
         c = float(np.sqrt(-fit_factor))
 
     # sampled flag curvatures; a constant value is reported when the spread allows
@@ -338,7 +341,7 @@ def einstein_classify(
     flag_constant = None
     if flags:
         flags = np.asarray(flags)
-        if float(flags.max() - flags.min()) <= matrix_tolerance * max(1.0, float(np.abs(flags).max())):
+        if float(flags.max() - flags.min()) <= MATRIX_TOLERANCE * max(1.0, float(np.abs(flags).max())):
             flag_constant = float(flags.mean())
 
     return EinsteinReport(
@@ -352,8 +355,8 @@ def einstein_classify(
         fit_residual=fit_resid,
         flag_constant=flag_constant,
         einstein_constant_c=c,
-        tolerance=tolerance,
-        matrix_tolerance=matrix_tolerance,
+        tolerance=EINSTEIN_TOLERANCE,
+        matrix_tolerance=MATRIX_TOLERANCE,
         x_samples=x_samples,
         y_directions=y_directions,
         seed=seed,

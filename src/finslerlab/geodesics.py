@@ -92,8 +92,9 @@ def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
     """(x, v)' = (v, -2G(x, v)), both halves negated when backward (parameter |s|).
 
     The state z is a list of floats, as integrate_ivp passes it, and so is
-    the value.  S.spray_fast is read on every call, so a wrapper installed
-    later sees each one.
+    the value.  The spray raises EvaluationDomainError off the chart, which
+    is how integrate_ivp learns where the chart ends.  S.spray_fast is read
+    on every call, so a wrapper installed later sees each one.
     """
     n = S.dimension
     c = 2.0 if backward else -2.0
@@ -106,11 +107,6 @@ def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
         return v + [c * gi for gi in G]
 
     return rhs
-
-
-def _in_chart(S: FinslerStructure):
-    """Domain predicate on phase states: the base point lies in the chart."""
-    return lambda z: S.domain_fn(z[: S.dimension])
 
 
 @dataclass
@@ -220,9 +216,7 @@ def geodesic_ivp(
     span = (0.0, abs(length))
 
     try:
-        traj = integrate_ivp(
-            _geodesic_rhs(S, backward), z0, span, tolerance=tolerance, domain=_in_chart(S)
-        )
+        traj = integrate_ivp(_geodesic_rhs(S, backward), z0, span, tolerance=tolerance)
     except DomainExitError as exc:
         sign = -1.0 if backward else 1.0
         exc.t_exit = sign * exc.t_exit if exc.t_exit is not None else None
@@ -363,9 +357,7 @@ def _integrate_shot(S, p, v, s_max, tol, tally):
     tally.shots += 1
     z0 = np.concatenate((p, v))
     try:
-        traj = integrate_ivp(
-            _geodesic_rhs(S), z0, (0.0, s_max), tolerance=tol, domain=_in_chart(S)
-        )
+        traj = integrate_ivp(_geodesic_rhs(S), z0, (0.0, s_max), tolerance=tol)
     except DomainExitError as exc:
         tally.add(exc.trajectory)
         raise

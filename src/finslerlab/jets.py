@@ -424,15 +424,13 @@ class DerivativeTable:
         return tuple(self.derivative((k,)) for k in range(self.order + 1))
 
 
-def directional_derivatives(f, at, seeds, order: int, *, max_order: int = MAX_JET_ORDER) -> DerivativeTable:
-    """Mixed directional derivatives of a scalar field.
+def directional_derivatives(f, at, seeds, order: int) -> DerivativeTable:
+    """Mixed directional derivatives of a scalar field, up to order <= MAX_JET_ORDER.
 
     f is called once with a list of scalar-like arguments (floats or jets),
     one per coordinate of `at`.  `seeds` is a sequence of direction vectors;
     the returned table indexes derivatives by multi-indices over those seeds.
     """
-    if order > max_order:
-        raise ValueError(f"requested order {order} exceeds configured maximum {max_order}")
     at = np.atleast_1d(np.asarray(at, dtype=float))
     seed_mat = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seed_mat.shape[1] != at.size:

@@ -4,6 +4,9 @@ Every family exposes F^2 as a scalar-like evaluator: it accepts plain floats
 or jets and therefore feeds both ordinary evaluation and the derivative
 machinery.  Built-in families live on the open unit ball (the interval
 (-1, 1) in dimension one); sampling for validation stays inside radius 0.95.
+FinslerStructure.domain is the one chart predicate, and every family's
+closed-form spray raises EvaluationDomainError off the chart, so integrators
+learn where the chart ends from the right-hand side alone.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ def _dot(u, v):
     for i in range(1, len(u)):
         total = total + u[i] * v[i]
     return total
+
+
+def _require_chart(d):
+    """D = 1 - |x|^2 must be positive: a float, or every column of a (B,) array or jet."""
+    if d <= 0.0 if isinstance(d, float) else np.any(d <= 0.0):
+        raise EvaluationDomainError("point outside the unit-ball chart")
 
 
 def _eval_table(table, x):
@@ -53,6 +62,7 @@ def _levi_civita_spray(gpoly, n):
     dg = [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)]
 
     def spray(x, y):
+        _require_chart(1.0 - _dot(x, x))
         g = _eval_table(gpoly, x)
         ginv = invert_scalarlike_matrix(g)
         dgx = [_eval_table(dg[l], x) for l in range(n)]
@@ -237,18 +247,13 @@ class FinslerStructure:
     reversible: bool
     config: MetricConfig
     f2: Callable
-    domain_fn: Callable
     spray_fast: Callable
     g_fast: Callable | None = None
     unique_geodesics: bool = False
-    sampling_radius: float = SAMPLING_RADIUS
-
-    @property
-    def n(self) -> int:
-        return self.dimension
 
     def domain(self, x) -> bool:
-        return bool(self.domain_fn(np.atleast_1d(np.asarray(x, dtype=float))))
+        """x lies in the chart: the open unit ball, the interval (-1, 1) in dimension one."""
+        return bool(_dot(x, x) < 1.0)
 
     def F2(self, x, y):
         return self.f2(x, y)
@@ -259,7 +264,7 @@ class FinslerStructure:
 
     def sample_point(self, rng, radius: float | None = None) -> np.ndarray:
         """Uniform point of the chart ball, inside the sampling margin."""
-        r_cap = self.sampling_radius if radius is None else radius
+        r_cap = SAMPLING_RADIUS if radius is None else radius
         n = self.dimension
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
@@ -283,12 +288,6 @@ class FinslerStructure:
             keep = nv[:, 0] > 1e-8
             out = np.concatenate([out, v[keep] / nv[keep]])
         return out
-
-
-def _require_chart(d):
-    """D = 1 - |x|^2 must be positive: a float, or every column of a (B,) array or jet."""
-    if d <= 0.0 if isinstance(d, float) else np.any(d <= 0.0):
-        raise EvaluationDomainError("point outside the unit-ball chart")
 
 
 def _klein_structure(config: MetricConfig) -> FinslerStructure:
@@ -318,7 +317,6 @@ def _klein_structure(config: MetricConfig) -> FinslerStructure:
         reversible=True,
         config=config,
         f2=f2,
-        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         g_fast=g_fast,
         unique_geodesics=True,
@@ -351,7 +349,6 @@ def _funk_structure(config: MetricConfig) -> FinslerStructure:
         reversible=False,
         config=config,
         f2=f2,
-        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         g_fast=None,
         unique_geodesics=True,
@@ -385,7 +382,6 @@ def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
         reversible=False,
         config=config,
         f2=f2,
-        domain_fn=lambda x: abs(x[0]) < 1.0,
         spray_fast=spray_fast,
         unique_geodesics=True,
     )
@@ -413,7 +409,6 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
         reversible=True,
         config=config,
         f2=f2,
-        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         g_fast=g_fast,
         unique_geodesics=False,
@@ -464,7 +459,6 @@ def _randers_structure(config: MetricConfig) -> FinslerStructure:
         reversible=reversible,
         config=config,
         f2=f2,
-        domain_fn=lambda x: _dot(x, x) < 1.0,
         spray_fast=spray_fast,
         unique_geodesics=False,
     )

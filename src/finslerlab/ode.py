@@ -3,15 +3,16 @@
 The integrator is a Dormand-Prince pair with FSAL, PI-free step control and
 cubic Hermite dense output between accepted steps.  It steps the state as a
 list of Python floats: the right-hand side takes a list of floats and
-returns a sequence of floats, and the stage sums, the finiteness and domain
-checks and the error norm are plain float arithmetic.  The trajectory's
-ndarrays are built once, when the integration ends.  Leaving the optional
-domain predicate is one more reason to reject a step, as a too-large error
-estimate is: the step is halved and retried, so a solution that stays inside
-is followed up to the chart boundary.  When a step that left the domain
-shrinks below the underflow floor, DomainExitError carries the last accepted
-node and the trajectory up to it; an underflow from the error estimate alone
-raises StiffnessError instead of looping forever.
+returns a sequence of floats, and the stage sums, the finiteness check and
+the error norm are plain float arithmetic.  The trajectory's ndarrays are
+built once, when the integration ends.  The right-hand side owns its domain:
+a stage that raises EvaluationDomainError, or a result that is not finite,
+is one more reason to reject a step, as a too-large error estimate is.  The
+step is halved and retried, so a solution that stays inside is followed up
+to the domain's boundary.  When a step rejected that way shrinks below the
+underflow floor, DomainExitError carries the last accepted node and the
+trajectory up to it; an underflow from the error estimate alone raises
+StiffnessError instead of looping forever.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class OdeTrajectory:
     """Accepted integration nodes plus enough data for dense evaluation.
 
     rhs_calls counts every right-hand-side evaluation, steps_rejected every
-    attempted step that was not accepted (over tolerance or off the domain).
+    attempted step that was not accepted (over tolerance, or a stage off the
+    domain or not finite).
     """
 
     ts: np.ndarray
@@ -167,16 +169,16 @@ def _dp_step(rhs, y, f, h, tolerance):
     return 6, y_new, k7, err
 
 
-def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTrajectory:
+def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
     """Integrate y' = rhs(y) over span = (t0, t1) with local error <= tolerance.
 
     rhs is autonomous: it takes the state as a list of Python floats and
     returns a sequence of floats (a list, a tuple or a 1-d array; it may
-    reuse one buffer).  `domain`, when given, is a predicate on that list.
-    A step whose stage raises EvaluationDomainError, or whose result is not
-    finite or fails `domain`, is rejected and retried at half the size; when
-    the step then underflows, DomainExitError reports the last accepted node
-    (its state as an array).
+    reuse one buffer).  It raises EvaluationDomainError outside its domain,
+    and that is the only domain signal: at y0 the error propagates, and a
+    step whose stage raises it, or whose result is not finite, is rejected
+    and retried at half the size; when the step then underflows,
+    DomainExitError reports the last accepted node (its state as an array).
     """
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -189,8 +191,6 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
     if y.ndim != 1:
         raise ValueError("state must be one-dimensional")
     y = y.tolist()
-    if domain is not None and not domain(y):
-        raise ValueError("initial state violates the domain predicate")
     # a copy: f is the first stage of every attempt, and rhs may reuse its buffer
     f = list(rhs(y))
     if not _all_finite(f):
@@ -215,7 +215,7 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
     h = min(max(h, 1e-10), t1 - t0)
 
     t = t0
-    left_domain = False  # a step was rejected for leaving the domain since the last node
+    left_domain = False  # a step was rejected by the domain signal since the last node
 
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if len(steps) >= MAX_STEPS:
@@ -232,7 +232,7 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10, domain=None) -> OdeTr
             raise StiffnessError(f"step size underflow at t = {t:.12g}")
         calls, y_new, f_new, err = _dp_step(rhs, y, f, h, tolerance)
         rhs_calls += calls
-        if y_new is None or (domain is not None and not domain(y_new)):
+        if y_new is None:
             rejected += 1
             left_domain = True
             h *= 0.5

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .geodesics import DistanceResult, Geodesic, finsler_distance
 from .jets import Jet, jet_exp, jet_space
-from .metrics import FinslerStructure
+from .metrics import SAMPLING_RADIUS, FinslerStructure
 from .ode import integrate_ivp
 
 CLASSIFY_SAMPLES = 6  # base points of the Einstein classification
@@ -469,7 +469,7 @@ def pseudo_distance(
             kmid = int(rng.integers(1, MAX_INTERMEDIATE + 1))
             pts = [p_arr]
             for _ in range(kmid):
-                pts.append(S.sample_point(rng, 0.8 * S.sampling_radius))
+                pts.append(S.sample_point(rng, 0.8 * SAMPLING_RADIUS))
             pts.append(q_arr)
             try:
                 chain = build_canonical_chain(S, pts, c)
@@ -534,7 +534,7 @@ def projective_relation(
         raise ValueError("structures live on different chart dimensions")
     n = A.dimension
     rng = np.random.default_rng(seed)
-    radius = 0.8 * min(A.sampling_radius, B.sampling_radius)
+    radius = 0.8 * SAMPLING_RADIUS
     related = True
     spread = 0.0
     ratios = []

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
+from finslerlab.metrics import SAMPLING_RADIUS
 from finslerlab.ode import integrate_ivp
 from finslerlab.projective import PARAMETER_GRID, PARAMETER_TOLERANCE
 
@@ -172,7 +173,7 @@ def einstein_classify_per_point(S, rng, x_samples=10, y_directions=12, tolerance
     fields are the to_dict() entries that depend on the samples.
     """
     n = S.dimension
-    radius = 0.8 * S.sampling_radius
+    radius = 0.8 * SAMPLING_RADIUS
     xs = []
     ric_values = []
     for _ in range(x_samples):

@@ -493,6 +493,92 @@ class TestEinsteinCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, seed]
 
 
+class TestGeodesicLayerBytes:
+    """Byte pins of the commands that integrate geodesics on the ball models.
+
+    Each key is a command (distance, theorem1 verify or geodesic trace), a
+    config name and its options; the value is the exit code and the SHA-256
+    of stdout, or of the stderr JSON when the command exits 3.  The last
+    case is the README metric's chart exit, at arc length 0.8475874292634465.
+    """
+
+    COMMANDS = {
+        "distance": ("distance",),
+        "theorem1": ("theorem1", "verify"),
+        "trace": ("geodesic", "trace"),
+    }
+    DIGESTS = {
+        ("distance", "klein2", "--from", "-0.2,0.3", "--to", "0.4,-0.1"): (
+            0, "67bd67b5904421c0175bebd9fd48d3b16b354b1995d4fb378b2b1f3da0fcb375"
+        ),
+        ("distance", "klein2", "--from", "-0.2,0.3", "--to", "0.4,-0.1", "--pseudo"): (
+            0, "67e50f7ee9f8f4d8aa40c73940bf87eb0e85a578f03a12acdbedc8ec6c4a1ade"
+        ),
+        ("distance", "klein2", "--from", "0.99,0", "--to", "-0.3,0.9"): (
+            0, "b182566d579c1ce94425910f8911c24a6c443869406b868364dbfc99af534bd9"
+        ),
+        ("distance", "klein2", "--from", "0.99,0", "--to", "-0.3,0.9", "--pseudo"): (
+            0, "2f92b98857ba80ed49c5ed55d06ee05fb6e30d02c1930054ea216e0be74ffd8d"
+        ),
+        ("distance", "funk2", "--from", "-0.2,0.3", "--to", "0.4,-0.1"): (
+            0, "ea68a9ab771e542a35d314966b99a4f6abd81a5f58becececc21f39cdaae239d"
+        ),
+        ("distance", "funk2", "--from", "-0.2,0.3", "--to", "0.4,-0.1", "--pseudo"): (
+            0, "6e6469219aeb6fa7d22c46b5c178b4b092a306599c271b15da59d326b1cc5fe5"
+        ),
+        ("distance", "funk2", "--from", "0,0.98", "--to", "0.5,-0.3"): (
+            0, "e1ade1a50886ec72de399ee016741530bf16d9b5b061d63278fbbf23a8c76991"
+        ),
+        ("distance", "funk2", "--from", "0,0.98", "--to", "0.5,-0.3", "--pseudo"): (
+            0, "3734582dccf57a42b7f3a1e77a0a99f530c54cc997eda9ecad07ba8a751afd1d"
+        ),
+        ("distance", "klein3", "--from", "0.1,-0.2,0.3", "--to", "-0.3,0.2,0.1"): (
+            0, "dda1d9ad9a50d7d31426ff2c0b0197ee77958201da1dc099f4daf276b3711d88"
+        ),
+        ("distance", "klein3", "--from", "0.1,-0.2,0.3", "--to", "-0.3,0.2,0.1", "--pseudo"): (
+            0, "1328d1fa7982e2c5698b8d4214088889f82bc4cd51f97b00eafdfa2356308948"
+        ),
+        ("distance", "klein3", "--from", "0.2,0.97,0", "--to", "-0.4,0,0.5"): (
+            0, "c7b7d0f4db5098b95b0b9da22d8bf417e0446bef106671f590983a8389373f5f"
+        ),
+        ("distance", "klein3", "--from", "0.2,0.97,0", "--to", "-0.4,0,0.5", "--pseudo"): (
+            0, "be8124622040dae11345e8f3c8d104a7201d977834a27306d65f8795bbdcc3aa"
+        ),
+        ("theorem1", "klein2", "--pairs", "4", "--seed", "2"): (
+            0, "f520be32538668c2a698ae4d912477c10db7d4bddc686ea6e0adf7005748bf04"
+        ),
+        ("theorem1", "funk2", "--pairs", "4", "--seed", "2"): (
+            0, "c31b5a9ad984d34e82da2a2634cbf90eec27d82a8d47bc9978ab5672ec7a020b"
+        ),
+        ("theorem1", "klein3", "--pairs", "4", "--seed", "2"): (
+            0, "e4545114ac5fa822be23c1858242ab6e29b3705b10056976b3e58eebf451955e"
+        ),
+        ("trace", "klein2", "--x0", "0.1,-0.2", "--y0", "0.7,0.4", "--length", "1.2"): (
+            0, "13c143229501b464cbb90850f954fa3e18a536928451ba125c32fb5daff06ab4"
+        ),
+        ("trace", "klein2", "--x0", "0.2,0.1", "--y0", "0.3,-1", "--length", "-0.8", "--step", "0.1"): (
+            0, "3b21caedc5f18bcbcc32a8cf43901d0d71975c568cfd01d5ac9678b68bdfcbf1"
+        ),
+        ("trace", "funk2", "--x0", "-0.3,0.2", "--y0", "1,0.5", "--length", "1.0", "--step", "0.25"): (
+            0, "8f01063490fde1e960ddb285e17400b65735271beb71877a1680db1734e3e058"
+        ),
+        ("trace", "funk2", "--x0", "0.3,0", "--y0", "1,0.4", "--length", "-0.2"): (
+            0, "59cb82022f309da6acadfb2a65b0086d5bb708084280d9c6dff2303055a5c730"
+        ),
+        ("trace", "curved", "--x0", "0.1,0.2", "--y0", "1,0.3", "--length", "3"): (
+            3, "2cdc776ec5f67b08a858240ccffaecbf9e73ee4c4440828bf498e41066d35aa2"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS), ids=" ".join)
+    def test_output_bytes_unchanged(self, cfg, capsys, case):
+        command, name, *options = case
+        code, out, err = run(capsys, *self.COMMANDS[command], "--config", cfg[name], *options)
+        want_code, digest = self.DIGESTS[case]
+        assert code == want_code
+        assert hashlib.sha256((out if code == 0 else err).encode()).hexdigest() == digest
+
+
 class TestDistanceCommand:
     def test_plain_distance(self, cfg, capsys):
         code, out, _ = run(

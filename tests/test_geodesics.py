@@ -187,7 +187,6 @@ class TestFloatSprayPath:
             np.concatenate((p, v)),
             (0.0, s),
             tolerance=1e-10,
-            domain=lambda z: klein2.domain(z[:2]),
         )
         assert_same_trajectory(shot, ref)
 
@@ -200,7 +199,6 @@ class TestFloatSprayPath:
             np.concatenate((x0, v0)),
             (0.0, 0.2),
             tolerance=1e-10,
-            domain=lambda z: funk2.domain(z[:2]),
         )
         assert_same_trajectory(geo.trajectory, ref)
 
@@ -492,6 +490,16 @@ class TestDistance:
             assert res.diagnostics["shots"] == calls["integrate"]
             assert res.diagnostics["rhs_calls"] == calls["spray"]
             assert res.diagnostics["rhs_calls"] > 6 * res.diagnostics["shots"]
+
+    def test_readme_pair_counts(self):
+        # 5 of the 38 fan shots leave the chart and spend 452 of the rejected
+        # steps.  The spray refuses the first stage off the chart, so each
+        # of those attempts stops there and rhs_calls counts only the
+        # stages that ran.
+        res = finsler_distance(make_metric(curved_riemannian_config()), [-0.2, 0.3], [0.4, -0.1])
+        assert res.distance == 0.7241241477317056
+        diag = res.diagnostics
+        assert (diag["shots"], diag["steps_rejected"], diag["rhs_calls"]) == (38, 455, 3584)
 
     @pytest.mark.parametrize(
         "config, oracle",

@@ -12,6 +12,7 @@ from finslerlab import (
     fundamental_tensor,
     load_config,
     make_metric,
+    spray_jet_functions,
     validate_structure,
 )
 from finslerlab.jets import Jet, jet_space
@@ -183,6 +184,50 @@ def test_every_family_has_a_closed_form_spray(family):
     S = make_metric(FAMILY_CONFIGS[family])
     assert S.family == family
     assert S.spray_fast is not None
+
+
+# the README metric, g11 = 1 + 0.3 x2^2 and g22 = 1 + 0.3 x1^2: its spray has
+# no singularity at the unit sphere, so only the chart check refuses x
+README_METRIC = {
+    "family": "riemannian",
+    "dimension": 2,
+    "riemannian": {
+        "metric": [
+            [[[1.0, 0, 0], [0.3, 0, 2]], [[0.0, 0, 0]]],
+            [[[0.0, 0, 0]], [[1.0, 0, 0], [0.3, 2, 0]]],
+        ]
+    },
+}
+
+
+class TestChart:
+    """FinslerStructure.domain is the one chart predicate; every spray refuses what it rejects."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_spray_refuses_a_point_off_the_chart(self, family):
+        S = make_metric(README_METRIC if family == "riemannian" else FAMILY_CONFIGS[family])
+        n = S.dimension
+        x = [1.2] + [0.0] * (n - 1)
+        y = [0.3, 1.0][:n]
+        assert not S.domain(x)
+        with pytest.raises(EvaluationDomainError):
+            S.spray_fast(x, y)
+        # an order-2 jet batch with one column inside and one outside is refused whole
+        xb = np.array([[0.5, 1.2]] + [[0.0, 0.0]] * (n - 1))
+        yb = np.array([y, y]).T
+        with pytest.raises(EvaluationDomainError):
+            spray_jet_functions(S, xb, yb, 2)
+        spray_jet_functions(S, xb[:, :1], yb[:, :1], 2)
+
+    def test_domain_is_the_open_unit_ball(self):
+        interval = make_metric(FAMILY_CONFIGS["interval_funk"])
+        ball = make_metric(FAMILY_CONFIGS["klein_ball"])
+        below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        for u in (0.0, 0.5, 1e-300, below, 1.0, above, 1.2, math.nan, math.inf):
+            for v in (u, -u):
+                inside = abs(v) < 1.0
+                assert interval.domain([v]) is inside
+                assert ball.domain([v, 0.0]) is inside and ball.domain([0.0, v]) is inside
 
 
 class TestFundamentalTensor:

@@ -54,13 +54,13 @@ class TestIntegrateIvp:
 
     def test_domain_exit_locates_boundary(self):
         # unit-speed growth leaves {y < 1} exactly at t = 1
+        def rhs(y):
+            if y[0] >= 1.0:
+                raise EvaluationDomainError("y >= 1")
+            return np.array([1.0])
+
         with pytest.raises(DomainExitError) as info:
-            integrate_ivp(
-                lambda y: np.array([1.0]),
-                np.array([0.0]),
-                (0.0, 5.0),
-                domain=lambda y: y[0] < 1.0,
-            )
+            integrate_ivp(rhs, np.array([0.0]), (0.0, 5.0))
         err = info.value
         assert err.t_exit == pytest.approx(1.0, abs=1e-9)
         assert err.state[0] <= 1.0
@@ -75,7 +75,7 @@ class TestIntegrateIvp:
             return [1.0 - y[0]]
 
         try:
-            traj = integrate_ivp(rhs, np.array([0.0]), (0.0, 40.0), domain=lambda y: y[0] < 1.0)
+            traj = integrate_ivp(rhs, np.array([0.0]), (0.0, 40.0))
         except DomainExitError as exc:
             assert exc.t_exit <= 40.0
             raise
@@ -84,13 +84,14 @@ class TestIntegrateIvp:
         assert traj(10.0)[0] == pytest.approx(1.0 - math.exp(-10.0), abs=1e-8)
 
     def test_initial_state_outside_domain_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_ivp(
-                lambda y: y,
-                np.array([2.0]),
-                (0.0, 1.0),
-                domain=lambda y: y[0] < 1.0,
-            )
+        # the right-hand side's refusal of the start is the caller's error
+        def rhs(y):
+            if y[0] >= 1.0:
+                raise EvaluationDomainError("y >= 1")
+            return y
+
+        with pytest.raises(EvaluationDomainError):
+            integrate_ivp(rhs, np.array([2.0]), (0.0, 1.0))
 
     def test_finite_time_blowup_raises_stiffness(self):
         with pytest.raises(StiffnessError):
@@ -177,8 +178,7 @@ class TestWorkCounts:
             return np.array([1.0])
 
         with pytest.raises(DomainExitError) as info:
-            integrate_ivp(self.counted(rhs, calls), np.array([0.0]), (0.0, 5.0),
-                          domain=lambda y: y[0] < 1.0)
+            integrate_ivp(self.counted(rhs, calls), np.array([0.0]), (0.0, 5.0))
         traj = info.value.trajectory
         assert traj.steps_rejected > 0
         assert traj.rhs_calls == len(calls)
@@ -214,7 +214,7 @@ class TestFloatStep:
             assert np.array_equal(np.array(f_new), np.array(coupled(y_new)))
             assert abs(err - ref_err) <= 1e-14 * err_scale
 
-    def test_rhs_and_domain_receive_lists(self):
+    def test_rhs_receives_lists(self):
         # no ndarray round trip per stage: every state handed out is a list
         seen = []
 
@@ -222,9 +222,5 @@ class TestFloatStep:
             seen.append(type(y))
             return [1.0 - yi for yi in y]
 
-        def domain(y):
-            seen.append(type(y))
-            return True
-
-        integrate_ivp(rhs, np.array([0.5, -0.5]), (0.0, 1.0), domain=domain)
+        integrate_ivp(rhs, np.array([0.5, -0.5]), (0.0, 1.0))
         assert len(seen) > 10 and set(seen) == {list}
