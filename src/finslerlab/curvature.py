@@ -139,7 +139,7 @@ def _f2_values(S: FinslerStructure, x, y) -> np.ndarray:
     column by column and each value is the single-point one bit for bit
     (on float arrays numpy squares where Python's ** calls pow).
     """
-    return np.asarray(S.F2(list(x.astype(object)), list(y.astype(object))), dtype=float)
+    return np.asarray(S.f2(list(x.astype(object)), list(y.astype(object))), dtype=float)
 
 
 def _ricci_from_riemann(S: FinslerStructure, R, x, y) -> np.ndarray:

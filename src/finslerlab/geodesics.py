@@ -43,7 +43,7 @@ def spray_from_f2_jets(S: FinslerStructure, xj, yj):
     G^i = (1/4) g^{il} { [F^2]_{x^k y^l} y^k - [F^2]_{x^l} }.
     """
     n = S.dimension
-    w = S.F2(xj, yj)
+    w = S.f2(xj, yj)
     wx = [w.partial(l) for l in range(n)]
     g = [[0.5 * w.partial(n + i).partial(n + j) for j in range(n)] for i in range(n)]
     ginv = invert_scalarlike_matrix(g)
@@ -63,9 +63,12 @@ def spray_from_f2_jets(S: FinslerStructure, xj, yj):
 
 
 def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
-    """Spray values G^i(x, y) from the jet-engine formula."""
+    """Spray values G^i(x, y) from the jet-engine formula.
+
+    x and y have shape (n,), or (n, B) for B phase points, and so does the value.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if float(y @ y) == 0.0:
+    if not (y * y).any(axis=0).all():
         raise EvaluationDomainError("spray undefined at y = 0")
     _, xj, yj = phase_jet_args(S, x, y, 2)
     G = spray_from_f2_jets(S, xj, yj)

@@ -10,9 +10,10 @@ is deliberately not used anywhere in the production formulas.
 
 The coefficient array may carry a trailing batch axis, shape (ncoef, B): one
 evaluation then serves B base points (vector-mode Taylor arithmetic, Griewank
-& Walther, *Evaluating Derivatives*, ch. 13).  Every batch column is
-bit-identical to the unbatched evaluation at its point, and a domain check
-rejects the whole batch when any column fails it.
+& Walther, *Evaluating Derivatives*, ch. 13).  A single point is the batch
+shape () case of the same arithmetic, so every batch column is bit-identical
+to the evaluation at its point alone, and a domain check rejects the whole
+batch when any column fails it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class JetSpace:
                 bumped[v] += 1
                 src[t] = self.index_of[tuple(bumped)]
                 fac[t] = alpha[v] + 1
-            tab = (lower, src, fac, fac[:, None])
+            tab = (lower, src, fac)
             self._partials[v] = tab
         return tab
 
@@ -156,8 +157,8 @@ class Jet:
         """Derivative jet along seed v; lives one order lower."""
         if self.space.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        lower, src, fac, fac_col = self.space._partial_table(v)
-        return Jet(lower, self.coef[src] * (fac if self.coef.ndim == 1 else fac_col))
+        lower, src, fac = self.space._partial_table(v)
+        return Jet(lower, self.coef[src] * fac.reshape(fac.shape + (1,) * (self.coef.ndim - 1)))
 
     def derivative(self, alpha) -> float:
         """Mixed partial d^alpha f at the base point (coefficient times alpha!); unbatched only."""
@@ -218,15 +219,14 @@ class Jet:
             a, b = self._align(other)
             I, J, K = a.space._mul_table()
             w = a.coef[I] * b.coef[J]
-            if w.ndim == 1:
-                return Jet(a.space, np.bincount(K, weights=w, minlength=a.space.ncoef))
             # One bincount over the flattened index K*B + b sums every column's
-            # terms in the unbatched order, so each column is bit-identical.
-            batch = w.shape[1]
+            # terms in the single-point order, so each column is bit-identical;
+            # a single point is B = 1, where the index is K itself.
+            batch = w[0].size
             coef = np.bincount(
                 a.space._batched_mul_index(batch), weights=w.ravel(), minlength=a.space.ncoef * batch
             )
-            return Jet(a.space, coef.reshape(-1, batch))
+            return Jet(a.space, coef.reshape((-1,) + w.shape[1:]))
         return Jet(self.space, self.coef * other)
 
     __rmul__ = __mul__
@@ -274,14 +274,13 @@ class Jet:
     def _series(self, coefficients) -> "Jet":
         """Evaluate sum c[k] * w^k with w = self - value and c = coefficients(value) (Horner).
 
-        coefficients runs once per batch column on a float, so a batch
-        reproduces the unbatched floats exactly, and a column outside its
-        domain raises for the whole batch.
+        coefficients runs once per batch column on a Python float, so a batch
+        reproduces the single-point floats exactly (numpy's pow, exp and log
+        do not), and a column outside its domain raises for the whole batch.
         """
-        if self.coef.ndim == 1:
-            coeffs = coefficients(float(self.coef[0]))
-        else:
-            coeffs = np.array([coefficients(c0) for c0 in self.coef[0].tolist()]).T
+        c0 = self.coef[0]
+        coeffs = np.array([coefficients(c) for c in np.ravel(c0).tolist()]).T
+        coeffs = coeffs.reshape((-1,) + c0.shape)
         w_coef = self.coef.copy()
         w_coef[0] = 0.0
         w = Jet(self.space, w_coef)
@@ -331,16 +330,10 @@ class Jet:
         return self._series(coefficients)
 
     def __abs__(self) -> "Jet":
-        c0 = self.value
-        if self.coef.ndim == 2:
-            if not ((c0 > 0.0) | (c0 < 0.0)).all():
-                raise EvaluationDomainError("abs of a jet with zero value is not differentiable")
-            return Jet(self.space, self.coef * np.where(c0 < 0.0, -1.0, 1.0))
-        if c0 > 0.0:
-            return self
-        if c0 < 0.0:
-            return -self
-        raise EvaluationDomainError("abs of a jet with zero value is not differentiable")
+        c0 = self.coef[0]
+        if not ((c0 > 0.0) | (c0 < 0.0)).all():
+            raise EvaluationDomainError("abs of a jet with zero value is not differentiable")
+        return Jet(self.space, self.coef * np.where(c0 < 0.0, -1.0, 1.0))
 
     # comparisons act on the scalar part, which keeps branchy evaluators usable
     def __lt__(self, other):
@@ -397,39 +390,12 @@ def scalar_value(v) -> float:
     return v.value if isinstance(v, Jet) else float(v)
 
 
-class DerivativeTable:
-    """Read-only view of the mixed partial derivatives of one evaluation."""
-
-    def __init__(self, jet: Jet):
-        self._jet = jet
-        self.order = jet.space.order
-        self.nseeds = jet.space.nvars
-
-    @property
-    def value(self) -> float:
-        return self._jet.value
-
-    @property
-    def jet(self) -> Jet:
-        return self._jet
-
-    def derivative(self, alpha) -> float:
-        """d^alpha f at the base point, alpha a multi-index over the seeds."""
-        return self._jet.derivative(alpha)
-
-    def univariate(self) -> tuple[float, ...]:
-        """(f, f', f'', ...) for single-seed tables."""
-        if self.nseeds != 1:
-            raise ValueError("univariate() needs exactly one seed direction")
-        return tuple(self.derivative((k,)) for k in range(self.order + 1))
-
-
-def directional_derivatives(f, at, seeds, order: int) -> DerivativeTable:
+def directional_derivatives(f, at, seeds, order: int) -> Jet:
     """Mixed directional derivatives of a scalar field, up to order <= MAX_JET_ORDER.
 
     f is called once with a list of scalar-like arguments (floats or jets),
     one per coordinate of `at`.  `seeds` is a sequence of direction vectors;
-    the returned table indexes derivatives by multi-indices over those seeds.
+    the returned jet's `derivative` takes multi-indices over those seeds.
     """
     at = np.atleast_1d(np.asarray(at, dtype=float))
     seed_mat = np.atleast_2d(np.asarray(seeds, dtype=float))
@@ -456,7 +422,7 @@ def directional_derivatives(f, at, seeds, order: int) -> DerivativeTable:
         jet = space.constant(float(out))
     if not np.all(np.isfinite(jet.coef)):
         raise EvaluationDomainError("non-finite value in derivative evaluation")
-    return DerivativeTable(jet)
+    return jet
 
 
 _FD_STENCILS = {

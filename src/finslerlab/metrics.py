@@ -255,9 +255,6 @@ class FinslerStructure:
         """x lies in the chart: the open unit ball, the interval (-1, 1) in dimension one."""
         return bool(_dot(x, x) < 1.0)
 
-    def F2(self, x, y):
-        return self.f2(x, y)
-
     def F(self, x, y):
         val = self.f2(x, y)
         return jet_sqrt(val)
@@ -612,7 +609,7 @@ def _hessian_half_f2(S: FinslerStructure, x, y) -> np.ndarray:
     """
     n = S.dimension
     space = jet_space(n, 2)
-    w = S.F2(list(x), [space.variable(i, y[i]) for i in range(n)])
+    w = S.f2(list(x), [space.variable(i, y[i]) for i in range(n)])
     g = np.empty((y.shape[1], n, n))
     for i in range(n):
         for j in range(i, n):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import EinsteinReport, _ricci_scalars, einstein_classify
+from .curvature import EinsteinReport, _f2_values, _ricci_scalars, einstein_classify
 from .errors import (
     CriticalPointError,
     DegenerateFitError,
@@ -30,8 +30,8 @@ from .errors import (
     NotEinsteinError,
     PoleError,
 )
-from .geodesics import DistanceResult, Geodesic, finsler_distance
-from .jets import Jet, jet_exp, jet_space
+from .geodesics import DistanceResult, Geodesic, finsler_distance, spray_coefficients
+from .jets import Jet, jet_exp, jet_space, jet_sqrt
 from .metrics import SAMPLING_RADIUS, FinslerStructure
 from .ode import integrate_ivp
 
@@ -526,34 +526,30 @@ def projective_relation(
 
     Tests the per-component quotients (G_B - G_A)^i / y^i for agreement, with
     y sampled away from the coordinate planes.  Homothety additionally needs
-    a constant ratio F_B / F_A.
+    a constant ratio F_B / F_A.  All samples are drawn first, then each
+    structure's sprays and F^2 are evaluated once for all of them.
     """
-    from .geodesics import spray_coefficients
-
     if A.dimension != B.dimension:
         raise ValueError("structures live on different chart dimensions")
     n = A.dimension
     rng = np.random.default_rng(seed)
     radius = 0.8 * SAMPLING_RADIUS
-    related = True
-    spread = 0.0
-    ratios = []
+    xs, ys = [], []
     for _ in range(samples):
-        x = A.sample_point(rng, radius)
+        xs.append(A.sample_point(rng, radius))
         while True:
             y = A.sample_direction(rng)
             if float(np.min(np.abs(y))) > 0.15 / math.sqrt(n):
                 break
-        Ga = spray_coefficients(A, x, y)
-        Gb = spray_coefficients(B, x, y)
-        quot = (Gb - Ga) / y
-        scale = max(1.0, float(np.max(np.abs(quot))))
-        dev = float(quot.max() - quot.min())
-        spread = max(spread, dev / scale)
-        if dev > RELATION_TOLERANCE * scale:
-            related = False
-        ratios.append(float(B.F(x, y)) / float(A.F(x, y)))
-    ratios = np.asarray(ratios)
+        ys.append(y)
+    x, y = np.array(xs).T, np.array(ys).T
+    Ga = spray_coefficients(A, x, y)
+    quot = (spray_coefficients(B, x, y) - Ga) / y
+    scale = np.maximum(1.0, np.abs(quot).max(axis=0))
+    dev = quot.max(axis=0) - quot.min(axis=0)
+    spread = float((dev / scale).max())
+    related = not (dev > RELATION_TOLERANCE * scale).any()
+    ratios = jet_sqrt(_f2_values(B, x, y)) / jet_sqrt(_f2_values(A, x, y))
     ratio_spread = float(ratios.max() - ratios.min())
     homothetic = related and ratio_spread <= 1e-8 * max(1.0, float(ratios.mean()))
     return ProjectiveRelation(

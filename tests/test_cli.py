@@ -579,6 +579,96 @@ class TestGeodesicLayerBytes:
         assert hashlib.sha256((out if code == 0 else err).encode()).hexdigest() == digest
 
 
+class TestJetLayerBytes:
+    """Byte pins of the commands that read F^2 and spray jets at single points.
+
+    Each key is a command (curvature report, projective compare or metric
+    validate), its config names joined by "/" and its options; the value is
+    the exit code and the SHA-256 of stdout, taken at commit 0d10b28.
+    curvature report reaches single-point jets through the scalar-curvature
+    residual; klein2/funk2 at seed 7 has a sample whose spray inverse swaps
+    pivot rows.
+    """
+
+    COMMANDS = {
+        "curvature": (("curvature", "report"), ("--config",)),
+        "compare": (("projective", "compare"), ("--config-a", "--config-b")),
+        "validate": (("metric", "validate"), ("--config",)),
+    }
+    DIGESTS = {
+        ("curvature", "klein2", "--x", "0.1,-0.2", "--y", "0.6,0.8"): (
+            0, "1f8c2d14f5fce0c4b0ecb2bde9abd6aeda3dace8112013bdad4a6dee81892ab0"
+        ),
+        ("curvature", "klein3", "--x", "0.1,0.2,-0.3", "--y", "1,0.5,-0.2", "--u", "0,1,0"): (
+            0, "c8c114c78fe3d3a822392de3c2780958b37439f8412e485142e96547cc60e186"
+        ),
+        ("curvature", "funk2", "--x", "-0.3,0.25", "--y", "0.4,-1"): (
+            0, "7a7abcd6c4a937b10c507a5e7a37a17e2b2fc653504bbe034afa9a1c0cdd9ce2"
+        ),
+        ("curvature", "curved", "--x", "0.1,0.2", "--y", "1,0.3"): (
+            0, "7b836810fb0bd7229024b3d00e816b97ccf610a0b52b74c46263c2659ebc95fc"
+        ),
+        ("curvature", "randers", "--x", "0.1,-0.1", "--y", "0.3,0.9", "--u", "1,0"): (
+            0, "e8827b71ef9149e4c45ba22f3fbd5c7533d601b7d119412834d32c0ad69fbb54"
+        ),
+        ("curvature", "interval1", "--x", "0.3", "--y", "1"): (
+            0, "97f62ce558b66fd7159e2ff6818d492fcedd6d0a91c02c1ef7624e2ac12325ab"
+        ),
+        ("compare", "klein2/funk2"): (
+            0, "04febcd6c8758b5645354d5fc63d4ddd338903f018a813020d947b310d1abaeb"
+        ),
+        ("compare", "klein2/funk2", "--seed", "7"): (
+            0, "4cac228c5e3d48eb131ed8e96700656ce06dcf72d11709c558ed095c3f51c7a2"
+        ),
+        ("compare", "funk2/klein2", "--seed", "3", "--samples", "15"): (
+            0, "9d4f46f6b980d44ad14525c170fab82b1306bfcb938e73ec6f83cd4879ffb94e"
+        ),
+        ("compare", "klein2/klein2x2", "--seed", "1"): (
+            0, "fa374fd884c69522cc67d160848e9177b639ef95725a6cbea0c5982614079852"
+        ),
+        ("compare", "klein2/curved"): (
+            0, "742f0ff7ada349e44b156c8591e96bcafd9652fb6826a3ba7c1a5a79b90ebeec"
+        ),
+        ("compare", "euclid2/randers", "--seed", "2"): (
+            0, "578fc140c2b55dd40ccce1734ff9d39ba0f114d4970a2d1110db35b819fb16db"
+        ),
+        ("compare", "klein3/klein3", "--seed", "5"): (
+            0, "ef0ca0bb86c7f7dee26ba984dcfb42164dbe40fed2a99b38927464e601b56c41"
+        ),
+        ("compare", "interval1/interval1", "--samples", "10"): (
+            0, "331adeea2ba2c3e70e6514744b376198873951e19e4b429f7f71392d3a2a8234"
+        ),
+        ("validate", "klein2"): (
+            0, "c532c0b955d9688e116c1f66816057db6ad6e75522b6ce5f458ad0bc0cbc9235"
+        ),
+        ("validate", "klein3", "--samples", "30", "--seed", "4"): (
+            0, "a9961182c61ae818b6ac8540794663473155d640c868666d859fbfefe8cbfa9d"
+        ),
+        ("validate", "funk2"): (
+            0, "68c011ec9c3965992989dcd014842ed31af3bb0052308ea45776e270ad225d9f"
+        ),
+        ("validate", "curved", "--samples", "30", "--seed", "4"): (
+            0, "6786c97c48ff53a9285fc105a88871d97c419c5337d49ff374a8e6da9c132fa7"
+        ),
+        ("validate", "randers", "--samples", "20"): (
+            0, "c210628768cd40dfdc16112385f1f2cb3338306cf91aca577b88c38a8aaee791"
+        ),
+        ("validate", "interval1"): (
+            0, "2afbea2e83210ad8149902dfc6b3d8d9d87a6ce2570dd7bc5c4732b6db78eb42"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS), ids=" ".join)
+    def test_output_bytes_unchanged(self, cfg, capsys, case):
+        command, names, *options = case
+        argv, flags = self.COMMANDS[command]
+        configs = [a for flag, name in zip(flags, names.split("/")) for a in (flag, cfg[name])]
+        code, out, _ = run(capsys, *argv, *configs, *options)
+        want_code, digest = self.DIGESTS[case]
+        assert code == want_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDistanceCommand:
     def test_plain_distance(self, cfg, capsys):
         code, out, _ = run(

@@ -276,7 +276,7 @@ class TestRicci:
                 y = S.sample_direction(rng)
                 data = ricci_tensor(S, x, y)
                 quadform = float(y @ data.ric_tensor @ y)
-                trace = data.ric * float(S.F2(x, y))
+                trace = data.ric * float(S.f2(x, y))
                 assert abs(quadform - trace) <= 1e-9 * max(1.0, abs(trace))
 
 
@@ -467,13 +467,13 @@ class TestBatchedCurvature:
         rng = np.random.default_rng(12)
         X = np.array([S.sample_point(rng) for _ in range(400)]).T
         Y = rng.standard_normal((S.dimension, 400))
-        want = [float(S.F2(X[:, b], Y[:, b])) for b in range(400)]
+        want = [float(S.f2(X[:, b], Y[:, b])) for b in range(400)]
         assert _f2_values(S, X, Y).tolist() == want
 
     def test_f2_values_on_the_interval(self, interval1):
         X = np.array([[-0.9, -0.3, 0.0, 0.5, 0.93]])
         Y = np.array([[1.0, -2.0, 0.7, -0.1, 3.0]])
-        want = [float(interval1.F2(X[:, b], Y[:, b])) for b in range(5)]
+        want = [float(interval1.f2(X[:, b], Y[:, b])) for b in range(5)]
         assert _f2_values(interval1, X, Y).tolist() == want
 
     @BATCH_CONFIGS

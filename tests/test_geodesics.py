@@ -68,6 +68,24 @@ class TestSpray:
                 scale = max(1.0, float(np.max(np.abs(g2))))
                 assert np.max(np.abs(g2 - 4.0 * g1)) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("name", ["klein2", "funk2", "funk3", "interval1", "randers", "curved"])
+    def test_batch_is_bit_identical_to_columns(self, request, name):
+        # funk2's batch has columns whose g^-1 swaps pivot rows and columns that do not
+        if name == "randers":
+            S = make_metric(nonclosed_randers_config())
+        elif name == "curved":
+            S = make_metric(curved_riemannian_config())
+        else:
+            S = request.getfixturevalue(name)
+        n = S.dimension
+        rng = np.random.default_rng(0)
+        X = np.array([ball_point(rng, n, 0.9) for _ in range(40)]).T
+        Y = rng.standard_normal((n, 40))
+        want = np.array([spray_coefficients(S, X[:, b], Y[:, b]) for b in range(40)]).T
+        got = spray_coefficients(S, X, Y)
+        assert got.shape == (n, 40)
+        assert np.array_equal(got, want)
+
     def test_klein_fast_path_agrees_with_jets(self, klein2):
         x = np.array([0.3, 0.0])
         y = np.array([1.0, 0.0])

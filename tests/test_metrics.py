@@ -266,7 +266,7 @@ class TestFundamentalTensor:
                 x = S.sample_point(rng)
                 y = S.sample_direction(rng) * rng.uniform(0.5, 2.0)
                 ft = fundamental_tensor(S, x, y)
-                f2 = float(S.F2(x, y))
+                f2 = float(S.f2(x, y))
                 assert abs(float(y @ ft.g @ y) - f2) <= 1e-9 * f2
 
 
