@@ -17,6 +17,7 @@ import click
 import numpy as np
 
 from .curvature import (
+    _flag_denominator,
     einstein_classify,
     flag_curvature,
     ricci_scalar,
@@ -32,7 +33,7 @@ from .errors import (
     StrongConvexityError,
 )
 from .geodesics import finsler_distance, geodesic_ivp
-from .metrics import load_config, make_metric, validate_structure
+from .metrics import fundamental_tensor, load_config, make_metric, validate_structure
 from .projective import FunkGauge, projective_relation, pseudo_distance, theorem1_verify
 
 EXIT_OK = 0
@@ -239,13 +240,9 @@ def curvature_report(config_path, x, y, u, out) -> int:
         if u is not None:
             uv = _parse_vector(u, n, "--u")
         else:
-            uv = None
-            for k in range(n):
-                cand = np.zeros(n)
-                cand[k] = 1.0
-                if float(np.max(np.abs(cand - yv))) > 1e-9:
-                    uv = cand
-                    break
+            # the first coordinate axis that spans a flag with y, by flag_curvature's own test
+            ft = fundamental_tensor(S, xv, yv)
+            uv = next(e for e in np.eye(n) if _flag_denominator(ft, yv, e) is not None)
         payload["flag_curvature"] = flag_curvature(S, xv, yv, uv)
         payload["flag_edge"] = list(uv)
     _emit(payload, out)

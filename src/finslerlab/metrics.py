@@ -23,6 +23,7 @@ from .jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
 FAMILIES = ("riemannian", "randers", "funk_ball", "klein_ball", "interval_funk")
 MAX_POLY_DEGREE = 4
 SAMPLING_RADIUS = 0.95
+CONSTRUCTION_SAMPLES = 200  # points at which make_metric checks a table's positivity
 
 
 def _dot(u, v):
@@ -240,7 +241,7 @@ def load_config(path: str) -> MetricConfig:
 
 @dataclass
 class FinslerStructure:
-    """A metric instance: scalar-like F^2 and spray evaluators, optional closed-form g."""
+    """A metric instance: scalar-like F^2 and spray evaluators; g_ij is the jet Hessian of F^2/2."""
 
     dimension: int
     family: str
@@ -248,7 +249,6 @@ class FinslerStructure:
     config: MetricConfig
     f2: Callable
     spray_fast: Callable
-    g_fast: Callable | None = None
     unique_geodesics: bool = False
 
     def domain(self, x) -> bool:
@@ -301,13 +301,6 @@ def _klein_structure(config: MetricConfig) -> FinslerStructure:
         P = _dot(x, y) / D
         return [P * y[i] for i in range(len(y))]
 
-    def g_fast(x, y):
-        x = np.asarray(x, dtype=float)
-        D = 1.0 - float(x @ x)
-        _require_chart(D)
-        n = x.size
-        return s2 * (D * np.eye(n) + np.outer(x, x)) / (D * D)
-
     return FinslerStructure(
         dimension=config.dimension,
         family="klein_ball",
@@ -315,7 +308,6 @@ def _klein_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
-        g_fast=g_fast,
         unique_geodesics=True,
     )
 
@@ -347,7 +339,6 @@ def _funk_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
-        g_fast=None,
         unique_geodesics=True,
     )
 
@@ -397,9 +388,6 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
     def spray_fast(x, y):
         return christoffel(x, y)[0]
 
-    def g_fast(x, y):
-        return s2 * np.array([[scalar_value(gpoly[i][j](x)) for j in range(n)] for i in range(n)])
-
     structure = FinslerStructure(
         dimension=n,
         family="riemannian",
@@ -407,7 +395,6 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
-        g_fast=g_fast,
         unique_geodesics=False,
     )
     _check_riemannian_positive(structure)
@@ -475,27 +462,23 @@ def _check_symmetric_tables(mat, n, where):
                     raise ConfigError(f"{where} must be symmetric: entry ({i},{j}) differs")
 
 
-def _check_riemannian_positive(S: FinslerStructure, samples: int = 200):
+def _check_riemannian_positive(S: FinslerStructure):
     rng = np.random.default_rng(98765)
-    for _ in range(samples):
+    for _ in range(CONSTRUCTION_SAMPLES):
         x = S.sample_point(rng)
-        g = S.g_fast(x, None)
-        if float(np.min(np.linalg.eigvalsh(g))) <= 0.0:
+        if float(np.linalg.eigvalsh(_eval_table(S.config.riemannian_metric, x))[0]) <= 0.0:
             raise StrongConvexityError(f"riemannian coefficient matrix not positive definite at x={x}")
 
 
-def _check_randers_convexity(S: FinslerStructure, samples: int = 200):
-    n = S.dimension
-    apoly = S.config.randers_metric
+def _check_randers_convexity(S: FinslerStructure):
     bpoly = S.config.randers_form
     rng = np.random.default_rng(56789)
-    for _ in range(samples):
+    for _ in range(CONSTRUCTION_SAMPLES):
         x = S.sample_point(rng)
-        a = np.array([[float(apoly[i][j](x)) for j in range(n)] for i in range(n)])
-        eig = np.linalg.eigvalsh(a)
-        if float(eig[0]) <= 0.0:
+        a = np.array(_eval_table(S.config.randers_metric, x))
+        if float(np.linalg.eigvalsh(a)[0]) <= 0.0:
             raise StrongConvexityError(f"randers base metric not positive definite at x={x}")
-        b = np.array([float(bpoly[i](x)) for i in range(n)])
+        b = np.array([p(x) for p in bpoly])
         norm2 = float(b @ np.linalg.solve(a, b))
         if norm2 >= (1.0 - 1e-6) ** 2:
             raise StrongConvexityError(
@@ -629,11 +612,7 @@ def _fundamental_tensors(S: FinslerStructure, x, y):
     """
     if not (y * y).any(axis=0).all():
         raise EvaluationDomainError("fundamental tensor undefined at y = 0")
-    if S.g_fast is not None:
-        cols = zip(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
-        g = np.array([S.g_fast(xb, yb) for xb, yb in cols], dtype=float)
-    else:
-        g = _hessian_half_f2(S, x, y)
+    g = _hessian_half_f2(S, x, y)
     min_eig = np.linalg.eigvalsh(g)[:, 0]
     if (min_eig <= 0.0).any():
         bad = float(min_eig[np.argmax(min_eig <= 0.0)])

@@ -36,6 +36,23 @@ def exact_randers_config():
     }
 
 
+def indefinite_riemannian_config(scale=1.0):
+    """Riemannian table with g22 = 0.1 - x1^2, indefinite where |x1| > 0.32 inside the sampling ball."""
+    cfg = {
+        "family": "riemannian",
+        "dimension": 2,
+        "riemannian": {
+            "metric": [
+                [[[1.0, 0, 0]], [[0.0, 0, 0]]],
+                [[[0.0, 0, 0]], [[0.1, 0, 0], [-1.0, 2, 0]]],
+            ]
+        },
+    }
+    if scale != 1.0:
+        cfg["scale"] = scale
+    return cfg
+
+
 def nonclosed_randers_config():
     """Randers metric on the README's a (g11 = 1 + 0.3 x2^2, g22 = 1 + 0.3 x1^2)
     with the non-closed beta = (0.3 x2 + 0.1 x1^2) dx1 - 0.2 x1 x2 dx2."""

@@ -2,7 +2,8 @@
 
 Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
-the interval gauge from direct quadrature.  The exceptions are the two
+the interval gauge from direct quadrature, the Klein fundamental tensor from
+its closed form.  The exceptions are the two
 per-point routes at the end, the Einstein classification and the
 projective-parameter solve: second routes through the library's public
 single-point functions.
@@ -76,6 +77,13 @@ def exact_randers_distance(p, q) -> float:
         return 0.15 * (float(x[0]) ** 2 - float(x[1]) ** 2)
 
     return euclidean_distance(p, q) + f(q) - f(p)
+
+
+def klein_fundamental_tensor(x, scale: float = 1.0) -> np.ndarray:
+    """Klein ball g_ij = s^2 (D I + x x^T) / D^2 with D = 1 - |x|^2, the same for every y."""
+    x = np.asarray(x, dtype=float)
+    D = 1.0 - float(x @ x)
+    return scale * scale * (D * np.eye(x.size) + np.outer(x, x)) / (D * D)
 
 
 def interval_funk_quadrature(k: float, a: float, b: float) -> float:

@@ -16,7 +16,13 @@ from finslerlab import cli, make_metric
 from finslerlab.cli import main
 from finslerlab.errors import DomainExitError, IterationLimitError, PoleError, StiffnessError
 
-from conftest import euclid_config, exact_randers_config, funk_config, klein_config
+from conftest import (
+    euclid_config,
+    exact_randers_config,
+    funk_config,
+    indefinite_riemannian_config,
+    klein_config,
+)
 
 LN3 = math.log(3.0)
 
@@ -60,6 +66,7 @@ def cfg(tmp_path_factory):
         "euclid2": euclid_config(2),
         "curved": curved_config(),
         "randers_bad": randers_bad_config(),
+        "riemannian_bad": indefinite_riemannian_config(),
         "randers": exact_randers_config(),
         "interval1": {"family": "interval_funk", "dimension": 1, "k": 1.0},
     }
@@ -104,6 +111,14 @@ class TestValidateCommand:
         doc = json.loads(out)
         assert doc["passed"] is False
         assert any("convexity" in msg for msg in doc["failures"])
+
+    def test_indefinite_riemannian_table_exits_2(self, cfg, capsys):
+        code, out, _ = run(capsys, "metric", "validate", "--config", cfg["riemannian_bad"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        [failure] = doc["failures"]
+        assert failure.startswith("strong convexity: riemannian coefficient matrix not positive definite")
 
 
 class TestUsageErrors:
@@ -421,6 +436,20 @@ class TestCurvatureCommand:
         doc = json.loads(out)
         assert doc["flag_edge"] == [0.0, 1.0]
         assert doc["flag_curvature"] == pytest.approx(-0.25, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "name, x, y, edge",
+        [
+            ("klein2", "0.1,0.2", "2,0", [0.0, 1.0]),
+            ("klein3", "0.1,0.2,-0.3", "-0.5,0,0", [0.0, 1.0, 0.0]),
+        ],
+    )
+    def test_default_flag_edge_is_not_parallel_to_y(self, cfg, capsys, name, x, y, edge):
+        code, out, _ = run(capsys, "curvature", "report", "--config", cfg[name], "--x", x, "--y", y)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["flag_edge"] == edge
+        assert doc["flag_curvature"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_parallel_flag_edge_exits_3(self, cfg, capsys):
         code, _, err = run(

@@ -16,16 +16,18 @@ from finslerlab import (
     validate_structure,
 )
 from finslerlab.jets import Jet, jet_space
-from finslerlab.metrics import FAMILIES, invert_scalarlike_matrix
+from finslerlab.metrics import FAMILIES, SAMPLING_RADIUS, _fundamental_tensors, invert_scalarlike_matrix
 
 from conftest import (
     ball_point,
     euclid_config,
     exact_randers_config,
     funk_config,
+    indefinite_riemannian_config,
     klein_config,
     unit_direction,
 )
+from oracles import klein_fundamental_tensor
 
 
 def poly_const(n, value):
@@ -169,6 +171,11 @@ class TestEvaluators:
         with pytest.raises(StrongConvexityError):
             make_metric(randers_config(2, 1.1))
 
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_indefinite_riemannian_table_rejected(self, scale):
+        with pytest.raises(StrongConvexityError, match="riemannian coefficient matrix not positive definite"):
+            make_metric(indefinite_riemannian_config(scale))
+
 
 FAMILY_CONFIGS = {
     "riemannian": euclid_config(2),
@@ -242,6 +249,35 @@ class TestFundamentalTensor:
     def test_klein_center_identity(self, klein2):
         ft = fundamental_tensor(klein2, [0.0, 0.0], [0.6, 0.8])
         assert np.max(np.abs(ft.g - np.eye(2))) <= 1e-10
+
+    @staticmethod
+    def _batch(S, seed):
+        """200 sampled points and 40 on the sphere of the sampling radius, with scaled directions."""
+        rng = np.random.default_rng(seed)
+        n = S.dimension
+        x = np.array([S.sample_point(rng) for _ in range(200)] + [
+            SAMPLING_RADIUS * unit_direction(rng, n) for _ in range(40)
+        ]).T
+        y = rng.standard_normal(x.shape) * rng.uniform(0.1, 10.0, size=x.shape[1])
+        return x, y
+
+    @pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 1.0), (2, 1.7)])
+    def test_klein_matches_the_closed_form(self, n, scale):
+        S = make_metric(klein_config(n, scale))
+        x, y = self._batch(S, 41)
+        g, _ = _fundamental_tensors(S, x, y)
+        for gb, xb in zip(g, x.T):
+            want = klein_fundamental_tensor(xb, scale)
+            assert np.max(np.abs(gb - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_riemannian_is_the_scaled_table_bit_for_bit(self, scale):
+        S = make_metric(dict(README_METRIC, scale=scale))
+        x, y = self._batch(S, 43)
+        g, _ = _fundamental_tensors(S, x, y)
+        table = S.config.riemannian_metric
+        want = [[[scale * scale * float(p(xb)) for p in row] for row in table] for xb in x.T]
+        assert np.array_equal(g, np.array(want))
 
     def test_invariants_at_samples(self, klein2, funk2, klein3):
         rng = np.random.default_rng(23)
