@@ -317,38 +317,53 @@ FAN_DIRECTIONS = 12  # fan directions besides the chord
 
 
 def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
-    """Arc parameter of the closest dense-output approach to q."""
+    """Arc parameter of the closest dense-output approach to q, and its miss.
+
+    The search brackets one step next to the closest node x_i: the step
+    after it when the distance to q falls along the velocity there,
+    (x_i - q).v_i < 0, the step before it otherwise.
+    """
     d2 = np.sum((traj.states[:, :n] - q) ** 2, axis=1)
     i = int(np.argmin(d2))
-    lo = traj.ts[max(0, i - 1)]
-    hi = traj.ts[min(len(traj.ts) - 1, i + 1)]
-    if hi <= lo:
-        return float(traj.ts[i]), float(math.sqrt(d2[i]))
+    node = float(traj.ts[i]), float(math.sqrt(d2[i]))
+    x_i, v_i = traj.states[i, :n], traj.states[i, n:]
+    j = i + 1 if float((x_i - q) @ v_i) < 0.0 else i - 1
+    if not 0 <= j < len(traj.ts):
+        return node
+    lo, hi = sorted((traj.ts[i], traj.ts[j]))
     res = minimize_scalar(
         lambda s: float(np.sum((traj(s)[:n] - q) ** 2)),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-13},
     )
-    s_star = float(res.x)
-    miss = float(math.sqrt(max(0.0, res.fun)))
     if d2[i] < res.fun:
-        return float(traj.ts[i]), float(math.sqrt(d2[i]))
-    return s_star, miss
+        return node
+    return float(res.x), float(math.sqrt(max(0.0, res.fun)))
 
 
 @dataclass
 class _ShotTally:
-    """Trajectories integrated by one distance search, and their ODE work."""
+    """Trajectories integrated by one distance search, and their ODE work.
+
+    The work is summed when it is read, so it includes the dense-output
+    stages a closest-approach search made after the integration.
+    """
 
     shots: int = 0
-    rhs_calls: int = 0
-    steps_rejected: int = 0
+    trajectories: list = field(default_factory=list)
 
     def add(self, traj: OdeTrajectory | None) -> None:
         if traj is not None:
-            self.rhs_calls += traj.rhs_calls
-            self.steps_rejected += traj.steps_rejected
+            self.trajectories.append(traj)
+
+    @property
+    def rhs_calls(self) -> int:
+        return sum(traj.rhs_calls for traj in self.trajectories)
+
+    @property
+    def steps_rejected(self) -> int:
+        return sum(traj.steps_rejected for traj in self.trajectories)
 
 
 def _unit_against_F(S, p, v):
@@ -483,7 +498,8 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
 
     diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
     every integrated trajectory, and diagnostics["rhs_calls"] and
-    diagnostics["steps_rejected"] sum their ODE work, failed shots included.
+    diagnostics["steps_rejected"] sum their ODE work, failed shots and the
+    dense-output stages of the closest-approach searches included.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))

@@ -1,26 +1,34 @@
-"""Adaptive explicit Runge-Kutta 5(4) integration on Python floats.
+"""Adaptive explicit Runge-Kutta 8(5,3) integration on Python floats.
 
-The integrator is a Dormand-Prince pair with FSAL, PI-free step control and
-cubic Hermite dense output between accepted steps.  It steps the state as a
-list of Python floats: the right-hand side takes a list of floats and
-returns a sequence of floats, and the stage sums, the finiteness check and
-the error norm are plain float arithmetic.  The trajectory's ndarrays are
-built once, when the integration ends.  The right-hand side owns its domain:
-a stage that raises EvaluationDomainError, or a result that is not finite,
-is one more reason to reject a step, as a too-large error estimate is.  The
-step is halved and retried, so a solution that stays inside is followed up
-to the domain's boundary.  When a step rejected that way shrinks below the
-underflow floor, DomainExitError carries the last accepted node and the
-trajectory up to it; an underflow from the error estimate alone raises
+The integrator is DOP853 (Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, sections II.5 and II.6): an eighth-order step of
+twelve stages with FSAL, Hairer's error norm built from its fifth- and
+third-order estimates, and a seventh-order interpolant between accepted
+steps.  The tableau is read once from scipy, and only its nonzero weights
+are kept.  The state is stepped as a list of Python floats: the right-hand
+side takes a list of floats and returns a sequence of floats, and the stage
+sums, the finiteness check and the error norm are plain float arithmetic.
+The trajectory's ndarrays are built once, when the integration ends.
+
+The right-hand side owns its domain: a stage that raises
+EvaluationDomainError, or a result that is not finite, is one more reason
+to reject a step, as a too-large error estimate is.  The step is halved
+and retried, so a solution that stays inside is followed up to the
+domain's boundary.  When a step rejected that way shrinks below
+tolerance * max(1, |t|), DomainExitError carries the last accepted node and
+the trajectory up to it; an underflow from the error estimate alone raises
 StiffnessError instead of looping forever.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
+from typing import Callable
 
 import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .errors import (
     DomainExitError,
@@ -29,44 +37,59 @@ from .errors import (
     StiffnessError,
 )
 
-# Dormand-Prince 5(4) tableau; the right-hand side is autonomous, so the
-# stage nodes c_s are not needed.  Row s of _A holds stage s's weights.
-_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-    ]
+
+def _nonzero(row):
+    """The nonzero entries of one tableau row: (their indices, their weights)."""
+    index = np.flatnonzero(row)
+    return tuple(index.tolist()), tuple(row[index].tolist())
+
+
+# The right-hand side is autonomous, so the stage nodes c_s are not needed.
+# Stages 1..11 of the step, the eighth-order solution weights and the two
+# error estimates (whose weight on the FSAL stage, number 12, is zero), then
+# the three extra stages 13..15 of the interpolant and its four highest
+# coefficients.  _step writes its sums out over the index sets of these
+# rows; the reference step in tests/oracles.py checks them against dense
+# products over the full tableau.
+_STAGES = tuple(_nonzero(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES))
+_SOLUTION = _nonzero(_dop.B)
+_ERROR5 = _nonzero(_dop.E5)
+_ERROR3 = _nonzero(_dop.E3)
+_EXTRA_STAGES = tuple(
+    _nonzero(_dop.A[s, :s]) for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
 )
-_B5 = _A[6]  # FSAL: the last stage is evaluated at the fifth-order solution
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-# the same tableau as Python floats: stage rows 2..7 and the error weights B5 - B4
-_ROWS = tuple(tuple(_A[s, :s].tolist()) for s in range(1, 7))
-_ERROR_WEIGHTS = tuple((_B5 - _B4).tolist())
+_DENSE = tuple(_nonzero(row) for row in _dop.D)
 
 MAX_STEPS = 200_000
+
+
+def _combine(y, h, index, weights, stages):
+    """y + h * sum_j weights_j stages[index_j], on lists of floats."""
+    rows = [stages[j] for j in index]
+    return [yi + h * sum(map(mul, weights, ks)) for yi, ks in zip(y, zip(*rows))]
 
 
 @dataclass
 class OdeTrajectory:
     """Accepted integration nodes plus enough data for dense evaluation.
 
-    rhs_calls counts every right-hand-side evaluation, steps_rejected every
+    rhs_calls counts every right-hand-side evaluation, those the
+    interpolant makes when it is first used included; steps_rejected every
     attempted step that was not accepted (over tolerance, or a stage off the
-    domain or not finite).
+    domain or not finite).  stages[i] holds step i's twelve stages k0..k11,
+    and rhs is the right-hand side, which the interpolant calls again.
     """
 
     ts: np.ndarray
     states: np.ndarray
     derivs: np.ndarray
     steps: np.ndarray
+    stages: list = field(repr=False)
+    rhs: Callable = field(repr=False)
     tolerance: float
     rhs_calls: int = 0
     steps_rejected: int = 0
+    _interpolants: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def t0(self) -> float:
@@ -77,7 +100,7 @@ class OdeTrajectory:
         return float(self.ts[-1])
 
     def __call__(self, t):
-        """Cubic Hermite interpolation between accepted nodes."""
+        """The state at t: exact at the nodes, DOP853's interpolant between them."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((ts.size, self.states.shape[1]))
         for m, tv in enumerate(ts):
@@ -93,18 +116,42 @@ class OdeTrajectory:
         if t >= ts[-1]:
             return self.states[-1].copy()
         i = int(np.searchsorted(ts, t, side="right") - 1)
-        h = ts[i + 1] - ts[i]
-        th = (t - ts[i]) / h
-        h00 = (1 + 2 * th) * (1 - th) ** 2
-        h10 = th * (1 - th) ** 2
-        h01 = th * th * (3 - 2 * th)
-        h11 = th * th * (th - 1)
-        return (
-            h00 * self.states[i]
-            + h10 * h * self.derivs[i]
-            + h01 * self.states[i + 1]
-            + h11 * h * self.derivs[i + 1]
-        )
+        if t == ts[i]:
+            return self.states[i].copy()
+        rows = self._interpolants.get(i)
+        if rows is None:
+            rows = self._interpolants[i] = self._interpolant(i)
+        x = (t - ts[i]) / self.steps[i]
+        acc = np.zeros(self.states.shape[1])
+        for r in range(len(rows) - 1, -1, -1):
+            acc = (acc + rows[r]) * (x if r % 2 == 0 else 1.0 - x)
+        return self.states[i] + acc
+
+    def _interpolant(self, i: int) -> np.ndarray:
+        """Step i's interpolant coefficients, row r weighing x or 1 - x by parity.
+
+        The first three rows make the cubic Hermite interpolant of the two
+        nodes.  The other four take three more stages, counted in
+        rhs_calls; when one of them raises EvaluationDomainError or is not
+        finite, the step keeps the cubic.
+        """
+        h = float(self.steps[i])
+        y0, f0, f1 = self.states[i], self.derivs[i], self.derivs[i + 1]
+        dy = self.states[i + 1] - y0
+        rows = [dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0)]
+        stages = self.stages[i] + [f1.tolist()]
+        y = y0.tolist()
+        try:
+            for index, weights in _EXTRA_STAGES:
+                self.rhs_calls += 1
+                stages.append(list(self.rhs(_combine(y, h, index, weights, stages))))
+        except EvaluationDomainError:
+            return np.array(rows)
+        if not all(map(_all_finite, stages)):
+            return np.array(rows)
+        zero = [0.0] * len(y)
+        rows += [_combine(zero, h, index, weights, stages) for index, weights in _DENSE]
+        return np.array(rows)
 
 
 def _rms(values) -> float:
@@ -115,58 +162,118 @@ def _all_finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _dp_step(rhs, y, f, h, tolerance):
-    """One Dormand-Prince attempt of size h from the state y, where f = rhs(y).
+def _step(rhs, y, f, h, tolerance):
+    """One DOP853 attempt of size h from the state y, where f = rhs(y).
 
-    Returns (calls, y_new, f_new, err): the right-hand-side calls made, the
-    fifth-order solution, its derivative (the last stage, reused as the next
-    step's first) and the RMS of the embedded error estimate in units of
-    tolerance * (1 + max(|y_i|, |y_new_i|)).  The last three are None when a
-    stage raised EvaluationDomainError or y_new or f_new is not finite.
-    Every stage is copied into a fresh list, so a right-hand side may reuse
-    the buffer it returns.
+    Returns (calls, y_new, f_new, err, stages): the right-hand-side calls
+    made, the eighth-order solution, its derivative (the FSAL stage, reused
+    as the next step's first), Hairer's error norm in units of
+    tolerance * (1 + max(|y_i|, |y_new_i|)) and the twelve stages k0..k11.
+    Over tolerance (err > 1) the FSAL stage is not evaluated and f_new is
+    None; y_new, f_new, err and stages are all None when a stage raised
+    EvaluationDomainError or y_new or f_new is not finite.  Every stage is
+    copied into a fresh list, so a right-hand side may reuse the buffer it
+    returns.
     """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), row6, row7 = _ROWS
-    a61, a62, a63, a64, a65 = row6
-    a71, a72, a73, a74, a75, a76 = row7
-    e1, e2, e3, e4, e5, e6, e7 = _ERROR_WEIGHTS
-    k1 = f
+    r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11 = (weights for _, weights in _STAGES)
+    k0 = f
     calls = 1  # the rhs calls made once the next one returns or raises
     try:
-        k2 = list(rhs([yi + h * (a21 * p1) for yi, p1 in zip(y, k1)]))
+        (w0,) = r1
+        k1 = list(rhs([yi + h * (w0 * p0) for yi, p0 in zip(y, k0)]))
         calls = 2
-        k3 = list(rhs([yi + h * (a31 * p1 + a32 * p2) for yi, p1, p2 in zip(y, k1, k2)]))
+        w0, w1 = r2
+        k2 = list(rhs([yi + h * (w0 * p0 + w1 * p1) for yi, p0, p1 in zip(y, k0, k1)]))
         calls = 3
-        k4 = list(rhs([
-            yi + h * (a41 * p1 + a42 * p2 + a43 * p3) for yi, p1, p2, p3 in zip(y, k1, k2, k3)
-        ]))
+        w0, w2 = r3
+        k3 = list(rhs([yi + h * (w0 * p0 + w2 * p2) for yi, p0, p2 in zip(y, k0, k2)]))
         calls = 4
-        k5 = list(rhs([
-            yi + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-            for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)
+        w0, w2, w3 = r4
+        k4 = list(rhs([
+            yi + h * (w0 * p0 + w2 * p2 + w3 * p3) for yi, p0, p2, p3 in zip(y, k0, k2, k3)
         ]))
         calls = 5
-        k6 = list(rhs([
-            yi + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-            for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)
+        w0, w3, w4 = r5
+        k5 = list(rhs([
+            yi + h * (w0 * p0 + w3 * p3 + w4 * p4) for yi, p0, p3, p4 in zip(y, k0, k3, k4)
         ]))
         calls = 6
-        # FSAL: the last stage's input is the fifth-order solution
-        y_new = [
-            yi + h * (a71 * p1 + a72 * p2 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
-            for yi, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)
-        ]
-        k7 = list(rhs(y_new))
+        w0, w3, w4, w5 = r6
+        k6 = list(rhs([
+            yi + h * (w0 * p0 + w3 * p3 + w4 * p4 + w5 * p5)
+            for yi, p0, p3, p4, p5 in zip(y, k0, k3, k4, k5)
+        ]))
+        calls = 7
+        w0, w3, w4, w5, w6 = r7
+        k7 = list(rhs([
+            yi + h * (w0 * p0 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6)
+            for yi, p0, p3, p4, p5, p6 in zip(y, k0, k3, k4, k5, k6)
+        ]))
+        calls = 8
+        w0, w3, w4, w5, w6, w7 = r8
+        k8 = list(rhs([
+            yi + h * (w0 * p0 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7)
+            for yi, p0, p3, p4, p5, p6, p7 in zip(y, k0, k3, k4, k5, k6, k7)
+        ]))
+        calls = 9
+        w0, w3, w4, w5, w6, w7, w8 = r9
+        k9 = list(rhs([
+            yi + h * (w0 * p0 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8)
+            for yi, p0, p3, p4, p5, p6, p7, p8 in zip(y, k0, k3, k4, k5, k6, k7, k8)
+        ]))
+        calls = 10
+        w0, w3, w4, w5, w6, w7, w8, w9 = r10
+        k10 = list(rhs([
+            yi + h * (
+                w0 * p0 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8 + w9 * p9
+            )
+            for yi, p0, p3, p4, p5, p6, p7, p8, p9 in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)
+        ]))
+        calls = 11
+        w0, w3, w4, w5, w6, w7, w8, w9, w10 = r11
+        k11 = list(rhs([
+            yi + h * (
+                w0 * p0 + w3 * p3 + w4 * p4 + w5 * p5 + w6 * p6 + w7 * p7 + w8 * p8 + w9 * p9
+                + w10 * p10
+            )
+            for yi, p0, p3, p4, p5, p6, p7, p8, p9, p10
+            in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)
+        ]))
     except EvaluationDomainError:
-        return calls, None, None, None
-    if not (_all_finite(y_new) and _all_finite(k7)):
-        return 6, None, None, None
-    err = _rms([
-        h * (e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-        / (tolerance + tolerance * max(abs(yi), abs(zi)))
-        for yi, zi, p1, p2, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-    ])
-    return 6, y_new, k7, err
+        return calls, None, None, None, None
+    # the solution and both error estimates weigh k0 and k5..k11
+    b0, b5, b6, b7, b8, b9, b10, b11 = _SOLUTION[1]
+    e0, e5, e6, e7, e8, e9, e10, e11 = _ERROR5[1]
+    t0, t5, t6, t7, t8, t9, t10, t11 = _ERROR3[1]
+    tail = (k0, k5, k6, k7, k8, k9, k10, k11)
+    y_new = [
+        yi + h * (b0 * p0 + b5 * p5 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10 + b11 * p11)
+        for yi, p0, p5, p6, p7, p8, p9, p10, p11 in zip(y, *tail)
+    ]
+    if not _all_finite(y_new):
+        return 11, None, None, None, None
+    sq5 = sq3 = 0.0
+    for yi, zi, p0, p5, p6, p7, p8, p9, p10, p11 in zip(y, y_new, *tail):
+        scale = tolerance + tolerance * max(abs(yi), abs(zi))
+        sq5 += (
+            (e0 * p0 + e5 * p5 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11)
+            / scale
+        ) ** 2
+        sq3 += (
+            (t0 * p0 + t5 * p5 + t6 * p6 + t7 * p7 + t8 * p8 + t9 * p9 + t10 * p10 + t11 * p11)
+            / scale
+        ) ** 2
+    err = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+    stages = [k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11]
+    if not err <= 1.0:
+        return 11, y_new, None, err, stages
+    try:
+        f_new = list(rhs(y_new))
+    except EvaluationDomainError:
+        return 12, None, None, None, None
+    if not _all_finite(f_new):
+        return 12, None, None, None, None
+    return 12, y_new, f_new, err, stages
 
 
 def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
@@ -177,8 +284,10 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
     reuse one buffer).  It raises EvaluationDomainError outside its domain,
     and that is the only domain signal: at y0 the error propagates, and a
     step whose stage raises it, or whose result is not finite, is rejected
-    and retried at half the size; when the step then underflows,
-    DomainExitError reports the last accepted node (its state as an array).
+    and retried at half the size; once the step is below
+    tolerance * max(1, |t|), DomainExitError reports the last accepted node
+    (its state as an array).  The trajectory keeps rhs, and its dense
+    output calls it again, three times per step on first use.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -200,28 +309,46 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
     states = [y]
     derivs = [f]
     steps: list[float] = []
+    stages: list[list[list[float]]] = []
     rhs_calls = 1
     rejected = 0
 
     def trajectory() -> OdeTrajectory:
         arrays = (np.asarray(ts), np.asarray(states), np.asarray(derivs), np.asarray(steps))
-        return OdeTrajectory(*arrays, tolerance, rhs_calls, rejected)
+        return OdeTrajectory(*arrays, stages, rhs, tolerance, rhs_calls, rejected)
 
-    # initial step from the usual curvature-free heuristic
+    # Hairer's starting step: h0 from the sizes of y and f, then h1 from the
+    # change of f over one Euler step of size h0 (one more rhs call).
     sc = [tolerance + tolerance * abs(yi) for yi in y]
     d0 = _rms([yi / si for yi, si in zip(y, sc)])
     d1 = _rms([fi / si for fi, si in zip(f, sc)])
-    h = 0.01 * d0 / d1 if d1 > 1e-300 else (t1 - t0) / 100.0
-    h = min(max(h, 1e-10), t1 - t0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1 - t0)
+    rhs_calls += 1
+    try:
+        f1 = list(rhs([yi + h0 * fi for yi, fi in zip(y, f)]))
+    except EvaluationDomainError:
+        f1 = None
+    if f1 is not None and _all_finite(f1):
+        d2 = _rms([(a - b) / si for a, b, si in zip(f1, f, sc)]) / h0
+        dmax = max(d1, d2)
+        h1 = max(1e-6, 1e-3 * h0) if dmax <= 1e-15 else (0.01 / dmax) ** (1.0 / 8.0)
+        h = min(100.0 * h0, h1, t1 - t0)
+    else:
+        # the probe point is refused: fall back to the curvature-free guess
+        h = 0.01 * d0 / d1 if d1 > 1e-300 else (t1 - t0) / 100.0
+        h = min(max(h, 1e-10), t1 - t0)
 
     t = t0
     left_domain = False  # a step was rejected by the domain signal since the last node
+    step_rejected = False  # any rejection since the last node: the next step may not grow
 
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if len(steps) >= MAX_STEPS:
             raise IterationLimitError(f"integration exceeded {MAX_STEPS} steps")
         h = min(h, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        floor = max(1.0, abs(t))
+        if h < 1e-14 * floor or (left_domain and h < tolerance * floor):
             if left_domain:
                 raise DomainExitError(
                     f"integration left the domain near t = {t:.12g}",
@@ -230,26 +357,30 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
                     trajectory=trajectory(),
                 )
             raise StiffnessError(f"step size underflow at t = {t:.12g}")
-        calls, y_new, f_new, err = _dp_step(rhs, y, f, h, tolerance)
+        calls, y_new, f_new, err, k = _step(rhs, y, f, h, tolerance)
         rhs_calls += calls
         if y_new is None:
             rejected += 1
-            left_domain = True
+            left_domain = step_rejected = True
             h *= 0.5
             continue
-        if err <= 1.0:
-            t += h
-            y = y_new
-            f = f_new
-            ts.append(t)
-            states.append(y)  # y_new and f_new are fresh lists on every attempt
-            derivs.append(f)
-            steps.append(h)
-            left_domain = False
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h *= factor
-        else:
+        if f_new is None:
             rejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            step_rejected = True
+            h *= max(0.2, 0.9 * err ** -0.125)
+            continue
+        t += h
+        y = y_new
+        f = f_new
+        ts.append(t)
+        states.append(y)  # y_new and f_new are fresh lists on every attempt
+        derivs.append(f)
+        steps.append(h)
+        stages.append(k)
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+        if step_rejected:
+            factor = min(1.0, factor)
+        h *= factor
+        left_domain = step_rejected = False
 
     return trajectory()

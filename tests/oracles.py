@@ -3,7 +3,8 @@
 Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
 the interval gauge from direct quadrature, the Klein fundamental tensor from
-its closed form.  The exceptions are the two
+its closed form, the DOP853 step and interpolant from dense products over
+scipy's tableau.  The exceptions are the two
 per-point routes at the end, the Einstein classification and the
 projective-parameter solve: second routes through the library's public
 single-point functions.
@@ -15,6 +16,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
 from finslerlab.metrics import SAMPLING_RADIUS
@@ -112,48 +115,65 @@ def interval_funk_closed(k: float, a: float, b: float) -> float:
     return 0.0
 
 
-# Dormand & Prince (1980), the 5(4) pair with FSAL (Hairer, Norsett & Wanner,
-# Solving ODEs I, Table II.5.2), typed out here independently of the library.
-_DP_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    ]
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sections II.5 and II.6) on
+# ndarrays: every stage sum is a dense product over the full tableau that
+# scipy ships, zeros included, where the library sums the nonzero weights
+# of each row one by one on Python floats.
+_DOP_A = dop853_coefficients.A
+_DOP_B = dop853_coefficients.B
+_DOP_E5 = dop853_coefficients.E5
+_DOP_E3 = dop853_coefficients.E3
+_DOP_D = dop853_coefficients.D
+_DOP_STAGES = dop853_coefficients.N_STAGES
+_DOP_EXTENDED = dop853_coefficients.N_STAGES_EXTENDED
 
 
-def dormand_prince_step(rhs, y, f, h: float, tolerance: float):
-    """One Dormand-Prince 5(4) attempt on ndarrays: (y_new, f_new, err_norm, err_scale).
+def dop853_step(rhs, y, f, h: float, tolerance: float):
+    """One DOP853 attempt on ndarrays: (K, y_new, err_norm, err_scale).
 
-    The stage sums are matrix products over a (7, m) stage array; y_new is
-    the fifth-order solution, f_new = rhs(y_new), and err_norm the RMS of the
-    embedded error estimate h (B5 - B4) k over tolerance * (1 + max(|y_i|,
-    |y_new_i|)).  That estimate is a cancellation, so its rounding is
-    relative to err_scale, the same norm of h |B5 - B4| |k|, not to itself.
-    rhs takes and returns 1-d arrays.
+    K is the (13, m) stage array, its last row f_new = rhs(y_new); y_new is
+    the eighth-order solution and err_norm Hairer's norm
+    |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) m) of the two embedded estimates
+    K.T @ E5 and K.T @ E3 over tolerance * (1 + max(|y_i|, |y_new_i|)).
+    Those estimates are cancellations, so the norm's rounding is relative
+    to err_scale, |h| (rms(|E5| |K|) + 0.1 rms(|E3| |K|)) in the same
+    units, not to itself.  rhs takes and returns 1-d arrays.
     """
     y = np.asarray(y, dtype=float)
-    k = np.empty((7, y.size))
-    k[0] = f
-    for s in range(1, 6):
-        k[s] = rhs(y + h * (_DP_A[s, :s] @ k[:s]))
-    y_new = y + h * (_DP_B5[:6] @ k[:6])
-    k[6] = rhs(y_new)
-    weights = _DP_B5 - _DP_B4
+    K = np.empty((_DOP_STAGES + 1, y.size))
+    K[0] = f
+    for s in range(1, _DOP_STAGES):
+        K[s] = rhs(y + h * (K[:s].T @ _DOP_A[s, :s]))
+    y_new = y + h * (K[:-1].T @ _DOP_B)
+    K[-1] = rhs(y_new)
     scale = tolerance + tolerance * np.maximum(np.abs(y), np.abs(y_new))
+    e5 = float(np.sum(((K.T @ _DOP_E5) / scale) ** 2))
+    e3 = float(np.sum(((K.T @ _DOP_E3) / scale) ** 2))
+    err = 0.0 if e5 == 0.0 else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * y.size)
 
     def rms(v):
-        return math.sqrt(float(np.mean((h * v / scale) ** 2)))
+        return math.sqrt(float(np.mean((v / scale) ** 2)))
 
-    return y_new, k[6].copy(), rms(weights @ k), rms(np.abs(weights) @ np.abs(k))
+    absK = np.abs(K).T
+    err_scale = abs(h) * (rms(absK @ np.abs(_DOP_E5)) + 0.1 * rms(absK @ np.abs(_DOP_E3)))
+    return K, y_new, err, err_scale
+
+
+def dop853_dense(rhs, y, K, y_new, h: float, x: float) -> np.ndarray:
+    """DOP853's seventh-order interpolant at the fraction x of the step, 0 <= x <= 1.
+
+    K is dop853_step's stage array.  The three extra stages and the
+    coefficients are dense products too, and scipy's Dop853DenseOutput
+    evaluates them.
+    """
+    y = np.asarray(y, dtype=float)
+    ext = np.empty((_DOP_EXTENDED, y.size))
+    ext[: K.shape[0]] = K
+    for s in range(K.shape[0], _DOP_EXTENDED):
+        ext[s] = rhs(y + h * (ext[:s].T @ _DOP_A[s, :s]))
+    dy = y_new - y
+    F = np.vstack([dy, h * K[0] - dy, 2.0 * dy - h * (K[-1] + K[0]), h * (_DOP_D @ ext)])
+    return Dop853DenseOutput(0.0, h, y, F)(x * h)
 
 
 # ----- Einstein classification, one point at a time ---------------------------

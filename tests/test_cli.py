@@ -528,7 +528,7 @@ class TestGeodesicLayerBytes:
     Each key is a command (distance, theorem1 verify or geodesic trace), a
     config name and its options; the value is the exit code and the SHA-256
     of stdout, or of the stderr JSON when the command exits 3.  The last
-    case is the README metric's chart exit, at arc length 0.8475874292634465.
+    case is the README metric's chart exit, at arc length 0.8475874292228314.
     """
 
     COMMANDS = {
@@ -538,64 +538,64 @@ class TestGeodesicLayerBytes:
     }
     DIGESTS = {
         ("distance", "klein2", "--from", "-0.2,0.3", "--to", "0.4,-0.1"): (
-            0, "67bd67b5904421c0175bebd9fd48d3b16b354b1995d4fb378b2b1f3da0fcb375"
+            0, "4335d443839bfd2338596a51f51094ad0a077f7bc475ca34874de5094920e289"
         ),
         ("distance", "klein2", "--from", "-0.2,0.3", "--to", "0.4,-0.1", "--pseudo"): (
-            0, "67e50f7ee9f8f4d8aa40c73940bf87eb0e85a578f03a12acdbedc8ec6c4a1ade"
+            0, "0d890c540c6ce1269f4e8dc42e75d93411badbf01862bfdb001344e39f8edf8a"
         ),
         ("distance", "klein2", "--from", "0.99,0", "--to", "-0.3,0.9"): (
-            0, "b182566d579c1ce94425910f8911c24a6c443869406b868364dbfc99af534bd9"
+            0, "c4ee4c3f05923932a59f1eb85fba9825bda55bde4c2292a29c636e610a0e2158"
         ),
         ("distance", "klein2", "--from", "0.99,0", "--to", "-0.3,0.9", "--pseudo"): (
-            0, "2f92b98857ba80ed49c5ed55d06ee05fb6e30d02c1930054ea216e0be74ffd8d"
+            0, "dc85c0da5161aee5a513ec74acce3e66e5d2c1ecc71081369a6e6ef5da5c6629"
         ),
         ("distance", "funk2", "--from", "-0.2,0.3", "--to", "0.4,-0.1"): (
-            0, "ea68a9ab771e542a35d314966b99a4f6abd81a5f58becececc21f39cdaae239d"
+            0, "c691e4e8203e75265791b3706a4839a06e65c1d827b3f0b10efa062d516f2484"
         ),
         ("distance", "funk2", "--from", "-0.2,0.3", "--to", "0.4,-0.1", "--pseudo"): (
-            0, "6e6469219aeb6fa7d22c46b5c178b4b092a306599c271b15da59d326b1cc5fe5"
+            0, "37375fa041ee775d7cf7acfac8ec16966a5a441388be9dafa4d2a485f272a067"
         ),
         ("distance", "funk2", "--from", "0,0.98", "--to", "0.5,-0.3"): (
-            0, "e1ade1a50886ec72de399ee016741530bf16d9b5b061d63278fbbf23a8c76991"
+            0, "600225439387a2b6d539294d53e1632c68a2f47cdf19dcd2614a4b2b2d79ed57"
         ),
         ("distance", "funk2", "--from", "0,0.98", "--to", "0.5,-0.3", "--pseudo"): (
-            0, "3734582dccf57a42b7f3a1e77a0a99f530c54cc997eda9ecad07ba8a751afd1d"
+            0, "fa15b5c0f3942f7697baaef4c3e7b54eacc54eabfc3650ba8ca3265915d7206b"
         ),
         ("distance", "klein3", "--from", "0.1,-0.2,0.3", "--to", "-0.3,0.2,0.1"): (
-            0, "dda1d9ad9a50d7d31426ff2c0b0197ee77958201da1dc099f4daf276b3711d88"
+            0, "960524b5aec4987d3a7cce833f5f9878afb095153d8afeaf20afd594225f3003"
         ),
         ("distance", "klein3", "--from", "0.1,-0.2,0.3", "--to", "-0.3,0.2,0.1", "--pseudo"): (
-            0, "1328d1fa7982e2c5698b8d4214088889f82bc4cd51f97b00eafdfa2356308948"
+            0, "9c11d4b34fba9896aca92f3f2ccdcb097039bc642740b39fd0e5713293169747"
         ),
         ("distance", "klein3", "--from", "0.2,0.97,0", "--to", "-0.4,0,0.5"): (
-            0, "c7b7d0f4db5098b95b0b9da22d8bf417e0446bef106671f590983a8389373f5f"
+            0, "d510b92d4008a85932a39ac5c68cf3636486d79a667aa055dd17143287a3aa09"
         ),
         ("distance", "klein3", "--from", "0.2,0.97,0", "--to", "-0.4,0,0.5", "--pseudo"): (
-            0, "be8124622040dae11345e8f3c8d104a7201d977834a27306d65f8795bbdcc3aa"
+            0, "7444ce6a1d32fb86e61bcb61ed56de765fc5da8a70c92f5b6572a04653c5a873"
         ),
         ("theorem1", "klein2", "--pairs", "4", "--seed", "2"): (
-            0, "f520be32538668c2a698ae4d912477c10db7d4bddc686ea6e0adf7005748bf04"
+            0, "dbd0c1448c5125e31c9feb53e8464d41c5d18c0bf3c2a63996df989b8412d585"
         ),
         ("theorem1", "funk2", "--pairs", "4", "--seed", "2"): (
-            0, "c31b5a9ad984d34e82da2a2634cbf90eec27d82a8d47bc9978ab5672ec7a020b"
+            0, "50883a2b85fde845c89b0cb8c4a03c52e8bd5337ea948464154ae519bcc4dea0"
         ),
         ("theorem1", "klein3", "--pairs", "4", "--seed", "2"): (
-            0, "e4545114ac5fa822be23c1858242ab6e29b3705b10056976b3e58eebf451955e"
+            0, "4f284c954c8eba6d2d257b1bd9fa045acd4a4b5351f2dbefb53fb52ae5b39a00"
         ),
         ("trace", "klein2", "--x0", "0.1,-0.2", "--y0", "0.7,0.4", "--length", "1.2"): (
-            0, "13c143229501b464cbb90850f954fa3e18a536928451ba125c32fb5daff06ab4"
+            0, "79a6fb246e09f63bde832b02ae5574e6e693b2f585b65b5f49a03c670e1813aa"
         ),
         ("trace", "klein2", "--x0", "0.2,0.1", "--y0", "0.3,-1", "--length", "-0.8", "--step", "0.1"): (
-            0, "3b21caedc5f18bcbcc32a8cf43901d0d71975c568cfd01d5ac9678b68bdfcbf1"
+            0, "c510de3a158bcd27cf4c722e244821a5d3155b63c1b90d843892654f9afaab48"
         ),
         ("trace", "funk2", "--x0", "-0.3,0.2", "--y0", "1,0.5", "--length", "1.0", "--step", "0.25"): (
-            0, "8f01063490fde1e960ddb285e17400b65735271beb71877a1680db1734e3e058"
+            0, "ac53539e7468747c4f4f229dd7fc69f7785976183a417e3f0af0a7667f32caf3"
         ),
         ("trace", "funk2", "--x0", "0.3,0", "--y0", "1,0.4", "--length", "-0.2"): (
-            0, "59cb82022f309da6acadfb2a65b0086d5bb708084280d9c6dff2303055a5c730"
+            0, "523eaf87063aeb849ed371cdb7820407cce58cd1789e3668b0742d85ef8a53c7"
         ),
         ("trace", "curved", "--x0", "0.1,0.2", "--y0", "1,0.3", "--length", "3"): (
-            3, "2cdc776ec5f67b08a858240ccffaecbf9e73ee4c4440828bf498e41066d35aa2"
+            3, "7642e4be84dd86d84af4efbd59d4660f973eea97c301b4d7c7be81e65cc91003"
         ),
     }
 

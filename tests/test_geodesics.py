@@ -510,14 +510,36 @@ class TestDistance:
             assert res.diagnostics["rhs_calls"] > 6 * res.diagnostics["shots"]
 
     def test_readme_pair_counts(self):
-        # 5 of the 38 fan shots leave the chart and spend 452 of the rejected
-        # steps.  The spray refuses the first stage off the chart, so each
-        # of those attempts stops there and rhs_calls counts only the
-        # stages that ran.
+        # 5 of the 38 fan shots leave the chart; they spend all 126 rejected
+        # steps and 1,781 of the rhs calls.  The count includes the dense
+        # output stages the closest-approach searches make.
         res = finsler_distance(make_metric(curved_riemannian_config()), [-0.2, 0.3], [0.4, -0.1])
-        assert res.distance == 0.7241241477317056
+        assert res.distance == 0.7241241477393268
         diag = res.diagnostics
-        assert (diag["shots"], diag["steps_rejected"], diag["rhs_calls"]) == (38, 455, 3584)
+        assert (diag["shots"], diag["steps_rejected"], diag["rhs_calls"]) == (38, 126, 3056)
+
+    @pytest.mark.parametrize(
+        "ball, p, q, rhs_calls",
+        [
+            ("klein2", [-0.2, 0.3], [0.4, -0.1], 85),
+            ("funk2", [-0.2, 0.3], [0.4, -0.1], 50),
+            ("klein3", [0.1, -0.2, 0.3], [-0.3, 0.2, 0.1], 62),
+        ],
+        ids=["klein2", "funk2", "klein3"],
+    )
+    def test_ball_pair_counts(self, request, ball, p, q, rhs_calls):
+        # One chord shot of a few eighth-order steps: 145, 121 and 115 rhs
+        # calls with the Dormand-Prince 5(4) pair these replaced.
+        res = finsler_distance(request.getfixturevalue(ball), p, q)
+        assert (res.diagnostics["shots"], res.diagnostics["rhs_calls"]) == (1, rhs_calls)
+
+    def test_near_boundary_search_failure_reports_its_context(self, klein2):
+        # From 1e-9 off the sphere no polished shot reaches q (the distance
+        # is finite, see the cross-ratio); the search must still end in
+        # SearchFailureError with its best miss and shot count, also where
+        # a dense-output stage of a shot near the sphere is off the chart.
+        with pytest.raises(SearchFailureError, match=r"best miss \S+, \d+ shots tried"):
+            finsler_distance(klein2, [0.999999999, 0.0], [-0.7, 0.7])
 
     @pytest.mark.parametrize(
         "config, oracle",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients
 
 from finslerlab import (
     DomainExitError,
@@ -11,7 +12,7 @@ from finslerlab import (
 )
 from finslerlab import geodesics, ode
 
-from oracles import dormand_prince_step
+from oracles import dop853_dense, dop853_step
 
 
 class TestIntegrateIvp:
@@ -47,10 +48,13 @@ class TestIntegrateIvp:
         assert traj.states.shape[1] == 1
 
     def test_dense_output_between_nodes(self):
+        # DOP853's seventh-order interpolant: the worst midpoint error on
+        # y' = y reads 3.2e-10, where the cubic Hermite interpolant of the
+        # same four steps reads 7.6e-5
         traj = integrate_ivp(lambda y: y, np.array([1.0]), (0.0, 1.0), tolerance=1e-10)
         mids = 0.5 * (traj.ts[:-1] + traj.ts[1:])
         worst = max(abs(traj(t)[0] - math.exp(t)) for t in mids)
-        assert worst <= 1e-7
+        assert worst <= 1e-9
 
     def test_domain_exit_locates_boundary(self):
         # unit-speed growth leaves {y < 1} exactly at t = 1
@@ -140,15 +144,25 @@ class TestStoredNodes:
         self.assert_fsal_nodes(self.relax([0.0]), traj)
 
     def test_reused_buffer_rhs_gives_the_fresh_array_trajectory(self):
-        # From y0 = 0.999 the first step is rejected, so the initial
-        # derivative is the first stage of a second attempt: it must not be
-        # the buffer the rejected attempt's stages overwrote.
-        y0, span = np.array([0.999]), (0.0, 5.0)
-        fresh = integrate_ivp(lambda y: [1.0 - y[0]], y0, span, tolerance=1e-10)
-        reused = integrate_ivp(self.relax([0.0]), y0, span, tolerance=1e-10)
+        # y' = sin(y) + 1.5 has rejected steps, and a rejected attempt is
+        # retried from the same node, whose derivative is its first stage
+        # again: that must not be the buffer the rejected attempt's stages
+        # overwrote.
+        def wave(buf):
+            def rhs(y):
+                buf[:] = [math.sin(yi) + 1.5 for yi in y]
+                return buf
+
+            return rhs
+
+        y0, span = np.array([0.0]), (0.0, 5.0)
+        fresh = integrate_ivp(lambda y: [math.sin(y[0]) + 1.5], y0, span, tolerance=1e-10)
+        reused = integrate_ivp(wave([0.0]), y0, span, tolerance=1e-10)
         assert fresh.steps_rejected > 0
         for name in ("ts", "states", "derivs", "steps"):
             assert np.array_equal(getattr(fresh, name), getattr(reused, name))
+        mids = 0.5 * (fresh.ts[:-1] + fresh.ts[1:])
+        assert np.array_equal(fresh(mids), reused(mids))
 
 
 class TestWorkCounts:
@@ -161,13 +175,22 @@ class TestWorkCounts:
         return wrapped
 
     def test_counts_match_the_calls_made(self):
+        # one initial call and one starting-step probe; 11 stages per
+        # attempt and the FSAL stage for each accepted one; 3 more per step
+        # on the interpolant's first use there, and none on later uses
         calls = []
         traj = integrate_ivp(
-            self.counted(lambda y: [1.0 - y[0]], calls), np.array([0.999]), (0.0, 5.0),
+            self.counted(lambda y: [math.sin(y[0]) + 1.5], calls), np.array([0.0]), (0.0, 5.0),
             tolerance=1e-10,
         )
-        assert traj.steps_rejected > 0
-        assert traj.rhs_calls == len(calls) == 1 + 6 * (len(traj.steps) + traj.steps_rejected)
+        accepted, rejected = len(traj.steps), traj.steps_rejected
+        assert rejected > 0
+        assert traj.rhs_calls == len(calls) == 2 + 11 * (accepted + rejected) + accepted
+        mids = 0.5 * (traj.ts[:-1] + traj.ts[1:])
+        traj(mids[:3])
+        traj(mids)
+        traj(traj.ts)  # nodes need no interpolant
+        assert traj.rhs_calls == len(calls) == 2 + 11 * (accepted + rejected) + 4 * accepted
 
     def test_domain_exit_trajectory_carries_the_counts(self):
         calls = []
@@ -195,24 +218,30 @@ class TestFloatStep:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_list_step_matches_the_array_step(self, n):
-        # The two differ only in the order of the stage sums, so y_new agrees
-        # to rounding, and the error norm to rounding of the terms it cancels.
+        # The two differ only in the order of the stage sums, so the stages
+        # and y_new agree to rounding, and the error norm to rounding of the
+        # terms it cancels.
         rng = np.random.default_rng(40 + n)
         for _ in range(40):
             y = rng.uniform(-2.0, 2.0, n)
             h = 10.0 ** rng.uniform(-3.0, -0.3)
             tol = 10.0 ** rng.uniform(-12.0, -6.0)
             f = coupled(y.tolist())
-            calls, y_new, f_new, err = ode._dp_step(coupled, y.tolist(), f, h, tol)
-            ref_y, _, ref_err, err_scale = dormand_prince_step(
-                lambda z: np.array(coupled(z)), y, np.array(f), h, tol
+            calls, y_new, f_new, err, stages = ode._step(coupled, y.tolist(), f, h, tol)
+            K, ref_y, ref_err, err_scale = dop853_step(
+                lambda z: np.array(coupled(z.tolist())), y, np.array(f), h, tol
             )
-            assert calls == 6
-            assert isinstance(y_new, list) and isinstance(f_new, list)
+            assert isinstance(y_new, list) and all(isinstance(k, list) for k in stages)
+            k_scale = max(1.0, float(np.max(np.abs(K))))
+            assert np.max(np.abs(np.array(stages) - K[:12])) <= 1e-13 * k_scale
             y_scale = max(1.0, float(np.max(np.abs(ref_y))))
             assert np.max(np.abs(np.array(y_new) - ref_y)) <= 1e-14 * y_scale
-            assert np.array_equal(np.array(f_new), np.array(coupled(y_new)))
             assert abs(err - ref_err) <= 1e-14 * err_scale
+            if err <= 1.0:
+                assert calls == 12 and isinstance(f_new, list)
+                assert np.array_equal(np.array(f_new), np.array(coupled(y_new)))
+            else:
+                assert calls == 11 and f_new is None
 
     def test_rhs_receives_lists(self):
         # no ndarray round trip per stage: every state handed out is a list
@@ -224,3 +253,106 @@ class TestFloatStep:
 
         integrate_ivp(rhs, np.array([0.5, -0.5]), (0.0, 1.0))
         assert len(seen) > 10 and set(seen) == {list}
+
+
+def harmonic(y):
+    return [y[1], -y[0]]
+
+
+class TestTableau:
+    """The nonzero weights read from scipy's DOP853 tableau."""
+
+    C = dop853_coefficients.C
+
+    @staticmethod
+    def dense(row, size):
+        index, weights = row
+        out = np.zeros(size)
+        out[list(index)] = weights
+        return out
+
+    def test_order_conditions(self):
+        # row sums equal the nodes c_s, for the extra stages too; the
+        # solution weights integrate c^k exactly for k <= 7; the error
+        # estimates vanish on constants
+        rows = ode._STAGES + ((),) + ode._EXTRA_STAGES
+        for s, row in enumerate(rows, start=1):
+            if row:
+                assert math.fsum(row[1]) == pytest.approx(self.C[s], abs=1e-14)
+        b = self.dense(ode._SOLUTION, 12)
+        c = self.C[:12]
+        assert math.fsum(b) == pytest.approx(1.0, abs=1e-14)
+        for k in range(1, 8):
+            assert math.fsum(b * c**k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
+        for row in (ode._ERROR5, ode._ERROR3):
+            assert abs(math.fsum(row[1])) <= 1e-14
+            assert max(row[0]) < 12  # no weight on the FSAL stage
+
+    def test_one_step_error_is_ninth_order(self):
+        # the local error of an eighth-order step is O(h^9): halving h
+        # divides it by about 2^9 = 512 (measured 527, 473, 505)
+        errors = []
+        for h in (1.6, 0.8, 0.4, 0.2):
+            _, y_new, _, _, _ = ode._step(harmonic, [0.0, 1.0], [1.0, 0.0], h, 1e-6)
+            errors.append(max(abs(y_new[0] - math.sin(h)), abs(y_new[1] - math.cos(h))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 0.8 * 512 <= coarse / fine <= 1.25 * 512
+
+
+class TestDenseOutput:
+    def test_nodes_are_exact(self):
+        traj = integrate_ivp(harmonic, np.array([0.0, 1.0]), (0.0, 3.0), tolerance=1e-10)
+        assert np.array_equal(traj(traj.ts), traj.states)
+
+    def test_interpolant_matches_the_array_interpolant(self):
+        def rhs(y):
+            return [math.sin(y[1]), -0.5 * y[0] * y[1] + 0.3]
+
+        traj = integrate_ivp(rhs, np.array([0.4, -0.2]), (0.0, 2.0), tolerance=1e-10)
+        assert len(traj.steps) >= 3
+
+        def array_rhs(z):
+            return np.array(rhs(z.tolist()))
+
+        for i, h in enumerate(traj.steps):
+            y = traj.states[i]
+            K, y_new, _, _ = dop853_step(array_rhs, y, traj.derivs[i], h, traj.tolerance)
+            for x in (0.1, 0.5, 0.9):
+                want = dop853_dense(array_rhs, y, K, y_new, h, x)
+                got = traj(traj.ts[i] + x * h)
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    def test_refused_extra_stage_keeps_the_cubic(self):
+        # The chart shrinks after the integration so that it cuts the
+        # longest step between its extra stages at x = 0.1 and x = 0.2: the first is
+        # made, the second refused, and the step interpolates by the cubic
+        # Hermite rule on its two nodes.
+        limit = [math.inf]
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            if y[0] >= limit[0]:
+                raise EvaluationDomainError("y >= limit")
+            return [1.0 + y[0] * y[0]]
+
+        traj = integrate_ivp(rhs, np.array([0.0]), (0.0, 1.2), tolerance=1e-10)
+        i = int(np.argmax(traj.steps))
+        h = float(traj.steps[i])
+        limit[0] = math.tan(traj.ts[i] + 0.15 * h)
+        made = traj.rhs_calls
+        th = 0.05
+        y0, y1 = traj.states[i][0], traj.states[i + 1][0]
+        f0, f1 = traj.derivs[i][0], traj.derivs[i + 1][0]
+        cubic = (
+            (1 + 2 * th) * (1 - th) ** 2 * y0
+            + th * (1 - th) ** 2 * h * f0
+            + th * th * (3 - 2 * th) * y1
+            + th * th * (th - 1) * h * f1
+        )
+        got = traj(traj.ts[i] + th * h)[0]
+        assert got == pytest.approx(cubic, rel=1e-15, abs=0.0)
+        assert abs(got - math.tan(traj.ts[i] + th * h)) > 1e-9  # the cubic, not the full rule
+        assert traj.rhs_calls == made + 2 == len(calls)
+        traj(traj.ts[i] + 0.5 * h)
+        assert traj.rhs_calls == made + 2 == len(calls)

@@ -212,6 +212,22 @@ class TestProjectiveParameterSolve:
         assert np.max(np.abs(param.q)) <= 1e-12
         assert np.max(np.abs(param.pi - param.s)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "config, x0, y0, length, bound",
+        [
+            (klein_config(2), [0.0, 0.0], [1.0, 0.0], 1.2, 1e-6),
+            (curved_config(), [-0.3, 0.1], [0.8, -0.3], 0.7, 1e-5),
+        ],
+        ids=["klein", "readme"],
+    )
+    def test_schwarzian_residual_is_small(self, config, x0, y0, length, bound):
+        # pi is read on the grid from the solve's seventh-order dense
+        # output: the residual reads 1.2e-7 and 1.3e-6 (7.4e-4 on the
+        # README metric with a cubic Hermite interpolant)
+        S = make_metric(config)
+        geo = geodesic_ivp(S, np.array(x0), np.array(y0), length)
+        assert projective_parameter(S, geo).schwarzian_residual() <= bound
+
     def test_pole_detected(self):
         S = make_metric(conformal_config())
         geo = geodesic_ivp(S, np.array([-0.85, 0.0]), np.array([1.0, 0.0]), 1.55)
