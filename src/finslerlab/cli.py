@@ -291,7 +291,7 @@ def distance(config_path, from_, to, pseudo, funk_k, seed, out) -> int:
     payload = {"from": list(p), "to": list(q), "seed": seed}
     if pseudo:
         if S.dimension < 2:
-            raise _UsageExit("--pseudo needs dimension >= 2")
+            return _bad_option("--pseudo", "needs dimension >= 2")
         gauge = FunkGauge(k=funk_k)
         result = pseudo_distance(S, p, q, gauge, seed=seed)
         payload["d_F"] = result.d_finsler

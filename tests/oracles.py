@@ -118,7 +118,7 @@ def interval_funk_closed(k: float, a: float, b: float) -> float:
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sections II.5 and II.6) on
 # ndarrays: every stage sum is a dense product over the full tableau that
 # scipy ships, zeros included, where the library sums the nonzero weights
-# of each row one by one on Python floats.
+# of each row one by one on Python floats (row_fold below is that sum).
 _DOP_A = dop853_coefficients.A
 _DOP_B = dop853_coefficients.B
 _DOP_E5 = dop853_coefficients.E5
@@ -157,6 +157,24 @@ def dop853_step(rhs, y, f, h: float, tolerance: float):
     absK = np.abs(K).T
     err_scale = abs(h) * (rms(absK @ np.abs(_DOP_E5)) + 0.1 * rms(absK @ np.abs(_DOP_E3)))
     return K, y_new, err, err_scale
+
+
+def row_fold(weights, y, stages, h: float) -> list[float]:
+    """y + h * (w_a k_a + w_b k_b + ...) on Python floats, one entry at a time.
+
+    The products are those of the nonzero weights in index order, and they
+    are added left to right from the first one: the float arithmetic a
+    tableau row's stage sum makes when it is written out by hand.
+    """
+    nonzero = [(j, float(w)) for j, w in enumerate(weights) if w != 0.0]
+    out = []
+    for i, yi in enumerate(y):
+        total = None
+        for j, w in nonzero:
+            term = w * stages[j][i]
+            total = term if total is None else total + term
+        out.append(yi + h * total)
+    return out
 
 
 def dop853_dense(rhs, y, K, y_new, h: float, x: float) -> np.ndarray:

@@ -162,21 +162,6 @@ class TestUsageErrors:
         assert code == 64
         assert "components" in err
 
-    def test_pseudo_needs_dimension_two(self, cfg, capsys):
-        code, _, err = run(
-            capsys,
-            "distance",
-            "--config",
-            cfg["interval1"],
-            "--from",
-            "0",
-            "--to",
-            "0.5",
-            "--pseudo",
-        )
-        assert code == 64
-        assert "dimension" in err
-
 
 class TestNonFiniteVectors:
     @pytest.mark.parametrize(
@@ -250,6 +235,10 @@ class TestOptionRanges:
             (["theorem1", "verify", "--config", "klein2", "--tol", "nan"], "--tol"),
             (["theorem1", "verify", "--config", "klein2", "--funk-k", "inf"], "--funk-k"),
             (["theorem1", "verify", "--config", "klein2", "--tol", "-1"], "--tol"),
+            (
+                ["distance", "--config", "interval1", "--from", "0", "--to", "0.5", "--pseudo"],
+                "--pseudo",
+            ),
         ],
     )
     def test_exits_64_with_json(self, cfg, capsys, argv, option):

@@ -12,7 +12,7 @@ from finslerlab import (
 )
 from finslerlab import geodesics, ode
 
-from oracles import dop853_dense, dop853_step
+from oracles import dop853_dense, dop853_step, row_fold
 
 
 class TestIntegrateIvp:
@@ -109,6 +109,14 @@ class TestIntegrateIvp:
     def test_non_finite_span_rejected(self, t1):
         with pytest.raises(ValueError, match="finite"):
             integrate_ivp(lambda y: y, np.array([1.0]), (0.0, t1))
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.inf, math.nan])
+    def test_bad_tolerance_rejected(self, tolerance, klein2):
+        # nan read as a step-size underflow, inf as no error control at all
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate_ivp(lambda y: y, np.array([1.0]), (0.0, 1.0), tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            geodesics.geodesic_ivp(klein2, [0.1, 0.2], [1.0, 0.0], 1.5, tolerance=tolerance)
 
 
 class TestStoredNodes:
@@ -260,33 +268,61 @@ def harmonic(y):
 
 
 class TestTableau:
-    """The nonzero weights read from scipy's DOP853 tableau."""
+    """The tableau rows built from scipy's DOP853 coefficients."""
 
     C = dop853_coefficients.C
+    EXTENDED = dop853_coefficients.N_STAGES_EXTENDED
 
-    @staticmethod
-    def dense(row, size):
-        index, weights = row
-        out = np.zeros(size)
-        out[list(index)] = weights
-        return out
+    def rows(self):
+        """(row, its weights in scipy's tableau) for every row the library builds."""
+        dop = dop853_coefficients
+        stages = [dop.A[s, :s] for s in (*range(1, 12), *range(13, self.EXTENDED))]
+        built = ode._STAGES + ode._EXTRA_STAGES + (ode._SOLUTION, ode._ERROR5, ode._ERROR3)
+        return list(zip(built + ode._DENSE, stages + [dop.B, dop.E5, dop.E3, *dop.D], strict=True))
+
+    def weights(self, row):
+        # stage j is the unit vector e_j, so entry j of the row is its weight
+        m = self.EXTENDED
+        return np.array(row([0.0] * m, 1.0, np.eye(m).tolist()))
 
     def test_order_conditions(self):
         # row sums equal the nodes c_s, for the extra stages too; the
         # solution weights integrate c^k exactly for k <= 7; the error
         # estimates vanish on constants
-        rows = ode._STAGES + ((),) + ode._EXTRA_STAGES
+        rows = ode._STAGES + (None,) + ode._EXTRA_STAGES
         for s, row in enumerate(rows, start=1):
-            if row:
-                assert math.fsum(row[1]) == pytest.approx(self.C[s], abs=1e-14)
-        b = self.dense(ode._SOLUTION, 12)
+            if row is not None:
+                w = self.weights(row)
+                assert not w[s:].any()
+                assert math.fsum(w) == pytest.approx(self.C[s], abs=1e-14)
+        b = self.weights(ode._SOLUTION)
         c = self.C[:12]
+        assert not b[12:].any()
+        b = b[:12]
         assert math.fsum(b) == pytest.approx(1.0, abs=1e-14)
         for k in range(1, 8):
             assert math.fsum(b * c**k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
         for row in (ode._ERROR5, ode._ERROR3):
-            assert abs(math.fsum(row[1])) <= 1e-14
-            assert max(row[0]) < 12  # no weight on the FSAL stage
+            w = self.weights(row)
+            assert abs(math.fsum(w)) <= 1e-14
+            assert not w[12:].any()  # no weight on the FSAL stage
+
+    def test_rows_match_the_left_to_right_fold(self):
+        # bit for bit, signed zeros included: the last columns hold y = -0.0
+        # and stages of +-0.0, whose sums keep or lose the sign of the zero
+        rng = np.random.default_rng(18)
+        m, n = self.EXTENDED, 6
+        for _ in range(20):
+            y = rng.uniform(-2.0, 2.0, n)
+            k = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+            y[-3:] = -0.0
+            k[:, -3:] = rng.choice([0.0, -0.0], size=(m, 3))
+            h = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
+            y, k = y.tolist(), k.tolist()
+            for row, weights in self.rows():
+                got = row(y, h, k)
+                want = row_fold(weights, y, k, h)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_one_step_error_is_ninth_order(self):
         # the local error of an eighth-order step is O(h^9): halving h
