@@ -32,7 +32,7 @@ from .errors import (
     NotEinsteinError,
     StrongConvexityError,
 )
-from .geodesics import finsler_distance, geodesic_ivp
+from .geodesics import MAX_RESAMPLE_STEPS, finsler_distance, geodesic_ivp
 from .metrics import fundamental_tensor, load_config, make_metric, validate_structure
 from .projective import FunkGauge, projective_relation, pseudo_distance, theorem1_verify
 
@@ -188,6 +188,8 @@ def geodesic() -> None:
 @click.option("--out", default="-", show_default=True)
 def geodesic_trace(config_path, x0, y0, length, step, tolerance, out) -> int:
     """Integrate x'' + 2G(x, x') = 0 and write the trace as CSV."""
+    if step is not None and abs(length) / step >= MAX_RESAMPLE_STEPS:
+        return _bad_option("--step", f"must exceed |--length| / {MAX_RESAMPLE_STEPS}")
     S = _load_structure(config_path)
     x0v = _parse_vector(x0, S.dimension, "--x0")
     y0v = _parse_vector(y0, S.dimension, "--y0")
@@ -240,9 +242,14 @@ def curvature_report(config_path, x, y, u, out) -> int:
         if u is not None:
             uv = _parse_vector(u, n, "--u")
         else:
-            # the first coordinate axis that spans a flag with y, by flag_curvature's own test
+            # the first coordinate axis that spans a flag with y, by flag_curvature's own test;
+            # if none does, the g_y-orthogonal part of the axis at the widest g_y-angle to y
             ft = fundamental_tensor(S, xv, yv)
-            uv = next(e for e in np.eye(n) if _flag_denominator(ft, yv, e) is not None)
+            axes = np.eye(n)
+            uv = next((e for e in axes if _flag_denominator(ft, yv, e) is not None), None)
+            if uv is None:
+                e = min(axes, key=lambda a: ft.inner(yv, a) ** 2 / ft.inner(a, a))
+                uv = e - ft.inner(yv, e) / ft.inner(yv, yv) * yv
         payload["flag_curvature"] = flag_curvature(S, xv, yv, uv)
         payload["flag_edge"] = list(uv)
     _emit(payload, out)

@@ -19,7 +19,7 @@ jets; there only the diagonal entries R^i_i are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,12 +108,12 @@ def riemann_curvature(S: FinslerStructure, x, y, via: str = "fast") -> RiemannCu
 
 
 def _flag_denominator(ft, y, u) -> float | None:
-    """g_y(y,y) g_y(u,u) - g_y(y,u)^2, or None when u is parallel to y."""
+    """g_y(y,y) g_y(u,u) - g_y(y,u)^2, or None when sin^2 of the g_y-angle of (y, u) is <= 1e-4."""
     gyy = ft.inner(y, y)
     guu = ft.inner(u, u)
     gyu = ft.inner(y, u)
     denom = gyy * guu - gyu * gyu
-    return None if denom <= 1e-12 * max(1.0, gyy * guu) else denom
+    return None if denom <= 1e-4 * gyy * guu else denom
 
 
 def flag_curvature(S: FinslerStructure, x, y, u) -> float:
@@ -127,7 +127,7 @@ def flag_curvature(S: FinslerStructure, x, y, u) -> float:
     ft = fundamental_tensor(S, x, y)
     denom = _flag_denominator(ft, y, u)
     if denom is None:
-        raise DegenerateFlagError("flag plane degenerate: u is parallel to the flagpole")
+        raise DegenerateFlagError("flag plane degenerate: u is (nearly) parallel to the flagpole")
     R = riemann_curvature(S, x, y)
     return float(ft.inner(u, R.matrix @ u) / denom)
 
@@ -234,23 +234,7 @@ class EinsteinReport:
     ric_values: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "dimension": self.dimension,
-            "is_einstein": self.is_einstein,
-            "y_spread": self.y_spread,
-            "ric_mean": self.ric_mean,
-            "ric_x_spread": self.ric_x_spread,
-            "fit_factor": self.fit_factor,
-            "fit_residual": self.fit_residual,
-            "flag_constant": self.flag_constant,
-            "einstein_constant_c": self.einstein_constant_c,
-            "tolerance": self.tolerance,
-            "matrix_tolerance": self.matrix_tolerance,
-            "x_samples": self.x_samples,
-            "y_directions": self.y_directions,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "ric_values"}
 
 
 def einstein_classify(
@@ -336,7 +320,7 @@ def einstein_classify(
     for x, (y, u), g, g_inv, Rb in zip(flag_xs, flag_yus, g_all[nfit:], g_inv_all[nfit:], R[nric:]):
         gy = FundamentalTensor(g=g, g_inv=g_inv, x=x, y=y)
         denom = _flag_denominator(gy, y, u)
-        if denom is not None and denom > 1e-8:
+        if denom is not None:
             flags.append(float(gy.inner(u, Rb @ u) / denom))
     flag_constant = None
     if flags:

@@ -70,9 +70,7 @@ def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if not (y * y).any(axis=0).all():
         raise EvaluationDomainError("spray undefined at y = 0")
-    _, xj, yj = phase_jet_args(S, x, y, 2)
-    G = spray_from_f2_jets(S, xj, yj)
-    return np.array([gi.value for gi in G])
+    return np.array([gi.value for gi in spray_jet_functions(S, x, y, 0, via="f2")])
 
 
 def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fast"):
@@ -112,6 +110,9 @@ def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
     return rhs
 
 
+MAX_RESAMPLE_STEPS = 1_000_000  # |length| / step stays below it: at most a million and one rows
+
+
 @dataclass
 class Geodesic:
     """Unit-speed geodesic wrapped around a phase-space trajectory.
@@ -124,8 +125,6 @@ class Geodesic:
     structure: FinslerStructure
     trajectory: OdeTrajectory
     length: float
-    x0: np.ndarray
-    v0: np.ndarray
     backward: bool = False
 
     @property
@@ -163,9 +162,9 @@ class Geodesic:
 
     def resample_csv(self, fh, step: float) -> None:
         """CSV rows every `step` of arc length, plus the endpoint."""
-        if not step > 0.0:
-            raise ValueError("resample step must be positive")
         total = abs(self.length)
+        if not step > 0.0 or total / step >= MAX_RESAMPLE_STEPS:
+            raise ValueError(f"resample step must be positive and exceed |length| / {MAX_RESAMPLE_STEPS}")
         count = max(2, int(math.floor(total / step)) + 1)
         svals = [min(i * step, total) for i in range(count)]
         if svals[-1] < total:
@@ -224,9 +223,7 @@ def geodesic_ivp(
         sign = -1.0 if backward else 1.0
         exc.t_exit = sign * exc.t_exit if exc.t_exit is not None else None
         raise
-    geo = Geodesic(
-        structure=S, trajectory=traj, length=length, x0=x0, v0=v0, backward=backward
-    )
+    geo = Geodesic(structure=S, trajectory=traj, length=length, backward=backward)
     bound = math.sqrt(tolerance)
     for s, state, resid in zip(geo.s_grid, traj.states, geo.node_residuals()):
         if abs(resid) > bound:
@@ -530,8 +527,8 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
         hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, seed, tally)
         if S.unique_geodesics:
             diagnostics["candidates_polished"] += 1  # the chord polish that missed
-    v_best, s_best, miss_best, iters, traj = hit
-    geo = Geodesic(structure=S, trajectory=traj, length=s_best, x0=p, v0=v_best)
+    _, s_best, miss_best, iters, traj = hit
+    geo = Geodesic(structure=S, trajectory=traj, length=s_best)
     diagnostics.update(
         miss=miss_best,
         newton_iterations=iters,

@@ -160,8 +160,8 @@ class Jet:
         lower, src, fac = self.space._partial_table(v)
         return Jet(lower, self.coef[src] * fac.reshape(fac.shape + (1,) * (self.coef.ndim - 1)))
 
-    def derivative(self, alpha) -> float:
-        """Mixed partial d^alpha f at the base point (coefficient times alpha!); unbatched only."""
+    def derivative(self, alpha):
+        """d^alpha f at the base point (coefficient times alpha!): a float, or (B,) for a batch."""
         alpha = tuple(int(a) for a in alpha)
         idx = self.space.index_of.get(alpha)
         if idx is None:
@@ -169,7 +169,8 @@ class Jet:
         scale = 1.0
         for a in alpha:
             scale *= math.factorial(a)
-        return float(self.coef[idx]) * scale
+        c = self.coef[idx]
+        return (float(c) if self.coef.ndim == 1 else c) * scale
 
     # ----- arithmetic ------------------------------------------------------
 

@@ -12,7 +12,7 @@ learn where the chart ends from the right-hand side alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -599,9 +599,7 @@ def _hessian_half_f2(S: FinslerStructure, x, y) -> np.ndarray:
             alpha = [0] * n
             alpha[i] += 1
             alpha[j] += 1
-            # the coefficient times alpha!, as Jet.derivative reads it, on every column
-            d2 = w.coef[space.index_of[tuple(alpha)]] * (2.0 if i == j else 1.0)
-            g[:, i, j] = g[:, j, i] = 0.5 * d2
+            g[:, i, j] = g[:, j, i] = 0.5 * w.derivative(alpha)
     return g
 
 
@@ -652,21 +650,7 @@ class StructureValidation:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "dimension": self.dimension,
-            "samples": self.samples,
-            "seed": self.seed,
-            "homogeneity_residual": self.homogeneity_residual,
-            "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
-            "positivity_ok": self.positivity_ok,
-            "euler_residual": self.euler_residual,
-            "g_homogeneity_residual": self.g_homogeneity_residual,
-            "reversible_observed": self.reversible_observed,
-            "reversible_declared": self.reversible_declared,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -> StructureValidation:

@@ -98,10 +98,6 @@ class OdeTrajectory:
     _interpolants: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def t0(self) -> float:
-        return float(self.ts[0])
-
-    @property
     def t1(self) -> float:
         return float(self.ts[-1])
 

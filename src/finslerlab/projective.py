@@ -17,7 +17,7 @@ for the inverse map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -421,6 +421,8 @@ class PseudoDistanceResult:
     segment: ChainSegment | None  # the single leg's map; None when p == q
 
     def to_dict(self) -> dict:
+        # written out, not asdict: it projects the nested distance onto its
+        # diagnostics, and asdict would deep-copy the geodesic and its trajectory
         return {
             "d_finsler": self.d_finsler,
             "canonical_length": self.canonical_length,
@@ -506,14 +508,7 @@ class ProjectiveRelation:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "related": self.related,
-            "homothetic": self.homothetic,
-            "scale_ratio": self.scale_ratio,
-            "quotient_spread": self.quotient_spread,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def projective_relation(
@@ -578,22 +573,8 @@ class Theorem1Report:
     records: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "summary": {
-                "family": self.family,
-                "dimension": self.dimension,
-                "gauge_k": self.gauge_k,
-                "c": self.c,
-                "factor": self.factor,
-                "pair_count": self.pair_count,
-                "seed": self.seed,
-                "tolerance": self.tolerance,
-                "max_discrepancy": self.max_discrepancy,
-                "min_lemma2_margin": self.min_lemma2_margin,
-                "passed": self.passed,
-            },
-            "pairs": self.records,
-        }
+        summary = asdict(self)
+        return {"pairs": summary.pop("records"), "summary": summary}
 
 
 def theorem1_verify(

@@ -256,7 +256,9 @@ def einstein_classify_per_point(S, rng, x_samples=10, y_directions=12, tolerance
         y = sample_direction(rng, n)
         u = sample_direction(rng, n)
         ft = fundamental_tensor(S, x, y)
-        if ft.inner(y, y) * ft.inner(u, u) - ft.inner(y, u) ** 2 > 1e-8:
+        gyy, guu = ft.inner(y, y), ft.inner(u, u)
+        # flags with sin^2 of the g_y-angle of (y, u) at most 1e-4 are skipped
+        if gyy * guu - ft.inner(y, u) ** 2 > 1e-4 * gyy * guu:
             flags.append(flag_curvature(S, x, y, u))
     flag_constant = None
     if flags and max(flags) - min(flags) <= matrix_tolerance * max(1.0, max(abs(k) for k in flags)):

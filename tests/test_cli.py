@@ -239,6 +239,11 @@ class TestOptionRanges:
                 ["distance", "--config", "interval1", "--from", "0", "--to", "0.5", "--pseudo"],
                 "--pseudo",
             ),
+            (
+                ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0",
+                 "--length", "1.2", "--step", "1e-6"],
+                "--step",
+            ),
         ],
     )
     def test_exits_64_with_json(self, cfg, capsys, argv, option):
@@ -431,6 +436,10 @@ class TestCurvatureCommand:
         [
             ("klein2", "0.1,0.2", "2,0", [0.0, 1.0]),
             ("klein3", "0.1,0.2,-0.3", "-0.5,0,0", [0.0, 1.0, 0.0]),
+            ("klein2", "0.1,0.2", "1,0.001", [0.0, 1.0]),
+            # radius 0.99999: both axes lie within the 1e-4 rule of y, so the edge
+            # is the g_y-orthogonal part of e1
+            ("klein2", "0.7070997101187356,0.7070997101187356", "1,1", [0.5, -0.5]),
         ],
     )
     def test_default_flag_edge_is_not_parallel_to_y(self, cfg, capsys, name, x, y, edge):

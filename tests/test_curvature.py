@@ -205,8 +205,10 @@ class TestFlag:
                 assert abs(flag_curvature(S, x, y, 2.5 * u) - base) <= 1e-8
 
     def test_degenerate_flag_rejected(self, klein2):
-        with pytest.raises(DegenerateFlagError):
-            flag_curvature(klein2, [0.1, 0.2], [1.0, 0.5], [2.0, 1.0])
+        # parallel, then sin^2 of the g_y-angle 1.6e-7, below the 1e-4 rule
+        for u in ([2.0, 1.0], [2.0, 1.001]):
+            with pytest.raises(DegenerateFlagError):
+                flag_curvature(klein2, [0.1, 0.2], [1.0, 0.5], u)
 
 
 class TestRicci:
@@ -336,6 +338,12 @@ class TestEinsteinClassify:
         assert report.is_einstein
         assert report.einstein_constant_c is None
         assert report.ric_x_spread > 1e-3
+
+    @pytest.mark.parametrize("seed", [5, 8, 44, 55])
+    def test_klein2_flag_constant_skips_near_parallel_flags(self, klein2, seed):
+        # each seed draws a flag with sin^2 of its g_y-angle below 1e-4, which would
+        # amplify rounding in g and R into the mean (errors 4.6e-13 to 9.8e-12 with it)
+        assert abs(einstein_classify(klein2, seed=seed).flag_constant + 1.0) <= 2e-13
 
     def test_report_serializes(self, klein2):
         doc = einstein_classify(klein2, x_samples=4, seed=0).to_dict()

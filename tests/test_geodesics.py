@@ -287,7 +287,7 @@ class TestGeodesicIvp:
         rows = buf.getvalue().strip().splitlines()[1:]
         svals = [float(r.split(",")[0]) for r in rows]
         assert svals == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-        for step in (0.0, -0.25):
+        for step in (0.0, -0.25, 8e-7, 1e-300, 5e-324):
             with pytest.raises(ValueError):
                 geo.resample_csv(io.StringIO(), step=step)
 

@@ -253,6 +253,10 @@ def test_batched_jets_match_columns_exactly(pair):
         for col in range(ca.shape[1]):
             single = op(Jet(space, ca[:, col].copy()), Jet(space, cb[:, col].copy())).coef
             assert np.array_equal(batched[:, col], single), name
+    # derivatives read every column at once, as each column's own jet reads them
+    for alpha in space.index_of:
+        for col in range(ca.shape[1]):
+            assert a.derivative(alpha)[col] == Jet(space, ca[:, col].copy()).derivative(alpha)
     # an unbatched jet broadcasts over the batch axis
     lone = Jet(space, cb[:, 0].copy())
     mixed = (lone * a - lone).coef
