@@ -43,25 +43,15 @@ EXIT_PRECONDITION = 4
 EXIT_USAGE = 64
 
 
-def _clean(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_default(obj):
+    """json.dumps hook for numpy arrays and scalars (np.float64 is a float already)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_clean(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_default)
     if out and out != "-":
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -72,7 +62,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _fail(code: int, error: Exception, **extra) -> int:
     payload = {"error": type(error).__name__, "message": str(error)}
     payload.update(extra)
-    click.echo(json.dumps(_clean(payload), indent=2, sort_keys=True), err=True)
+    click.echo(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_default), err=True)
     return code
 
 

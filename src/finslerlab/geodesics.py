@@ -34,7 +34,7 @@ def phase_jet_args(S: FinslerStructure, x, y, order: int):
     space = jet_space(2 * n, order)
     xj = [space.variable(i, v) for i, v in enumerate(np.atleast_1d(np.asarray(x, dtype=float)))]
     yj = [space.variable(n + i, v) for i, v in enumerate(np.atleast_1d(np.asarray(y, dtype=float)))]
-    return space, xj, yj
+    return xj, yj
 
 
 def spray_from_f2_jets(S: FinslerStructure, xj, yj):
@@ -81,11 +81,11 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fas
     jets batched over B phase points.
     """
     if via == "fast":
-        _, xj, yj = phase_jet_args(S, x, y, g_order)
+        xj, yj = phase_jet_args(S, x, y, g_order)
         return list(S.spray_fast(xj, yj))
     if via != "f2":
         raise ValueError("via must be fast or f2")
-    _, xj, yj = phase_jet_args(S, x, y, g_order + 2)
+    xj, yj = phase_jet_args(S, x, y, g_order + 2)
     return spray_from_f2_jets(S, xj, yj)
 
 
@@ -179,8 +179,8 @@ class Geodesic:
             ["s"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)] + ["F_residual"]
         )
         for s in s_values:
-            xx = self.x(s)
-            vv = self.v(s)
+            z = self.state(s)
+            xx, vv = z[:n], z[n:]
             resid = float(self.structure.F(xx, vv)) - 1.0
             writer.writerow(
                 [repr(float(s))]
@@ -339,55 +339,26 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
     return float(res.x), float(math.sqrt(max(0.0, res.fun)))
 
 
-@dataclass
-class _ShotTally:
-    """Trajectories integrated by one distance search, and their ODE work.
-
-    The work is summed when it is read, so it includes the dense-output
-    stages a closest-approach search made after the integration.
-    """
-
-    shots: int = 0
-    trajectories: list = field(default_factory=list)
-
-    def add(self, traj: OdeTrajectory | None) -> None:
-        if traj is not None:
-            self.trajectories.append(traj)
-
-    @property
-    def rhs_calls(self) -> int:
-        return sum(traj.rhs_calls for traj in self.trajectories)
-
-    @property
-    def steps_rejected(self) -> int:
-        return sum(traj.steps_rejected for traj in self.trajectories)
-
-
 def _unit_against_F(S, p, v):
     f = float(S.F(p, v))
     return v / f
 
 
-def _integrate_shot(S, p, v, s_max, tol, tally):
-    tally.shots += 1
-    z0 = np.concatenate((p, v))
+def _shoot(S, p, v, s, tol, shots):
+    """The geodesic from (p, v) over [0, s], or None when it leaves the chart.
+
+    Every trajectory is appended to `shots`, a chart exit's too.  The list
+    is read once, when the search ends: finsler_distance sums its ODE work
+    then, so the dense-output stages that the closest-approach searches
+    evaluate on these trajectories are counted as well.
+    """
     try:
-        traj = integrate_ivp(_geodesic_rhs(S), z0, (0.0, s_max), tolerance=tol)
+        traj = integrate_ivp(_geodesic_rhs(S), np.concatenate((p, v)), (0.0, s), tolerance=tol)
     except DomainExitError as exc:
-        tally.add(exc.trajectory)
-        raise
-    tally.add(traj)
-    return traj
-
-
-def _shoot_miss(S, p, v, q, s_max, tol, tally):
-    """(s*, miss, trajectory); a domain exit counts as a failed shot."""
-    try:
-        traj = _integrate_shot(S, p, v, s_max, tol, tally)
-    except DomainExitError:
+        shots.append(exc.trajectory)
         return None
-    s_star, miss = _closest_approach(traj, q, S.dimension)
-    return s_star, miss, traj
+    shots.append(traj)
+    return traj
 
 
 def _direction_basis(p_dim: int, d0: np.ndarray) -> np.ndarray:
@@ -397,7 +368,7 @@ def _direction_basis(p_dim: int, d0: np.ndarray) -> np.ndarray:
     return qmat[:, 1:p_dim]
 
 
-def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
+def _newton_polish(S, p, d0, s0, q, shots, stop=1e-12):
     """Square-system Newton on (direction offsets, arc length) -> x(s) - q.
 
     The m = n - 1 direction offsets span the complement of d0 (none in
@@ -405,9 +376,9 @@ def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
     Jacobian columns are one-sided differences against the current
     endpoint; the arc-length column is the endpoint velocity.  Iteration
     stops once the miss is at most `stop`.  Returns the best iterate as
-    (v, s, miss, iterations, trajectory), the trajectory being that
-    iterate's shot over [0, s], also when a probe leaves the chart or the
-    Jacobian is singular; None only when the start itself fails.
+    (s, miss, iterations, trajectory), the trajectory being that iterate's
+    shot over [0, s], also when a probe leaves the chart or the Jacobian is
+    singular; None only when the start itself fails.
     """
     n = S.dimension
     m = n - 1
@@ -415,22 +386,16 @@ def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
     u = np.zeros(m)
     s = s0
 
-    def direction(u_loc):
-        # before the basis exists u is 0, and d0 + 0.0 is d0 + basis @ 0 bit
-        # for bit: the product's zeros are +0.0, which turn a -0.0 into +0.0
-        return d0 + 0.0 if basis is None else d0 + basis @ u_loc
-
     def endpoint(u_loc, s_loc):
         if s_loc <= 0.0:
             return None
-        v = direction(u_loc)
-        nv = np.linalg.norm(v)
-        if nv < 1e-10:
+        # before the basis exists u is 0, and d0 + 0.0 is d0 + basis @ 0 bit
+        # for bit: the product's zeros are +0.0, which turn a -0.0 into +0.0
+        v = d0 + 0.0 if basis is None else d0 + basis @ u_loc
+        if np.linalg.norm(v) < 1e-10:
             return None
-        v = _unit_against_F(S, p, v)
-        try:
-            traj = _integrate_shot(S, p, v, s_loc, INTEGRATION_TOLERANCE, tally)
-        except DomainExitError:
+        traj = _shoot(S, p, _unit_against_F(S, p, v), s_loc, INTEGRATION_TOLERANCE, shots)
+        if traj is None:
             return None
         z = traj(s_loc)
         return z[:n], z[n:], traj
@@ -470,8 +435,7 @@ def _newton_polish(S, p, d0, s0, q, tally, stop=1e-12):
         else:
             break
         iters += 1
-    v = _unit_against_F(S, p, direction(u))
-    return v, s, best, iters, cur[2]
+    return s, best, iters, cur[2]
 
 
 def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceResult:
@@ -505,7 +469,7 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
     if float(np.max(np.abs(q - p))) < 1e-14:
         return DistanceResult(0.0, None, {"trivial": True})
 
-    tally = _ShotTally()
+    shots = []
     chord_dir = _unit_against_F(S, p, q - p)
     # The shot's miss, not quad's error estimate, certifies this length, so
     # quad's warnings near the chart boundary are noise here.
@@ -517,29 +481,29 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
     # Newton at a hit up to integration error; no fan shot is needed, and
     # polishing past MISS_TOLERANCE would only move s off the exact length.
     hit = (
-        _newton_polish(S, p, chord_dir, chord_len, q, tally, stop=MISS_TOLERANCE)
+        _newton_polish(S, p, chord_dir, chord_len, q, shots, stop=MISS_TOLERANCE)
         if S.unique_geodesics
         else None
     )
-    if hit is not None and hit[2] <= MISS_TOLERANCE:
+    if hit is not None and hit[1] <= MISS_TOLERANCE:
         diagnostics = {"path": "chord", "starts": 1, "candidates_polished": 1}
     else:
-        hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, seed, tally)
+        hit, diagnostics = _fan_search(S, p, q, chord_dir, chord_len, seed, shots)
         if S.unique_geodesics:
             diagnostics["candidates_polished"] += 1  # the chord polish that missed
-    _, s_best, miss_best, iters, traj = hit
+    s_best, miss_best, iters, traj = hit
     geo = Geodesic(structure=S, trajectory=traj, length=s_best)
     diagnostics.update(
         miss=miss_best,
         newton_iterations=iters,
-        shots=tally.shots,
-        rhs_calls=tally.rhs_calls,
-        steps_rejected=tally.steps_rejected,
+        shots=len(shots),
+        rhs_calls=sum(shot.rhs_calls for shot in shots),
+        steps_rejected=sum(shot.steps_rejected for shot in shots),
     )
     return DistanceResult(float(s_best), geo, diagnostics)
 
 
-def _fan_search(S, p, q, chord_dir, chord_len, seed, tally):
+def _fan_search(S, p, q, chord_dir, chord_len, seed, shots):
     """Multi-start fallback: the shortest polished hit over a fan of directions."""
     n = S.dimension
     s_max = 1.05 * chord_len + 0.05
@@ -558,9 +522,10 @@ def _fan_search(S, p, q, chord_dir, chord_len, seed, tally):
 
     coarse = []
     for v in candidates:
-        shot = _shoot_miss(S, p, v, q, s_max, 1e-8, tally)
-        if shot is not None:
-            coarse.append((shot[1], v, shot[0]))
+        traj = _shoot(S, p, v, s_max, 1e-8, shots)
+        if traj is not None:
+            s_star, miss = _closest_approach(traj, q, n)
+            coarse.append((miss, v, s_star))
     if not coarse:
         raise SearchFailureError("all shooting starts left the domain")
     coarse.sort(key=lambda item: item[0])
@@ -572,18 +537,18 @@ def _fan_search(S, p, q, chord_dir, chord_len, seed, tally):
         if tried >= 3 and hits:
             break
         tried += 1
-        polished = _newton_polish(S, p, v, s0, q, tally)
+        polished = _newton_polish(S, p, v, s0, q, shots)
         if polished is None:
             continue
-        best_miss = min(best_miss, polished[2])
-        if polished[2] <= MISS_TOLERANCE:
+        best_miss = min(best_miss, polished[1])
+        if polished[1] <= MISS_TOLERANCE:
             hits.append(polished)
             if S.unique_geodesics:
                 break
     if not hits:
         raise SearchFailureError(
             f"no connecting geodesic found from {p} to {q} "
-            f"(best miss {best_miss:.3e}, {tally.shots} shots tried)"
+            f"(best miss {best_miss:.3e}, {len(shots)} shots tried)"
         )
-    hits.sort(key=lambda item: item[1])
+    hits.sort(key=lambda item: item[0])
     return hits[0], {"path": "fan", "starts": len(candidates), "candidates_polished": tried}

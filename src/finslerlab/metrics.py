@@ -12,6 +12,7 @@ learn where the chart ends from the right-hand side alone.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -123,7 +124,7 @@ class Polynomial:
             if not isinstance(t, list) or len(t) != nvars + 1:
                 raise ConfigError(f"{where}: each term must be [coeff, e1..e{nvars}]")
             coeff = t[0]
-            if not isinstance(coeff, (int, float)):
+            if not _finite_number(coeff):
                 raise ConfigError(f"{where}: coefficient must be a number")
             exps = t[1:]
             for e in exps:
@@ -133,6 +134,11 @@ class Polynomial:
                 raise ConfigError(f"{where}: total degree exceeds {MAX_POLY_DEGREE}")
             terms.append((coeff, exps))
         return Polynomial(nvars, terms)
+
+
+def _finite_number(value) -> bool:
+    """A JSON number within the finite floats: not NaN, +-Infinity or a larger integer."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def _poly_matrix_from_json(obj, n: int, where: str):
@@ -184,12 +190,12 @@ class MetricConfig:
         elif dim < 2:
             raise ConfigError(f"{family} needs dimension >= 2")
         k = doc.get("k", 1.0)
-        if not isinstance(k, (int, float)) or k <= 0:
+        if not _finite_number(k) or k <= 0:
             raise ConfigError("k must be a positive number")
         if "k" in doc and family != "interval_funk":
             raise ConfigError("k applies only to the interval_funk family")
         scale = doc.get("scale", 1.0)
-        if not isinstance(scale, (int, float)) or scale <= 0:
+        if not _finite_number(scale) or scale <= 0:
             raise ConfigError("scale must be a positive number")
         riem = None
         rmet = None

@@ -72,8 +72,8 @@ class FunkGauge:
     k: float = 1.0
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("gauge constant k must be positive")
+        if not 0 < self.k < math.inf:
+            raise ValueError("gauge constant k must be positive and finite")
 
     def metric_value(self, u: float, y: float) -> float:
         """L_f(u, y) = (|y| + u y) / (k (1 - u^2))."""

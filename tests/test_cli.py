@@ -127,6 +127,15 @@ class TestUsageErrors:
         assert code == 64
         assert "usage error" in err
 
+    def test_non_finite_config_exits_64(self, cfg, capsys):
+        path = cfg["dir"] / "nan_scale.json"
+        path.write_text('{"family": "klein_ball", "dimension": 2, "scale": NaN}')
+        argv = ("distance", "--config", str(path), "--from", "0,0", "--to", "0.5,0")
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert "scale must be a positive number" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_64(self, cfg, capsys):
         code, _, err = run(
             capsys, "metric", "validate", "--config", str(cfg["dir"] / "nope.json")

@@ -199,7 +199,7 @@ class TestFloatSprayPath:
         p, q = np.array([-0.2, 0.3]), np.array([0.4, -0.1])
         v = geodesics._unit_against_F(klein2, p, q - p)
         s = 1.3
-        shot = geodesics._integrate_shot(klein2, p, v, s, 1e-10, geodesics._ShotTally())
+        shot = geodesics._shoot(klein2, p, v, s, 1e-10, [])
         ref = geodesics.integrate_ivp(
             numpy_scalar_rhs(klein2),
             np.concatenate((p, v)),
@@ -475,10 +475,7 @@ class TestDistance:
         # Near the boundary quad warns about the chord length; the shot's
         # miss certifies that length, so the warning must not escape.  Every
         # shot leaves the chart here, so the search fails at once.
-        def exits(*args, **kwargs):
-            raise DomainExitError("shot left the chart")
-
-        monkeypatch.setattr(geodesics, "_integrate_shot", exits)
+        monkeypatch.setattr(geodesics, "_shoot", lambda *args, **kwargs: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SearchFailureError):
@@ -569,7 +566,7 @@ class TestDistance:
 
         def always_misses(*args, **kwargs):
             out = polish(*args, **kwargs)
-            return None if out is None else (out[0], out[1], 1e-3, out[3])
+            return None if out is None else (out[0], 1e-3, out[2], out[3])
 
         monkeypatch.setattr(geodesics, "_newton_polish", always_misses)
         for S in (klein2, make_metric(curved_riemannian_config())):
@@ -579,27 +576,25 @@ class TestDistance:
     def test_failed_probe_returns_the_start(self, klein2, monkeypatch):
         # Every shot after the start leaves the chart, so the first Jacobian
         # probe fails; the polish keeps the start instead of discarding it.
-        integrate = geodesics._integrate_shot
+        shoot = geodesics._shoot
         calls = []
 
         def exits_after_first(*args, **kwargs):
             calls.append(1)
-            if len(calls) > 1:
-                raise DomainExitError("probe left the chart")
-            return integrate(*args, **kwargs)
+            return shoot(*args, **kwargs) if len(calls) == 1 else None
 
         p, q, s0 = np.array([0.0, 0.0]), np.array([0.4, 0.1]), 0.3
         d0 = geodesics._unit_against_F(klein2, p, np.array([1.0, 0.5]))
         offset = geodesics._direction_basis(2, d0) @ np.zeros(1)
         v0 = geodesics._unit_against_F(klein2, p, d0 + offset)
         tol = geodesics.INTEGRATION_TOLERANCE
-        traj = integrate(klein2, p, v0, s0, tol, geodesics._ShotTally())
+        traj = shoot(klein2, p, v0, s0, tol, [])
         start_miss = float(np.max(np.abs(traj(s0)[:2] - q)))
 
-        monkeypatch.setattr(geodesics, "_integrate_shot", exits_after_first)
-        out = geodesics._newton_polish(klein2, p, d0, s0, q, geodesics._ShotTally())
-        assert out is not None and len(out) == 5
-        v, s, miss, iters, _ = out
+        monkeypatch.setattr(geodesics, "_shoot", exits_after_first)
+        out = geodesics._newton_polish(klein2, p, d0, s0, q, [])
+        assert out is not None and len(out) == 4
+        s, miss, iters, start = out
         assert len(calls) == 2
-        assert np.array_equal(v, v0) and s == s0 and iters == 0
+        assert start.states[0][2:].tobytes() == v0.tobytes() and s == s0 and iters == 0
         assert miss == start_miss > 1e-3

@@ -64,8 +64,11 @@ class TestConfig:
             MetricConfig.from_dict({"family": "interval_funk", "dimension": 2})
 
     def test_k_must_be_positive(self):
+        for k in (0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                MetricConfig.from_dict({"family": "interval_funk", "dimension": 1, "k": k})
         with pytest.raises(ConfigError):
-            MetricConfig.from_dict({"family": "interval_funk", "dimension": 1, "k": 0})
+            MetricConfig.from_json('{"family": "interval_funk", "dimension": 1, "k": Infinity}')
 
     def test_k_only_for_interval(self):
         with pytest.raises(ConfigError):
@@ -95,10 +98,19 @@ class TestConfig:
             MetricConfig.from_dict({"family": "riemannian", "dimension": 2})
 
     def test_scale_must_be_positive(self):
+        for scale in (-1.0, math.nan, math.inf, 10**400):
+            with pytest.raises(ConfigError):
+                MetricConfig.from_dict(
+                    {"family": "klein_ball", "dimension": 2, "scale": scale}
+                )
+        # json.loads accepts the NaN and Infinity literals
         with pytest.raises(ConfigError):
-            MetricConfig.from_dict(
-                {"family": "klein_ball", "dimension": 2, "scale": -1.0}
-            )
+            MetricConfig.from_json('{"family": "klein_ball", "dimension": 2, "scale": NaN}')
+
+    def test_polynomial_coefficients_must_be_finite(self):
+        for beta1 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                MetricConfig.from_dict(randers_config(2, beta1))
 
 
 class TestEvaluators:

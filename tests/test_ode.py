@@ -141,7 +141,7 @@ class TestStoredNodes:
     def test_klein_shot_stores_its_last_stage(self, klein2):
         p = np.array([0.1, -0.3])
         v = geodesics._unit_against_F(klein2, p, np.array([0.8, 0.5]))
-        traj = geodesics._integrate_shot(klein2, p, v, 1.5, 1e-10, geodesics._ShotTally())
+        traj = geodesics._shoot(klein2, p, v, 1.5, 1e-10, [])
         assert len(traj.ts) > 5
         self.assert_fsal_nodes(geodesics._geodesic_rhs(klein2), traj)
 

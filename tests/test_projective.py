@@ -131,7 +131,7 @@ class TestSchwarzian:
 
 class TestFunkGauge:
     def test_gauge_constant_must_be_positive(self):
-        for k in (0.0, -1.0):
+        for k in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 FunkGauge(k=k)
 
