@@ -7,6 +7,8 @@ resulting projectively invariant pseudo-distance with its proportionality
 check against the Finslerian distance.
 """
 
+import types
+
 from .curvature import (
     EinsteinReport,
     RicciData,
@@ -21,9 +23,7 @@ from .curvature import (
 from .errors import (
     ConfigError,
     CriticalPointError,
-    DegenerateFitError,
     DegenerateFlagError,
-    DegenerateSeedsError,
     DomainExitError,
     EvaluationDomainError,
     FinslerError,
@@ -40,15 +40,12 @@ from .geodesics import (
     Geodesic,
     finsler_distance,
     geodesic_ivp,
-    path_length,
     spray_coefficients,
     spray_jet_functions,
 )
 from .jets import (
     Jet,
     JetSpace,
-    directional_derivatives,
-    finite_difference_oracle,
     jet_space,
 )
 from .metrics import (
@@ -68,7 +65,6 @@ from .projective import (
     FunkGauge,
     GeodesicProjectiveMap,
     Lemma2Result,
-    MobiusFit,
     NumericalProjectiveMap,
     ProjectiveParameter,
     ProjectiveRelation,
@@ -79,7 +75,6 @@ from .projective import (
     chain_length,
     funk_distance,
     lemma2_check,
-    mobius_fit,
     projective_parameter,
     projective_relation,
     pseudo_distance,
@@ -89,73 +84,9 @@ from .projective import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chain",
-    "ChainSegment",
-    "ConfigError",
-    "CriticalPointError",
-    "DegenerateFitError",
-    "DegenerateFlagError",
-    "DegenerateSeedsError",
-    "DistanceResult",
-    "DomainExitError",
-    "EinsteinReport",
-    "EvaluationDomainError",
-    "FinslerError",
-    "FinslerStructure",
-    "FundamentalTensor",
-    "FunkGauge",
-    "Geodesic",
-    "GeodesicProjectiveMap",
-    "IterationLimitError",
-    "Jet",
-    "JetSpace",
-    "Lemma2Result",
-    "MalformedChainError",
-    "MetricConfig",
-    "MobiusFit",
-    "NotEinsteinError",
-    "NumericalProjectiveMap",
-    "OdeTrajectory",
-    "PoleError",
-    "ProjectiveParameter",
-    "ProjectiveRelation",
-    "PseudoDistanceResult",
-    "RicciData",
-    "RiemannCurvature",
-    "SearchFailureError",
-    "StiffnessError",
-    "StrongConvexityError",
-    "StructureValidation",
-    "Theorem1Report",
-    "build_canonical_chain",
-    "canonical_projective_map",
-    "chain_length",
-    "directional_derivatives",
-    "einstein_classify",
-    "finite_difference_oracle",
-    "finsler_distance",
-    "flag_curvature",
-    "funk_distance",
-    "fundamental_tensor",
-    "geodesic_ivp",
-    "integrate_ivp",
-    "jet_space",
-    "lemma2_check",
-    "load_config",
-    "make_metric",
-    "mobius_fit",
-    "path_length",
-    "projective_parameter",
-    "projective_relation",
-    "pseudo_distance",
-    "ricci_scalar",
-    "ricci_tensor",
-    "riemann_curvature",
-    "scalar_curvature_residual",
-    "schwarzian",
-    "spray_coefficients",
-    "spray_jet_functions",
-    "theorem1_verify",
-    "validate_structure",
-]
+# the public names imported above; the submodules themselves are not exported
+__all__ = sorted(
+    name
+    for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -359,7 +359,10 @@ def projective_compare(config_a, config_b, samples, seed, out) -> int:
 def main(argv=None) -> int:
     """Dispatch and translate exceptions into the documented exit codes."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
+        # numpy's overflow and invalid-value warnings would put text ahead of
+        # the JSON error on stderr; the errors themselves are still raised
+        with np.errstate(all="ignore"):
+            rv = cli.main(args=argv, standalone_mode=False)
         return int(rv) if isinstance(rv, int) else EXIT_OK
     except _OptionRangeError as exc:
         return _bad_option(exc.option, exc.message)

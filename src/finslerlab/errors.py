@@ -11,10 +11,6 @@ class EvaluationDomainError(FinslerError):
     """Raised when an evaluation leaves the chart or produces a non-finite value."""
 
 
-class DegenerateSeedsError(FinslerError):
-    """Seed directions for a jet evaluation are linearly dependent."""
-
-
 class DomainExitError(FinslerError):
     """An integration left the declared domain.
 
@@ -66,7 +62,3 @@ class MalformedChainError(FinslerError):
 
 class NotEinsteinError(FinslerError):
     """Operation requires a verified Einstein structure with negative constant."""
-
-
-class DegenerateFitError(FinslerError):
-    """Moebius fit is rank deficient / non-invertible."""

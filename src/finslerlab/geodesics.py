@@ -1,4 +1,4 @@
-"""Spray coefficients, geodesic initial/boundary value solving, path length.
+"""Spray coefficients, geodesic initial/boundary value solving.
 
 Every family carries a closed-form spray (the Christoffel contraction for
 Riemannian tables, the Randers formula on top of it, projective factors for
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
@@ -195,10 +194,11 @@ def geodesic_ivp(
 ) -> Geodesic:
     """Integrate the geodesic ODE x'' + 2G(x, x') = 0 at unit speed.
 
-    y0 is rescaled so that F(x0, y0) = 1.  Negative length integrates the
-    backward extension; leaving the chart raises DomainExitError with the
-    exit arc length.  So does losing unit speed: at the first accepted node
-    where |F(x, v) - 1| exceeds sqrt(tolerance), the error control has run
+    y0 is rescaled so that F(x0, y0) = 1; a non-finite F(x0, y0) raises
+    EvaluationDomainError.  Negative length integrates the backward
+    extension; leaving the chart raises DomainExitError with the exit arc
+    length.  So does losing unit speed: at the first accepted node where
+    |F(x, v) - 1| is not within sqrt(tolerance), the error control has run
     out of precision (near the boundary of a ball, where 1 - |x|^2 falls to
     a few ulps), and DomainExitError carries that node's arc length and
     state and the whole trajectory.
@@ -211,8 +211,7 @@ def geodesic_ivp(
         raise EvaluationDomainError("zero initial direction")
     if length == 0.0:
         raise ValueError("length must be nonzero")
-    f0 = float(S.F(x0, y0))
-    v0 = y0 / f0
+    v0 = _unit_against_F(S, x0, y0)
     backward = length < 0.0
     z0 = np.concatenate((x0, v0))
     span = (0.0, abs(length))
@@ -226,7 +225,7 @@ def geodesic_ivp(
     geo = Geodesic(structure=S, trajectory=traj, length=length, backward=backward)
     bound = math.sqrt(tolerance)
     for s, state, resid in zip(geo.s_grid, traj.states, geo.node_residuals()):
-        if abs(resid) > bound:
+        if not abs(resid) <= bound:
             raise DomainExitError(
                 f"unit-speed residual {resid:.3g} exceeds sqrt(tolerance) = {bound:.3g} "
                 f"at arc length {s:.12g}: the integration ran out of precision",
@@ -242,67 +241,6 @@ class DistanceResult:
     distance: float
     geodesic: Geodesic | None
     diagnostics: dict = field(default_factory=dict)
-
-
-def path_length(S: FinslerStructure, points, params=None, interpolation: str = "cubic") -> float:
-    """Finslerian length of a sampled path by adaptive quadrature.
-
-    interpolation is "cubic" (natural spline through the samples) or
-    "linear" (polyline; each straight segment integrated separately, which
-    avoids smoothing corners of competitor paths).
-    """
-    if isinstance(points, Geodesic):
-        geo = points
-        n = geo.n
-
-        def speed(t):
-            z = geo.trajectory(t)
-            return float(S.F(z[:n], z[n:]))
-
-        val, _ = quad(speed, 0.0, abs(geo.length), epsabs=1e-12, epsrel=1e-12, limit=400)
-        return float(val)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a (k, n) array")
-    k = pts.shape[0]
-    if k < 2:
-        raise ValueError("need at least two samples")
-    for row in pts:
-        if not S.domain(row):
-            raise EvaluationDomainError(f"path sample outside the chart: {row}")
-    if params is None:
-        params = np.arange(k, dtype=float)
-    else:
-        params = np.asarray(params, dtype=float)
-        if params.shape != (k,) or np.any(np.diff(params) <= 0):
-            raise ValueError("params must be strictly increasing and match samples")
-    if interpolation == "linear":
-        total = 0.0
-        for i in range(k - 1):
-            a = pts[i].tolist()
-            d = (pts[i + 1] - pts[i]).tolist()
-            seg, _ = quad(
-                lambda t: float(S.F([ai + t * di for ai, di in zip(a, d)], d)),
-                0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
-            )
-            total += seg
-        return float(total)
-    if interpolation != "cubic":
-        raise ValueError("interpolation must be 'cubic' or 'linear'")
-    spline = CubicSpline(params, pts, axis=0)
-    dspline = spline.derivative()
-    total = 0.0
-    for i in range(k - 1):
-        seg, _ = quad(
-            lambda t: float(S.F(spline(t), dspline(t))),
-            params[i],
-            params[i + 1],
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=200,
-        )
-        total += seg
-    return float(total)
 
 
 # ----- boundary value problem -----------------------------------------------
@@ -340,8 +278,29 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
 
 
 def _unit_against_F(S, p, v):
+    """v / F(p, v); EvaluationDomainError unless F(p, v) is finite and positive."""
     f = float(S.F(p, v))
+    if not (math.isfinite(f) and f > 0.0):
+        raise EvaluationDomainError(f"cannot normalise y = {v} at x = {p}: F(x, y) = {f!r}")
     return v / f
+
+
+def _chord_length(S, p, q) -> float:
+    """Finsler length of the straight segment from p to q, by adaptive quadrature.
+
+    The shot's miss, not quad's error estimate, certifies this length as a
+    start of the search, so quad's warnings near the chart boundary are
+    noise here.
+    """
+    a = p.tolist()
+    d = (q - p).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        length, _ = quad(
+            lambda t: float(S.F([ai + t * di for ai, di in zip(a, d)], d)),
+            0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+    return float(length)
 
 
 def _shoot(S, p, v, s, tol, shots):
@@ -471,11 +430,7 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
 
     shots = []
     chord_dir = _unit_against_F(S, p, q - p)
-    # The shot's miss, not quad's error estimate, certifies this length, so
-    # quad's warnings near the chart boundary are noise here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        chord_len = path_length(S, np.stack([p, q]), interpolation="linear")
+    chord_len = _chord_length(S, p, q)
 
     # With unique geodesics the chord direction and the chord's length start
     # Newton at a hit up to integration error; no fan shot is needed, and

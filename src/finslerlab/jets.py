@@ -4,9 +4,9 @@ A jet stores the Taylor coefficients of a smooth expression at a base point,
 up to a fixed total order, with respect to a declared set of seed directions.
 Arithmetic on jets propagates coefficients exactly, so after one ordinary
 evaluation of an expression every mixed directional derivative up to the
-truncation order can be read off.  A central-difference oracle with
-Richardson extrapolation is provided as an independent cross-check path; it
-is deliberately not used anywhere in the production formulas.
+truncation order can be read off.  The tests check them against a
+central-difference oracle with Richardson extrapolation, which lives with
+the other reference routes in tests/oracles.py.
 
 The coefficient array may carry a trailing batch axis, shape (ncoef, B): one
 evaluation then serves B base points (vector-mode Taylor arithmetic, Griewank
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSeedsError, EvaluationDomainError
+from .errors import EvaluationDomainError
 
 # The Ricci tensor consumes six total derivative orders of F^2; keep a little
 # headroom for oracles that go deeper.
@@ -373,14 +373,6 @@ def jet_exp(v):
     return v.exp() if isinstance(v, Jet) else math.exp(v)
 
 
-def jet_log(v):
-    if isinstance(v, Jet):
-        return v.log()
-    if v <= 0.0:
-        raise EvaluationDomainError(f"log domain violation: {v}")
-    return math.log(v)
-
-
 def jet_abs(v):
     if isinstance(v, float) or not isinstance(v, (Jet, np.ndarray)):
         return abs(float(v))
@@ -389,78 +381,3 @@ def jet_abs(v):
 
 def scalar_value(v) -> float:
     return v.value if isinstance(v, Jet) else float(v)
-
-
-def directional_derivatives(f, at, seeds, order: int) -> Jet:
-    """Mixed directional derivatives of a scalar field, up to order <= MAX_JET_ORDER.
-
-    f is called once with a list of scalar-like arguments (floats or jets),
-    one per coordinate of `at`.  `seeds` is a sequence of direction vectors;
-    the returned jet's `derivative` takes multi-indices over those seeds.
-    """
-    at = np.atleast_1d(np.asarray(at, dtype=float))
-    seed_mat = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seed_mat.shape[1] != at.size:
-        raise ValueError("seed directions must match the base point dimension")
-    m = seed_mat.shape[0]
-    if m < 1:
-        raise ValueError("at least one seed direction is required")
-    if np.linalg.matrix_rank(seed_mat) < m:
-        raise DegenerateSeedsError("seed directions are linearly dependent")
-    space = jet_space(m, order)
-    args = []
-    for i in range(at.size):
-        coef = np.zeros(space.ncoef)
-        coef[0] = at[i]
-        if order >= 1:
-            for a in range(m):
-                coef[1 + a] = seed_mat[a, i]
-        args.append(Jet(space, coef))
-    out = f(args)
-    if isinstance(out, Jet):
-        jet = out if out.space is space else out.truncated(min(order, out.space.order))
-    else:
-        jet = space.constant(float(out))
-    if not np.all(np.isfinite(jet.coef)):
-        raise EvaluationDomainError("non-finite value in derivative evaluation")
-    return jet
-
-
-_FD_STENCILS = {
-    # order -> (offsets, weights, h-power); all central, even error expansion
-    1: ((-1.0, 1.0), (-0.5, 0.5), 1),
-    2: ((-1.0, 0.0, 1.0), (1.0, -2.0, 1.0), 2),
-    3: ((-2.0, -1.0, 1.0, 2.0), (-0.5, 1.0, -1.0, 0.5), 3),
-    4: ((-2.0, -1.0, 0.0, 1.0, 2.0), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
-}
-
-
-def finite_difference_oracle(f, at, direction, order: int, base_step: float = 1e-2) -> float:
-    """Directional derivative by central differences with Richardson extrapolation.
-
-    Orders 1..4 only.  Test-oracle quality, not production: two step halvings
-    remove the h^2 and h^4 error terms of the central stencils.
-    """
-    if order not in _FD_STENCILS:
-        raise ValueError("finite-difference oracle supports orders 1..4")
-    if base_step <= 0.0:
-        raise ValueError("base step must be positive")
-    at = np.atleast_1d(np.asarray(at, dtype=float))
-    direction = np.atleast_1d(np.asarray(direction, dtype=float))
-    offsets, weights, power = _FD_STENCILS[order]
-
-    def stencil(h: float) -> float:
-        total = 0.0
-        for o, w in zip(offsets, weights):
-            total += w * float(f(at + (o * h) * direction))
-        return total / h ** power
-
-    d0 = stencil(base_step)
-    d1 = stencil(base_step / 2.0)
-    d2 = stencil(base_step / 4.0)
-    r0 = (4.0 * d1 - d0) / 3.0
-    r1 = (4.0 * d2 - d1) / 3.0
-    out = (16.0 * r1 - r0) / 15.0
-    if not math.isfinite(out):
-        raise EvaluationDomainError("non-finite value in finite-difference oracle")
-    return out

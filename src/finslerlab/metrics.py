@@ -128,7 +128,7 @@ class Polynomial:
                 raise ConfigError(f"{where}: coefficient must be a number")
             exps = t[1:]
             for e in exps:
-                if not isinstance(e, int) or e < 0:
+                if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                     raise ConfigError(f"{where}: exponents must be non-negative integers")
             if sum(exps) > MAX_POLY_DEGREE:
                 raise ConfigError(f"{where}: total degree exceeds {MAX_POLY_DEGREE}")
@@ -137,8 +137,8 @@ class Polynomial:
 
 
 def _finite_number(value) -> bool:
-    """A JSON number within the finite floats: not NaN, +-Infinity or a larger integer."""
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    """A JSON number within the finite floats: not a boolean, NaN, +-Infinity or a larger integer."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _poly_matrix_from_json(obj, n: int, where: str):
@@ -182,7 +182,7 @@ class MetricConfig:
         if family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
         dim = doc.get("dimension")
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ConfigError("dimension must be a positive integer")
         if family == "interval_funk":
             if dim != 1:

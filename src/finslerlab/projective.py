@@ -24,7 +24,6 @@ import numpy as np
 from .curvature import EinsteinReport, _f2_values, _ricci_scalars, einstein_classify
 from .errors import (
     CriticalPointError,
-    DegenerateFitError,
     EvaluationDomainError,
     MalformedChainError,
     NotEinsteinError,
@@ -172,48 +171,6 @@ def projective_parameter(S: FinslerStructure, geodesic: Geodesic) -> ProjectiveP
     if np.any(np.diff(pi) <= 0.0):
         raise PoleError("projective parameter is not strictly increasing")
     return ProjectiveParameter(geodesic=geodesic, s=svals, pi=pi, q=qgrid)
-
-
-@dataclass
-class MobiusFit:
-    coefficients: tuple  # (a, b, c, d) for z -> (a z + b) / (c z + d)
-    residual: float
-
-    def __call__(self, z):
-        a, b, c, d = self.coefficients
-        return (a * z + b) / (c * z + d)
-
-
-def mobius_fit(pi1, pi2) -> MobiusFit:
-    """Fit pi2 ~ m(pi1) across aligned samples; residual is the max deviation.
-
-    Three anchor samples pin the map (via the nullspace of the incidence
-    system), the rest measure the residual.
-    """
-    pi1 = np.asarray(pi1, dtype=float)
-    pi2 = np.asarray(pi2, dtype=float)
-    if pi1.shape != pi2.shape or pi1.size < 4:
-        raise ValueError("need at least four aligned samples")
-    if not (np.all(np.diff(pi1) > 0) or np.all(np.diff(pi1) < 0)):
-        raise ValueError("pi1 samples must be strictly monotone")
-    idx = [0, pi1.size // 2, pi1.size - 1]
-    rows = []
-    for i in idx:
-        z, w = pi1[i], pi2[i]
-        rows.append([z, 1.0, -z * w, -w])
-    _, sing, vt = np.linalg.svd(np.asarray(rows))
-    if sing[2] < 1e-12 * max(sing[0], 1.0):
-        raise DegenerateFitError("anchor samples do not determine a Moebius map")
-    a, b, c, d = vt[-1]
-    det = a * d - b * c
-    if abs(det) < 1e-14 * max(1.0, a * a + b * b + c * c + d * d):
-        raise DegenerateFitError("fitted Moebius map is singular")
-    denom = c * pi1 + d
-    if np.any(np.abs(denom) < 1e-12):
-        raise DegenerateFitError("fitted Moebius map has a pole among the samples")
-    pred = (a * pi1 + b) / denom
-    residual = float(np.max(np.abs(pred - pi2)))
-    return MobiusFit(coefficients=(float(a), float(b), float(c), float(d)), residual=residual)
 
 
 class _MobiusProjectiveMap:

@@ -4,22 +4,33 @@ Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
 the interval gauge from direct quadrature, the Klein fundamental tensor from
 its closed form, the DOP853 step and interpolant from dense products over
-scipy's tableau.  The exceptions are the two
-per-point routes at the end, the Einstein classification and the
-projective-parameter solve: second routes through the library's public
-single-point functions.
+scipy's tableau, derivatives from central differences with Richardson
+extrapolation, Moebius fits from the nullspace of an incidence system.  The
+exceptions are second routes through the library's own types:
+- directional_derivatives and jet_log run the library's Jet arithmetic on
+  seeded variables;
+- path_length integrates F along a library Geodesic's dense output, or
+  along a polyline or a cubic spline through samples;
+- the two per-point routes at the end, the Einstein classification and the
+  projective-parameter solve, call the library's public single-point
+  functions.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.interpolate import CubicSpline
 
 from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
+from finslerlab.errors import EvaluationDomainError, FinslerError
+from finslerlab.geodesics import Geodesic
+from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import SAMPLING_RADIUS
 from finslerlab.ode import integrate_ivp
 from finslerlab.projective import PARAMETER_GRID, PARAMETER_TOLERANCE
@@ -192,6 +203,209 @@ def dop853_dense(rhs, y, K, y_new, h: float, x: float) -> np.ndarray:
     dy = y_new - y
     F = np.vstack([dy, h * K[0] - dy, 2.0 * dy - h * (K[-1] + K[0]), h * (_DOP_D @ ext)])
     return Dop853DenseOutput(0.0, h, y, F)(x * h)
+
+
+# ----- Derivatives: the Jet route and the finite-difference oracle -----------
+
+
+class DegenerateSeedsError(FinslerError):
+    """Seed directions for a jet evaluation are linearly dependent."""
+
+
+def jet_log(v):
+    if isinstance(v, Jet):
+        return v.log()
+    if v <= 0.0:
+        raise EvaluationDomainError(f"log domain violation: {v}")
+    return math.log(v)
+
+
+def directional_derivatives(f, at, seeds, order: int) -> Jet:
+    """Mixed directional derivatives of a scalar field, up to order <= MAX_JET_ORDER.
+
+    f is called once with a list of scalar-like arguments (floats or jets),
+    one per coordinate of `at`.  `seeds` is a sequence of direction vectors;
+    the returned jet's `derivative` takes multi-indices over those seeds.
+    """
+    at = np.atleast_1d(np.asarray(at, dtype=float))
+    seed_mat = np.atleast_2d(np.asarray(seeds, dtype=float))
+    if seed_mat.shape[1] != at.size:
+        raise ValueError("seed directions must match the base point dimension")
+    m = seed_mat.shape[0]
+    if m < 1:
+        raise ValueError("at least one seed direction is required")
+    if np.linalg.matrix_rank(seed_mat) < m:
+        raise DegenerateSeedsError("seed directions are linearly dependent")
+    space = jet_space(m, order)
+    args = []
+    for i in range(at.size):
+        coef = np.zeros(space.ncoef)
+        coef[0] = at[i]
+        if order >= 1:
+            for a in range(m):
+                coef[1 + a] = seed_mat[a, i]
+        args.append(Jet(space, coef))
+    out = f(args)
+    if isinstance(out, Jet):
+        jet = out if out.space is space else out.truncated(min(order, out.space.order))
+    else:
+        jet = space.constant(float(out))
+    if not np.all(np.isfinite(jet.coef)):
+        raise EvaluationDomainError("non-finite value in derivative evaluation")
+    return jet
+
+
+_FD_STENCILS = {
+    # order -> (offsets, weights, h-power); all central, even error expansion
+    1: ((-1.0, 1.0), (-0.5, 0.5), 1),
+    2: ((-1.0, 0.0, 1.0), (1.0, -2.0, 1.0), 2),
+    3: ((-2.0, -1.0, 1.0, 2.0), (-0.5, 1.0, -1.0, 0.5), 3),
+    4: ((-2.0, -1.0, 0.0, 1.0, 2.0), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
+}
+
+
+def finite_difference_oracle(f, at, direction, order: int, base_step: float = 1e-2) -> float:
+    """Directional derivative by central differences with Richardson extrapolation.
+
+    Orders 1..4 only.  Test-oracle quality, not production: two step halvings
+    remove the h^2 and h^4 error terms of the central stencils.
+    """
+    if order not in _FD_STENCILS:
+        raise ValueError("finite-difference oracle supports orders 1..4")
+    if base_step <= 0.0:
+        raise ValueError("base step must be positive")
+    at = np.atleast_1d(np.asarray(at, dtype=float))
+    direction = np.atleast_1d(np.asarray(direction, dtype=float))
+    offsets, weights, power = _FD_STENCILS[order]
+
+    def stencil(h: float) -> float:
+        total = 0.0
+        for o, w in zip(offsets, weights):
+            total += w * float(f(at + (o * h) * direction))
+        return total / h ** power
+
+    d0 = stencil(base_step)
+    d1 = stencil(base_step / 2.0)
+    d2 = stencil(base_step / 4.0)
+    r0 = (4.0 * d1 - d0) / 3.0
+    r1 = (4.0 * d2 - d1) / 3.0
+    out = (16.0 * r1 - r0) / 15.0
+    if not math.isfinite(out):
+        raise EvaluationDomainError("non-finite value in finite-difference oracle")
+    return out
+
+
+# ----- Finsler length of a geodesic or a sampled path -------------------------
+
+
+def path_length(S: FinslerStructure, points, params=None, interpolation: str = "cubic") -> float:
+    """Finslerian length of a sampled path by adaptive quadrature.
+
+    interpolation is "cubic" (natural spline through the samples) or
+    "linear" (polyline; each straight segment integrated separately, which
+    avoids smoothing corners of competitor paths).
+    """
+    if isinstance(points, Geodesic):
+        geo = points
+        n = geo.n
+
+        def speed(t):
+            z = geo.trajectory(t)
+            return float(S.F(z[:n], z[n:]))
+
+        val, _ = quad(speed, 0.0, abs(geo.length), epsabs=1e-12, epsrel=1e-12, limit=400)
+        return float(val)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a (k, n) array")
+    k = pts.shape[0]
+    if k < 2:
+        raise ValueError("need at least two samples")
+    for row in pts:
+        if not S.domain(row):
+            raise EvaluationDomainError(f"path sample outside the chart: {row}")
+    if params is None:
+        params = np.arange(k, dtype=float)
+    else:
+        params = np.asarray(params, dtype=float)
+        if params.shape != (k,) or np.any(np.diff(params) <= 0):
+            raise ValueError("params must be strictly increasing and match samples")
+    if interpolation == "linear":
+        total = 0.0
+        for i in range(k - 1):
+            a = pts[i].tolist()
+            d = (pts[i + 1] - pts[i]).tolist()
+            seg, _ = quad(
+                lambda t: float(S.F([ai + t * di for ai, di in zip(a, d)], d)),
+                0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
+            )
+            total += seg
+        return float(total)
+    if interpolation != "cubic":
+        raise ValueError("interpolation must be 'cubic' or 'linear'")
+    spline = CubicSpline(params, pts, axis=0)
+    dspline = spline.derivative()
+    total = 0.0
+    for i in range(k - 1):
+        seg, _ = quad(
+            lambda t: float(S.F(spline(t), dspline(t))),
+            params[i],
+            params[i + 1],
+            epsabs=1e-12,
+            epsrel=1e-12,
+            limit=200,
+        )
+        total += seg
+    return float(total)
+
+
+# ----- Moebius fit between two projective parameters ------------------------
+
+
+class DegenerateFitError(FinslerError):
+    """Moebius fit is rank deficient / non-invertible."""
+
+
+@dataclass
+class MobiusFit:
+    coefficients: tuple  # (a, b, c, d) for z -> (a z + b) / (c z + d)
+    residual: float
+
+    def __call__(self, z):
+        a, b, c, d = self.coefficients
+        return (a * z + b) / (c * z + d)
+
+
+def mobius_fit(pi1, pi2) -> MobiusFit:
+    """Fit pi2 ~ m(pi1) across aligned samples; residual is the max deviation.
+
+    Three anchor samples pin the map (via the nullspace of the incidence
+    system), the rest measure the residual.
+    """
+    pi1 = np.asarray(pi1, dtype=float)
+    pi2 = np.asarray(pi2, dtype=float)
+    if pi1.shape != pi2.shape or pi1.size < 4:
+        raise ValueError("need at least four aligned samples")
+    if not (np.all(np.diff(pi1) > 0) or np.all(np.diff(pi1) < 0)):
+        raise ValueError("pi1 samples must be strictly monotone")
+    idx = [0, pi1.size // 2, pi1.size - 1]
+    rows = []
+    for i in idx:
+        z, w = pi1[i], pi2[i]
+        rows.append([z, 1.0, -z * w, -w])
+    _, sing, vt = np.linalg.svd(np.asarray(rows))
+    if sing[2] < 1e-12 * max(sing[0], 1.0):
+        raise DegenerateFitError("anchor samples do not determine a Moebius map")
+    a, b, c, d = vt[-1]
+    det = a * d - b * c
+    if abs(det) < 1e-14 * max(1.0, a * a + b * b + c * c + d * d):
+        raise DegenerateFitError("fitted Moebius map is singular")
+    denom = c * pi1 + d
+    if np.any(np.abs(denom) < 1e-12):
+        raise DegenerateFitError("fitted Moebius map has a pole among the samples")
+    pred = (a * pi1 + b) / denom
+    residual = float(np.max(np.abs(pred - pi2)))
+    return MobiusFit(coefficients=(float(a), float(b), float(c), float(d)), residual=residual)
 
 
 # ----- Einstein classification, one point at a time ---------------------------

@@ -16,9 +16,7 @@ from finslerlab import (
     build_canonical_chain,
     canonical_projective_map,
     chain_length,
-    directional_derivatives,
     einstein_classify,
-    finite_difference_oracle,
     finsler_distance,
     flag_curvature,
     fundamental_tensor,
@@ -26,7 +24,6 @@ from finslerlab import (
     geodesic_ivp,
     lemma2_check,
     make_metric,
-    mobius_fit,
     projective_parameter,
     projective_relation,
     pseudo_distance,
@@ -36,10 +33,17 @@ from finslerlab import (
     schwarzian,
     theorem1_verify,
 )
-from finslerlab.jets import jet_exp, jet_log
+from finslerlab.jets import jet_exp
 
 from conftest import ball_point, klein_config, unit_direction
-from oracles import interval_funk_quadrature, klein_distance
+from oracles import (
+    directional_derivatives,
+    finite_difference_oracle,
+    interval_funk_quadrature,
+    jet_log,
+    klein_distance,
+    mobius_fit,
+)
 from test_curvature import fd_riemann
 
 LN2 = math.log(2.0)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def curved_config():
         "family": "riemannian",
         "dimension": 2,
         "riemannian": {"metric": [[g11, zero], [zero, g22]]},
+    }
+
+
+def riemannian_config(g11):
+    """A 2-D riemannian config with the given g11 polynomial, g22 = 1 and g12 = 0."""
+    zero = poly_const(2, 0.0)
+    return {
+        "family": "riemannian",
+        "dimension": 2,
+        "riemannian": {"metric": [[g11, zero], [zero, poly_const(2, 1.0)]]},
     }
 
 
@@ -134,6 +145,26 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == 64 and out == ""
         assert "scale must be a positive number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc, argv, field",
+        [
+            ({"family": "klein_ball", "dimension": 2, "scale": True}, ("0,0", "0.5,0"), "scale"),
+            ({"family": "interval_funk", "dimension": 1, "k": True}, ("0", "0.5"), "k"),
+            ({"family": "interval_funk", "dimension": True}, ("0", "0.5"), "dimension"),
+            (riemannian_config([[True, 0, 0]]), ("0,0", "0.5,0"), "riemannian.metric[0][0]: coefficient"),
+            (riemannian_config([[1.0, 0, 0], [0.3, True, 0]]), ("0,0", "0.5,0"), "riemannian.metric[0][0]: exponents"),
+        ],
+        ids=["scale", "k", "dimension", "coefficient", "exponent"],
+    )
+    def test_boolean_config_number_exits_64(self, cfg, capsys, doc, argv, field):
+        # JSON true is a Python bool, which is an int: it must not pass for 1
+        path = cfg["dir"] / "boolean_number.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "distance", "--config", str(path), "--from", argv[0], "--to", argv[1])
+        assert code == 64 and out == ""
+        assert field in err
         assert "Traceback" not in err
 
     def test_missing_file_exits_64(self, cfg, capsys):
@@ -825,6 +856,34 @@ class TestNumericalFailures:
         if arc_length is not None:
             want["exit_arc_length"] = arc_length
         assert json.loads(err) == want
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ({"family": "klein_ball", "dimension": 2, "scale": 1e300}, ("distance", "--from", "0,0", "--to", "0.5,0")),
+            (
+                {"family": "klein_ball", "dimension": 2, "scale": 1e200},
+                ("distance", "--from", "0,0", "--to", "0.5,0", "--pseudo"),
+            ),
+            ({"family": "interval_funk", "dimension": 1, "k": 1e-300}, ("distance", "--from", "0", "--to", "0.5")),
+            (
+                {"family": "klein_ball", "dimension": 2, "scale": 1e300},
+                ("geodesic", "trace", "--x0", "0,0", "--y0", "1,0", "--length", "0.5"),
+            ),
+        ],
+        ids=["klein-scale-1e300", "klein-scale-1e200-pseudo", "interval-k-1e-300", "trace-klein-scale-1e300"],
+    )
+    def test_overflowing_F_exits_3(self, cfg, capsys, doc, argv):
+        # finite config numbers whose F(x, y) overflows to inf at the start
+        path = cfg["dir"] / "overflow.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print ahead of the JSON error
+            code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "EvaluationDomainError"
+        assert "F(x, y) = inf" in payload["message"]
 
 
 class TestCompareCommand:

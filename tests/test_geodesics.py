@@ -11,7 +11,6 @@ from finslerlab import (
     finsler_distance,
     geodesic_ivp,
     make_metric,
-    path_length,
     spray_coefficients,
     spray_jet_functions,
 )
@@ -24,6 +23,7 @@ from oracles import (
     funk_distance_ball,
     interval_funk_closed,
     klein_distance,
+    path_length,
 )
 
 
@@ -480,6 +480,18 @@ class TestDistance:
             warnings.simplefilter("error")
             with pytest.raises(SearchFailureError):
                 finsler_distance(klein2, [0.999999999, 0.0], [-0.7, 0.7])
+
+    @pytest.mark.parametrize("family", ["klein2", "funk2", "interval1", "riemannian", "randers"])
+    def test_chord_length_matches_the_polyline_oracle_bit_for_bit(self, request, family):
+        # The chord length starts the search on every family; it must be the
+        # oracle's two-point linear path length to the last bit.
+        configs = {"riemannian": curved_riemannian_config, "randers": nonclosed_randers_config}
+        S = make_metric(configs[family]()) if family in configs else request.getfixturevalue(family)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            p, q = ball_point(rng, S.dimension), ball_point(rng, S.dimension)
+            want = path_length(S, np.stack([p, q]), interpolation="linear")
+            assert geodesics._chord_length(S, p, q).hex() == want.hex()
 
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
         # Wrappers installed on the module's integrate_ivp and on the

@@ -1,11 +1,12 @@
 """Every name a library module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+module-level name, private or public, is read somewhere in the package.
 
 AST scans in place of a linter: they collect the names bound by import
-statements or by private top-level definitions and the names the code
-reads, and report the difference.  For imports the package __init__ is
-skipped; it imports in order to re-export, so it is checked instead to
-export exactly the names it imports.
+statements or by top-level definitions and the names the code reads, and
+report the difference; code that only the tests read belongs in the
+tests.  For imports the package __init__ is skipped; it imports in order
+to re-export, so it is checked instead to export exactly the names it
+imports.
 """
 
 import ast
@@ -44,35 +45,57 @@ def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Private top-level functions, classes and constants that no source reads.
+def top_level_names(source: str):
+    """(name, line, decorated) for each top-level function, class and constant."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            decorated = bool(node.decorator_list) and not isinstance(node, ast.ClassDef)
+            yield node.name, node.lineno, decorated
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno, False
 
-    A name counts as read where it is loaded as a name or accessed as an
-    attribute (``module._name``) in any of the sources.
-    """
-    defined = []
+
+def read_names(sources: dict[str, str]) -> set[str]:
+    """Names loaded as a name or accessed as an attribute (``module._name``) anywhere."""
     read = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined += [
-                (module, name, node.lineno)
-                for name in names
-                if name.startswith("_") and not name.startswith("__")
-            ]
-        for node in ast.walk(tree):
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{m}.{name} (line {line})" for m, name, line in defined if name not in read)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants that no source reads."""
+    read = read_names(sources)
+    return sorted(
+        f"{module}.{name} (line {line})"
+        for module, source in sources.items()
+        for name, line, _ in top_level_names(source)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions, classes and constants that no source reads.
+
+    A decorated function counts as read: the decorator registers it (the
+    click commands).  Importing a name is not reading it, so a name that
+    only the package __init__ re-exports is reported.
+    """
+    read = read_names(sources)
+    return sorted(
+        f"{module}.{name} (line {line})"
+        for module, source in sources.items()
+        for name, line, decorated in top_level_names(source)
+        if not name.startswith("_") and not decorated and name not in read
+    )
 
 
 def test_scan_finds_an_unread_private_name():
@@ -85,6 +108,18 @@ def test_scan_finds_an_unread_private_name():
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def test_scan_finds_an_unread_public_name():
+    sources = {
+        "a": "USED = 1\nUNUSED = 2\ndef helper():\n    return USED\n@register\ndef command():\n    pass\n",
+        "b": "from .a import helper, UNUSED\ndef run():\n    return helper()\n",
+    }
+    assert unread_public_names(sources) == ["a.UNUSED (line 2)", "b.run (line 2)"]
+
+
+def test_every_public_name_is_read():
+    assert unread_public_names({p.stem: p.read_text() for p in SOURCES}) == []
 
 
 def test_package_exports_exactly_its_imports():

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import (
-    DegenerateSeedsError,
-    EvaluationDomainError,
-    directional_derivatives,
-    finite_difference_oracle,
-    jet_space,
-)
-from finslerlab.jets import MAX_JET_ORDER, Jet, jet_abs, jet_exp, jet_log, jet_sqrt
+from finslerlab import EvaluationDomainError, jet_space
+from finslerlab.jets import MAX_JET_ORDER, Jet, jet_abs, jet_exp, jet_sqrt
+
+from oracles import DegenerateSeedsError, directional_derivatives, finite_difference_oracle, jet_log
 
 
 def poly_derivative(coeffs, a, m):

@@ -23,7 +23,6 @@ from finslerlab import (
     geodesic_ivp,
     lemma2_check,
     make_metric,
-    mobius_fit,
     projective_parameter,
     projective_relation,
     pseudo_distance,
@@ -32,16 +31,22 @@ from finslerlab import (
 )
 from finslerlab.errors import (
     CriticalPointError,
-    DegenerateFitError,
     EvaluationDomainError,
     MalformedChainError,
     NotEinsteinError,
     PoleError,
 )
-from finslerlab.jets import jet_exp, jet_log
+from finslerlab.jets import jet_exp
 
 from conftest import funk_config, klein_config
-from oracles import interval_funk_closed, interval_funk_quadrature, projective_parameter_per_point
+from oracles import (
+    DegenerateFitError,
+    interval_funk_closed,
+    interval_funk_quadrature,
+    jet_log,
+    mobius_fit,
+    projective_parameter_per_point,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
