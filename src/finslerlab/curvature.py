@@ -8,17 +8,23 @@ orders higher, as the independent cross-check:
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/(dy^k dx^j)
             + 2 G^j d2G^i/(dy^k dy^j) - (dG^i/dy^j)(dG^j/dy^k)
 
-R^i_k values come from order-2 spray jets batched over many phase points.
+The formula takes at most one base (x) derivative of G, so the spray jets
+carry no more: the phase jets cap the base seeds at total degree 1 (2 on the
+F^2 jets of via="f2"), which leaves every value read bit for bit as on the
+uncapped jets.  R^i_k values come from order-2 spray jets batched over many
+phase points.
 einstein_classify draws all of its samples first and then evaluates each
 quantity once for all of them: one R^i_k batch for the Ricci scalars and the
 flags, one Ricci-tensor batch, one fundamental-tensor batch, and F^2 in one
 float evaluation.  The Ricci tensor is the fibre Hessian of R^k_k / 2, which
 costs two more derivative orders on top of the spray and keeps the formula on
-jets; there only the diagonal entries R^i_i are built.
+jets; there only the diagonal entries R^i_i are built.  An F^2 or g_ij that
+is not finite, as a huge scale makes it, raises EvaluationDomainError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -137,9 +143,17 @@ def _f2_values(S: FinslerStructure, x, y) -> np.ndarray:
 
     The rows go in as object arrays, so every operator acts on Python floats
     column by column and each value is the single-point one bit for bit
-    (on float arrays numpy squares where Python's ** calls pow).
+    (on float arrays numpy squares where Python's ** calls pow).  An F^2
+    that is not finite, as when a huge scale overflows it, raises
+    EvaluationDomainError.
     """
-    return np.asarray(S.f2(list(x.astype(object)), list(y.astype(object))), dtype=float)
+    f2 = np.asarray(S.f2(list(x.astype(object)), list(y.astype(object))), dtype=float)
+    bad = ~np.isfinite(f2)
+    if bad.any():
+        b = int(np.argmax(bad))
+        f = math.sqrt(f2[b]) if f2[b] >= 0.0 else math.nan
+        raise EvaluationDomainError(f"F(x, y) = {f!r} at x = {x[:, b]}, y = {y[:, b]}")
+    return f2
 
 
 def _ricci_from_riemann(S: FinslerStructure, R, x, y) -> np.ndarray:
@@ -205,6 +219,8 @@ def scalar_curvature_residual(S: FinslerStructure, x, y, lam: float) -> float:
     space = jet_space(n, 1)
     yj = [space.variable(i, float(v)) for i, v in enumerate(y)]
     fjet = S.F(list(x), yj)
+    if not np.isfinite(fjet.coef).all():
+        raise EvaluationDomainError(f"F(x, y) or its y-gradient not finite at x = {x}, y = {y}")
     fval = fjet.value
     f_y = np.array([fjet.partial(i).value for i in range(n)])
     shape = lam * fval * fval * (np.eye(n) - np.outer(y, f_y) / fval)

@@ -24,13 +24,15 @@ from .metrics import FinslerStructure, invert_scalarlike_matrix
 from .ode import OdeTrajectory, integrate_ivp
 
 
-def phase_jet_args(S: FinslerStructure, x, y, order: int):
+def phase_jet_args(S: FinslerStructure, x, y, order: int, base_degree: int):
     """Jets for (x + xi, y + eta): seeds 0..n-1 are base, n..2n-1 are fibre.
 
-    x and y have shape (n,), or (n, B) for a batch of B phase points.
+    The jets carry derivatives of total degree at most base_degree along the
+    base seeds.  x and y have shape (n,), or (n, B) for a batch of B phase
+    points.
     """
     n = S.dimension
-    space = jet_space(2 * n, order)
+    space = jet_space(2 * n, order, lead=n, cap=base_degree)
     xj = [space.variable(i, v) for i, v in enumerate(np.atleast_1d(np.asarray(x, dtype=float)))]
     yj = [space.variable(n + i, v) for i, v in enumerate(np.atleast_1d(np.asarray(y, dtype=float)))]
     return xj, yj
@@ -75,16 +77,18 @@ def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
 def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fast"):
     """G^i as jets of total order `g_order` over the 2n phase seeds.
 
-    via "fast" runs the family's closed form; "f2" runs the jet spray from
-    F^2, two orders higher, as the cross-check.  x and y of shape (n, B) give
-    jets batched over B phase points.
+    The jets carry at most one derivative along the base seeds, all that the
+    curvature formula reads: reading a second one raises ValueError.  via
+    "fast" runs the family's closed form; "f2" runs the jet spray from F^2,
+    two orders higher and with two base derivatives, as the cross-check.
+    x and y of shape (n, B) give jets batched over B phase points.
     """
     if via == "fast":
-        xj, yj = phase_jet_args(S, x, y, g_order)
+        xj, yj = phase_jet_args(S, x, y, g_order, base_degree=1)
         return list(S.spray_fast(xj, yj))
     if via != "f2":
         raise ValueError("via must be fast or f2")
-    xj, yj = phase_jet_args(S, x, y, g_order + 2)
+    xj, yj = phase_jet_args(S, x, y, g_order + 2, base_degree=2)
     return spray_from_f2_jets(S, xj, yj)
 
 

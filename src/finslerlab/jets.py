@@ -14,6 +14,11 @@ evaluation then serves B base points (vector-mode Taylor arithmetic, Griewank
 shape () case of the same arithmetic, so every batch column is bit-identical
 to the evaluation at its point alone, and a domain check rejects the whole
 batch when any column fails it.
+
+A jet space may cap the total degree of its leading seeds, so derivatives
+that are never read are never carried (the sparse truncation of the same
+chapter).  The layout keeps the uncapped order, so each retained coefficient
+is the uncapped one bit for bit; reading above the cap raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,25 +45,37 @@ def _degree_indices(nvars, degree):
 
 
 class JetSpace:
-    """Coefficient layout and cached operation tables for one (nvars, order).
+    """Coefficient layout and cached operation tables for one jet space.
 
     Multi-indices are listed degree by degree (lexicographic within a
-    degree), so the coefficient vector of any lower order is a prefix of the
-    higher-order one.  Truncation is therefore a slice and never reshuffles.
+    degree).  A cap keeps only the multi-indices whose first `lead` entries
+    sum to at most `cap`, in the same order: the derivatives of total degree
+    above `cap` along the leading seeds are never carried.  For one cap the
+    coefficient vector of any lower order is a prefix of the higher-order
+    one, so truncation is a slice; truncation to a lower cap gathers the
+    retained coefficients.  The dropped multi-indices form an ideal, so each
+    retained coefficient of a product sums the same terms in the same order
+    as on the uncapped space, and its bits do not depend on the cap.
     """
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, lead: int = 0, cap: int | None = None):
         self.nvars = nvars
         self.order = order
+        self.lead = lead
+        self.cap = cap
         indices: list[tuple[int, ...]] = []
         for deg in range(order + 1):
-            indices.extend(_degree_indices(nvars, deg))
+            indices.extend(
+                alpha for alpha in _degree_indices(nvars, deg) if cap is None or sum(alpha[:lead]) <= cap
+            )
         self.indices = tuple(indices)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
         self.ncoef = len(self.indices)
         self._mul = None
         self._batched_mul: dict[int, np.ndarray] = {}
         self._partials: dict[int, tuple] = {}
+        self._meets: dict[JetSpace, JetSpace] = {}
+        self._gathers: dict[JetSpace, slice | np.ndarray] = {}
 
     def constant(self, c) -> "Jet":
         """Constant jet; an array c of shape (B,) gives a batch of B constants."""
@@ -71,7 +88,10 @@ class JetSpace:
         coef = np.zeros((self.ncoef,) + getattr(value, "shape", ()))
         coef[0] = value
         if self.order >= 1:
-            coef[1 + v] = 1.0
+            idx = self.index_of.get(tuple(int(u == v) for u in range(self.nvars)))
+            if idx is None:
+                raise ValueError(f"seed {v} outside jet space")
+            coef[idx] = 1.0
         return Jet(self, coef)
 
     def _mul_table(self):
@@ -81,9 +101,11 @@ class JetSpace:
                 da = sum(a)
                 for j, b in enumerate(self.indices):
                     if da + sum(b) <= self.order:
-                        I.append(i)
-                        J.append(j)
-                        K.append(self.index_of[tuple(u + v for u, v in zip(a, b))])
+                        k = self.index_of.get(tuple(u + v for u, v in zip(a, b)))
+                        if k is not None:
+                            I.append(i)
+                            J.append(j)
+                            K.append(k)
             self._mul = (
                 np.asarray(I, dtype=np.intp),
                 np.asarray(J, dtype=np.intp),
@@ -103,7 +125,12 @@ class JetSpace:
     def _partial_table(self, v: int):
         tab = self._partials.get(v)
         if tab is None:
-            lower = jet_space(self.nvars, self.order - 1)
+            cap = self.cap
+            if cap is not None and v < self.lead:
+                if cap == 0:
+                    raise ValueError(f"derivative along seed {v} outside jet space")
+                cap -= 1
+            lower = jet_space(self.nvars, self.order - 1, self.lead, cap)
             src = np.empty(lower.ncoef, dtype=np.intp)
             fac = np.empty(lower.ncoef)
             for t, alpha in enumerate(lower.indices):
@@ -115,14 +142,54 @@ class JetSpace:
             self._partials[v] = tab
         return tab
 
+    def _meet(self, other: "JetSpace") -> "JetSpace":
+        """The largest space inside both: the lower order and the lower cap."""
+        space = self._meets.get(other)
+        if space is None:
+            if self.nvars != other.nvars:
+                raise ValueError("jets built over different seed sets")
+            capped = [s for s in (self, other) if s.cap is not None]
+            if len({s.lead for s in capped}) > 1:
+                raise ValueError("jets capped over different leading seeds")
+            space = jet_space(
+                self.nvars,
+                min(self.order, other.order),
+                capped[0].lead if capped else 0,
+                min((s.cap for s in capped), default=None),
+            )
+            self._meets[other] = space
+        return space
+
+    def _gather(self, lower: "JetSpace"):
+        """Where lower's coefficients sit in this space's: a slice when they are a prefix."""
+        at = self._gathers.get(lower)
+        if at is None:
+            pos = [self.index_of[alpha] for alpha in lower.indices]
+            at = slice(0, len(pos)) if pos == list(range(len(pos))) else np.asarray(pos, dtype=np.intp)
+            self._gathers[lower] = at
+        return at
+
 
 @lru_cache(maxsize=None)
-def jet_space(nvars: int, order: int) -> JetSpace:
+def _jet_space(nvars: int, order: int, lead: int, cap: int | None) -> JetSpace:
+    return JetSpace(nvars, order, lead, cap)
+
+
+def jet_space(nvars: int, order: int, lead: int = 0, cap: int | None = None) -> JetSpace:
+    """The shared jet space over nvars seeds up to total order `order`.
+
+    lead and cap keep only the derivatives of total degree at most cap along
+    the first lead seeds.  A cap that drops nothing gives the uncapped space.
+    """
     if nvars < 1:
         raise ValueError("jet space needs at least one seed direction")
     if not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"jet order must lie in [0, {MAX_JET_ORDER}], got {order}")
-    return JetSpace(nvars, order)
+    if not 0 <= lead <= nvars or (cap is not None and cap < 0):
+        raise ValueError(f"jet cap needs 0 <= lead <= {nvars} and cap >= 0, got lead {lead}, cap {cap}")
+    if lead == 0 or cap is None or cap >= order:
+        lead, cap = 0, None
+    return _jet_space(nvars, order, lead, cap)
 
 
 class Jet:
@@ -146,12 +213,17 @@ class Jet:
         return float(c0) if self.coef.ndim == 1 else c0
 
     def truncated(self, order: int) -> "Jet":
-        if order == self.space.order:
-            return self
+        """The same jet up to a lower total order, with the same cap."""
         if order > self.space.order:
             raise ValueError("cannot extend a jet to higher order")
-        lower = jet_space(self.space.nvars, order)
-        return Jet(lower, self.coef[: lower.ncoef])
+        space = self.space
+        return self._restricted(jet_space(space.nvars, order, space.lead, space.cap))
+
+    def _restricted(self, space: JetSpace) -> "Jet":
+        """The coefficients this jet carries of a space inside its own."""
+        if space is self.space:
+            return self
+        return Jet(space, self.coef[self.space._gather(space)])
 
     def partial(self, v: int) -> "Jet":
         """Derivative jet along seed v; lives one order lower."""
@@ -177,10 +249,8 @@ class Jet:
     def _align(self, other: "Jet"):
         a, b = self, other
         if a.space is not b.space:
-            if a.space.nvars != b.space.nvars:
-                raise ValueError("jets built over different seed sets")
-            order = min(a.space.order, b.space.order)
-            a, b = a.truncated(order), b.truncated(order)
+            space = a.space._meet(b.space)
+            a, b = a._restricted(space), b._restricted(space)
         if a.coef.ndim != b.coef.ndim:
             # an unbatched operand broadcasts over the other's batch axis
             if a.coef.ndim == 1:

@@ -513,7 +513,9 @@ def invert_scalarlike_matrix(M):
 
     With batched jets every batch column keeps its own pivot sequence: where
     the columns disagree on the pivot row, rows are swapped per column by
-    selection.
+    selection.  A jet pivot's reciprocal is computed once and multiplies its
+    row, which is what dividing each entry by the jet computes; a float
+    pivot divides.
     """
     n = len(M)
     a = [[M[i][j] for j in range(n)] for i in range(n)]
@@ -530,9 +532,13 @@ def invert_scalarlike_matrix(M):
                 a[pivot], a[col] = a[col], a[pivot]
                 inv[pivot], inv[col] = inv[col], inv[pivot]
         piv = a[col][col]
-        for j in range(n):
-            a[col][j] = a[col][j] / piv
-            inv[col][j] = inv[col][j] / piv
+        if isinstance(piv, Jet):
+            recip = piv._reciprocal()
+            a[col] = [v * recip for v in a[col]]
+            inv[col] = [v * recip for v in inv[col]]
+        else:
+            a[col] = [v / piv for v in a[col]]
+            inv[col] = [v / piv for v in inv[col]]
         for r in range(n):
             if r == col:
                 continue
@@ -612,11 +618,15 @@ def _hessian_half_f2(S: FinslerStructure, x, y) -> np.ndarray:
 def _fundamental_tensors(S: FinslerStructure, x, y):
     """g and g^-1, each of shape (B, n, n), at B phase points, x and y of shape (n, B).
 
-    Raises if any column is not positive definite or inverts badly.
+    Raises EvaluationDomainError if any column is not finite, and
+    StrongConvexityError if one is not positive definite or inverts badly.
     """
     if not (y * y).any(axis=0).all():
         raise EvaluationDomainError("fundamental tensor undefined at y = 0")
     g = _hessian_half_f2(S, x, y)
+    if not np.isfinite(g).all():
+        b = int(np.argmax(~np.isfinite(g).all(axis=(1, 2))))
+        raise EvaluationDomainError(f"fundamental tensor not finite at x = {x[:, b]}, y = {y[:, b]}")
     min_eig = np.linalg.eigvalsh(g)[:, 0]
     if (min_eig <= 0.0).any():
         bad = float(min_eig[np.argmax(min_eig <= 0.0)])

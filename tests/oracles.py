@@ -11,6 +11,9 @@ exceptions are second routes through the library's own types:
   seeded variables;
 - path_length integrates F along a library Geodesic's dense output, or
   along a polyline or a cubic spline through samples;
+- uncapped_spray_jet_functions runs a family's spray on jets that carry
+  every base derivative, and invert_by_division divides each pivot-row
+  entry by its jet pivot, computing one reciprocal per entry;
 - the two per-point routes at the end, the Einstein classification and the
   projective-parameter solve, call the library's public single-point
   functions.
@@ -29,9 +32,9 @@ from scipy.interpolate import CubicSpline
 
 from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
 from finslerlab.errors import EvaluationDomainError, FinslerError
-from finslerlab.geodesics import Geodesic
-from finslerlab.jets import Jet, jet_space
-from finslerlab.metrics import SAMPLING_RADIUS
+from finslerlab.geodesics import Geodesic, spray_from_f2_jets
+from finslerlab.jets import Jet, jet_space, scalar_value
+from finslerlab.metrics import SAMPLING_RADIUS, _swap_pivots_per_column
 from finslerlab.ode import integrate_ivp
 from finslerlab.projective import PARAMETER_GRID, PARAMETER_TOLERANCE
 
@@ -406,6 +409,50 @@ def mobius_fit(pi1, pi2) -> MobiusFit:
     pred = (a * pi1 + b) / denom
     residual = float(np.max(np.abs(pred - pi2)))
     return MobiusFit(coefficients=(float(a), float(b), float(c), float(d)), residual=residual)
+
+
+# ----- spray jets and their matrix inverse, without the cap -------------------
+
+
+def uncapped_spray_jet_functions(S, x, y, g_order: int, via: str = "fast"):
+    """spray_jet_functions on the uncapped jet_space(2n, order): every base derivative is carried."""
+    n = S.dimension
+    space = jet_space(2 * n, g_order if via == "fast" else g_order + 2)
+    xj = [space.variable(i, v) for i, v in enumerate(np.atleast_1d(np.asarray(x, dtype=float)))]
+    yj = [space.variable(n + i, v) for i, v in enumerate(np.atleast_1d(np.asarray(y, dtype=float)))]
+    return list(S.spray_fast(xj, yj)) if via == "fast" else spray_from_f2_jets(S, xj, yj)
+
+
+def invert_by_division(M):
+    """Gauss-Jordan inverse with the library's pivoting, dividing entry by entry.
+
+    Each entry of the pivot row is divided by the pivot on its own, so a jet
+    pivot's reciprocal is computed once per entry.
+    """
+    n = len(M)
+    a = [list(row) for row in M]
+    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        mags = [abs(scalar_value(a[r][col])) for r in range(col, n)]
+        if any(isinstance(m, np.ndarray) for m in mags):
+            _swap_pivots_per_column(a, inv, col, mags)
+        else:
+            pivot = col + max(range(n - col), key=lambda t: mags[t])
+            if pivot != col:
+                a[pivot], a[col] = a[col], a[pivot]
+                inv[pivot], inv[col] = inv[col], inv[pivot]
+        piv = a[col][col]
+        for j in range(n):
+            a[col][j] = a[col][j] / piv
+            inv[col][j] = inv[col][j] / piv
+        for r in range(n):
+            factor = a[r][col]
+            if r == col or isinstance(factor, (int, float)) and factor == 0.0:
+                continue
+            for j in range(n):
+                a[r][j] = a[r][j] - factor * a[col][j]
+                inv[r][j] = inv[r][j] - factor * inv[col][j]
+    return inv
 
 
 # ----- Einstein classification, one point at a time ---------------------------

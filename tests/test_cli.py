@@ -93,9 +93,22 @@ def cfg(tmp_path_factory):
     return paths
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON token {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects the bare NaN, Infinity and -Infinity tokens, which are not JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
+    """main(argv), then its exit code, stdout and stderr; every JSON payload must be strict JSON."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    for text in (captured.out, captured.err):
+        if text.startswith("{"):
+            strict_json(text)
     return code, captured.out, captured.err
 
 
@@ -870,8 +883,26 @@ class TestNumericalFailures:
                 {"family": "klein_ball", "dimension": 2, "scale": 1e300},
                 ("geodesic", "trace", "--x0", "0,0", "--y0", "1,0", "--length", "0.5"),
             ),
+            # the curvature commands read F^2 itself, which overflows at scale 1e200
+            *[
+                (doc, argv)
+                for doc in (
+                    {"family": "klein_ball", "dimension": 2, "scale": 1e200},
+                    {**euclid_config(2), "scale": 1e200},
+                )
+                for argv in (
+                    ("einstein", "check"),
+                    ("curvature", "report", "--x", "0.1,0.2", "--y", "1,0.5", "--u", "0,1"),
+                    ("curvature", "report", "--x", "0.1,0.2", "--y", "1,0.5"),
+                )
+            ],
         ],
-        ids=["klein-scale-1e300", "klein-scale-1e200-pseudo", "interval-k-1e-300", "trace-klein-scale-1e300"],
+        ids=["klein-scale-1e300", "klein-scale-1e200-pseudo", "interval-k-1e-300", "trace-klein-scale-1e300"]
+        + [
+            f"{cmd}-{name}-scale-1e200"
+            for name in ("klein", "riemannian")
+            for cmd in ("einstein", "curvature-u", "curvature")
+        ],
     )
     def test_overflowing_F_exits_3(self, cfg, capsys, doc, argv):
         # finite config numbers whose F(x, y) overflows to inf at the start
@@ -1030,10 +1061,6 @@ def invocations(draw):
             "--samples", "2", "--seed", seed]
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite JSON token {name}")
-
-
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=invocations())
 def test_every_invocation_keeps_the_exit_code_contract(cfg, argv):
@@ -1043,10 +1070,12 @@ def test_every_invocation_keeps_the_exit_code_contract(cfg, argv):
     assert code in EXIT_CODES, (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code != 0:
+        if err.getvalue().startswith("{"):
+            strict_json(err.getvalue())
         return
     if argv[:2] == ["geodesic", "trace"]:
         rows = list(csv.reader(io.StringIO(out.getvalue())))
         assert len(rows) > 1
         assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
     else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        strict_json(out.getvalue())

@@ -15,6 +15,7 @@ from finslerlab import (
     riemann_curvature,
     scalar_curvature_residual,
 )
+from finslerlab import curvature, geodesics, metrics
 from finslerlab.curvature import (
     _f2_values,
     _ricci_scalars,
@@ -23,10 +24,16 @@ from finslerlab.curvature import (
     _riemann_values,
 )
 from finslerlab.geodesics import spray_jet_functions
-from finslerlab.metrics import _fundamental_tensors
+from finslerlab.jets import Jet
+from finslerlab.metrics import _fundamental_tensors, invert_scalarlike_matrix
 
 from conftest import exact_randers_config, funk_config, klein_config
-from oracles import einstein_classify_per_point, sample_direction
+from oracles import (
+    einstein_classify_per_point,
+    invert_by_division,
+    sample_direction,
+    uncapped_spray_jet_functions,
+)
 
 
 def fd_riemann(S, x, y):
@@ -537,3 +544,73 @@ class TestBatchedCurvature:
         _, ric_values = einstein_classify_per_point(S, SwappedDraws(0, 1), x_samples=2, y_directions=8)
         assert ric_values[0][:2] == report.ric_values[0][1::-1]
         assert ric_values != report.ric_values
+
+
+class TestCappedSprayJets:
+    """Spray jets carry one base derivative; the curvature keeps the uncapped route's bits."""
+
+    @staticmethod
+    def batch(S, seed):
+        rng = np.random.default_rng(seed)
+        X = np.array([S.sample_point(rng, 0.7) for _ in range(5)]).T
+        return X, S.sample_directions(rng, 5).T
+
+    @BATCH_CONFIGS
+    def test_curvature_equals_the_uncapped_route(self, config, monkeypatch):
+        S = make_metric(config)
+        X, Y = self.batch(S, 14)
+        G = spray_jet_functions(S, X, Y, g_order=4)
+        assert (G[0].space.lead, G[0].space.cap) == (S.dimension, 1)
+        with pytest.raises(ValueError, match="outside jet space"):
+            G[0].derivative((2,) + (0,) * (2 * S.dimension - 1))
+        got = [_riemann_values(S, X, Y, via=via) for via in ("fast", "f2")] + list(_ricci_tensors(S, X, Y))
+        assert uncapped_spray_jet_functions(S, X, Y, 4)[0].space.cap is None
+        monkeypatch.setattr(curvature, "spray_jet_functions", uncapped_spray_jet_functions)
+        want = [_riemann_values(S, X, Y, via=via) for via in ("fast", "f2")] + list(_ricci_tensors(S, X, Y))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @BATCH_CONFIGS
+    def test_jet_inverse_equals_division_per_entry(self, config, monkeypatch):
+        S = make_metric(config)
+        X, Y = self.batch(S, 15)
+        seen = []
+
+        def recording(M):
+            seen.append(M)
+            return invert_scalarlike_matrix(M)
+
+        monkeypatch.setattr(geodesics, "invert_scalarlike_matrix", recording)
+        monkeypatch.setattr(metrics, "invert_scalarlike_matrix", recording)
+        for via in ("fast", "f2"):
+            _riemann_values(S, X, Y, via=via)
+        _ricci_tensors(S, X, Y)
+        assert any(isinstance(m, Jet) for M in seen for row in M for m in row)
+        for M in seen:
+            got, want = invert_scalarlike_matrix(M), invert_by_division(M)
+            for g, w in zip(sum(got, []), sum(want, [])):
+                assert type(g) is type(w)
+                assert np.asarray(getattr(g, "coef", g)).tobytes() == np.asarray(getattr(w, "coef", w)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [klein_config(2, scale=1e200), {**funk_config(3), "scale": 1e200}],
+    ids=["klein2-1e200", "funk3-1e200"],
+)
+def test_overflowed_F2_raises(config):
+    # the spray ignores the scale, F^2 overflows to inf: no curvature datum may use it
+    S = make_metric(config)
+    n = S.dimension
+    x, y, u = [0.1] * n, [1.0] + [0.5] * (n - 1), [0.0] * (n - 1) + [1.0]
+    calls = {
+        "f2": lambda: _f2_values(S, np.array([x]).T, np.array([y]).T),
+        "g": lambda: _fundamental_tensors(S, np.array([x]).T, np.array([y]).T),
+        "flag": lambda: flag_curvature(S, x, y, u),
+        "ricci": lambda: ricci_scalar(S, x, y),
+        "shape": lambda: scalar_curvature_residual(S, x, y, -1.0),
+        "einstein": lambda: einstein_classify(S, x_samples=2, y_directions=8),
+    }
+    for name, call in calls.items():
+        with pytest.raises(EvaluationDomainError):
+            call()

@@ -272,3 +272,151 @@ def test_batched_domain_check_rejects_the_batch():
     flipped = abs(x)
     for col, value in enumerate([4.0, -1.0, 9.0]):
         assert np.array_equal(flipped.coef[:, col], abs(space.variable(0, value)).coef)
+
+
+# ----- capped jet spaces -----------------------------------------------------
+
+
+def _over_cap(alpha, lead, cap):
+    return sum(alpha[:lead]) > cap
+
+
+@pytest.mark.parametrize(
+    "nvars, order, lead, cap, counts",
+    [
+        # the order-4 Ricci batches: n = 2 and n = 3 phase seeds, base seeds capped at 1
+        (4, 4, 2, 1, (70, 495, 35, 210)),
+        (6, 4, 3, 1, (210, 1820, 95, 714)),
+        (4, 6, 2, 2, None),
+        (3, 3, 1, 0, None),
+        (5, 2, 5, 1, None),
+    ],
+)
+def test_capped_space_filters_the_uncapped_layout(nvars, order, lead, cap, counts):
+    capped, full = jet_space(nvars, order, lead, cap), jet_space(nvars, order)
+    assert capped.indices == tuple(a for a in full.indices if not _over_cap(a, lead, cap))
+
+    def terms(space, keep):
+        I, J, K = space._mul_table()
+        named = (tuple(space.indices[t] for t in ijk) for ijk in zip(I, J, K))
+        return [ijk for ijk in named if keep(ijk[2])]
+
+    # each retained output's terms, and only they, in the uncapped table's relative order
+    assert terms(capped, lambda a: True) == terms(full, lambda a: not _over_cap(a, lead, cap))
+    if counts is not None:
+        assert (full.ncoef, full._mul_table()[0].size, capped.ncoef, capped._mul_table()[0].size) == counts
+
+
+def test_capped_space_prefix_and_normal_form():
+    lo, hi = jet_space(4, 2, 2, 1), jet_space(4, 4, 2, 1)
+    assert hi.indices[: lo.ncoef] == lo.indices
+    # a cap that drops nothing is the uncapped space itself
+    assert jet_space(4, 1, 2, 1) is jet_space(4, 1)
+    assert jet_space(4, 3, 0, 1) is jet_space(4, 3)
+    assert jet_space(4, 3, 2, None) is jet_space(4, 3)
+    for lead, cap in ((5, 1), (-1, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            jet_space(4, 3, lead, cap)
+
+
+def test_reading_above_the_cap_raises():
+    space = jet_space(4, 3, 2, 1)
+    x = space.variable(0, 0.3)
+    y = space.variable(3, np.array([1.0, 2.0]))
+    f = (x * x * y).exp()
+    assert f.derivative((1, 0, 0, 2)).shape == (2,)
+    with pytest.raises(ValueError, match="outside jet space"):
+        f.derivative((2, 0, 0, 0))
+    with pytest.raises(ValueError, match="outside jet space"):
+        f.derivative((1, 1, 0, 0))
+    fx = f.partial(0)
+    assert fx.space is jet_space(4, 2, 2, 0)
+    assert fx.partial(3).space is jet_space(4, 1, 2, 0)
+    with pytest.raises(ValueError, match="outside jet space"):
+        fx.partial(1)
+    with pytest.raises(ValueError, match="outside jet space"):
+        fx.space.variable(0, 0.3)
+    # truncation keeps the cap; meeting a lower cap gathers
+    assert f.truncated(2).space is jet_space(4, 2, 2, 1)
+    assert np.array_equal(f.truncated(2).coef, f.coef[: jet_space(4, 2, 2, 1).ncoef])
+    assert (f + fx).space is jet_space(4, 2, 2, 0)
+    with pytest.raises(ValueError):
+        f + jet_space(4, 3, 1, 1).constant(1.0)
+
+
+_UNARY = ("sqrt", "exp", "log", "pow3", "pow_half", "pow_real", "recip", "neg", "scalar")
+_BINARY = ("+", "-", "*", "/")
+
+
+def _positive(u):
+    return u * u + 0.25
+
+
+def _apply(op, u, v, seed):
+    if op == "+":
+        return u + v
+    if op == "-":
+        return u - v
+    if op == "*":
+        return u * v
+    if op == "/":
+        return u / _positive(v)
+    if op == "partial":
+        return u.partial(seed % u.space.nvars)
+    w = _positive(u)
+    return {
+        "sqrt": lambda: w.sqrt(),
+        "exp": lambda: (0.5 * u).exp(),
+        "log": lambda: w.log(),
+        "pow3": lambda: u**3,
+        "pow_half": lambda: w**0.5,
+        "pow_real": lambda: w**-1.5,
+        "recip": lambda: 1.0 / w,
+        "neg": lambda: -u,
+        "scalar": lambda: 1.5 - 2.0 * u / 3.0,
+    }[op]()
+
+
+@st.composite
+def capped_programs(draw):
+    """A random (nvars, order, lead, cap, batch) and a straight-line program over a pool of jets."""
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    lead = draw(st.integers(min_value=1, max_value=nvars))
+    order = draw(st.integers(min_value=1, max_value=4))
+    cap = draw(st.integers(min_value=0, max_value=order - 1))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    ops = st.sampled_from(_UNARY + _BINARY + ("partial",))
+    index = st.integers(min_value=0, max_value=99)
+    steps = draw(st.lists(st.tuples(ops, index, index), min_size=1, max_size=10))
+    return nvars, order, lead, cap, batch, steps, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(program=capped_programs())
+def test_capped_jets_keep_the_uncapped_bits(program):
+    """Every retained coefficient equals the uncapped one bit for bit, batched and single."""
+    nvars, order, lead, cap, batch, steps, seed = program
+    rng = np.random.default_rng(seed)
+    full_pool, capped_pool = [], []
+    # operands on the top space, on a lower cap and on a lower order, so the meets mix caps
+    for o, c in ((order, cap), (order, max(cap - 1, 0)), (order - 1, cap)):
+        full = jet_space(nvars, o)
+        coef = rng.uniform(-1.0, 1.0, size=(full.ncoef,) + batch)
+        coef[0] += 2.0
+        capped = jet_space(nvars, o, lead, c)
+        full_pool.append(Jet(full, coef))
+        capped_pool.append(Jet(capped, coef[[full.index_of[a] for a in capped.indices]]))
+    # every example meets the mixed-cap operands at least once
+    for op, i, j in [("*", 0, 1), ("+", 1, 2), ("/", 2, 0)] + steps:
+        u, v = full_pool[i % len(full_pool)], full_pool[j % len(full_pool)]
+        uc, vc = capped_pool[i % len(capped_pool)], capped_pool[j % len(capped_pool)]
+        if op == "partial" and (u.space.order == 0 or uc.space.cap == 0 and i % nvars < lead):
+            with pytest.raises(ValueError):
+                _apply(op, uc, vc, i)
+            continue
+        got, want = _apply(op, uc, vc, i), _apply(op, u, v, i)
+        assert got.space.order == want.space.order
+        retained = [want.space.index_of[a] for a in got.space.indices]
+        assert got.coef.tobytes() == want.coef[retained].tobytes(), op
+        full_pool.append(want)
+        capped_pool.append(got)

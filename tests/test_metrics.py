@@ -27,7 +27,7 @@ from conftest import (
     klein_config,
     unit_direction,
 )
-from oracles import klein_fundamental_tensor
+from oracles import invert_by_division, klein_fundamental_tensor
 
 
 def poly_const(n, value):
@@ -381,6 +381,26 @@ class TestScalarLikeInverse:
             values = np.array([[column(c, b).value if isinstance(c, Jet) else c for c in row] for row in M])
             inv_values = np.array([[inv[i][j].coef[0, b] for j in range(3)] for i in range(3)])
             assert np.allclose(values @ inv_values, np.eye(3), atol=1e-12)
+
+    def test_equals_division_per_entry_across_caps(self):
+        # one reciprocal per pivot gives the bits of dividing every entry by the pivot,
+        # also where entries and pivots live on spaces of different orders and caps
+        spaces = [jet_space(4, 4, 2, 1), jet_space(4, 3, 2, 0), jet_space(4, 4), jet_space(4, 2, 2, 1)]
+        rng = np.random.default_rng(6)
+
+        def entry():
+            if rng.uniform() < 0.2:
+                return float(rng.uniform(-1.0, 1.0))
+            space = spaces[rng.integers(len(spaces))]
+            coef = rng.uniform(-1.0, 1.0, size=(space.ncoef, 3))
+            coef[0] += rng.uniform(-3.0, 3.0, size=3)
+            return Jet(space, coef)
+
+        for _ in range(40):
+            M = [[entry() for _ in range(3)] for _ in range(3)]
+            got, want = invert_scalarlike_matrix(M), invert_by_division(M)
+            for g, w in zip(sum(got, []), sum(want, [])):
+                assert np.asarray(getattr(g, "coef", g)).tobytes() == np.asarray(getattr(w, "coef", w)).tobytes()
 
     def test_singular_column_rejects_the_batch(self):
         space = jet_space(1, 1)
