@@ -2,9 +2,11 @@
 
 Every family carries a closed-form spray (the Christoffel contraction for
 Riemannian tables, the Randers formula on top of it, projective factors for
-the ball models and the interval), and geodesics and curvature use it.  The
-spray from F^2 alone through the jet engine (via="f2", spray_coefficients)
-is the independent cross-check, and the two routes are required to agree.
+the ball models and the interval).  Geodesics integrate it through the
+structure's float path, geodesic_field, and curvature reads it on jets
+through spray_fast.  The spray from F^2 alone through the jet engine
+(via="f2", spray_coefficients) is the independent cross-check, and the
+routes are required to agree.
 """
 
 from __future__ import annotations
@@ -88,29 +90,25 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fas
         return list(S.spray_fast(xj, yj))
     if via != "f2":
         raise ValueError("via must be fast or f2")
-    xj, yj = phase_jet_args(S, x, y, g_order + 2, base_degree=2)
+    xj, yj = phase_jet_args(S, x, y, g_order + 2, base_degree=min(g_order, 1) + 1)
     return spray_from_f2_jets(S, xj, yj)
 
 
 def _geodesic_rhs(S: FinslerStructure, backward: bool = False):
     """(x, v)' = (v, -2G(x, v)), both halves negated when backward (parameter |s|).
 
-    The state z is a list of floats, as integrate_ivp passes it, and so is
-    the value.  The spray raises EvaluationDomainError off the chart, which
-    is how integrate_ivp learns where the chart ends.  S.spray_fast is read
-    on every call, so a wrapper installed later sees each one.
+    This is S.geodesic_field, the family's float path, or its elementwise
+    negation, which has the bits of (-v, 2G).  The state z is a list of
+    floats, as integrate_ivp passes it, and so is the value.  The field
+    raises EvaluationDomainError off the chart, which is how integrate_ivp
+    learns where the chart ends.  S.geodesic_field is read once per
+    integration, so a wrapper installed on the structure before it sees
+    every call.
     """
-    n = S.dimension
-    c = 2.0 if backward else -2.0
-
-    def rhs(z):
-        v = z[n:]
-        G = S.spray_fast(z[:n], v)
-        if backward:
-            v = [-vi for vi in v]
-        return v + [c * gi for gi in G]
-
-    return rhs
+    field = S.geodesic_field
+    if not backward:
+        return field
+    return lambda z: [-w for w in field(z)]
 
 
 MAX_RESAMPLE_STEPS = 1_000_000  # |length| / step stays below it: at most a million and one rows
@@ -301,7 +299,7 @@ def _chord_length(S, p, q) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         length, _ = quad(
-            lambda t: float(S.F([ai + t * di for ai, di in zip(a, d)], d)),
+            lambda t: S.float_F([ai + t * di for ai, di in zip(a, d)], d),
             0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
         )
     return float(length)

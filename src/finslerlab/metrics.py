@@ -1,17 +1,28 @@
 """Finsler metric families, the fundamental tensor and structure validation.
 
-Every family exposes F^2 as a scalar-like evaluator: it accepts plain floats
-or jets and therefore feeds both ordinary evaluation and the derivative
-machinery.  Built-in families live on the open unit ball (the interval
-(-1, 1) in dimension one); sampling for validation stays inside radius 0.95.
+Every family has two paths.  The scalar-like path, f2 and spray_fast (and
+F = sqrt(f2)), accepts plain floats or jets and therefore feeds both
+ordinary evaluation and the derivative machinery: curvature, the g_ij
+Hessian and the via="f2" cross-check.  The float path, geodesic_field and
+float_F, takes lists of Python floats only and serves the values that
+geodesic integration and the chord-length quadrature evaluate over and
+over.  For the Klein and Funk balls it is generated from source once per
+dimension, doing exactly the float operations of the scalar-like path in
+their order; the interval, Riemannian and Randers families compose their
+scalar-like spray and F^2.  Built-in
+families live on the open unit ball (the interval (-1, 1) in dimension
+one); sampling for validation stays inside radius 0.95.
 FinslerStructure.domain is the one chart predicate, and every family's
-closed-form spray raises EvaluationDomainError off the chart, so integrators
-learn where the chart ends from the right-hand side alone.
+closed-form spray and geodesic field raise EvaluationDomainError off the
+chart, so integrators learn where the chart ends from the right-hand side
+alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -27,6 +38,9 @@ SAMPLING_RADIUS = 0.95
 CONSTRUCTION_SAMPLES = 200  # points at which make_metric checks a table's positivity
 
 
+_OFF_CHART = "point outside the unit-ball chart"
+
+
 def _dot(u, v):
     total = u[0] * v[0]
     for i in range(1, len(u)):
@@ -37,7 +51,7 @@ def _dot(u, v):
 def _require_chart(d):
     """D = 1 - |x|^2 must be positive: a float, or every column of a (B,) array or jet."""
     if d <= 0.0 if isinstance(d, float) else np.any(d <= 0.0):
-        raise EvaluationDomainError("point outside the unit-ball chart")
+        raise EvaluationDomainError(_OFF_CHART)
 
 
 def _eval_table(table, x):
@@ -247,7 +261,12 @@ def load_config(path: str) -> MetricConfig:
 
 @dataclass
 class FinslerStructure:
-    """A metric instance: scalar-like F^2 and spray evaluators; g_ij is the jet Hessian of F^2/2."""
+    """A metric instance: scalar-like F^2 and spray evaluators, and their float path.
+
+    geodesic_field(z) is [v, -2 G(x, v)] for the phase point z = x + v, a
+    list of 2n floats; float_F(x, y) is F on lists of floats.  Both give the
+    bits of the scalar-like path.  g_ij is the jet Hessian of F^2/2.
+    """
 
     dimension: int
     family: str
@@ -255,6 +274,8 @@ class FinslerStructure:
     config: MetricConfig
     f2: Callable
     spray_fast: Callable
+    geodesic_field: Callable
+    float_F: Callable
     unique_geodesics: bool = False
 
     def domain(self, x) -> bool:
@@ -293,6 +314,65 @@ class FinslerStructure:
         return out
 
 
+@functools.cache
+def _ball_float_path(family: str, n: int):
+    """make(s2) -> (geodesic_field, float_F) of the Klein or Funk ball in dimension n.
+
+    Built from source, with every coordinate a local name, to do the float
+    operations of the family's f2 and spray_fast in their order: _dot's
+    left-to-right sums, one accumulating statement per term (so the code's
+    nesting does not grow with n), ** 2 kept as ** 2, and the raises of
+    _require_chart (D <= 0) and jet_sqrt (a radicand <= 0), through which a
+    NaN passes as it does there.  s2 is the squared scale.  Measured against
+    float closures over lists that call _dot (2 shared cores, Python 3.11,
+    n = 2 and 3), the generated field takes 0.30-0.45 us a call against
+    1.1-1.7 us, and the benchmark's ball_theorem1 runs about 900 ops/s
+    against 680.
+    """
+
+    def dot(total, a, b):
+        return [f"{total} = {a}0 * {b}0"] + [f"{total} += {a}{i} * {b}{i}" for i in range(1, n)]
+
+    xs, ys = ("".join(f"{c}{i}, " for i in range(n)) for c in "xy")
+    common = dot("xx", "x", "x") + ["D = 1.0 - xx", "if D <= 0.0: raise EvaluationDomainError(_OFF_CHART)"]
+    common += dot("xy", "x", "y")
+    if family == "klein_ball":
+        field = ["P = xy / D", "return [" + ys + ", ".join(f"-2.0 * (P * y{i})" for i in range(n)) + "]"]
+        f2 = dot("yy", "y", "y") + ["f2 = s2 * (yy * D + xy ** 2) / (D * D)"]
+    else:
+        common += dot("yy", "y", "y") + [
+            "rad = xy * xy + yy * D",
+            'if rad <= 0.0: raise EvaluationDomainError(f"sqrt domain violation: {rad}")',
+            "F = (sqrt(rad) + xy) / D",
+        ]
+        field = ["return [" + ys + ", ".join(f"-2.0 * (0.5 * F * y{i})" for i in range(n)) + "]"]
+        f2 = ["f2 = s2 * F * F"]
+    f2 += ['if f2 <= 0.0: raise EvaluationDomainError(f"sqrt domain violation: {f2}")', "return sqrt(f2)"]
+    lines = (
+        ["def geodesic_field(z):", f"    {xs}{ys}= z"]
+        + ["    " + line for line in common + field]
+        + ["def float_F(x, y):", f"    {xs}= x", f"    {ys}= y"]
+        + ["    " + line for line in common + f2]
+        + ["return geodesic_field, float_F"]
+    )
+    namespace = {"sqrt": math.sqrt, "EvaluationDomainError": EvaluationDomainError, "_OFF_CHART": _OFF_CHART}
+    exec("def make(s2):\n" + "\n".join("    " + line for line in lines), namespace)
+    return namespace["make"]
+
+
+def _composed_float_path(n: int, f2, spray_fast):
+    """(geodesic_field, float_F) from a scalar-like F^2 and spray, called on floats."""
+
+    def geodesic_field(z):
+        v = z[n:]
+        return v + [-2.0 * gi for gi in spray_fast(z[:n], v)]
+
+    def float_F(x, y):
+        return jet_sqrt(f2(x, y))
+
+    return geodesic_field, float_F
+
+
 def _klein_structure(config: MetricConfig) -> FinslerStructure:
     s2 = config.scale * config.scale
 
@@ -307,6 +387,7 @@ def _klein_structure(config: MetricConfig) -> FinslerStructure:
         P = _dot(x, y) / D
         return [P * y[i] for i in range(len(y))]
 
+    geodesic_field, float_F = _ball_float_path("klein_ball", config.dimension)(s2)
     return FinslerStructure(
         dimension=config.dimension,
         family="klein_ball",
@@ -314,6 +395,8 @@ def _klein_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
         unique_geodesics=True,
     )
 
@@ -338,6 +421,7 @@ def _funk_structure(config: MetricConfig) -> FinslerStructure:
         F = f_raw(x, y)
         return [0.5 * F * y[i] for i in range(len(y))]
 
+    geodesic_field, float_F = _ball_float_path("funk_ball", config.dimension)(scale * scale)
     return FinslerStructure(
         dimension=config.dimension,
         family="funk_ball",
@@ -345,6 +429,8 @@ def _funk_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
         unique_geodesics=True,
     )
 
@@ -370,6 +456,7 @@ def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
         _require_chart(D)
         return [0.5 * ((jet_abs(w) + u * w) / D) * w]
 
+    geodesic_field, float_F = _composed_float_path(1, f2, spray_fast)
     return FinslerStructure(
         dimension=1,
         family="interval_funk",
@@ -377,6 +464,8 @@ def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
         unique_geodesics=True,
     )
 
@@ -394,6 +483,7 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
     def spray_fast(x, y):
         return christoffel(x, y)[0]
 
+    geodesic_field, float_F = _composed_float_path(n, f2, spray_fast)
     structure = FinslerStructure(
         dimension=n,
         family="riemannian",
@@ -401,6 +491,8 @@ def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
         unique_geodesics=False,
     )
     _check_riemannian_positive(structure)
@@ -443,6 +535,7 @@ def _randers_structure(config: MetricConfig) -> FinslerStructure:
         return [Ga[i] + P * y[i] + alpha * s_up[i] for i in range(n)]
 
     reversible = all(not p.terms for p in bpoly)
+    geodesic_field, float_F = _composed_float_path(n, f2, spray_fast)
     structure = FinslerStructure(
         dimension=n,
         family="randers",
@@ -450,6 +543,8 @@ def _randers_structure(config: MetricConfig) -> FinslerStructure:
         config=config,
         f2=f2,
         spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
         unique_geodesics=False,
     )
     _check_randers_convexity(structure)

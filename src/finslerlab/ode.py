@@ -9,17 +9,22 @@ side takes a list of floats and returns a sequence of floats, and the stage
 sums, the finiteness check and the error norm are plain float arithmetic.
 The trajectory's ndarrays are built once, when the integration ends.
 
-Each row of scipy's tableau becomes one function, built at import from
-source as namedtuple builds its classes: a list comprehension
+Each row of scipy's tableau becomes one function per state length m,
+built from source on the first integration of that length, as namedtuple
+builds its classes: the state and every stage the row reads are unpacked
+into local names, and each of the m components is written out as
 y_i + h * (w_a * k_a_i + w_b * k_b_i + ...) over the row's nonzero weights,
 as float literals, added left to right from the first product.  That is
 the arithmetic of the sum written out by hand on every Python version
-(sum() of floats compensates since 3.12).  The step loops over eleven stage
-rows, the solution row and two error rows; the interpolant's three extra
-stages and four coefficient rows are built the same way.  A generic row,
-y_i + h * sum(map(mul, weights, stages)), was measured and not used: with a
-trivial right-hand side it took a step from about 36 to 67 us, and the
-benchmark's ball_theorem1 from about 495 to 404 ops/s (2 cores, Python 3.11).
+(sum() of floats compensates since 3.12).  Past 32 components a row is
+one loop over i with the same sum, since written-out rows for m = 6000
+took 6.4 s and about 250 MB to build.  The step runs eleven stage rows,
+the solution row and two error rows; the interpolant's three extra stages
+and four coefficient rows are built the same way, 21 rows in about 6 ms for
+m = 4.  One row for every length, a list comprehension over
+zip(y, k_a, k_b, ...), was measured against them and replaced: at m = 4
+the eleventh stage row took 2.9 us against 1.1 us, and the solution row
+1.8 us against 1.1 us (2 shared cores, Python 3.11).
 
 The right-hand side owns its domain: a stage that raises
 EvaluationDomainError, or a result that is not finite, is one more reason
@@ -28,14 +33,16 @@ and retried, so a solution that stays inside is followed up to the
 domain's boundary.  When a step rejected that way shrinks below
 tolerance * max(1, |t|), DomainExitError carries the last accepted node and
 the trajectory up to it; an underflow from the error estimate alone raises
-StiffnessError instead of looping forever.
+StiffnessError instead of looping forever, and so does a tolerance so small
+that the starting step's error norm overflows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -48,29 +55,66 @@ from .errors import (
 )
 
 
-def _row(weights):
-    """One tableau row as a function (y, h, k) -> [y_i + h * sum_j weights_j k[j]_i].
+_UNROLL_MAX = 32  # the longest state whose rows are written out component by component
+
+
+def _row(weights, m: int):
+    """One tableau row for states of length m: (y, h, k) -> [y_i + h * sum_j weights_j k[j]_i].
 
     Only the nonzero weights enter, as repr literals, summed left to right.
+    Up to _UNROLL_MAX components, the state and each stage the row reads are
+    unpacked into local names and each component is written out; a longer
+    state gets one loop over its components, so the source does not grow
+    with m.
     """
-    index = np.flatnonzero(weights).tolist()
-    total = " + ".join(f"{weights[j].item()!r} * p{j}" for j in index)
-    names = "".join(f", p{j}" for j in index)
-    stages = "".join(f", k[{j}]" for j in index)
-    return eval(f"lambda y, h, k: [yi + h * ({total}) for yi{names} in zip(y{stages})]", {})
+    terms = [(repr(weights[j].item()), j) for j in np.flatnonzero(weights).tolist()]
+    if m <= _UNROLL_MAX:
+        lines = ["".join(f"y_{i}, " for i in range(m)) + "= y"]
+        lines += ["".join(f"k{j}_{i}, " for i in range(m)) + f"= k[{j}]" for _, j in terms]
+        sums = [" + ".join(f"{w} * k{j}_{i}" for w, j in terms) for i in range(m)]
+        lines.append("return [" + ", ".join(f"y_{i} + h * ({total})" for i, total in enumerate(sums)) + "]")
+    else:
+        lines = [f"k{j} = k[{j}]" for _, j in terms]
+        total = " + ".join(f"{w} * k{j}[i]" for w, j in terms)
+        lines.append(f"return [y[i] + h * ({total}) for i in range({m})]")
+    namespace = {}
+    exec("def row(y, h, k):\n" + "\n".join("    " + line for line in lines), namespace)
+    return namespace["row"]
 
 
-# The right-hand side is autonomous, so the stage nodes c_s are not needed.
-# Stages 1..11 of the step, its eighth-order solution and two error estimates
-# (no weight on the FSAL stage, number 12), then the interpolant's extra
-# stages 13..15 and four highest coefficients; tests/oracles.py checks them
-# against dense products over the full tableau.
-_STAGES = tuple(_row(_dop.A[s, :s]) for s in range(1, _dop.N_STAGES))
-_SOLUTION = _row(_dop.B)
-_ERROR5 = _row(_dop.E5)
-_ERROR3 = _row(_dop.E3)
-_EXTRA_STAGES = tuple(_row(_dop.A[s, :s]) for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED))
-_DENSE = tuple(_row(weights) for weights in _dop.D)
+class _Tableau(NamedTuple):
+    """DOP853's rows for one state length, each a function (y, h, k) -> list."""
+
+    stages: tuple
+    solution: Callable
+    error5: Callable
+    error3: Callable
+    extra_stages: tuple
+    dense: tuple
+
+
+@functools.cache
+def _tableau(m: int) -> _Tableau:
+    """The rows for states of length m, built on first use of that length.
+
+    The right-hand side is autonomous, so the stage nodes c_s are not
+    needed.  Stages 1..11 of the step, its eighth-order solution and two
+    error estimates (no weight on the FSAL stage, number 12), then the
+    interpolant's extra stages 13..15 and four highest coefficients;
+    tests/oracles.py checks them against dense products over the full
+    tableau.
+    """
+    return _Tableau(
+        stages=tuple(_row(_dop.A[s, :s], m) for s in range(1, _dop.N_STAGES)),
+        solution=_row(_dop.B, m),
+        error5=_row(_dop.E5, m),
+        error3=_row(_dop.E3, m),
+        extra_stages=tuple(
+            _row(_dop.A[s, :s], m) for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
+        ),
+        dense=tuple(_row(weights, m) for weights in _dop.D),
+    )
+
 
 MAX_STEPS = 200_000
 
@@ -143,8 +187,9 @@ class OdeTrajectory:
         rows = [dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0)]
         stages = self.stages[i] + [f1.tolist()]
         y = y0.tolist()
+        tableau = _tableau(len(y))
         try:
-            for row in _EXTRA_STAGES:
+            for row in tableau.extra_stages:
                 self.rhs_calls += 1
                 stages.append(list(self.rhs(row(y, h, stages))))
         except EvaluationDomainError:
@@ -152,7 +197,7 @@ class OdeTrajectory:
         if not all(map(_all_finite, stages)):
             return np.array(rows)
         zero = [0.0] * len(y)
-        rows += [row(zero, h, stages) for row in _DENSE]
+        rows += [row(zero, h, stages) for row in tableau.dense]
         return np.array(rows)
 
 
@@ -177,20 +222,21 @@ def _step(rhs, y, f, h, tolerance):
     copied into a fresh list, so a right-hand side may reuse the buffer it
     returns.
     """
+    tableau = _tableau(len(y))
     k = [f]  # f is no call of this attempt: len(k) counts the calls made, a raising one included
     try:
-        for row in _STAGES:
+        for row in tableau.stages:
             k.append(list(rhs(row(y, h, k))))
     except EvaluationDomainError:
         return len(k), None, None, None, None
-    y_new = _SOLUTION(y, h, k)
+    y_new = tableau.solution(y, h, k)
     if not _all_finite(y_new):
         return 11, None, None, None, None
     # the error estimates as plain sums: 0.0 + 1.0 * s differs from s only
     # in the sign of a zero, which squaring drops
     zero = [0.0] * len(y)
     sq5 = sq3 = 0.0
-    for yi, zi, e5, e3 in zip(y, y_new, _ERROR5(zero, 1.0, k), _ERROR3(zero, 1.0, k)):
+    for yi, zi, e5, e3 in zip(y, y_new, tableau.error5(zero, 1.0, k), tableau.error3(zero, 1.0, k)):
         scale = tolerance + tolerance * max(abs(yi), abs(zi))
         sq5 += (e5 / scale) ** 2
         sq3 += (e3 / scale) ** 2
@@ -254,6 +300,9 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
     d1 = _rms([fi / si for fi, si in zip(f, sc)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
+    if not h0 > 0.0:
+        # (y / sc)^2 or (f / sc)^2 overflowed: inf / inf or d0 / inf
+        raise StiffnessError(f"no usable starting step at tolerance {tolerance:g}: the error norm overflows")
     rhs_calls += 1
     try:
         f1 = list(rhs([yi + h0 * fi for yi, fi in zip(y, f)]))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from finslerlab import cli, make_metric
+from finslerlab import cli, geodesics, make_metric, ode
 from finslerlab.cli import main
 from finslerlab.errors import DomainExitError, IterationLimitError, PoleError, StiffnessError
 
@@ -397,6 +397,40 @@ class TestTraceCommand:
         doc = json.loads(err)
         assert doc["error"] == "DomainExitError"
         assert doc["exit_arc_length"] == pytest.approx(-math.log(2.0), abs=1e-6)
+
+    def test_tolerance_below_the_float_range_exits_3(self, cfg, capsys, monkeypatch):
+        # the starting step overflows to nan; the trace must end with exit 3,
+        # and the right-hand side is capped so that a loop fails the test
+        def bounded(rhs, *args, **kwargs):
+            calls = []
+
+            def limited(z):
+                calls.append(1)
+                if len(calls) > 10_000:
+                    raise RuntimeError("the integration did not stop")
+                return rhs(z)
+
+            return ode.integrate_ivp(limited, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "integrate_ivp", bounded)
+        code, out, err = run(
+            capsys,
+            "geodesic",
+            "trace",
+            "--config",
+            cfg["klein2"],
+            "--x0",
+            "0,0",
+            "--y0",
+            "1,0",
+            "--length",
+            "-0.5",
+            "--tolerance",
+            "1e-300",
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "StiffnessError"
 
     @pytest.mark.parametrize("length", [12.0, 14.0, 20.0, 25.0])
     def test_radial_klein_trace_stops_when_unit_speed_is_lost(self, cfg, capsys, length):

@@ -24,7 +24,7 @@ from finslerlab.curvature import (
     _riemann_values,
 )
 from finslerlab.geodesics import spray_jet_functions
-from finslerlab.jets import Jet
+from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import _fundamental_tensors, invert_scalarlike_matrix
 
 from conftest import exact_randers_config, funk_config, klein_config
@@ -569,6 +569,31 @@ class TestCappedSprayJets:
         want = [_riemann_values(S, X, Y, via=via) for via in ("fast", "f2")] + list(_ricci_tensors(S, X, Y))
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @BATCH_CONFIGS
+    def test_f2_spray_values_need_one_base_derivative_of_f2(self, config, monkeypatch):
+        # G from F^2 reads F^2's first x-derivatives only: at g_order 0 the F^2
+        # jets are order 2 with the base seeds capped at 1, and the values
+        # keep the uncapped route's bits; higher orders keep cap 2
+        S = make_metric(config)
+        n = S.dimension
+        X, Y = self.batch(S, 16)
+        spaces = []
+        f2 = S.f2
+
+        def recording(x, y):
+            spaces.append(y[0].space)
+            return f2(x, y)
+
+        monkeypatch.setattr(S, "f2", recording)
+        for g_order in (0, 1, 2):
+            got = spray_jet_functions(S, X, Y, g_order, via="f2")
+            want = uncapped_spray_jet_functions(S, X, Y, g_order, via="f2")
+            assert spaces[-2] is jet_space(2 * n, g_order + 2, n, min(g_order, 1) + 1)
+            assert spaces[-1] is jet_space(2 * n, g_order + 2)
+            for g, w in zip(got, want):
+                assert [v.hex() for v in g.value] == [v.hex() for v in w.value]
+        assert (spaces[0].lead, spaces[0].cap) == (n, 1)
 
     @BATCH_CONFIGS
     def test_jet_inverse_equals_division_per_entry(self, config, monkeypatch):

@@ -495,8 +495,9 @@ class TestDistance:
 
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
         # Wrappers installed on the module's integrate_ivp and on the
-        # structure's spray_fast, as a tracer installs them, must see every
-        # shot and every right-hand-side evaluation the diagnostics report.
+        # structure's geodesic_field, as a tracer installs them, must see
+        # every shot and every right-hand-side evaluation the diagnostics
+        # report.
         calls = {"integrate": 0, "spray": 0}
 
         def counting(key, fn):
@@ -510,7 +511,7 @@ class TestDistance:
         monkeypatch.setattr(geodesics, "integrate_ivp", integrate)
         S = make_metric(curved_riemannian_config())
         for T, path in ((klein2, "chord"), (S, "fan")):
-            monkeypatch.setattr(T, "spray_fast", counting("spray", T.spray_fast))
+            monkeypatch.setattr(T, "geodesic_field", counting("spray", T.geodesic_field))
             calls.update(integrate=0, spray=0)
             res = finsler_distance(T, [-0.2, 0.3], [0.4, -0.1])
             assert res.diagnostics["path"] == path

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from finslerlab import (
     spray_jet_functions,
     validate_structure,
 )
+from finslerlab import geodesics
 from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import FAMILIES, SAMPLING_RADIUS, _fundamental_tensors, invert_scalarlike_matrix
 
@@ -25,6 +27,7 @@ from conftest import (
     funk_config,
     indefinite_riemannian_config,
     klein_config,
+    nonclosed_randers_config,
     unit_direction,
 )
 from oracles import invert_by_division, klein_fundamental_tensor
@@ -247,6 +250,103 @@ class TestChart:
                 inside = abs(v) < 1.0
                 assert interval.domain([v]) is inside
                 assert ball.domain([v, 0.0]) is inside and ball.domain([0.0, v]) is inside
+
+
+# the Klein and Funk float paths are generated, so they and the cheap
+# interval are checked on 10^4 phase points; the Riemannian and Randers ones
+# are spray_fast and f2 composed, and 10^3 points keep their cost near a second
+FLOAT_PATH_CASES = {
+    "interval": {"family": "interval_funk", "dimension": 1, "k": 1.3, "scale": 0.7},
+    **{f"klein{n}": klein_config(n) for n in (2, 3, 4)},
+    "klein3_scaled": klein_config(3, scale=1.7),
+    **{f"funk{n}": funk_config(n) for n in (2, 3, 4)},
+    **{f"euclid{n}": euclid_config(n) for n in (2, 3, 4)},
+    "randers_exact": exact_randers_config(),
+    "randers_nonclosed": nonclosed_randers_config(),
+}
+
+
+def outcome(fn, *args):
+    """fn(*args) as the bytes of its floats, or the name EvaluationDomainError."""
+    try:
+        value = fn(*args)
+    except EvaluationDomainError:
+        return "EvaluationDomainError"
+    value = value if isinstance(value, list) else [value]
+    return struct.pack(f"{len(value)}d", *value)
+
+
+def scalar_like_field(S, z, backward=False):
+    """[v, -2 G(x, v)] through spray_fast, the elementwise negation when backward."""
+    n = S.dimension
+    v, G = z[n:], S.spray_fast(z[:n], z[n:])
+    if backward:
+        return [-vi for vi in v] + [2.0 * gi for gi in G]
+    return v + [-2.0 * gi for gi in G]
+
+
+class TestFloatPath:
+    """geodesic_field and float_F give the scalar-like path's bits, its refusals included."""
+
+    @pytest.mark.parametrize("case", FLOAT_PATH_CASES)
+    def test_matches_the_scalar_like_path_bit_for_bit(self, case):
+        S = make_metric(FLOAT_PATH_CASES[case])
+        n = S.dimension
+        backward = geodesics._geodesic_rhs(S, backward=True)
+        count = 1_000 if S.family in ("riemannian", "randers") else 10_000
+        rng = np.random.default_rng(23)
+        radius = SAMPLING_RADIUS * rng.uniform(size=count) ** (1.0 / n)
+        xs = rng.standard_normal((count, n))
+        xs *= (radius / np.linalg.norm(xs, axis=1))[:, None]
+        ys = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+        ys[:2], xs[2] = [[0.0], [-0.0]], -0.0  # y = 0 is refused by F; signed zeros keep their sign
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            z = x + y
+            assert outcome(S.geodesic_field, z) == outcome(scalar_like_field, S, z)
+            assert outcome(backward, z) == outcome(scalar_like_field, S, z, True)
+            assert outcome(S.float_F, x, y) == outcome(lambda: float(S.F(x, y)))
+
+    @pytest.mark.parametrize("case", FLOAT_PATH_CASES)
+    def test_off_the_chart_both_paths_refuse(self, case):
+        # the field refuses wherever the spray does; F refuses on the chart
+        # families, and the Riemannian and Randers F^2 have no chart check
+        S = make_metric(FLOAT_PATH_CASES[case])
+        n = S.dimension
+        chart_F = S.family in ("klein_ball", "funk_ball", "interval_funk")
+        rng = np.random.default_rng(24)
+        xs = rng.standard_normal((50, n))
+        xs *= (rng.uniform(1.0, 3.0, 50) / np.linalg.norm(xs, axis=1))[:, None]
+        points = [[1.0] + [0.0] * (n - 1), [0.0] * (n - 1) + [-1.0]]
+        points += [x for x in xs.tolist() if not S.domain(x)]
+        assert len(points) > 40
+        for x in points:
+            y = unit_direction(rng, n).tolist()
+            assert outcome(S.geodesic_field, x + y) == "EvaluationDomainError"
+            assert outcome(scalar_like_field, S, x + y) == "EvaluationDomainError"
+            assert outcome(S.float_F, x, y) == outcome(lambda: float(S.F(x, y)))
+            assert (outcome(S.float_F, x, y) == "EvaluationDomainError") is chart_F
+
+    @pytest.mark.parametrize("case", ["interval", "klein2", "funk3"])
+    def test_a_nan_passes_unrefused(self, case):
+        # as on the scalar-like path: D <= 0 and sqrt's radicand <= 0 are false for NaN
+        S = make_metric(FLOAT_PATH_CASES[case])
+        n = S.dimension
+        x, y = [math.nan] + [0.1] * (n - 1), [0.5] * n
+        assert outcome(S.geodesic_field, x + y) == outcome(scalar_like_field, S, x + y)
+        assert outcome(S.float_F, x, y) == outcome(lambda: float(S.F(x, y)))
+        assert math.isnan(S.float_F(x, y))
+
+    @pytest.mark.parametrize("family", ["klein_ball", "funk_ball"])
+    def test_a_high_dimension_builds_and_agrees(self, family):
+        # the generated sums take one statement per term: written as one
+        # chained expression, 3,000 terms exceed the compiler's recursion limit
+        n = 3000
+        S = make_metric({"family": family, "dimension": n})
+        rng = np.random.default_rng(25)
+        for radius in (0.5, 0.99, 1.01):
+            x, y = (radius * unit_direction(rng, n)).tolist(), unit_direction(rng, n).tolist()
+            assert outcome(S.geodesic_field, x + y) == outcome(scalar_like_field, S, x + y)
+            assert outcome(S.float_F, x, y) == outcome(lambda: float(S.F(x, y)))
 
 
 class TestFundamentalTensor:

@@ -101,6 +101,21 @@ class TestIntegrateIvp:
         with pytest.raises(StiffnessError):
             integrate_ivp(lambda y: [y[0] * y[0]], np.array([1.0]), (0.0, 2.0), tolerance=1e-10)
 
+    @pytest.mark.parametrize("tolerance", [1e-200, 1e-300])
+    def test_tolerance_below_the_float_range_raises_stiffness(self, tolerance):
+        # (y / sc)^2 overflows in the starting-step norms, so the first step
+        # size is inf / inf; it must end the run, not be halved forever
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise RuntimeError("the integration did not stop")
+            return harmonic(y)
+
+        with pytest.raises(StiffnessError, match="starting step"):
+            integrate_ivp(rhs, np.array([0.0, 1.0]), (0.0, 1.0), tolerance=tolerance)
+
     def test_bad_span_rejected(self):
         with pytest.raises(ValueError):
             integrate_ivp(lambda y: y, np.array([1.0]), (1.0, 0.0))
@@ -268,17 +283,18 @@ def harmonic(y):
 
 
 class TestTableau:
-    """The tableau rows built from scipy's DOP853 coefficients."""
+    """The tableau rows built from scipy's DOP853 coefficients, one set per state length."""
 
     C = dop853_coefficients.C
     EXTENDED = dop853_coefficients.N_STAGES_EXTENDED
 
-    def rows(self):
-        """(row, its weights in scipy's tableau) for every row the library builds."""
+    def rows(self, m):
+        """(row, its weights in scipy's tableau) for every row built for state length m."""
         dop = dop853_coefficients
+        t = ode._tableau(m)
         stages = [dop.A[s, :s] for s in (*range(1, 12), *range(13, self.EXTENDED))]
-        built = ode._STAGES + ode._EXTRA_STAGES + (ode._SOLUTION, ode._ERROR5, ode._ERROR3)
-        return list(zip(built + ode._DENSE, stages + [dop.B, dop.E5, dop.E3, *dop.D], strict=True))
+        built = t.stages + t.extra_stages + (t.solution, t.error5, t.error3) + t.dense
+        return list(zip(built, stages + [dop.B, dop.E5, dop.E3, *dop.D], strict=True))
 
     def weights(self, row):
         # stage j is the unit vector e_j, so entry j of the row is its weight
@@ -289,40 +305,43 @@ class TestTableau:
         # row sums equal the nodes c_s, for the extra stages too; the
         # solution weights integrate c^k exactly for k <= 7; the error
         # estimates vanish on constants
-        rows = ode._STAGES + (None,) + ode._EXTRA_STAGES
+        t = ode._tableau(self.EXTENDED)
+        rows = t.stages + (None,) + t.extra_stages
         for s, row in enumerate(rows, start=1):
             if row is not None:
                 w = self.weights(row)
                 assert not w[s:].any()
                 assert math.fsum(w) == pytest.approx(self.C[s], abs=1e-14)
-        b = self.weights(ode._SOLUTION)
+        b = self.weights(t.solution)
         c = self.C[:12]
         assert not b[12:].any()
         b = b[:12]
         assert math.fsum(b) == pytest.approx(1.0, abs=1e-14)
         for k in range(1, 8):
             assert math.fsum(b * c**k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
-        for row in (ode._ERROR5, ode._ERROR3):
+        for row in (t.error5, t.error3):
             w = self.weights(row)
             assert abs(math.fsum(w)) <= 1e-14
             assert not w[12:].any()  # no weight on the FSAL stage
 
     def test_rows_match_the_left_to_right_fold(self):
-        # bit for bit, signed zeros included: the last columns hold y = -0.0
-        # and stages of +-0.0, whose sums keep or lose the sign of the zero
+        # bit for bit at every state length, signed zeros included: the last
+        # m // 2 columns hold y = -0.0 and stages of +-0.0, whose sums keep
+        # or lose the sign of the zero
         rng = np.random.default_rng(18)
-        m, n = self.EXTENDED, 6
-        for _ in range(20):
-            y = rng.uniform(-2.0, 2.0, n)
-            k = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
-            y[-3:] = -0.0
-            k[:, -3:] = rng.choice([0.0, -0.0], size=(m, 3))
-            h = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
-            y, k = y.tolist(), k.tolist()
-            for row, weights in self.rows():
-                got = row(y, h, k)
-                want = row_fold(weights, y, k, h)
-                assert [v.hex() for v in got] == [v.hex() for v in want]
+        for m in (1, 2, 4, 5, 6, 16, ode._UNROLL_MAX + 8):
+            rows, zeros = self.rows(m), m // 2
+            for _ in range(20):
+                y = rng.uniform(-2.0, 2.0, m)
+                k = rng.normal(size=(self.EXTENDED, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (self.EXTENDED, 1))
+                y[m - zeros:] = -0.0
+                k[:, m - zeros:] = rng.choice([0.0, -0.0], size=(self.EXTENDED, zeros))
+                h = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
+                y, k = y.tolist(), k.tolist()
+                for row, weights in rows:
+                    got = row(y, h, k)
+                    want = row_fold(weights, y, k, h)
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_one_step_error_is_ninth_order(self):
         # the local error of an eighth-order step is O(h^9): halving h
