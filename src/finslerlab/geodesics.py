@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
 from .jets import jet_space
@@ -268,6 +266,8 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
     if not 0 <= j < len(traj.ts):
         return node
     lo, hi = sorted((traj.ts[i], traj.ts[j]))
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda s: float(np.sum((traj(s)[:n] - q) ** 2)),
         bounds=(lo, hi),
@@ -294,6 +294,8 @@ def _chord_length(S, p, q) -> float:
     start of the search, so quad's warnings near the chart boundary are
     noise here.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     a = p.tolist()
     d = (q - p).tolist()
     with warnings.catch_warnings():

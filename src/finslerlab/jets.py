@@ -348,9 +348,14 @@ class Jet:
         coefficients runs once per batch column on a Python float, so a batch
         reproduces the single-point floats exactly (numpy's pow, exp and log
         do not), and a column outside its domain raises for the whole batch.
+        A value whose coefficients overflow the float range (exp above about
+        709.78, a power of a huge value) is outside the domain too.
         """
         c0 = self.coef[0]
-        coeffs = np.array([coefficients(c) for c in np.ravel(c0).tolist()]).T
+        try:
+            coeffs = np.array([coefficients(c) for c in np.ravel(c0).tolist()]).T
+        except OverflowError:
+            raise EvaluationDomainError(f"jet series coefficients overflow at value {c0}") from None
         coeffs = coeffs.reshape((-1,) + c0.shape)
         w_coef = self.coef.copy()
         w_coef[0] = 0.0
@@ -440,7 +445,12 @@ def jet_sqrt(v):
 
 
 def jet_exp(v):
-    return v.exp() if isinstance(v, Jet) else math.exp(v)
+    if isinstance(v, Jet):
+        return v.exp()
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise EvaluationDomainError(f"exp overflows at {v}") from None
 
 
 def jet_abs(v):

@@ -24,7 +24,8 @@ and four coefficient rows are built the same way, 21 rows in about 6 ms for
 m = 4.  One row for every length, a list comprehension over
 zip(y, k_a, k_b, ...), was measured against them and replaced: at m = 4
 the eleventh stage row took 2.9 us against 1.1 us, and the solution row
-1.8 us against 1.1 us (2 shared cores, Python 3.11).
+1.8 us against 1.1 us (2 shared cores, Python 3.11).  scipy's tableau
+is read on first use too, so importing this module does not load scipy.
 
 The right-hand side owns its domain: a stage that raises
 EvaluationDomainError, or a result that is not finite, is one more reason
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .errors import (
     DomainExitError,
@@ -102,8 +102,11 @@ def _tableau(m: int) -> _Tableau:
     error estimates (no weight on the FSAL stage, number 12), then the
     interpolant's extra stages 13..15 and four highest coefficients;
     tests/oracles.py checks them against dense products over the full
-    tableau.
+    tableau.  scipy's coefficients are imported here, so scipy loads on the
+    first integration and not with the package.
     """
+    from scipy.integrate._ivp import dop853_coefficients as _dop
+
     return _Tableau(
         stages=tuple(_row(_dop.A[s, :s], m) for s in range(1, _dop.N_STAGES)),
         solution=_row(_dop.B, m),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerlab import EvaluationDomainError, jet_space
@@ -274,6 +274,22 @@ def test_batched_domain_check_rejects_the_batch():
         assert np.array_equal(flipped.coef[:, col], abs(space.variable(0, value)).coef)
 
 
+def test_overflowing_series_is_outside_the_domain():
+    """Coefficients past the float range raise EvaluationDomainError naming the value."""
+    with pytest.raises(EvaluationDomainError, match="800.0"):
+        jet_space(2, 1).constant(800.0).exp()
+    with pytest.raises(EvaluationDomainError, match="800.0"):
+        jet_exp(800.0)
+    x = jet_space(1, 2).variable(0, np.array([1.0, 1e200]))
+    with pytest.raises(EvaluationDomainError, match="1.e\\+200"):
+        x.exp()
+    with pytest.raises(EvaluationDomainError, match="1.e\\+200"):
+        1.0 / x
+    # the largest argument that does not overflow keeps its value
+    assert jet_space(2, 1).constant(709.0).exp().value == math.exp(709.0)
+    assert jet_exp(709.0) == math.exp(709.0)
+
+
 # ----- capped jet spaces -----------------------------------------------------
 
 
@@ -391,10 +407,21 @@ def capped_programs(draw):
     return nvars, order, lead, cap, batch, steps, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
+def _outcome(op, u, v, seed):
+    """_apply's jet, or the EvaluationDomainError it raised."""
+    try:
+        return _apply(op, u, v, seed)
+    except EvaluationDomainError as err:
+        return err
+
+
 @settings(max_examples=80, deadline=None)
 @given(program=capped_programs())
+# chained exps overflow the float range: both routes must raise the same error
+@example(program=(2, 2, 1, 0, (), [("exp", 15, 0), ("pow3", 6, 0), ("exp", 7, 0)], 0))
 def test_capped_jets_keep_the_uncapped_bits(program):
-    """Every retained coefficient equals the uncapped one bit for bit, batched and single."""
+    """Every retained coefficient equals the uncapped one bit for bit, batched and single;
+    a value outside the domain raises the same EvaluationDomainError on both routes."""
     nvars, order, lead, cap, batch, steps, seed = program
     rng = np.random.default_rng(seed)
     full_pool, capped_pool = [], []
@@ -414,7 +441,10 @@ def test_capped_jets_keep_the_uncapped_bits(program):
             with pytest.raises(ValueError):
                 _apply(op, uc, vc, i)
             continue
-        got, want = _apply(op, uc, vc, i), _apply(op, u, v, i)
+        got, want = _outcome(op, uc, vc, i), _outcome(op, u, v, i)
+        if isinstance(want, EvaluationDomainError) or isinstance(got, EvaluationDomainError):
+            assert (type(got), str(got)) == (type(want), str(want)), op
+            continue
         assert got.space.order == want.space.order
         retained = [want.space.index_of[a] for a in got.space.indices]
         assert got.coef.tobytes() == want.coef[retained].tobytes(), op
