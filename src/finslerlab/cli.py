@@ -50,13 +50,20 @@ def _numpy_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_default)
+def _write(text: str, out: str | None) -> None:
+    """text to the file out, or to stdout when out is None or "-"; an unwritable file is an --out error."""
     if out and out != "-":
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OptionRangeError("--out", f"cannot be written: {exc}") from exc
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_default) + "\n", out)
 
 
 def _fail(code: int, error: Exception, **extra) -> int:
@@ -72,7 +79,7 @@ def _bad_option(option: str, message: str) -> int:
 
 
 class _OptionRangeError(Exception):
-    """An option value outside its range; main() reports it with _bad_option."""
+    """An option value outside its range, or an unwritable --out; main() reports it with _bad_option."""
 
     def __init__(self, option: str, message: str):
         super().__init__(f"{option} {message}")
@@ -111,8 +118,11 @@ class _UsageExit(click.UsageError):
 
 
 def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
+    parts = text.replace(" ", "").split(",")
+    if "" in parts:
+        raise _UsageExit(f"{what} has an empty component, got {text!r}")
     try:
-        vals = [float(v) for v in text.replace(" ", "").split(",") if v != ""]
+        vals = [float(v) for v in parts]
     except ValueError as exc:
         raise _UsageExit(f"{what} must be comma-separated floats, got {text!r}") from exc
     if len(vals) != dim:
@@ -189,12 +199,7 @@ def geodesic_trace(config_path, x0, y0, length, step, tolerance, out) -> int:
         geo.resample_csv(buf, step)
     else:
         geo.write_csv(buf)
-    text = buf.getvalue()
-    if out and out != "-":
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(buf.getvalue(), out)
     return EXIT_OK
 
 

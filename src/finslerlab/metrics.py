@@ -1,17 +1,18 @@
 """Finsler metric families, the fundamental tensor and structure validation.
 
 Every family has two paths.  The scalar-like path, f2 and spray_fast (and
-F = sqrt(f2)), accepts plain floats or jets and therefore feeds both
-ordinary evaluation and the derivative machinery: curvature, the g_ij
-Hessian and the via="f2" cross-check.  The float path, geodesic_field and
-float_F, takes lists of Python floats only and serves the values that
-geodesic integration and the chord-length quadrature evaluate over and
-over.  For the Klein and Funk balls it is generated from source once per
-dimension, doing exactly the float operations of the scalar-like path in
-their order; the interval, Riemannian and Randers families compose their
-scalar-like spray and F^2.  Built-in
-families live on the open unit ball (the interval (-1, 1) in dimension
-one); sampling for validation stays inside radius 0.95.
+F = sqrt(f2)), accepts floats, (B,) rows, object arrays or jets and
+therefore feeds both ordinary evaluation and the derivative machinery:
+curvature, the g_ij Hessian and the via="f2" cross-check.  The float path,
+geodesic_field and float_F, takes lists of Python floats only and serves
+the values that geodesic integration and the chord-length quadrature
+evaluate over and over.  The chart families, the Klein ball, the Funk ball
+and the interval Funk metric, are generated: _chart_paths states each one's
+F^2 and spray once and compiles both paths from it, doing the same float
+operations in the same order.  The Riemannian and Randers families write
+their scalar-like path by hand and compose their float path from it.
+Built-in families live on the open unit ball (the interval (-1, 1) in
+dimension one); sampling for validation stays inside radius 0.95.
 FinslerStructure.domain is the one chart predicate, and every family's
 closed-form spray and geodesic field raise EvaluationDomainError off the
 chart, so integrators learn where the chart ends from the right-hand side
@@ -265,7 +266,9 @@ class FinslerStructure:
 
     geodesic_field(z) is [v, -2 G(x, v)] for the phase point z = x + v, a
     list of 2n floats; float_F(x, y) is F on lists of floats.  Both give the
-    bits of the scalar-like path.  g_ij is the jet Hessian of F^2/2.
+    bits of the scalar-like path: for the chart families all four are
+    generated from one source, for the Riemannian and Randers families the
+    float path calls f2 and spray_fast.  g_ij is the jet Hessian of F^2/2.
     """
 
     dimension: int
@@ -315,53 +318,103 @@ class FinslerStructure:
 
 
 @functools.cache
-def _ball_float_path(family: str, n: int):
-    """make(s2) -> (geodesic_field, float_F) of the Klein or Funk ball in dimension n.
+def _chart_paths(family: str, n: int):
+    """make(s2, k) -> (f2, spray_fast, geodesic_field, float_F) of a chart family in dimension n.
 
-    Built from source, with every coordinate a local name, to do the float
-    operations of the family's f2 and spray_fast in their order: _dot's
-    left-to-right sums, one accumulating statement per term (so the code's
-    nesting does not grow with n), ** 2 kept as ** 2, and the raises of
-    _require_chart (D <= 0) and jet_sqrt (a radicand <= 0), through which a
-    NaN passes as it does there.  s2 is the squared scale.  Measured against
-    float closures over lists that call _dot (2 shared cores, Python 3.11,
-    n = 2 and 3), the generated field takes 0.30-0.45 us a call against
-    1.1-1.7 us, and the benchmark's ball_theorem1 runs about 900 ops/s
-    against 680.
+    The Klein ball, the Funk ball and the interval Funk metric are written
+    here once, as statements over the local names x0, y0, ..., and compiled
+    from source in two flavours.  The scalar-like f2 and spray_fast take
+    floats, (B,) rows, object arrays or jets, refuse the chart's outside
+    through _require_chart and call jet_sqrt and jet_abs.  The float
+    geodesic_field and float_F take lists of floats, inline those refusals
+    (D <= 0, a radicand <= 0, through which a NaN passes as it does there)
+    and call math.sqrt and abs.  Both flavours do the same float operations
+    in the same order: _dot's left-to-right sums, one accumulating statement
+    per term (so the code's nesting does not grow with n; a jet has no
+    __iadd__ and is rebound, an array is the fresh product of the first
+    term), and ** 2 kept as ** 2.  s2 is the squared scale, k the interval's
+    gauge constant.  Measured against float closures over lists that call
+    _dot (2 shared cores, Python 3.11, n = 2 and 3), the generated field
+    takes 0.30-0.45 us a call against 1.1-1.7 us, and the benchmark's
+    ball_theorem1 runs about 900 ops/s against 680.
     """
 
     def dot(total, a, b):
         return [f"{total} = {a}0 * {b}0"] + [f"{total} += {a}{i} * {b}{i}" for i in range(1, n)]
 
+    def root(r, floats):
+        """(lines, expression) for sqrt(r); the float flavour inlines jet_sqrt's refusal of r <= 0."""
+        if floats:
+            return [f'if {r} <= 0.0: raise EvaluationDomainError(f"sqrt domain violation: {{{r}}}")'], f"sqrt({r})"
+        return [], f"jet_sqrt({r})"
+
+    def statements(floats):
+        """(f2 lines, spray lines, G^i expressions) in the float or the scalar-like flavour."""
+        chart = "if D <= 0.0: raise EvaluationDomainError(_OFF_CHART)" if floats else "_require_chart(D)"
+        absolute = "abs" if floats else "jet_abs"
+        head = dot("xx", "x", "x") + ["D = 1.0 - xx", chart] + dot("xy", "x", "y")
+        if family == "klein_ball":
+            spray = head + ["P = xy / D"]
+            f2 = head + dot("yy", "y", "y") + ["f2 = s2 * (yy * D + xy ** 2) / (D * D)"]
+            G = "P * y{}"
+        elif family == "funk_ball":
+            # Funk metrics solve F_{x^k} = F F_{y^k}; the spray collapses to F y / 2.
+            # Constant rescalings of F leave the spray unchanged, so use raw F.
+            check, sqrt_rad = root("rad", floats)
+            spray = head + dot("yy", "y", "y") + ["rad = xy * xy + yy * D"] + check + [f"F = ({sqrt_rad} + xy) / D"]
+            f2 = spray + ["f2 = s2 * F * F"]
+            G = "0.5 * F * y{}"
+        else:
+            # The k = 1 gauge solves F_u = F F_w, so as on the Funk ball the spray
+            # is F w / 2; k and scale rescale F and drop out.
+            spray = head + [f"F = ({absolute}(y0) + xy) / D"]
+            f2 = head + [f"F = ({absolute}(y0) + xy) / (k * D)", "f2 = s2 * F * F"]
+            G = "0.5 * F * y{}"
+        return f2, spray, [G.format(i) for i in range(n)]
+
+    def function(signature, body):
+        return [f"def {signature}:"] + ["    " + line for line in body]
+
     xs, ys = ("".join(f"{c}{i}, " for i in range(n)) for c in "xy")
-    common = dot("xx", "x", "x") + ["D = 1.0 - xx", "if D <= 0.0: raise EvaluationDomainError(_OFF_CHART)"]
-    common += dot("xy", "x", "y")
-    if family == "klein_ball":
-        field = ["P = xy / D", "return [" + ys + ", ".join(f"-2.0 * (P * y{i})" for i in range(n)) + "]"]
-        f2 = dot("yy", "y", "y") + ["f2 = s2 * (yy * D + xy ** 2) / (D * D)"]
-    else:
-        common += dot("yy", "y", "y") + [
-            "rad = xy * xy + yy * D",
-            'if rad <= 0.0: raise EvaluationDomainError(f"sqrt domain violation: {rad}")',
-            "F = (sqrt(rad) + xy) / D",
-        ]
-        field = ["return [" + ys + ", ".join(f"-2.0 * (0.5 * F * y{i})" for i in range(n)) + "]"]
-        f2 = ["f2 = s2 * F * F"]
-    f2 += ['if f2 <= 0.0: raise EvaluationDomainError(f"sqrt domain violation: {f2}")', "return sqrt(f2)"]
-    lines = (
-        ["def geodesic_field(z):", f"    {xs}{ys}= z"]
-        + ["    " + line for line in common + field]
-        + ["def float_F(x, y):", f"    {xs}= x", f"    {ys}= y"]
-        + ["    " + line for line in common + f2]
-        + ["return geodesic_field, float_F"]
-    )
-    namespace = {"sqrt": math.sqrt, "EvaluationDomainError": EvaluationDomainError, "_OFF_CHART": _OFF_CHART}
-    exec("def make(s2):\n" + "\n".join("    " + line for line in lines), namespace)
+    unpack = [f"{xs}= x", f"{ys}= y"]
+    f2, spray, G = statements(floats=False)
+    lines = function("f2(x, y)", unpack + f2 + ["return f2"])
+    lines += function("spray_fast(x, y)", unpack + spray + ["return [" + ", ".join(G) + "]"])
+    f2, spray, G = statements(floats=True)
+    field = "return [" + ys + ", ".join(f"-2.0 * ({g})" for g in G) + "]"
+    lines += function("geodesic_field(z)", [f"{xs}{ys}= z"] + spray + [field])
+    check, sqrt_f2 = root("f2", True)
+    lines += function("float_F(x, y)", unpack + f2 + check + [f"return {sqrt_f2}"])
+    lines.append("return f2, spray_fast, geodesic_field, float_F")
+    namespace = {"sqrt": math.sqrt, "jet_sqrt": jet_sqrt, "jet_abs": jet_abs, "_require_chart": _require_chart}
+    namespace.update(EvaluationDomainError=EvaluationDomainError, _OFF_CHART=_OFF_CHART)
+    exec("def make(s2, k):\n" + "\n".join("    " + line for line in lines), namespace)
     return namespace["make"]
 
 
+def _chart_structure(config: MetricConfig) -> FinslerStructure:
+    """The Klein ball, the Funk ball or the interval Funk metric, all four evaluators generated."""
+    make = _chart_paths(config.family, config.dimension)
+    f2, spray_fast, geodesic_field, float_F = make(config.scale * config.scale, config.k)
+    return FinslerStructure(
+        dimension=config.dimension,
+        family=config.family,
+        reversible=config.family == "klein_ball",
+        config=config,
+        f2=f2,
+        spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
+        unique_geodesics=True,
+    )
+
+
 def _composed_float_path(n: int, f2, spray_fast):
-    """(geodesic_field, float_F) from a scalar-like F^2 and spray, called on floats."""
+    """(geodesic_field, float_F) from a scalar-like F^2 and spray, called on floats.
+
+    The Riemannian and Randers families use it: their polynomial tables and
+    matrix inverse have no generated float flavour.
+    """
 
     def geodesic_field(z):
         v = z[n:]
@@ -371,103 +424,6 @@ def _composed_float_path(n: int, f2, spray_fast):
         return jet_sqrt(f2(x, y))
 
     return geodesic_field, float_F
-
-
-def _klein_structure(config: MetricConfig) -> FinslerStructure:
-    s2 = config.scale * config.scale
-
-    def f2(x, y):
-        D = 1.0 - _dot(x, x)
-        _require_chart(D)
-        return s2 * (_dot(y, y) * D + _dot(x, y) ** 2) / (D * D)
-
-    def spray_fast(x, y):
-        D = 1.0 - _dot(x, x)
-        _require_chart(D)
-        P = _dot(x, y) / D
-        return [P * y[i] for i in range(len(y))]
-
-    geodesic_field, float_F = _ball_float_path("klein_ball", config.dimension)(s2)
-    return FinslerStructure(
-        dimension=config.dimension,
-        family="klein_ball",
-        reversible=True,
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=True,
-    )
-
-
-def _funk_structure(config: MetricConfig) -> FinslerStructure:
-    scale = config.scale
-
-    def f_raw(x, y):
-        D = 1.0 - _dot(x, x)
-        _require_chart(D)
-        xy = _dot(x, y)
-        rad = xy * xy + _dot(y, y) * D
-        return (jet_sqrt(rad) + xy) / D
-
-    def f2(x, y):
-        F = f_raw(x, y)
-        return (scale * scale) * F * F
-
-    def spray_fast(x, y):
-        # Funk metrics solve F_{x^k} = F F_{y^k}; the spray collapses to F y / 2.
-        # Constant rescalings of F leave the spray unchanged, so use raw F.
-        F = f_raw(x, y)
-        return [0.5 * F * y[i] for i in range(len(y))]
-
-    geodesic_field, float_F = _ball_float_path("funk_ball", config.dimension)(scale * scale)
-    return FinslerStructure(
-        dimension=config.dimension,
-        family="funk_ball",
-        reversible=False,
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=True,
-    )
-
-
-def _interval_funk_structure(config: MetricConfig) -> FinslerStructure:
-    k = config.k
-    scale = config.scale
-
-    def f2(x, y):
-        u = x[0]
-        w = y[0]
-        D = 1.0 - u * u
-        _require_chart(D)
-        F = (jet_abs(w) + u * w) / (k * D)
-        return (scale * scale) * F * F
-
-    def spray_fast(x, y):
-        # The k = 1 gauge solves F_u = F F_w, so as on the Funk ball the spray
-        # is F w / 2; k and scale rescale F and drop out.
-        u = x[0]
-        w = y[0]
-        D = 1.0 - u * u
-        _require_chart(D)
-        return [0.5 * ((jet_abs(w) + u * w) / D) * w]
-
-    geodesic_field, float_F = _composed_float_path(1, f2, spray_fast)
-    return FinslerStructure(
-        dimension=1,
-        family="interval_funk",
-        reversible=False,
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=True,
-    )
 
 
 def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
@@ -588,9 +544,9 @@ def _check_randers_convexity(S: FinslerStructure):
 
 
 _FACTORIES = {
-    "klein_ball": _klein_structure,
-    "funk_ball": _funk_structure,
-    "interval_funk": _interval_funk_structure,
+    "klein_ball": _chart_structure,
+    "funk_ball": _chart_structure,
+    "interval_funk": _chart_structure,
     "riemannian": _riemannian_structure,
     "randers": _randers_structure,
 }

@@ -91,7 +91,19 @@ def funk_distance(gauge: FunkGauge, a: float, b: float) -> float:
             raise EvaluationDomainError(f"endpoint {v} outside (-1, 1)")
     cross = abs(math.log((1.0 - a) * (1.0 + b) / ((1.0 - b) * (1.0 + a))))
     sym = math.log((1.0 - a * a) / (1.0 - b * b))
-    return (cross + sym) / (2.0 * gauge.k)
+    return _finite((cross + sym) / (2.0 * gauge.k), "Funk distance", gauge)
+
+
+def _gauge_factor(c: float, n: int, gauge: FunkGauge) -> float:
+    """Theorem 1's factor 2c / (sqrt(n-1) k)."""
+    return _finite(2.0 * c / (math.sqrt(n - 1.0) * gauge.k), "gauge factor 2c / (sqrt(n-1) k)", gauge)
+
+
+def _finite(value: float, what: str, gauge: FunkGauge) -> float:
+    """value, or EvaluationDomainError where a tiny gauge constant k overflowed it."""
+    if not math.isfinite(value):
+        raise EvaluationDomainError(f"{what} = {value!r} is not finite at gauge k = {gauge.k!r}")
+    return value
 
 
 def _lagrange6(nodes, values, s):
@@ -413,7 +425,7 @@ def pseudo_distance(
         einstein = einstein_classify(S, x_samples=CLASSIFY_SAMPLES, seed=seed)
     c = einstein.einstein_constant_c
     n = S.dimension
-    factor = None if c is None else 2.0 * c / (math.sqrt(n - 1.0) * gauge.k)
+    factor = None if c is None else _gauge_factor(c, n, gauge)
     res, seg = _leg(S, p, q, c)
     # p == q: no leg, every length is 0 and no random chain is drawn
     bound = 0.0 if seg is None else funk_distance(gauge, seg.a, seg.b)
@@ -559,7 +571,7 @@ def theorem1_verify(
             "theorem verification requires the Einstein normal form Ric_ij = -c^2 g_ij"
         )
     n = S.dimension
-    factor = 2.0 * c / (math.sqrt(n - 1.0) * gauge.k)
+    factor = _gauge_factor(c, n, gauge)
     rng = np.random.default_rng(seed)
     pair_list = []
     while len(pair_list) < pairs:

@@ -11,6 +11,8 @@ exceptions are second routes through the library's own types:
   seeded variables;
 - path_length integrates F along a library Geodesic's dense output, or
   along a polyline or a cubic spline through samples;
+- chart_reference writes the Klein, Funk and interval F^2 and spray out
+  by hand over the library's _dot, _require_chart, jet_sqrt and jet_abs;
 - uncapped_spray_jet_functions runs a family's spray on jets that carry
   every base derivative, and invert_by_division divides each pivot-row
   entry by its jet pivot, computing one reciprocal per entry;
@@ -33,8 +35,8 @@ from scipy.interpolate import CubicSpline
 from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
 from finslerlab.errors import EvaluationDomainError, FinslerError
 from finslerlab.geodesics import Geodesic, spray_from_f2_jets
-from finslerlab.jets import Jet, jet_space, scalar_value
-from finslerlab.metrics import SAMPLING_RADIUS, _swap_pivots_per_column
+from finslerlab.jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
+from finslerlab.metrics import SAMPLING_RADIUS, _dot, _require_chart, _swap_pivots_per_column
 from finslerlab.ode import integrate_ivp
 from finslerlab.projective import PARAMETER_GRID, PARAMETER_TOLERANCE
 
@@ -101,6 +103,70 @@ def klein_fundamental_tensor(x, scale: float = 1.0) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     D = 1.0 - float(x @ x)
     return scale * scale * (D * np.eye(x.size) + np.outer(x, x)) / (D * D)
+
+
+# ----- the chart families' F^2 and spray, written by hand ---------------------
+
+
+def chart_reference(family: str, k: float = 1.0, scale: float = 1.0):
+    """(f2, spray_fast) of the Klein ball, the Funk ball or the interval Funk metric.
+
+    The closures the library generates from one source, written out as
+    closures over _dot, _require_chart, jet_sqrt and jet_abs: they take
+    floats, (B,) rows, object arrays or jets, and give the generated
+    functions' bits.
+    """
+    if family == "klein_ball":
+        s2 = scale * scale
+
+        def f2(x, y):
+            D = 1.0 - _dot(x, x)
+            _require_chart(D)
+            return s2 * (_dot(y, y) * D + _dot(x, y) ** 2) / (D * D)
+
+        def spray_fast(x, y):
+            D = 1.0 - _dot(x, x)
+            _require_chart(D)
+            P = _dot(x, y) / D
+            return [P * y[i] for i in range(len(y))]
+
+    elif family == "funk_ball":
+
+        def f_raw(x, y):
+            D = 1.0 - _dot(x, x)
+            _require_chart(D)
+            xy = _dot(x, y)
+            rad = xy * xy + _dot(y, y) * D
+            return (jet_sqrt(rad) + xy) / D
+
+        def f2(x, y):
+            F = f_raw(x, y)
+            return (scale * scale) * F * F
+
+        def spray_fast(x, y):
+            F = f_raw(x, y)
+            return [0.5 * F * y[i] for i in range(len(y))]
+
+    elif family == "interval_funk":
+
+        def f2(x, y):
+            u = x[0]
+            w = y[0]
+            D = 1.0 - u * u
+            _require_chart(D)
+            F = (jet_abs(w) + u * w) / (k * D)
+            return (scale * scale) * F * F
+
+        def spray_fast(x, y):
+            u = x[0]
+            w = y[0]
+            D = 1.0 - u * u
+            _require_chart(D)
+            return [0.5 * ((jet_abs(w) + u * w) / D) * w]
+
+    else:
+        raise ValueError(f"{family} is not a chart family")
+    return f2, spray_fast
 
 
 def interval_funk_quadrature(k: float, a: float, b: float) -> float:

@@ -215,6 +215,23 @@ class TestUsageErrors:
         assert code == 64
         assert "components" in err
 
+    VECTOR_COMMANDS = {
+        "--from": ["distance", "--config", "klein2", "--to", "0.3,0.1"],
+        "--x0": ["geodesic", "trace", "--config", "klein2", "--y0", "1,0", "--length", "0.3"],
+        "--x": ["curvature", "report", "--config", "klein2", "--y", "1,0"],
+    }
+
+    @pytest.mark.parametrize("text", [",0.1,0.2", "0.1,,0.2", "0.1,0.2,"], ids=["leading", "doubled", "trailing"])
+    @pytest.mark.parametrize("option", VECTOR_COMMANDS)
+    def test_empty_vector_component_exits_64(self, cfg, capsys, option, text):
+        argv = [cfg.get(a, a) for a in self.VECTOR_COMMANDS[option]]
+        code, out, err = run(capsys, *argv, f"{option}={text}")
+        assert code == 64 and out == ""
+        assert f"{option} has an empty component" in err
+        # spaces around the components are still ignored
+        code, out, err = run(capsys, *argv, f"{option}= 0.1 , 0.2 ")
+        assert code == 0 and err == ""
+
 
 class TestNonFiniteVectors:
     @pytest.mark.parametrize(
@@ -951,6 +968,33 @@ class TestNumericalFailures:
         assert "F(x, y) = inf" in payload["message"]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("theorem1", "verify", "--pairs", "1"),
+            ("distance", "--from", "0.1,0.2", "--to", "0.3,0.1", "--pseudo"),
+            ("distance", "--from", "0.1,0.2", "--to", "0.1,0.2", "--pseudo"),
+        ],
+        ids=["theorem1", "pseudo", "pseudo-same-point"],
+    )
+    def test_tiny_funk_k_exits_3(self, cfg, capsys, argv):
+        # a positive --funk-k so small that the gauge factor 2c / (sqrt(n-1) k) overflows
+        code, out, err = run(capsys, *argv, "--config", cfg["klein2"], "--funk-k", "1e-320")
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "EvaluationDomainError"
+        assert payload["message"] == "gauge factor 2c / (sqrt(n-1) k) = inf is not finite at gauge k = 1e-320"
+
+    def test_overflowing_funk_distance_exits_3(self, cfg, capsys):
+        # the factor 2 / k stays finite, the Funk distance of a long leg overflows
+        code, out, err = run(
+            capsys, "distance", "--config", cfg["klein2"], "--from=-0.8,0", "--to", "0.8,0.1",
+            "--pseudo", "--funk-k", "1.2e-308",
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == "Funk distance = inf is not finite at gauge k = 1.2e-308"
+
+
 class TestCompareCommand:
     def test_homothetic_pair(self, cfg, capsys):
         code, out, _ = run(
@@ -1019,6 +1063,24 @@ class TestOutputFiles:
         assert f1.read_bytes() == f2.read_bytes()
         doc = json.loads(f1.read_text())
         assert doc["d_F"] == pytest.approx(math.atanh(0.5), abs=1e-8)
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["einstein", "check", "--config", "klein2", "--samples", "2"],
+            ["geodesic", "trace", "--config", "klein2", "--x0", "0,0", "--y0", "1,0", "--length", "0.3"],
+        ],
+        ids=["einstein", "trace"],
+    )
+    def test_unwritable_out_exits_64(self, cfg, capsys, tmp_path, argv, target):
+        out_path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *[cfg.get(a, a) for a in argv], "--out", str(out_path))
+        assert code == 64 and out == ""
+        doc = json.loads(err)
+        assert doc["option"] == "--out"
+        assert doc["message"].startswith("--out cannot be written: ")
+        assert str(out_path) in doc["message"]
 
 
 # ----- the exit-code contract under random invocations ------------------------

@@ -30,7 +30,7 @@ from conftest import (
     nonclosed_randers_config,
     unit_direction,
 )
-from oracles import invert_by_division, klein_fundamental_tensor
+from oracles import chart_reference, invert_by_division, klein_fundamental_tensor
 
 
 def poly_const(n, value):
@@ -252,9 +252,11 @@ class TestChart:
                 assert ball.domain([v, 0.0]) is inside and ball.domain([0.0, v]) is inside
 
 
-# the Klein and Funk float paths are generated, so they and the cheap
-# interval are checked on 10^4 phase points; the Riemannian and Randers ones
-# are spray_fast and f2 composed, and 10^3 points keep their cost near a second
+# the Klein, Funk and interval float paths are generated from the source of
+# their f2 and spray_fast, so they are checked on 10^4 phase points (and the
+# generated f2 and spray_fast against chart_reference in TestChartReference);
+# the Riemannian and Randers float paths are spray_fast and f2 composed, and
+# 10^3 points keep their cost near a second
 FLOAT_PATH_CASES = {
     "interval": {"family": "interval_funk", "dimension": 1, "k": 1.3, "scale": 0.7},
     **{f"klein{n}": klein_config(n) for n in (2, 3, 4)},
@@ -342,11 +344,89 @@ class TestFloatPath:
         # chained expression, 3,000 terms exceed the compiler's recursion limit
         n = 3000
         S = make_metric({"family": family, "dimension": n})
+        f2, spray_fast = chart_reference(family)
         rng = np.random.default_rng(25)
         for radius in (0.5, 0.99, 1.01):
             x, y = (radius * unit_direction(rng, n)).tolist(), unit_direction(rng, n).tolist()
             assert outcome(S.geodesic_field, x + y) == outcome(scalar_like_field, S, x + y)
             assert outcome(S.float_F, x, y) == outcome(lambda: float(S.F(x, y)))
+            assert outcome(S.f2, x, y) == outcome(f2, x, y)
+            assert outcome(S.spray_fast, x, y) == outcome(spray_fast, x, y)
+
+
+CHART_CASES = {
+    "klein2": klein_config(2),
+    "klein3_scaled": klein_config(3, scale=1.7),
+    "klein4": klein_config(4),
+    "funk2": funk_config(2),
+    "funk3_scaled": {"family": "funk_ball", "dimension": 3, "scale": 0.7},
+    "funk4": funk_config(4),
+    "interval": {"family": "interval_funk", "dimension": 1, "k": 1.3, "scale": 0.7},
+    "interval_k2.5": {"family": "interval_funk", "dimension": 1, "k": 2.5, "scale": 1.5},
+}
+
+
+def chart_inputs(S, form, X, Y):
+    """(x, y) argument pairs of one input form the library passes, for the columns of X, Y (n, B)."""
+    if form == "floats":
+        return [(X[:, b].tolist(), Y[:, b].tolist()) for b in range(X.shape[1])]
+    if form == "hessian_rows":  # _hessian_half_f2: (B,) float rows, order-2 fibre jets
+        space = jet_space(S.dimension, 2)
+        return [(list(X), [space.variable(i, Y[i]) for i in range(S.dimension)])]
+    if form == "object_rows":  # _f2_values
+        return [(list(X.astype(object)), list(Y.astype(object)))]
+    order = int(form[-1])  # spray_jet_functions' capped phase jets, via "fast" and via "f2"
+    return [geodesics.phase_jet_args(S, X, Y, order, base_degree=order // 2)]
+
+
+def bits_or_refusal(fn, *args):
+    """fn(*args) as its type and bits, or the EvaluationDomainError it raises and its message."""
+    try:
+        value = fn(*args)
+    except EvaluationDomainError as exc:
+        return "EvaluationDomainError", str(exc)
+    return value_bits(value)
+
+
+def value_bits(value):
+    if isinstance(value, list):
+        return [value_bits(v) for v in value]
+    if isinstance(value, Jet):
+        space = value.space
+        return (space.nvars, space.order, space.lead, space.cap), value.coef.shape, value.coef.tobytes()
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.astype(float).tobytes()
+
+
+class TestChartReference:
+    """The generated f2 and spray_fast give chart_reference's bits in every input form, refusals included."""
+
+    @pytest.mark.parametrize("form", ["floats", "hessian_rows", "object_rows", "phase_jets_2", "phase_jets_4"])
+    @pytest.mark.parametrize("case", CHART_CASES)
+    def test_generated_matches_the_hand_written_reference(self, case, form):
+        config = CHART_CASES[case]
+        S = make_metric(config)
+        f2, spray_fast = chart_reference(S.family, config.get("k", 1.0), config.get("scale", 1.0))
+        n = S.dimension
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((n, 40))
+        X *= 0.999 * rng.uniform(size=40) ** (1.0 / n) / np.linalg.norm(X, axis=0)
+        Y = rng.standard_normal((n, 40)) * 10.0 ** rng.uniform(-3.0, 3.0, 40)
+        X[:, 0] = -0.0  # signed zeros keep their sign
+        zero_y, nan_x, nan_y, off_x = Y.copy(), X.copy(), Y.copy(), X.copy()
+        zero_y[:, 1] = 0.0  # refused by the Funk radicand
+        nan_x[0, 1] = nan_y[-1, 2] = math.nan  # passes every refusal
+        off_x[:, 1] = 1.5 / math.sqrt(n)
+        off_x[:, 2] = [1.0] + [0.0] * (n - 1)  # D = 0 on the unit sphere
+        outcomes = set()
+        with np.errstate(invalid="ignore"):
+            for xs, ys in ((X, Y), (X, zero_y), (nan_x, Y), (X, nan_y), (off_x, Y)):
+                for x, y in chart_inputs(S, form, xs, ys):
+                    for generated, reference in ((S.f2, f2), (S.spray_fast, spray_fast)):
+                        got = bits_or_refusal(generated, x, y)
+                        assert got == bits_or_refusal(reference, x, y)
+                        outcomes.add(got[0] == "EvaluationDomainError")
+        assert outcomes == {True, False}
 
 
 class TestFundamentalTensor:
