@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
 from .jets import jet_space
 from .metrics import FinslerStructure, invert_scalarlike_matrix
 from .ode import OdeTrajectory, integrate_ivp
+from .scalar import minimize_bounded, qagse
 
 
 def phase_jet_args(S: FinslerStructure, x, y, order: int, base_degree: int):
@@ -265,18 +265,11 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
     j = i + 1 if float((x_i - q) @ v_i) < 0.0 else i - 1
     if not 0 <= j < len(traj.ts):
         return node
-    lo, hi = sorted((traj.ts[i], traj.ts[j]))
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda s: float(np.sum((traj(s)[:n] - q) ** 2)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    if d2[i] < res.fun:
+    lo, hi = sorted((float(traj.ts[i]), float(traj.ts[j])))
+    s_min, fun = minimize_bounded(lambda s: float(np.sum((traj(s)[:n] - q) ** 2)), lo, hi, xatol=1e-13)
+    if d2[i] < fun:
         return node
-    return float(res.x), float(math.sqrt(max(0.0, res.fun)))
+    return s_min, float(math.sqrt(max(0.0, fun)))
 
 
 def _unit_against_F(S, p, v):
@@ -290,20 +283,16 @@ def _unit_against_F(S, p, v):
 def _chord_length(S, p, q) -> float:
     """Finsler length of the straight segment from p to q, by adaptive quadrature.
 
-    The shot's miss, not quad's error estimate, certifies this length as a
-    start of the search, so quad's warnings near the chart boundary are
-    noise here.
+    QUADPACK's qagse to 1e-12, absolute and relative, over at most 200
+    intervals.  The shot's miss, not the quadrature's error estimate,
+    certifies this length as a start of the search, so the estimate is
+    taken as it comes near the chart boundary too.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     a = p.tolist()
     d = (q - p).tolist()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        length, _ = quad(
-            lambda t: S.float_F([ai + t * di for ai, di in zip(a, d)], d),
-            0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200,
-        )
+    length, _ = qagse(
+        lambda t: S.float_F([ai + t * di for ai, di in zip(a, d)], d), 0.0, 1.0, 1e-12, 1e-12, 200
+    )
     return float(length)
 
 

@@ -9,7 +9,7 @@ side takes a list of floats and returns a sequence of floats, and the stage
 sums, the finiteness check and the error norm are plain float arithmetic.
 The trajectory's ndarrays are built once, when the integration ends.
 
-Each row of scipy's tableau becomes one function per state length m,
+Each row of the tableau becomes one function per state length m,
 built from source on the first integration of that length, as namedtuple
 builds its classes: the state and every stage the row reads are unpacked
 into local names, and each of the m components is written out as
@@ -24,8 +24,7 @@ and four coefficient rows are built the same way, 21 rows in about 6 ms for
 m = 4.  One row for every length, a list comprehension over
 zip(y, k_a, k_b, ...), was measured against them and replaced: at m = 4
 the eleventh stage row took 2.9 us against 1.1 us, and the solution row
-1.8 us against 1.1 us (2 shared cores, Python 3.11).  scipy's tableau
-is read on first use too, so importing this module does not load scipy.
+1.8 us against 1.1 us (2 shared cores, Python 3.11).
 
 The right-hand side owns its domain: a stage that raises
 EvaluationDomainError, or a result that is not finite, is one more reason
@@ -58,16 +57,82 @@ from .errors import (
 _UNROLL_MAX = 32  # the longest state whose rows are written out component by component
 
 
-def _row(weights, m: int):
+# DOP853's coefficients (Hairer's dop853.f; scipy.integrate ships the same
+# table) as shortest float literals, each row {stage: weight} over its
+# nonzero weights in stage order.
+# _A[s] makes stage s from the stages before it: rows 1..11 are the step's,
+# row 12 is the eighth-order solution and rows 13..15 are the interpolant's
+# extra stages.  _E5 and _E3 weigh the fifth- and third-order error
+# estimates (_E3 is the solution's weights less the third-order ones, folded
+# to floats), and _D the interpolant's four highest coefficients.
+_A = (
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+     6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843, 5: 21.230051448181193,
+     6: 15.279233632882423, 7: -33.28821096898486, 8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
+     6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+     10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+     8: 0.3111643669578199, 9: -0.1521609496625161, 10: 0.20136540080403034,
+     11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+     12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+     8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
+     14: -9.15095847217987},
+)
+_E5 = {
+    0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502, 7: 1.6643771824549864,
+    8: -0.35032884874997366, 9: 0.3341791187130175, 10: 0.08192320648511571, 11: -0.022355307863886294,
+}
+_E3 = {
+    0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+    8: -0.4226823213237919, 9: -0.1521609496625161, 10: 0.20136540080403034, 11: 0.02265179219836082,
+}
+_D = (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
+     8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
+     12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356,
+     15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
+     8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398, 11: -9.332130526430229,
+     12: 15.697238121770845, 13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
+     8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
+     12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
+     8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+     12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
+     15: -149.72683625798564},
+)
+
+
+def _row(weights: dict, m: int):
     """One tableau row for states of length m: (y, h, k) -> [y_i + h * sum_j weights_j k[j]_i].
 
-    Only the nonzero weights enter, as repr literals, summed left to right.
-    Up to _UNROLL_MAX components, the state and each stage the row reads are
-    unpacked into local names and each component is written out; a longer
-    state gets one loop over its components, so the source does not grow
-    with m.
+    weights maps a stage to its nonzero weight; the weights enter as repr
+    literals, summed left to right in stage order.  Up to _UNROLL_MAX
+    components, the state and each stage the row reads are unpacked into
+    local names and each component is written out; a longer state gets one
+    loop over its components, so the source does not grow with m.
     """
-    terms = [(repr(weights[j].item()), j) for j in np.flatnonzero(weights).tolist()]
+    terms = [(repr(w), j) for j, w in weights.items()]
     if m <= _UNROLL_MAX:
         lines = ["".join(f"y_{i}, " for i in range(m)) + "= y"]
         lines += ["".join(f"k{j}_{i}, " for i in range(m)) + f"= k[{j}]" for _, j in terms]
@@ -102,20 +167,15 @@ def _tableau(m: int) -> _Tableau:
     error estimates (no weight on the FSAL stage, number 12), then the
     interpolant's extra stages 13..15 and four highest coefficients;
     tests/oracles.py checks them against dense products over the full
-    tableau.  scipy's coefficients are imported here, so scipy loads on the
-    first integration and not with the package.
+    tableau.
     """
-    from scipy.integrate._ivp import dop853_coefficients as _dop
-
     return _Tableau(
-        stages=tuple(_row(_dop.A[s, :s], m) for s in range(1, _dop.N_STAGES)),
-        solution=_row(_dop.B, m),
-        error5=_row(_dop.E5, m),
-        error3=_row(_dop.E3, m),
-        extra_stages=tuple(
-            _row(_dop.A[s, :s], m) for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
-        ),
-        dense=tuple(_row(weights, m) for weights in _dop.D),
+        stages=tuple(_row(_A[s], m) for s in range(1, 12)),
+        solution=_row(_A[12], m),
+        error5=_row(_E5, m),
+        error3=_row(_E3, m),
+        extra_stages=tuple(_row(_A[s], m) for s in range(13, 16)),
+        dense=tuple(_row(weights, m) for weights in _D),
     )
 
 

@@ -36,6 +36,22 @@ def exact_randers_config():
     }
 
 
+def curved_riemannian_config():
+    """The README's metric: g11 = 1 + 0.3 x2^2, g22 = 1 + 0.3 x1^2, positive definite on the ball.
+
+    Its coefficients depend on x, so geodesics are not straight lines and
+    the Ricci scalar varies with x.
+    """
+    zero = [[0.0, 0, 0]]
+    g11 = [[1.0, 0, 0], [0.3, 0, 2]]
+    g22 = [[1.0, 0, 0], [0.3, 2, 0]]
+    return {
+        "family": "riemannian",
+        "dimension": 2,
+        "riemannian": {"metric": [[g11, zero], [zero, g22]]},
+    }
+
+
 def indefinite_riemannian_config(scale=1.0):
     """Riemannian table with g22 = 0.1 - x1^2, indefinite where |x1| > 0.32 inside the sampling ball."""
     cfg = {

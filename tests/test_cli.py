@@ -18,6 +18,7 @@ from finslerlab.cli import main
 from finslerlab.errors import DomainExitError, IterationLimitError, PoleError, StiffnessError
 
 from conftest import (
+    curved_riemannian_config,
     euclid_config,
     exact_randers_config,
     funk_config,
@@ -30,17 +31,6 @@ LN3 = math.log(3.0)
 
 def poly_const(n, value):
     return [[value] + [0] * n]
-
-
-def curved_config():
-    zero = [[0.0, 0, 0]]
-    g11 = [[1.0, 0, 0], [0.3, 0, 2]]
-    g22 = [[1.0, 0, 0], [0.3, 2, 0]]
-    return {
-        "family": "riemannian",
-        "dimension": 2,
-        "riemannian": {"metric": [[g11, zero], [zero, g22]]},
-    }
 
 
 def riemannian_config(g11):
@@ -75,7 +65,7 @@ def cfg(tmp_path_factory):
         "klein3": klein_config(3),
         "funk2": funk_config(2),
         "euclid2": euclid_config(2),
-        "curved": curved_config(),
+        "curved": curved_riemannian_config(),
         "randers_bad": randers_bad_config(),
         "riemannian_bad": indefinite_riemannian_config(),
         "randers": exact_randers_config(),

@@ -27,7 +27,7 @@ from finslerlab.geodesics import spray_jet_functions
 from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import _fundamental_tensors, invert_scalarlike_matrix
 
-from conftest import exact_randers_config, funk_config, klein_config
+from conftest import curved_riemannian_config, exact_randers_config, funk_config, klein_config
 from oracles import (
     einstein_classify_per_point,
     invert_by_division,
@@ -94,17 +94,6 @@ def fd_riemann(S, x, y):
                 R[i, k] += 2.0 * G0[j] * second(False, k, j)[i]
                 R[i, k] -= Gy[i, j] * Gy[j, k]
     return R
-
-
-def curved_config():
-    zero = [[0.0, 0, 0]]
-    g11 = [[1.0, 0, 0], [0.3, 0, 2]]
-    g22 = [[1.0, 0, 0], [0.3, 2, 0]]
-    return {
-        "family": "riemannian",
-        "dimension": 2,
-        "riemannian": {"metric": [[g11, zero], [zero, g22]]},
-    }
 
 
 class TestRiemann:
@@ -338,7 +327,7 @@ class TestEinsteinClassify:
         assert abs(report.ric_mean) <= 1e-10
 
     def test_curved_riemannian_no_constant(self):
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         report = einstein_classify(S, x_samples=6, seed=0)
         # two-dimensional Riemannian metrics always have y-independent Ricci,
         # but the factor varies with x, so no Einstein normal form is reported
@@ -377,7 +366,7 @@ BATCH_CONFIGS = pytest.mark.parametrize(
         klein_config(2),
         klein_config(3),
         funk_config(2),
-        curved_config(),
+        curved_riemannian_config(),
         exact_randers_config(),
         skew_randers_config(),
     ],

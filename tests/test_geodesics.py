@@ -16,7 +16,13 @@ from finslerlab import (
 )
 from finslerlab import geodesics
 
-from conftest import ball_point, euclid_config, exact_randers_config, nonclosed_randers_config
+from conftest import (
+    ball_point,
+    curved_riemannian_config,
+    euclid_config,
+    exact_randers_config,
+    nonclosed_randers_config,
+)
 from oracles import (
     euclidean_distance,
     exact_randers_distance,
@@ -25,18 +31,6 @@ from oracles import (
     klein_distance,
     path_length,
 )
-
-
-def curved_riemannian_config():
-    # g11 = 1 + 0.3 x2^2, g22 = 1 + 0.3 x1^2: positive definite on the ball
-    zero = [[0.0, 0, 0]]
-    g11 = [[1.0, 0, 0], [0.3, 0, 2]]
-    g22 = [[1.0, 0, 0], [0.3, 2, 0]]
-    return {
-        "family": "riemannian",
-        "dimension": 2,
-        "riemannian": {"metric": [[g11, zero], [zero, g22]]},
-    }
 
 
 def interval1_distance(p, q):
@@ -472,9 +466,10 @@ class TestDistance:
             assert miss == res.diagnostics["miss"] <= geodesics.MISS_TOLERANCE
 
     def test_chord_length_quadrature_warnings_stay_silent(self, klein2, monkeypatch):
-        # Near the boundary quad warns about the chord length; the shot's
-        # miss certifies that length, so the warning must not escape.  Every
-        # shot leaves the chart here, so the search fails at once.
+        # Near the boundary the chord-length quadrature ends on roundoff,
+        # where quad would warn; the shot's miss certifies that length, so
+        # no warning may escape.  Every shot leaves the chart here, so the
+        # search fails at once.
         monkeypatch.setattr(geodesics, "_shoot", lambda *args, **kwargs: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,15 +1,15 @@
 """Every name a library module imports is used in that module, every
 module-level name, private or public, is read somewhere in the package,
-and scipy is imported only where it is used.
+and no library module imports scipy.
 
 AST scans in place of a linter: they collect the names bound by import
 statements or by top-level definitions and the names the code reads, and
 report the difference; code that only the tests read belongs in the
 tests.  For imports the package __init__ is skipped; it imports in order
 to re-export, so it is checked instead to export exactly the names it
-imports.  A scan names the line that imports scipy when a module loads; a
-fresh interpreter checks that the curvature, Einstein, validation and
-compare paths never load it, indirectly either.
+imports.  A scan names every line that imports scipy, in function bodies
+too; an interpreter that refuses to import scipy runs the headline
+commands and must print what an ordinary one prints.
 """
 
 import ast
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import euclid_config, exact_randers_config, funk_config, klein_config
+from conftest import curved_riemannian_config, klein_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "finslerlab"
@@ -146,99 +146,88 @@ def test_package_exports_exactly_its_imports():
     assert len(finslerlab.__all__) == len(imported)
 
 
-def load_time_imports(source: str, package: str) -> list[int]:
-    """Lines of the imports of `package` that run when the module loads: those outside function bodies."""
+def imports_of(source: str, package: str) -> list[int]:
+    """Lines of every import of `package`: at module level, in class bodies and in function bodies."""
     lines = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                modules = [child.module]
-            else:
-                modules = []
-            if any(m.split(".")[0] == package for m in modules):
-                lines.append(child.lineno)
-            visit(child)
-
-    visit(ast.parse(source))
-    return lines
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == package for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
-def test_scan_finds_a_load_time_import():
+def test_scan_finds_every_import():
     source = (
         "import numpy\nfrom scipy.integrate import quad\nimport scipy.optimize as opt\n"
         "if True:\n    import scipy\nclass A:\n    from scipy import linalg\n"
         "def f():\n    from scipy.optimize import minimize_scalar\n    return minimize_scalar\n"
         "from .scipy import x\n"
     )
-    assert load_time_imports(source, "scipy") == [2, 3, 5, 7]
+    assert imports_of(source, "scipy") == [2, 3, 5, 7, 9]
 
 
 @pytest.mark.parametrize("module", SOURCES, ids=lambda p: p.stem)
-def test_scipy_is_not_imported_at_load_time(module):
-    """scipy is imported inside the functions that integrate or run a quadrature."""
-    found = [f"{module.name}:{line}" for line in load_time_imports(module.read_text(), "scipy")]
-    assert found == []
+def test_no_module_imports_scipy(module):
+    """scipy is a test dependency only: the tests check the library against it."""
+    assert [f"{module.name}:{line}" for line in imports_of(module.read_text(), "scipy")] == []
 
 
-COLD_START = """
+BLOCKED_RUN = """
 import json, sys
-from finslerlab import (einstein_classify, finsler_distance, fundamental_tensor, make_metric,
-                        projective_relation, riemann_curvature, validate_structure)
+from importlib.abc import MetaPathFinder
+
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+if sys.argv[1] == "blocked":
+    sys.meta_path.insert(0, RefuseScipy())
 from finslerlab.cli import main
 
-configs, paths = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-S = {name: make_metric(cfg) for name, cfg in configs.items()}
-for name, s in S.items():
-    n = s.dimension
-    x, y = [0.1] * n, [1.0] + [0.5] * (n - 1)
-    validate_structure(s, samples=5)
-    fundamental_tensor(s, x, y)
-    riemann_curvature(s, x, y)
-    if n >= 2:
-        einstein_classify(s, x_samples=2, y_directions=8)
-projective_relation(S["klein2"], S["funk2"], samples=5)
-k = paths["klein2"]
-for argv in (
-    ["metric", "validate", "--config", k, "--samples", "5"],
-    ["einstein", "check", "--config", k, "--samples", "2"],
-    ["curvature", "report", "--config", k, "--x", "0.1,0.2", "--y", "1,0.5"],
-    ["projective", "compare", "--config-a", k, "--config-b", paths["funk2"]],
-):
+for argv in json.loads(sys.argv[2]):
     assert main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded[:5]
-finsler_distance(S["klein2"], [0.0, 0.0], [0.3, 0.1])
-assert "scipy.integrate" in sys.modules
-print("cold start ok")
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
 
 
-def test_cold_start_leaves_scipy_unloaded(tmp_path):
-    """Building every family and running the curvature, Einstein, validation and
-    compare paths, library and CLI, loads no scipy; one distance then does.
+def test_headline_commands_run_with_scipy_refused(tmp_path):
+    """theorem1 verify, a fan distance on the README metric and a distance on
+    the interval print the same bytes in an interpreter that refuses to
+    import scipy as in one that does not.
 
-    A fresh interpreter, since the rest of the suite has loaded scipy.
+    Fresh interpreters, since the rest of the suite has loaded scipy.
     """
     configs = {
         "klein2": klein_config(2),
-        "funk2": funk_config(2),
-        "klein3": klein_config(3),
-        "euclid2": euclid_config(2),
-        "randers": exact_randers_config(),
+        "readme": curved_riemannian_config(),
         "interval1": {"family": "interval_funk", "dimension": 1, "k": 1.0},
     }
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("klein2", "funk2")}
-    for name, path in paths.items():
-        Path(path).write_text(json.dumps(configs[name]))
+    paths = {}
+    for name, config in configs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(config))
+    commands = [
+        ["theorem1", "verify", "--config", paths["klein2"], "--pairs", "20"],
+        ["distance", "--config", paths["readme"], "--from", "-0.2,0.3", "--to", "0.4,-0.1"],
+        ["distance", "--config", paths["interval1"], "--from", "-0.3", "--to", "0.5"],
+    ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(configs), json.dumps(paths)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.endswith("cold start ok\n")
+    stdout = {}
+    for mode in ("blocked", "open"):
+        proc = subprocess.run(
+            [sys.executable, "-c", BLOCKED_RUN, mode, json.dumps(commands)],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        stdout[mode] = proc.stdout
+    assert b'"path": "fan"' in stdout["open"]
+    assert stdout["blocked"] == stdout["open"]

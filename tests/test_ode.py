@@ -283,7 +283,8 @@ def harmonic(y):
 
 
 class TestTableau:
-    """The tableau rows built from scipy's DOP853 coefficients, one set per state length."""
+    """The tableau rows built from the literal DOP853 table, one set per state length,
+    checked against scipy's coefficients."""
 
     C = dop853_coefficients.C
     EXTENDED = dop853_coefficients.N_STAGES_EXTENDED
@@ -342,6 +343,21 @@ class TestTableau:
                     got = row(y, h, k)
                     want = row_fold(weights, y, k, h)
                     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_literal_table_is_scipys_entry_by_entry(self):
+        # every row the library writes out holds exactly scipy's nonzero
+        # entries, in stage order, each with the same bits
+        dop = dop853_coefficients
+        assert len(ode._A) == self.EXTENDED and ode._A[0] == {}
+        pairs = [(ode._A[s], dop.A[s, :s]) for s in range(1, self.EXTENDED)]
+        pairs += [(ode._A[dop.N_STAGES], dop.B), (ode._E5, dop.E5), (ode._E3, dop.E3)]
+        pairs += list(zip(ode._D, dop.D, strict=True))
+        for row, want in pairs:
+            assert list(row) == sorted(row) and 0.0 not in row.values()
+            got = [0.0] * len(want)
+            for j, w in row.items():
+                got[j] = w
+            assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
 
     def test_one_step_error_is_ninth_order(self):
         # the local error of an eighth-order step is O(h^9): halving h

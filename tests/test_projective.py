@@ -38,7 +38,7 @@ from finslerlab.errors import (
 )
 from finslerlab.jets import jet_exp
 
-from conftest import funk_config, klein_config
+from conftest import curved_riemannian_config, funk_config, klein_config
 from oracles import (
     DegenerateFitError,
     interval_funk_closed,
@@ -50,19 +50,6 @@ from oracles import (
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
-
-
-def curved_config():
-    # Riemannian metric with position-dependent coefficients: geodesics are
-    # not straight lines and the Ricci scalar genuinely depends on x.
-    zero = [[0.0, 0, 0]]
-    g11 = [[1.0, 0, 0], [0.3, 0, 2]]
-    g22 = [[1.0, 0, 0], [0.3, 2, 0]]
-    return {
-        "family": "riemannian",
-        "dimension": 2,
-        "riemannian": {"metric": [[g11, zero], [zero, g22]]},
-    }
 
 
 def conformal_config():
@@ -221,7 +208,7 @@ class TestProjectiveParameterSolve:
         "config, x0, y0, length, bound",
         [
             (klein_config(2), [0.0, 0.0], [1.0, 0.0], 1.2, 1e-6),
-            (curved_config(), [-0.3, 0.1], [0.8, -0.3], 0.7, 1e-5),
+            (curved_riemannian_config(), [-0.3, 0.1], [0.8, -0.3], 0.7, 1e-5),
         ],
         ids=["klein", "readme"],
     )
@@ -246,7 +233,7 @@ class TestProjectiveParameterSolve:
 
     def test_backward_geodesic_rejected(self):
         # geodesic.x(s) for s > 0 would clamp to the start point of a backward run
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         geo = geodesic_ivp(S, np.array([0.3, -0.1]), np.array([0.8, -0.3]), -0.7)
         with pytest.raises(ValueError, match="forward geodesic"):
             projective_parameter(S, geo)
@@ -256,7 +243,7 @@ class TestProjectiveParameterSolve:
         [
             (klein_config(2), [0.2, -0.3], [0.6, 0.8], 0.9, 1e-12),
             (funk_config(2), [0.1, 0.2], [-0.6, 0.8], 0.7, 1e-12),
-            (curved_config(), [-0.3, 0.1], [0.8, -0.3], 0.7, 1e-12),
+            (curved_riemannian_config(), [-0.3, 0.1], [0.8, -0.3], 0.7, 1e-12),
             # near the pole of its parameter; each bound scales with max(1, max |pi|)
             (conformal_config(), [-0.85, 0.0], [1.0, 0.0], 0.5, 1e-9),
         ],
@@ -316,7 +303,7 @@ class TestCanonicalMap:
 
 class TestNumericalMap:
     def test_interval_and_end_points(self):
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         geo = geodesic_ivp(S, np.array([-0.3, 0.1]), np.array([0.8, -0.3]), 0.7)
         pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, geo))
         L = abs(geo.length)
@@ -327,7 +314,7 @@ class TestNumericalMap:
         assert np.max(np.abs(pmap.point(t1) - geo.x(L))) <= 1e-12
 
     def test_roundtrip(self):
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         geo = geodesic_ivp(S, np.array([-0.3, 0.1]), np.array([0.8, -0.3]), 0.7)
         pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, geo))
         for s in np.linspace(0.0, geo.length, 73)[1:-1]:
@@ -427,7 +414,7 @@ class TestChains:
             build_canonical_chain(klein2, [np.zeros(2), np.zeros(2), np.array([0.5, 0.0])], 1.0)
 
     def test_numerical_segments_without_einstein_constant(self):
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         gauge = FunkGauge(k=1.0)
         chain = build_canonical_chain(S, [np.array([-0.3, 0.1]), np.array([0.4, -0.2])], None)
         assert isinstance(chain.segments[0].pmap, NumericalProjectiveMap)
@@ -524,7 +511,7 @@ class TestPseudoDistance:
         assert out.best_random_chain >= out.theoretical - 1e-4
 
     def test_without_einstein_constant_only_bound(self):
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         gauge = FunkGauge(k=1.0)
         out = pseudo_distance(S, np.array([-0.3, 0.1]), np.array([0.4, -0.2]), gauge)
         assert out.theoretical is None
@@ -569,7 +556,7 @@ class TestProjectiveRelation:
         assert rel.related and not rel.homothetic
 
     def test_curved_metric_not_related(self, klein2):
-        rel = projective_relation(klein2, make_metric(curved_config()))
+        rel = projective_relation(klein2, make_metric(curved_riemannian_config()))
         assert not rel.related
         assert rel.quotient_spread > 1e-3
 
@@ -654,6 +641,6 @@ class TestProportionalityTheorem:
             theorem1_verify(klein2, FunkGauge(k=1.0), pairs=0)
 
     def test_non_einstein_rejected(self):
-        S = make_metric(curved_config())
+        S = make_metric(curved_riemannian_config())
         with pytest.raises(NotEinsteinError):
             theorem1_verify(S, FunkGauge(k=1.0), pairs=2, seed=0)
