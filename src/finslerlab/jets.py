@@ -19,6 +19,15 @@ A jet space may cap the total degree of its leading seeds, so derivatives
 that are never read are never carried (the sparse truncation of the same
 chapter).  The layout keeps the uncapped order, so each retained coefficient
 is the uncapped one bit for bit; reading above the cap raises ValueError.
+
+Each operation is a few numpy calls on a few hundred entries, so call
+overhead is most of its cost.  Products, partials and gathers index by
+ndarray.take or by a prefix slice; operands of one space and one batch rank
+skip the alignment checks; an analytic function builds its series
+coefficients one order at a time over all batch columns, with Python's float
+operation per column, since numpy's pow, exp and log do not give the same
+bits.  tests/oracles.py keeps the plain route (fancy-index gathers, one
+coefficient call per column) that the tests hold this kernel to, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ class JetSpace:
         self.ncoef = len(self.indices)
         self._mul = None
         self._batched_mul: dict[int, np.ndarray] = {}
-        self._partials: dict[int, tuple] = {}
+        self._partials: dict[tuple[int, int], tuple] = {}
         self._meets: dict[JetSpace, JetSpace] = {}
         self._gathers: dict[JetSpace, slice | np.ndarray] = {}
 
@@ -122,8 +131,12 @@ class JetSpace:
             self._batched_mul[batch] = idx
         return idx
 
-    def _partial_table(self, v: int):
-        tab = self._partials.get(v)
+    def _partial_table(self, v: int, ndim: int):
+        """(lower space, source rows, factors) of the derivative along seed v.
+
+        The factors have the shape they multiply: a column for a batch.
+        """
+        tab = self._partials.get((v, ndim))
         if tab is None:
             cap = self.cap
             if cap is not None and v < self.lead:
@@ -138,8 +151,8 @@ class JetSpace:
                 bumped[v] += 1
                 src[t] = self.index_of[tuple(bumped)]
                 fac[t] = alpha[v] + 1
-            tab = (lower, src, fac)
-            self._partials[v] = tab
+            tab = (lower, src, fac.reshape(fac.shape + (1,) * (ndim - 1)))
+            self._partials[v, ndim] = tab
         return tab
 
     def _meet(self, other: "JetSpace") -> "JetSpace":
@@ -223,14 +236,15 @@ class Jet:
         """The coefficients this jet carries of a space inside its own."""
         if space is self.space:
             return self
-        return Jet(space, self.coef[self.space._gather(space)])
+        at = self.space._gather(space)
+        return Jet(space, self.coef[at] if isinstance(at, slice) else self.coef.take(at, axis=0))
 
     def partial(self, v: int) -> "Jet":
         """Derivative jet along seed v; lives one order lower."""
         if self.space.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        lower, src, fac = self.space._partial_table(v)
-        return Jet(lower, self.coef[src] * fac.reshape(fac.shape + (1,) * (self.coef.ndim - 1)))
+        lower, src, fac = self.space._partial_table(v, self.coef.ndim)
+        return Jet(lower, self.coef.take(src, axis=0) * fac)
 
     def derivative(self, alpha):
         """d^alpha f at the base point (coefficient times alpha!): a float, or (B,) for a batch."""
@@ -248,6 +262,8 @@ class Jet:
 
     def _align(self, other: "Jet"):
         a, b = self, other
+        if a.space is b.space and a.coef.ndim == b.coef.ndim:
+            return a, b
         if a.space is not b.space:
             space = a.space._meet(b.space)
             a, b = a._restricted(space), b._restricted(space)
@@ -289,7 +305,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = self._align(other)
             I, J, K = a.space._mul_table()
-            w = a.coef[I] * b.coef[J]
+            w = a.coef.take(I, axis=0) * b.coef.take(J, axis=0)
             # One bincount over the flattened index K*B + b sums every column's
             # terms in the single-point order, so each column is bit-identical;
             # a single point is B = 1, where the index is K itself.
@@ -327,36 +343,44 @@ class Jet:
         if p == 0.5:
             return self.sqrt()
 
-        def coefficients(c0):
+        def rows(c):
             # general real exponent via the binomial series around the value
-            if c0 <= 0.0:
-                raise EvaluationDomainError(f"jet power {p} needs positive value, got {c0}")
-            coeffs = [c0 ** p]
+            out = [[v**p for v in c]]
             b = 1.0
             for k in range(1, self.space.order + 1):
                 b *= (p - (k - 1)) / k
-                coeffs.append(b * c0 ** (p - k))
-            return coeffs
+                q = p - k
+                out.append([b * v**q for v in c])
+            return out
 
-        return self._series(coefficients)
+        return self._series(rows, self.coef[0] <= 0.0, lambda v: f"jet power {p} needs positive value, got {v}")
 
     # ----- analytic functions ---------------------------------------------
 
-    def _series(self, coefficients) -> "Jet":
-        """Evaluate sum c[k] * w^k with w = self - value and c = coefficients(value) (Horner).
+    def _series(self, rows, outside=None, message=None) -> "Jet":
+        """Evaluate sum c[k] * w^k with w = self - value and c = rows(values) (Horner).
 
-        coefficients runs once per batch column on a Python float, so a batch
-        reproduces the single-point floats exactly (numpy's pow, exp and log
-        do not), and a column outside its domain raises for the whole batch.
-        A value whose coefficients overflow the float range (exp above about
-        709.78, a power of a huge value) is outside the domain too.
+        rows takes every batch column's value as a Python float and returns
+        one row of coefficients per order, each a list comprehension doing
+        Python's float operation per column, so a batch keeps the bits of its
+        single points.  outside marks the columns outside the domain and
+        message(value) words the error of one.  The first failing column
+        decides for the whole batch, as it would column by column: if a column
+        before it has coefficients that overflow the float range (exp above
+        about 709.78, a power of a huge value) or divide by a power of a tiny
+        value that underflows to zero, the overflow error is raised, which is
+        a domain error too.
         """
         c0 = self.coef[0]
+        values = np.ravel(c0).tolist()
+        first = int(np.ravel(outside).argmax()) if outside is not None and outside.any() else None
         try:
-            coeffs = np.array([coefficients(c) for c in np.ravel(c0).tolist()]).T
-        except OverflowError:
+            coeffs = rows(values if first is None else values[:first])
+        except (OverflowError, ZeroDivisionError):
             raise EvaluationDomainError(f"jet series coefficients overflow at value {c0}") from None
-        coeffs = coeffs.reshape((-1,) + c0.shape)
+        if first is not None:
+            raise EvaluationDomainError(message(values[first]))
+        coeffs = np.array(coeffs).reshape((-1,) + c0.shape)
         w_coef = self.coef.copy()
         w_coef[0] = 0.0
         w = Jet(self.space, w_coef)
@@ -366,44 +390,47 @@ class Jet:
         return acc
 
     def _reciprocal(self) -> "Jet":
-        def coefficients(c0):
-            if c0 == 0.0:
-                raise EvaluationDomainError("division by a jet with zero value")
-            return [((-1.0) ** k) / c0 ** (k + 1) for k in range(self.space.order + 1)]
+        def rows(c):
+            out = []
+            for k in range(self.space.order + 1):
+                sign, q = (-1.0) ** k, k + 1
+                out.append([sign / v**q for v in c])
+            return out
 
-        return self._series(coefficients)
+        return self._series(rows, self.coef[0] == 0.0, lambda v: "division by a jet with zero value")
 
     def sqrt(self) -> "Jet":
-        def coefficients(c0):
-            if c0 <= 0.0:
-                raise EvaluationDomainError(f"jet sqrt needs positive value, got {c0}")
-            s = math.sqrt(c0)
-            coeffs = [s]
+        def rows(c):
+            s = [math.sqrt(v) for v in c]
+            out = [s]
             b = 1.0
             for k in range(1, self.space.order + 1):
                 b *= (0.5 - (k - 1)) / k
-                coeffs.append(s * b / c0 ** k)
-            return coeffs
+                out.append([sv * b / v**k for sv, v in zip(s, c)])
+            return out
 
-        return self._series(coefficients)
+        return self._series(rows, self.coef[0] <= 0.0, lambda v: f"jet sqrt needs positive value, got {v}")
 
     def exp(self) -> "Jet":
-        def coefficients(c0):
-            e = math.exp(c0)
-            return [e / math.factorial(k) for k in range(self.space.order + 1)]
+        def rows(c):
+            e = [math.exp(v) for v in c]
+            out = []
+            for k in range(self.space.order + 1):
+                f = math.factorial(k)
+                out.append([ev / f for ev in e])
+            return out
 
-        return self._series(coefficients)
+        return self._series(rows)
 
     def log(self) -> "Jet":
-        def coefficients(c0):
-            if c0 <= 0.0:
-                raise EvaluationDomainError(f"jet log needs positive value, got {c0}")
-            coeffs = [math.log(c0)]
+        def rows(c):
+            out = [[math.log(v) for v in c]]
             for k in range(1, self.space.order + 1):
-                coeffs.append(((-1.0) ** (k + 1)) / (k * c0 ** k))
-            return coeffs
+                sign = (-1.0) ** (k + 1)
+                out.append([sign / (k * v**k) for v in c])
+            return out
 
-        return self._series(coefficients)
+        return self._series(rows, self.coef[0] <= 0.0, lambda v: f"jet log needs positive value, got {v}")
 
     def __abs__(self) -> "Jet":
         c0 = self.coef[0]

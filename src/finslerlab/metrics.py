@@ -308,13 +308,12 @@ class FinslerStructure:
         end, which is where a one-at-a-time redraw takes it from.  The stacked
         matmul gives each row's norm bit for bit as np.linalg.norm would.
         """
-        out = np.empty((0, self.dimension))
-        while len(out) < k:
-            v = rng.standard_normal((k - len(out), self.dimension))
-            nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
-            keep = nv[:, 0] > 1e-8
-            out = np.concatenate([out, v[keep] / nv[keep]])
-        return out
+        v = rng.standard_normal((k, self.dimension))
+        nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+        keep = nv[:, 0] > 1e-8
+        if keep.all():
+            return v / nv
+        return np.concatenate([v[keep] / nv[keep], self.sample_directions(rng, k - int(keep.sum()))])
 
 
 @functools.cache

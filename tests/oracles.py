@@ -9,6 +9,9 @@ extrapolation, Moebius fits from the nullspace of an incidence system.  The
 exceptions are second routes through the library's own types:
 - directional_derivatives and jet_log run the library's Jet arithmetic on
   seeded variables;
+- fancy_mul, fancy_partial, fancy_restricted and per_column_analytic are the
+  jet kernel written the plain way: gathers by fancy index, and series
+  coefficients built by one Python call per batch column;
 - path_length integrates F along a library Geodesic's dense output, or
   along a polyline or a cubic spline through samples;
 - chart_reference writes the Klein, Funk and interval F^2 and spray out
@@ -362,6 +365,133 @@ def finite_difference_oracle(f, at, direction, order: int, base_step: float = 1e
     if not math.isfinite(out):
         raise EvaluationDomainError("non-finite value in finite-difference oracle")
     return out
+
+
+# ----- The jet kernel by fancy indexing and per-column series ----------------
+
+
+def fancy_restricted(jet: Jet, space) -> Jet:
+    """jet's coefficients of a space inside its own, gathered by a fancy index."""
+    if space is jet.space:
+        return jet
+    pos = [jet.space.index_of[alpha] for alpha in space.indices]
+    at = slice(0, len(pos)) if pos == list(range(len(pos))) else np.asarray(pos, dtype=np.intp)
+    return Jet(space, jet.coef[at])
+
+
+def fancy_align(a: Jet, b: Jet):
+    if a.space is not b.space:
+        space = a.space._meet(b.space)
+        a, b = fancy_restricted(a, space), fancy_restricted(b, space)
+    if a.coef.ndim != b.coef.ndim:
+        if a.coef.ndim == 1:
+            a = Jet(a.space, a.coef[:, None])
+        else:
+            b = Jet(b.space, b.coef[:, None])
+    return a, b
+
+
+def fancy_add(a: Jet, b) -> Jet:
+    if isinstance(b, Jet):
+        a, b = fancy_align(a, b)
+        return Jet(a.space, a.coef + b.coef)
+    coef = a.coef.copy()
+    coef[0] += b
+    return Jet(a.space, coef)
+
+
+def fancy_mul(a: Jet, b) -> Jet:
+    """The truncated product: a.coef[I] * b.coef[J] summed by one bincount per batch column."""
+    if not isinstance(b, Jet):
+        return Jet(a.space, a.coef * b)
+    a, b = fancy_align(a, b)
+    I, J, K = a.space._mul_table()
+    w = a.coef[I] * b.coef[J]
+    batch = w[0].size
+    index = (K[:, None] * batch + np.arange(batch)).ravel()
+    coef = np.bincount(index, weights=w.ravel(), minlength=a.space.ncoef * batch)
+    return Jet(a.space, coef.reshape((-1,) + w.shape[1:]))
+
+
+def fancy_partial(jet: Jet, v: int) -> Jet:
+    """The derivative jet along seed v, its source rows and factors built from the multi-indices."""
+    space = jet.space
+    if space.order == 0:
+        raise ValueError("cannot differentiate an order-0 jet")
+    cap = space.cap
+    if cap is not None and v < space.lead:
+        if cap == 0:
+            raise ValueError(f"derivative along seed {v} outside jet space")
+        cap -= 1
+    lower = jet_space(space.nvars, space.order - 1, space.lead, cap)
+    src, fac = [], []
+    for alpha in lower.indices:
+        bumped = list(alpha)
+        bumped[v] += 1
+        src.append(space.index_of[tuple(bumped)])
+        fac.append(float(alpha[v] + 1))
+    fac = np.asarray(fac)
+    return Jet(lower, jet.coef[np.asarray(src, dtype=np.intp)] * fac.reshape(fac.shape + (1,) * (jet.coef.ndim - 1)))
+
+
+def per_column_series(jet: Jet, coefficients) -> Jet:
+    """sum c[k] w^k (Horner over fancy_mul), with c = coefficients(value) called once per batch column."""
+    c0 = jet.coef[0]
+    try:
+        coeffs = np.array([coefficients(c) for c in np.ravel(c0).tolist()]).T
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationDomainError(f"jet series coefficients overflow at value {c0}") from None
+    coeffs = coeffs.reshape((-1,) + c0.shape)
+    w_coef = jet.coef.copy()
+    w_coef[0] = 0.0
+    w = Jet(jet.space, w_coef)
+    acc = jet.space.constant(coeffs[-1])
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = fancy_add(fancy_mul(acc, w), coeffs[k])
+    return acc
+
+
+def per_column_analytic(jet: Jet, name: str, p: float = 0.0) -> Jet:
+    """reciprocal, sqrt, exp, log or power (a real p) of a jet, coefficients built one column at a time."""
+    order = jet.space.order
+
+    def reciprocal(c0):
+        if c0 == 0.0:
+            raise EvaluationDomainError("division by a jet with zero value")
+        return [((-1.0) ** k) / c0 ** (k + 1) for k in range(order + 1)]
+
+    def sqrt(c0):
+        if c0 <= 0.0:
+            raise EvaluationDomainError(f"jet sqrt needs positive value, got {c0}")
+        s = math.sqrt(c0)
+        coeffs = [s]
+        b = 1.0
+        for k in range(1, order + 1):
+            b *= (0.5 - (k - 1)) / k
+            coeffs.append(s * b / c0**k)
+        return coeffs
+
+    def exp(c0):
+        e = math.exp(c0)
+        return [e / math.factorial(k) for k in range(order + 1)]
+
+    def log(c0):
+        if c0 <= 0.0:
+            raise EvaluationDomainError(f"jet log needs positive value, got {c0}")
+        return [math.log(c0)] + [((-1.0) ** (k + 1)) / (k * c0**k) for k in range(1, order + 1)]
+
+    def power(c0):
+        if c0 <= 0.0:
+            raise EvaluationDomainError(f"jet power {p} needs positive value, got {c0}")
+        coeffs = [c0**p]
+        b = 1.0
+        for k in range(1, order + 1):
+            b *= (p - (k - 1)) / k
+            coeffs.append(b * c0 ** (p - k))
+        return coeffs
+
+    rule = {"reciprocal": reciprocal, "sqrt": sqrt, "exp": exp, "log": log, "power": power}[name]
+    return per_column_series(jet, rule)
 
 
 # ----- Finsler length of a geodesic or a sampled path -------------------------

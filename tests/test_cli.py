@@ -575,6 +575,17 @@ class TestCurvatureCommand:
         assert code == 3
         assert json.loads(err)["error"] == "EvaluationDomainError"
 
+    @pytest.mark.parametrize("name", ["funk2", "randers"])
+    def test_tiny_flagpole_exits_3(self, cfg, capsys, name):
+        # F^2 of a y this small underflows the jet sqrt's divisor c0 ** k to zero
+        code, out, err = run(
+            capsys, "curvature", "report", "--config", cfg[name], "--x", "0.1,0.2", "--y", "1e-120,0"
+        )
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "EvaluationDomainError"
+        assert payload["message"].startswith("jet series coefficients overflow at value")
+
 
 class TestEinsteinCommand:
     def test_klein_constant(self, cfg, capsys):

@@ -394,6 +394,17 @@ class ZeroRowGenerator:
         return v
 
 
+def _concatenated_directions(rng, k, n):
+    """k unit rows, each redraw appended onto what was kept, starting from an empty array."""
+    out = np.empty((0, n))
+    while len(out) < k:
+        v = rng.standard_normal((k - len(out), n))
+        nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+        keep = nv[:, 0] > 1e-8
+        out = np.concatenate([out, v[keep] / nv[keep]])
+    return out
+
+
 class SwappedDraws:
     """Draws like default_rng(seed), except that normal draws `first` and `first + 1` swap.
 
@@ -490,6 +501,7 @@ class TestBatchedCurvature:
             one_by_one = ZeroRowGenerator(5, zero_at)
             rows = S.sample_directions(batched, 7)
             assert rows.shape == (7, n)
+            assert rows.tobytes() == _concatenated_directions(ZeroRowGenerator(5, zero_at), 7, n).tobytes()
             assert np.array_equal(rows, [S.sample_direction(single) for _ in range(7)])
             assert np.array_equal(rows, [sample_direction(one_by_one, n) for _ in range(7)])
             assert batched.rows == single.rows == one_by_one.rows == (7 if zero_at is None else 8)

@@ -5,10 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerlab import EvaluationDomainError, jet_space
+from finslerlab import EvaluationDomainError, einstein_classify, jet_space, make_metric
 from finslerlab.jets import MAX_JET_ORDER, Jet, jet_abs, jet_exp, jet_sqrt
 
-from oracles import DegenerateSeedsError, directional_derivatives, finite_difference_oracle, jet_log
+from oracles import (
+    DegenerateSeedsError,
+    directional_derivatives,
+    fancy_add,
+    fancy_align,
+    fancy_mul,
+    fancy_partial,
+    fancy_restricted,
+    finite_difference_oracle,
+    jet_log,
+    per_column_analytic,
+)
 
 
 def poly_derivative(coeffs, a, m):
@@ -450,3 +461,135 @@ def test_capped_jets_keep_the_uncapped_bits(program):
         assert got.coef.tobytes() == want.coef[retained].tobytes(), op
         full_pool.append(want)
         capped_pool.append(got)
+
+
+# ----- the kernel against its fancy-index, per-column reference ---------------
+
+# batch columns: the first failing column is not column 0, and each special value has one
+SPECIAL = [1.3, -0.0, 0.0, math.inf, -math.inf, math.nan, -2.1, 1e-200, 1e200, 0.7, 1e-110]
+
+
+def _bits(jet):
+    return jet.space, jet.coef.shape, [float.hex(c) for c in jet.coef.ravel().tolist()]
+
+
+def _outcome_of(run):
+    try:
+        return run()
+    except (EvaluationDomainError, ValueError) as err:
+        return err
+
+
+def _assert_same(got, want, label):
+    got, want = _outcome_of(got), _outcome_of(want)
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), label
+    else:
+        assert _bits(got) == _bits(want), label
+
+
+def _kernel_pairs(u, v):
+    """(label, library route, reference route) for every kernel operation on u and v."""
+    nvars, order = u.space.nvars, u.space.order
+
+    def quotient():
+        a, b = fancy_align(u, v)
+        return fancy_mul(a, per_column_analytic(b, "reciprocal"))
+
+    pairs = [
+        ("u*v", lambda: u * v, lambda: fancy_mul(u, v)),
+        ("v*u", lambda: v * u, lambda: fancy_mul(v, u)),
+        ("u*u", lambda: u * u, lambda: fancy_mul(u, u)),
+        ("u+v", lambda: u + v, lambda: fancy_add(u, v)),
+        ("u/v", lambda: u / v, quotient),
+        ("1/u", lambda: 1.0 / u, lambda: fancy_mul(per_column_analytic(u, "reciprocal"), 1.0)),
+        ("u**-2", lambda: u**-2, lambda: per_column_analytic(fancy_mul(u, u), "reciprocal")),
+        ("sqrt", lambda: u.sqrt(), lambda: per_column_analytic(u, "sqrt")),
+        ("u**0.5", lambda: u**0.5, lambda: per_column_analytic(u, "sqrt")),
+        ("exp", lambda: u.exp(), lambda: per_column_analytic(u, "exp")),
+        ("log", lambda: u.log(), lambda: per_column_analytic(u, "log")),
+        ("u**1.5", lambda: u**1.5, lambda: per_column_analytic(u, "power", 1.5)),
+        ("u**-0.7", lambda: u**-0.7, lambda: per_column_analytic(u, "power", -0.7)),
+    ]
+    meet = u.space._meet(v.space)
+    pairs.append(("restrict", lambda: u._restricted(meet), lambda: fancy_restricted(u, meet)))
+    for o in range(order):
+        lower = jet_space(nvars, o, u.space.lead, u.space.cap)
+        pairs.append((f"truncate {o}", lambda o=o: u.truncated(o), lambda lower=lower: fancy_restricted(u, lower)))
+    for i in range(nvars if order else 0):
+        pairs.append((f"partial {i}", lambda i=i: u.partial(i), lambda i=i: fancy_partial(u, i)))
+    return pairs
+
+
+def _operand(space, rng, values):
+    coef = rng.uniform(-1.0, 1.0, size=(space.ncoef,) + np.shape(values))
+    coef[0] = values
+    if np.size(values) == len(SPECIAL) and space.ncoef > 1:
+        coef[1:, 1] = -0.0  # a column of signed zeros
+        coef[1:, 4] = 0.5  # a column with an infinite and a NaN coefficient
+        coef[1, 4], coef[-1, 4] = math.inf, math.nan
+    return Jet(space, coef)
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+@pytest.mark.parametrize("order", range(0, 7))
+def test_kernel_keeps_the_fancy_index_bits(nvars, order):
+    """Products, gathers, partials and series keep the bits of fancy-index gathers and per-column
+    coefficients, on capped and uncapped spaces, every batch shape and special values; a failure
+    raises the same error as there, decided by its first failing column."""
+    rng = np.random.default_rng(100 * nvars + order)
+    spaces = [jet_space(nvars, order)]
+    if order >= 1:
+        lead = int(rng.integers(1, nvars + 1))
+        cap = int(rng.integers(0, order))
+        spaces += [jet_space(nvars, order, lead, cap), jet_space(nvars, order - 1, lead, max(cap - 1, 0))]
+    for i, space in enumerate(spaces):
+        other = spaces[(i + 1) % len(spaces)]
+        batched = [_operand(s, rng, np.array(SPECIAL)) for s in (space, other)]
+        shuffled = Jet(other, batched[1].coef[:, rng.permutation(len(SPECIAL))])
+        cases = [(batched[0], batched[1]), (batched[0], shuffled)]
+        for value in (0.9, -0.0):
+            lone = _operand(space, rng, value)
+            one = _operand(space, rng, np.array([value]))
+            cases += [(lone, _operand(other, rng, 1.7)), (one, _operand(other, rng, np.array([1.7])))]
+            cases += [(lone, batched[1]), (batched[0], lone), (one, batched[1])]
+        for u, v in cases:
+            for label, got, want in _kernel_pairs(u, v):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    _assert_same(got, want, (label, u.coef.shape, v.coef.shape))
+
+
+@pytest.mark.parametrize("value", [1e-110, 1e-160, 1e-200])
+def test_series_of_a_tiny_value_is_outside_the_domain(value):
+    """A coefficient that divides by a power of the value underflowing to zero raises the overflow error."""
+    x = jet_space(1, 3).variable(0, value)
+    message = f"jet series coefficients overflow at value {value!r}"
+    for op in (lambda: x._reciprocal(), lambda: x.sqrt(), lambda: x.log(), lambda: 1.0 / x):
+        with pytest.raises(EvaluationDomainError) as err:
+            op()
+        assert str(err.value) == message
+    # batched, the first failing column decides: an underflow before a negative value
+    col = jet_space(1, 3).variable(0, np.array([1.0, value, -1.0]))
+    with pytest.raises(EvaluationDomainError, match="overflow at value"):
+        col.sqrt()
+    col = jet_space(1, 3).variable(0, np.array([1.0, -1.0, value]))
+    with pytest.raises(EvaluationDomainError, match="jet sqrt needs positive value, got -1.0"):
+        col.sqrt()
+
+
+def test_products_are_seen_through_the_class_attribute(monkeypatch):
+    """A wrapper set on Jet.__mul__, as the benchmark tracer sets it, counts every product,
+    those of a series' Horner loop included."""
+    calls = [0]
+    for name in ("__mul__", "__rmul__"):
+
+        def counted(*args, fn=vars(Jet)[name]):
+            calls[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(Jet, name, counted)
+    jet_space(1, 3).variable(0, 2.0).sqrt()
+    assert calls[0] == 3
+    calls[0] = 0
+    einstein_classify(make_metric({"family": "klein_ball", "dimension": 2}), seed=0)
+    assert calls[0] == 47
