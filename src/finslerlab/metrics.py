@@ -6,11 +6,12 @@ therefore feeds both ordinary evaluation and the derivative machinery:
 curvature, the g_ij Hessian and the via="f2" cross-check.  The float path,
 geodesic_field and float_F, takes lists of Python floats only and serves
 the values that geodesic integration and the chord-length quadrature
-evaluate over and over.  The chart families, the Klein ball, the Funk ball
-and the interval Funk metric, are generated: _chart_paths states each one's
+evaluate over and over.  Every family is generated: _compile states its
 F^2 and spray once and compiles both paths from it, doing the same float
-operations in the same order.  The Riemannian and Randers families write
-their scalar-like path by hand and compose their float path from it.
+operations in the same order.  The chart families, the Klein ball, the
+Funk ball and the interval Funk metric, are compiled once per dimension;
+the Riemannian and Randers families write their config's polynomial
+tables into the source and are compiled per config.
 Built-in families live on the open unit ball (the interval (-1, 1) in
 dimension one); sampling for validation stays inside radius 0.95.
 FinslerStructure.domain is the one chart predicate, and every family's
@@ -22,6 +23,7 @@ alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -57,48 +59,6 @@ def _require_chart(d):
 
 def _eval_table(table, x):
     return [[p(x) for p in row] for row in table]
-
-
-def _quadratic_form(g, y):
-    """g_ij y^i y^j, row by row."""
-    total = 0.0
-    for i in range(len(y)):
-        row = 0.0
-        for j in range(len(y)):
-            row = row + g[i][j] * y[j]
-        total = total + y[i] * row
-    return total
-
-
-def _levi_civita_spray(gpoly, n):
-    """(x, y) -> (G^i, g, g^-1) for the Riemannian metric table gpoly.
-
-    G^i = (1/4) g^il (2 d_k g_lj - d_l g_jk) y^j y^k, with the x-partials of
-    the table taken once here.
-    """
-    dg = [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)]
-
-    def spray(x, y):
-        _require_chart(1.0 - _dot(x, x))
-        g = _eval_table(gpoly, x)
-        ginv = invert_scalarlike_matrix(g)
-        dgx = [_eval_table(dg[l], x) for l in range(n)]
-        inner = []
-        for l in range(n):
-            acc = 0.0
-            for j in range(n):
-                for kk in range(n):
-                    acc = acc + (2.0 * dgx[kk][l][j] - dgx[l][j][kk]) * y[j] * y[kk]
-            inner.append(acc)
-        out = []
-        for i in range(n):
-            acc = 0.0
-            for l in range(n):
-                acc = acc + ginv[i][l] * inner[l]
-            out.append(0.25 * acc)
-        return out, g, ginv
-
-    return spray
 
 
 class Polynomial:
@@ -266,9 +226,8 @@ class FinslerStructure:
 
     geodesic_field(z) is [v, -2 G(x, v)] for the phase point z = x + v, a
     list of 2n floats; float_F(x, y) is F on lists of floats.  Both give the
-    bits of the scalar-like path: for the chart families all four are
-    generated from one source, for the Riemannian and Randers families the
-    float path calls f2 and spray_fast.  g_ij is the jet Hessian of F^2/2.
+    bits of the scalar-like path: all four are generated from one source.
+    g_ij is the jet Hessian of F^2/2.
     """
 
     dimension: int
@@ -318,24 +277,37 @@ class FinslerStructure:
 
 @functools.cache
 def _chart_paths(family: str, n: int):
-    """make(s2, k) -> (f2, spray_fast, geodesic_field, float_F) of a chart family in dimension n.
+    """make(s2, k) of a chart family in dimension n, whose source depends on nothing else."""
+    return _compile(family, n)
 
-    The Klein ball, the Funk ball and the interval Funk metric are written
-    here once, as statements over the local names x0, y0, ..., and compiled
-    from source in two flavours.  The scalar-like f2 and spray_fast take
-    floats, (B,) rows, object arrays or jets, refuse the chart's outside
-    through _require_chart and call jet_sqrt and jet_abs.  The float
-    geodesic_field and float_F take lists of floats, inline those refusals
-    (D <= 0, a radicand <= 0, through which a NaN passes as it does there)
-    and call math.sqrt and abs.  Both flavours do the same float operations
-    in the same order: _dot's left-to-right sums, one accumulating statement
-    per term (so the code's nesting does not grow with n; a jet has no
-    __iadd__ and is rebound, an array is the fresh product of the first
-    term), and ** 2 kept as ** 2.  s2 is the squared scale, k the interval's
-    gauge constant.  Measured against float closures over lists that call
-    _dot (2 shared cores, Python 3.11, n = 2 and 3), the generated field
-    takes 0.30-0.45 us a call against 1.1-1.7 us, and the benchmark's
-    ball_theorem1 runs about 900 ops/s against 680.
+
+def _compile(family: str, n: int, config: MetricConfig | None = None):
+    """make(s2, k) -> (f2, spray_fast, geodesic_field, float_F) of a family in dimension n.
+
+    Every family is written here once, as statements over the local names
+    x0, y0, ..., and compiled from source in two flavours.  The scalar-like
+    f2 and spray_fast take floats, (B,) rows, object arrays or jets, refuse
+    the chart's outside through _require_chart and call jet_sqrt and
+    jet_abs.  The float geodesic_field and float_F take lists of floats,
+    inline those refusals (D <= 0, a radicand <= 0, through which a NaN
+    passes as it does there) and call math.sqrt and abs.  Both flavours do
+    the same float operations in the same order: _dot's left-to-right sums,
+    one accumulating statement per term (so the code's nesting does not grow
+    with n; a jet has no __iadd__ and is rebound, an array is the fresh
+    product of the first term), and ** 2 kept as ** 2.  s2 is the squared
+    scale, k the interval's gauge constant.  Measured against float closures
+    over lists that call _dot (2 shared cores, Python 3.11, n = 2 and 3),
+    the generated ball field takes 0.30-0.45 us a call against 1.1-1.7 us,
+    and the benchmark's ball_theorem1 runs about 900 ops/s against 680.
+
+    The Riemannian and Randers families take their tables from config.
+    Each polynomial is written out term by term, summed from 0.0 as
+    Polynomial.__call__ sums it, and a table entry without terms keeps the
+    0.0 its table starts from.  The Levi-Civita contraction stays a loop
+    over the tables, so the source grows with the terms and not as n^3.
+    Both flavours invert g through invert_scalarlike_matrix, looked up in
+    this module at call time.  A partial's coefficient can overflow to inf,
+    whose repr the namespace binds.
     """
 
     def dot(total, a, b):
@@ -347,11 +319,71 @@ def _chart_paths(family: str, n: int):
             return [f'if {r} <= 0.0: raise EvaluationDomainError(f"sqrt domain violation: {{{r}}}")'], f"sqrt({r})"
         return [], f"jet_sqrt({r})"
 
+    def loop(index, *body):
+        return [f"for {index} in range({n}):"] + ["    " + line for line in body]
+
+    def table(name, polys, depth):
+        """name = the values of a depth-deep nested list of polynomials at x0, x1, ..."""
+        zeros = f"[0.0] * {n}"
+        for _ in range(depth - 1):
+            zeros = f"[{zeros} for _ in range({n})]"
+        lines = [f"{name} = {zeros}"]
+        for index in itertools.product(range(n), repeat=depth):
+            p = functools.reduce(lambda row, i: row[i], index, polys)
+            for t, (c, exps) in enumerate(p.terms):
+                factors = [repr(c)] + [f"x{i}" for i, e in enumerate(exps) for _ in range(e)]
+                lines.append(f"t = {'t' if t else '0.0'} + " + " * ".join(factors))
+            if p.terms:
+                lines.append(name + "".join(f"[{i}]" for i in index) + " = t")
+        return lines
+
+    if config is not None:
+        gpoly = config.riemannian_metric or config.randers_metric
+        bpoly = config.randers_form
+        g = table("g", gpoly, 2)
+        dg = table("dg", [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)], 3)
+        if bpoly is not None:
+            b = table("b", bpoly, 1)
+            J = table("J", [[p.partial(j) for j in range(n)] for p in bpoly], 2)  # J[i][j] = d_j b_i
+        quadratic = ["q = 0.0"] + loop("i", "row = 0.0", *loop("j", "row = row + g[i][j] * y[j]"), "q = q + y[i] * row")
+
+    def polynomial_statements(head, floats):
+        # G^i_a = (1/4) g^il (2 d_k g_lj - d_l g_jk) y^j y^k, with dg[l][i][j] = d_l g_ij
+        spray = head + g + ["ginv = metrics.invert_scalarlike_matrix(g)"] + dg + ["inner = []"]
+        contract = "acc = acc + (2.0 * dg[kk][l][j] - dg[l][j][kk]) * y[j] * y[kk]"
+        spray += loop("l", "acc = 0.0", *loop("j", *loop("kk", contract)), "inner.append(acc)")
+        spray += ["Ga = []"] + loop("i", "acc = 0.0", *loop("l", "acc = acc + ginv[i][l] * inner[l]"), "Ga.append(0.25 * acc)")
+        if bpoly is None:
+            return g + quadratic + ["f2 = s2 * q"], spray, [f"Ga[{i}]" for i in range(n)]
+        check, sqrt_q = root("q", floats)
+        f2 = g + quadratic + check + [f"alpha = {sqrt_q}"] + b + ["beta = 0.0"]
+        f2 += loop("i", "beta = beta + b[i] * y[i]") + ["F = alpha + beta", "f2 = s2 * F * F"]
+        # G^i = G^i_a + (e_00 / (2F) - s_0) y^i + alpha s^i_0 (Chern & Shen,
+        # Riemann-Finsler Geometry, 2005).  The Christoffel terms of b_{i|j}
+        # cancel in s_ij and give r_00 = (d_j b_i) y^i y^j - 2 b_k G^k_a; then
+        # e_00 = r_00 + 2 beta s_0 and s_0 = b_k s^k_0.  scale drops out.
+        spray += b + J + [
+            "Jy = [_dot(row, y) for row in J]",
+            f"s_lo = [0.5 * (Jy[i] - _dot([row[i] for row in J], y)) for i in range({n})]",
+            "s_up = [_dot(row, s_lo) for row in ginv]",
+        ]
+        spray += quadratic + check + [
+            f"alpha = {sqrt_q}",
+            "beta = _dot(b, y)",
+            "s_0 = _dot(b, s_up)",
+            "e_00 = _dot(Jy, y) - 2.0 * _dot(b, Ga) + 2.0 * beta * s_0",
+            "P = e_00 / (2.0 * (alpha + beta)) - s_0",
+        ]
+        return f2, spray, [f"Ga[{i}] + P * y{i} + alpha * s_up[{i}]" for i in range(n)]
+
     def statements(floats):
         """(f2 lines, spray lines, G^i expressions) in the float or the scalar-like flavour."""
         chart = "if D <= 0.0: raise EvaluationDomainError(_OFF_CHART)" if floats else "_require_chart(D)"
         absolute = "abs" if floats else "jet_abs"
-        head = dot("xx", "x", "x") + ["D = 1.0 - xx", chart] + dot("xy", "x", "y")
+        head = dot("xx", "x", "x") + ["D = 1.0 - xx", chart]
+        if config is not None:
+            return polynomial_statements(head, floats)
+        head += dot("xy", "x", "y")
         if family == "klein_ball":
             spray = head + ["P = xy / D"]
             f2 = head + dot("yy", "y", "y") + ["f2 = s2 * (yy * D + xy ** 2) / (D * D)"]
@@ -381,129 +413,16 @@ def _chart_paths(family: str, n: int):
     lines += function("spray_fast(x, y)", unpack + spray + ["return [" + ", ".join(G) + "]"])
     f2, spray, G = statements(floats=True)
     field = "return [" + ys + ", ".join(f"-2.0 * ({g})" for g in G) + "]"
-    lines += function("geodesic_field(z)", [f"{xs}{ys}= z"] + spray + [field])
+    phase = [f"{xs}{ys}= z"] + ([f"y = z[{n}:]"] if config is not None else [])
+    lines += function("geodesic_field(z)", phase + spray + [field])
     check, sqrt_f2 = root("f2", True)
     lines += function("float_F(x, y)", unpack + f2 + check + [f"return {sqrt_f2}"])
     lines.append("return f2, spray_fast, geodesic_field, float_F")
     namespace = {"sqrt": math.sqrt, "jet_sqrt": jet_sqrt, "jet_abs": jet_abs, "_require_chart": _require_chart}
-    namespace.update(EvaluationDomainError=EvaluationDomainError, _OFF_CHART=_OFF_CHART)
+    namespace.update(EvaluationDomainError=EvaluationDomainError, _OFF_CHART=_OFF_CHART, _dot=_dot, inf=math.inf)
+    namespace["metrics"] = sys.modules[__name__]
     exec("def make(s2, k):\n" + "\n".join("    " + line for line in lines), namespace)
     return namespace["make"]
-
-
-def _chart_structure(config: MetricConfig) -> FinslerStructure:
-    """The Klein ball, the Funk ball or the interval Funk metric, all four evaluators generated."""
-    make = _chart_paths(config.family, config.dimension)
-    f2, spray_fast, geodesic_field, float_F = make(config.scale * config.scale, config.k)
-    return FinslerStructure(
-        dimension=config.dimension,
-        family=config.family,
-        reversible=config.family == "klein_ball",
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=True,
-    )
-
-
-def _composed_float_path(n: int, f2, spray_fast):
-    """(geodesic_field, float_F) from a scalar-like F^2 and spray, called on floats.
-
-    The Riemannian and Randers families use it: their polynomial tables and
-    matrix inverse have no generated float flavour.
-    """
-
-    def geodesic_field(z):
-        v = z[n:]
-        return v + [-2.0 * gi for gi in spray_fast(z[:n], v)]
-
-    def float_F(x, y):
-        return jet_sqrt(f2(x, y))
-
-    return geodesic_field, float_F
-
-
-def _riemannian_structure(config: MetricConfig) -> FinslerStructure:
-    n = config.dimension
-    gpoly = config.riemannian_metric
-    s2 = config.scale * config.scale
-    _check_symmetric_tables(gpoly, n, "riemannian.metric")
-    christoffel = _levi_civita_spray(gpoly, n)
-
-    def f2(x, y):
-        return s2 * _quadratic_form(_eval_table(gpoly, x), y)
-
-    def spray_fast(x, y):
-        return christoffel(x, y)[0]
-
-    geodesic_field, float_F = _composed_float_path(n, f2, spray_fast)
-    structure = FinslerStructure(
-        dimension=n,
-        family="riemannian",
-        reversible=True,
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=False,
-    )
-    _check_riemannian_positive(structure)
-    return structure
-
-
-def _randers_structure(config: MetricConfig) -> FinslerStructure:
-    n = config.dimension
-    apoly = config.randers_metric
-    bpoly = config.randers_form
-    scale = config.scale
-    _check_symmetric_tables(apoly, n, "randers.metric")
-    christoffel = _levi_civita_spray(apoly, n)
-    db = [[bpoly[i].partial(j) for j in range(n)] for i in range(n)]  # db[i][j] = d_j b_i
-
-    def f2(x, y):
-        alpha = jet_sqrt(_quadratic_form(_eval_table(apoly, x), y))
-        beta = 0.0
-        for i in range(n):
-            beta = beta + bpoly[i](x) * y[i]
-        F = alpha + beta
-        return (scale * scale) * F * F
-
-    def spray_fast(x, y):
-        # G^i = G^i_a + (e_00 / (2F) - s_0) y^i + alpha s^i_0 (Chern & Shen,
-        # Riemann-Finsler Geometry, 2005).  The Christoffel terms of b_{i|j}
-        # cancel in s_ij and give r_00 = (d_j b_i) y^i y^j - 2 b_k G^k_a; then
-        # e_00 = r_00 + 2 beta s_0 and s_0 = b_k s^k_0.  scale drops out.
-        Ga, a, ainv = christoffel(x, y)
-        b = [p(x) for p in bpoly]
-        J = _eval_table(db, x)
-        Jy = [_dot(row, y) for row in J]
-        s_lo = [0.5 * (Jy[i] - _dot([row[i] for row in J], y)) for i in range(n)]
-        s_up = [_dot(row, s_lo) for row in ainv]
-        alpha = jet_sqrt(_quadratic_form(a, y))
-        beta = _dot(b, y)
-        s_0 = _dot(b, s_up)
-        e_00 = _dot(Jy, y) - 2.0 * _dot(b, Ga) + 2.0 * beta * s_0
-        P = e_00 / (2.0 * (alpha + beta)) - s_0
-        return [Ga[i] + P * y[i] + alpha * s_up[i] for i in range(n)]
-
-    reversible = all(not p.terms for p in bpoly)
-    geodesic_field, float_F = _composed_float_path(n, f2, spray_fast)
-    structure = FinslerStructure(
-        dimension=n,
-        family="randers",
-        reversible=reversible,
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=False,
-    )
-    _check_randers_convexity(structure)
-    return structure
 
 
 def _check_symmetric_tables(mat, n, where):
@@ -542,20 +461,38 @@ def _check_randers_convexity(S: FinslerStructure):
             )
 
 
-_FACTORIES = {
-    "klein_ball": _chart_structure,
-    "funk_ball": _chart_structure,
-    "interval_funk": _chart_structure,
-    "riemannian": _riemannian_structure,
-    "randers": _randers_structure,
-}
-
-
 def make_metric(config: MetricConfig | dict) -> FinslerStructure:
-    """Build the structure for a validated config (dicts are parsed first)."""
+    """Build the structure for a validated config (dicts are parsed first), running its family's checks."""
     if isinstance(config, dict):
         config = MetricConfig.from_dict(config)
-    return _FACTORIES[config.family](config)
+    family, n = config.family, config.dimension
+    table = config.riemannian_metric or config.randers_metric
+    if table is None:
+        make = _chart_paths(family, n)
+    else:
+        _check_symmetric_tables(table, n, f"{family}.metric")
+        make = _compile(family, n, config)
+    f2, spray_fast, geodesic_field, float_F = make(config.scale * config.scale, config.k)
+    if family == "randers":
+        reversible = not any(p.terms for p in config.randers_form)
+    else:
+        reversible = family in ("klein_ball", "riemannian")
+    structure = FinslerStructure(
+        dimension=n,
+        family=family,
+        reversible=reversible,
+        config=config,
+        f2=f2,
+        spray_fast=spray_fast,
+        geodesic_field=geodesic_field,
+        float_F=float_F,
+        unique_geodesics=table is None,
+    )
+    if family == "riemannian":
+        _check_riemannian_positive(structure)
+    elif family == "randers":
+        _check_randers_convexity(structure)
+    return structure
 
 
 def invert_scalarlike_matrix(M):
@@ -705,11 +642,11 @@ class StructureValidation:
     dimension: int
     samples: int
     seed: int
-    homogeneity_residual: float
-    min_hessian_eigenvalue: float
+    homogeneity_residual: float | None  # None where no sample was measured, or not finite
+    min_hessian_eigenvalue: float | None
     positivity_ok: bool
-    euler_residual: float
-    g_homogeneity_residual: float
+    euler_residual: float | None
+    g_homogeneity_residual: float | None
     reversible_observed: bool
     reversible_declared: bool
     passed: bool
@@ -720,7 +657,12 @@ class StructureValidation:
 
 
 def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -> StructureValidation:
-    """Sampled check of positive 1-homogeneity, strong convexity and reversibility."""
+    """Sampled check of positive 1-homogeneity, strong convexity and reversibility.
+
+    A sample is measured when F(x, y) is positive and finite, F(x, lam y) is
+    finite for every lam and both Hessians are finite; any other sample is a
+    named failure, and no Hessian that is not finite reaches eigvalsh.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -730,6 +672,8 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
     worst_ghom = 0.0
     min_eig = np.inf
     positivity = True
+    hessians_finite = True
+    measured = 0
     rev_dev = 0.0
     failures: list[str] = []
     for _ in range(samples):
@@ -745,22 +689,31 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
             positivity = False
             failures.append(f"F not positive at x={x}, y={y}")
             continue
-        for lam in lambdas:
-            scaled = float(S.F(x, lam * y))
-            worst_hom = max(worst_hom, abs(scaled - lam * fval) / (lam * fval))
+        scaled = [float(S.F(x, lam * y)) for lam in (*lambdas, -1.0)]
+        if not np.isfinite(scaled).all():
+            positivity = False
+            failures.append(f"F(x, lam y) not finite at x={x}, y={y}")
+            continue
         g = _hessian_half_f2(S, x[:, None], y[:, None])[0]
+        g2 = _hessian_half_f2(S, x[:, None], 2.0 * y[:, None])[0]
+        if not (np.isfinite(g).all() and np.isfinite(g2).all()):
+            hessians_finite = False
+            failures.append(f"fundamental tensor not finite at x={x}, y={y}")
+            continue
+        measured += 1
+        for lam, value in zip(lambdas, scaled):
+            worst_hom = max(worst_hom, abs(value - lam * fval) / (lam * fval))
         eig = float(np.min(np.linalg.eigvalsh(g)))
         min_eig = min(min_eig, eig)
         # Euler: g_ij y^i y^j = F^2 for 1-homogeneous F
         euler = abs(float(y @ g @ y) - fval * fval) / (fval * fval)
         worst_euler = max(worst_euler, euler)
-        g2 = _hessian_half_f2(S, x[:, None], 2.0 * y[:, None])[0]
         worst_ghom = max(worst_ghom, float(np.max(np.abs(g2 - g))) / max(1.0, float(np.max(np.abs(g)))))
-        rev = abs(float(S.F(x, -y)) - fval) / fval
+        rev = abs(scaled[-1] - fval) / fval
         rev_dev = max(rev_dev, rev)
     reversible_observed = rev_dev <= 1e-9
-    convex_ok = np.isfinite(min_eig) and min_eig > 0.0
-    if not convex_ok:
+    convex_ok = measured > 0 and hessians_finite and min_eig > 0.0
+    if measured and min_eig <= 0.0:
         failures.append(f"fundamental tensor not positive definite: min eig {min_eig:.3e}")
     if worst_hom > 1e-10:
         failures.append(f"homogeneity residual {worst_hom:.3e} exceeds 1e-10")
@@ -769,16 +722,20 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
             f"reversibility mismatch: declared {S.reversible}, observed {reversible_observed}"
         )
     passed = positivity and convex_ok and worst_hom <= 1e-10 and reversible_observed == S.reversible
+
+    def measurement(value):
+        return float(value) if measured and np.isfinite(value) else None
+
     return StructureValidation(
         family=S.family,
         dimension=S.dimension,
         samples=samples,
         seed=seed,
-        homogeneity_residual=worst_hom,
-        min_hessian_eigenvalue=float(min_eig if np.isfinite(min_eig) else np.nan),
+        homogeneity_residual=measurement(worst_hom),
+        min_hessian_eigenvalue=measurement(min_eig),
         positivity_ok=positivity,
-        euler_residual=worst_euler,
-        g_homogeneity_residual=worst_ghom,
+        euler_residual=measurement(worst_euler),
+        g_homogeneity_residual=measurement(worst_ghom),
         reversible_observed=reversible_observed,
         reversible_declared=S.reversible,
         passed=passed,

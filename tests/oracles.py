@@ -15,7 +15,9 @@ exceptions are second routes through the library's own types:
 - path_length integrates F along a library Geodesic's dense output, or
   along a polyline or a cubic spline through samples;
 - chart_reference writes the Klein, Funk and interval F^2 and spray out
-  by hand over the library's _dot, _require_chart, jet_sqrt and jet_abs;
+  by hand over the library's _dot, _require_chart, jet_sqrt and jet_abs,
+  and polynomial_reference the Riemannian and Randers ones over those and
+  the library's Polynomial and invert_scalarlike_matrix;
 - uncapped_spray_jet_functions runs a family's spray on jets that carry
   every base derivative, and invert_by_division divides each pivot-row
   entry by its jet pivot, computing one reciprocal per entry;
@@ -35,7 +37,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicSpline
 
-from finslerlab import flag_curvature, fundamental_tensor, ricci_scalar, ricci_tensor
+from finslerlab import flag_curvature, fundamental_tensor, metrics, ricci_scalar, ricci_tensor
 from finslerlab.errors import EvaluationDomainError, FinslerError
 from finslerlab.geodesics import Geodesic, spray_from_f2_jets
 from finslerlab.jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
@@ -169,6 +171,109 @@ def chart_reference(family: str, k: float = 1.0, scale: float = 1.0):
 
     else:
         raise ValueError(f"{family} is not a chart family")
+    return f2, spray_fast
+
+
+# ----- the Riemannian and Randers F^2 and spray, written by hand -------------
+
+
+def _eval_table(table, x):
+    return [[p(x) for p in row] for row in table]
+
+
+def _quadratic_form(g, y):
+    """g_ij y^i y^j, row by row."""
+    total = 0.0
+    for i in range(len(y)):
+        row = 0.0
+        for j in range(len(y)):
+            row = row + g[i][j] * y[j]
+        total = total + y[i] * row
+    return total
+
+
+def _levi_civita_spray(gpoly, n):
+    """(x, y) -> (G^i, g, g^-1) for the Riemannian metric table gpoly.
+
+    G^i = (1/4) g^il (2 d_k g_lj - d_l g_jk) y^j y^k, with the x-partials of
+    the table taken once here.
+    """
+    dg = [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)]
+
+    def spray(x, y):
+        _require_chart(1.0 - _dot(x, x))
+        g = _eval_table(gpoly, x)
+        ginv = metrics.invert_scalarlike_matrix(g)
+        dgx = [_eval_table(dg[l], x) for l in range(n)]
+        inner = []
+        for l in range(n):
+            acc = 0.0
+            for j in range(n):
+                for kk in range(n):
+                    acc = acc + (2.0 * dgx[kk][l][j] - dgx[l][j][kk]) * y[j] * y[kk]
+            inner.append(acc)
+        out = []
+        for i in range(n):
+            acc = 0.0
+            for l in range(n):
+                acc = acc + ginv[i][l] * inner[l]
+            out.append(0.25 * acc)
+        return out, g, ginv
+
+    return spray
+
+
+def polynomial_reference(config):
+    """(f2, spray_fast) of a parsed Riemannian or Randers MetricConfig.
+
+    The closures the library generates from one source, written out over
+    Polynomial.__call__, _dot, _require_chart, jet_sqrt and the library's
+    invert_scalarlike_matrix: they take floats, (B,) rows, object arrays or
+    jets, and give the generated functions' bits.
+    """
+    n = config.dimension
+    if config.family == "riemannian":
+        gpoly = config.riemannian_metric
+        s2 = config.scale * config.scale
+        christoffel = _levi_civita_spray(gpoly, n)
+
+        def f2(x, y):
+            return s2 * _quadratic_form(_eval_table(gpoly, x), y)
+
+        def spray_fast(x, y):
+            return christoffel(x, y)[0]
+
+        return f2, spray_fast
+    if config.family != "randers":
+        raise ValueError(f"{config.family} has no polynomial tables")
+    apoly = config.randers_metric
+    bpoly = config.randers_form
+    scale = config.scale
+    christoffel = _levi_civita_spray(apoly, n)
+    db = [[bpoly[i].partial(j) for j in range(n)] for i in range(n)]  # db[i][j] = d_j b_i
+
+    def f2(x, y):
+        alpha = jet_sqrt(_quadratic_form(_eval_table(apoly, x), y))
+        beta = 0.0
+        for i in range(n):
+            beta = beta + bpoly[i](x) * y[i]
+        F = alpha + beta
+        return (scale * scale) * F * F
+
+    def spray_fast(x, y):
+        Ga, a, ainv = christoffel(x, y)
+        b = [p(x) for p in bpoly]
+        J = _eval_table(db, x)
+        Jy = [_dot(row, y) for row in J]
+        s_lo = [0.5 * (Jy[i] - _dot([row[i] for row in J], y)) for i in range(n)]
+        s_up = [_dot(row, s_lo) for row in ainv]
+        alpha = jet_sqrt(_quadratic_form(a, y))
+        beta = _dot(b, y)
+        s_0 = _dot(b, s_up)
+        e_00 = _dot(Jy, y) - 2.0 * _dot(b, Ga) + 2.0 * beta * s_0
+        P = e_00 / (2.0 * (alpha + beta)) - s_0
+        return [Ga[i] + P * y[i] + alpha * s_up[i] for i in range(n)]
+
     return f2, spray_fast
 
 

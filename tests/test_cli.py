@@ -18,12 +18,17 @@ from finslerlab.cli import main
 from finslerlab.errors import DomainExitError, IterationLimitError, PoleError, StiffnessError
 
 from conftest import (
+    cross_term_config,
     curved_riemannian_config,
+    curved_table_config,
     euclid_config,
     exact_randers_config,
     funk_config,
     indefinite_riemannian_config,
     klein_config,
+    nonclosed_randers_config,
+    overflowing_partial_config,
+    randers3_config,
 )
 
 LN3 = math.log(3.0)
@@ -69,6 +74,10 @@ def cfg(tmp_path_factory):
         "randers_bad": randers_bad_config(),
         "riemannian_bad": indefinite_riemannian_config(),
         "randers": exact_randers_config(),
+        "randers_nc": nonclosed_randers_config(),
+        "randers3": randers3_config(),
+        "cross": cross_term_config(),
+        "curved3": curved_table_config(3),
         "interval1": {"family": "interval_funk", "dimension": 1, "k": 1.0},
     }
     paths = {}
@@ -125,6 +134,25 @@ class TestValidateCommand:
         doc = json.loads(out)
         assert doc["passed"] is False
         assert any("convexity" in msg for msg in doc["failures"])
+
+    @pytest.mark.parametrize("family", ["klein_ball", "funk_ball"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scale", ["1e307", "1e200", "1e154", "1e-300"])
+    def test_extreme_scale_prints_strict_json_and_exits_2(self, cfg, capsys, family, n, scale):
+        # F, F(x, lam y) or the Hessian is not finite at every sample: each is
+        # a named failure, and no field measures anything
+        path = cfg["dir"] / "extreme_scale.json"
+        path.write_text(f'{{"family": "{family}", "dimension": {n}, "scale": {scale}}}')
+        code, out, _ = run(capsys, "metric", "validate", "--config", str(path), "--samples", "20")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        fields = ("homogeneity_residual", "min_hessian_eigenvalue", "euler_residual", "g_homogeneity_residual")
+        assert [doc[name] for name in fields] == [None] * 4
+        failed = {failure.split(" at ")[0] for failure in doc["failures"]}
+        assert failed - {"reversibility mismatch: declared False, observed True"} <= {
+            "F failed inside chart", "F not positive", "F(x, lam y) not finite"
+        }
 
     def test_indefinite_riemannian_table_exits_2(self, cfg, capsys):
         code, out, _ = run(capsys, "metric", "validate", "--config", cfg["riemannian_bad"])
@@ -700,6 +728,17 @@ class TestGeodesicLayerBytes:
         ("trace", "curved", "--x0", "0.1,0.2", "--y0", "1,0.3", "--length", "3"): (
             3, "7642e4be84dd86d84af4efbd59d4660f973eea97c301b4d7c7be81e65cc91003"
         ),
+        # the fan on a non-closed Randers form and on a 3-D curved table, and a
+        # backward trace on the Randers form, taken at commit 03ddc42
+        ("distance", "randers_nc", "--from", "-0.2,0.1", "--to", "0.3,0.25"): (
+            0, "1a2e86358037f22ee6aef6f6431c624e01d68a2840c8f18172ae82a87402269f"
+        ),
+        ("distance", "curved3", "--from", "0.1,-0.2,0.3", "--to", "-0.3,0.2,0.1"): (
+            0, "d79bb05d0d42be88d6c948b49405b89ce069cf9e052f557afafb0383f4d08a30"
+        ),
+        ("trace", "randers_nc", "--x0", "0.2,0.1", "--y0", "0.3,-1", "--length", "-0.8", "--step", "0.1"): (
+            0, "4c36083bbf2940797c741eed86afae3066007a9b4373c7db3d6cc88970502e98"
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(DIGESTS), ids=" ".join)
@@ -714,9 +753,10 @@ class TestGeodesicLayerBytes:
 class TestJetLayerBytes:
     """Byte pins of the commands that read F^2 and spray jets at single points.
 
-    Each key is a command (curvature report, projective compare or metric
-    validate), its config names joined by "/" and its options; the value is
-    the exit code and the SHA-256 of stdout, taken at commit 0d10b28.
+    Each key is a command (curvature report, projective compare, metric
+    validate or einstein check), its config names joined by "/" and its
+    options; the value is the exit code and the SHA-256 of stdout, taken at
+    commit 0d10b28 unless marked.
     curvature report reaches single-point jets through the scalar-curvature
     residual; klein2/funk2 at seed 7 has a sample whose spray inverse swaps
     pivot rows.
@@ -726,6 +766,7 @@ class TestJetLayerBytes:
         "curvature": (("curvature", "report"), ("--config",)),
         "compare": (("projective", "compare"), ("--config-a", "--config-b")),
         "validate": (("metric", "validate"), ("--config",)),
+        "einstein": (("einstein", "check"), ("--config",)),
     }
     DIGESTS = {
         ("curvature", "klein2", "--x", "0.1,-0.2", "--y", "0.6,0.8"): (
@@ -787,6 +828,17 @@ class TestJetLayerBytes:
         ),
         ("validate", "interval1"): (
             0, "2afbea2e83210ad8149902dfc6b3d8d9d87a6ce2570dd7bc5c4732b6db78eb42"
+        ),
+        # a cross-term table, a 3-D Randers form and a Randers form against the
+        # README metric, taken at commit 03ddc42
+        ("einstein", "cross"): (
+            0, "db12a2365dda3ba32010c267386b6d449c2073809169796a8c3bcbda2a14b577"
+        ),
+        ("curvature", "randers3", "--x", "0.1,-0.2,0.3", "--y", "1,0.5,-0.2", "--u", "0,1,0"): (
+            0, "14b527cb4bf4115840a3eaf03e900c1922b6d95b7011a5b732aa8a42962733c8"
+        ),
+        ("compare", "curved/randers_nc"): (
+            0, "aeeaccfa35dd11067d3812819cd711634d90e98565513157c3640133baffe550"
         ),
     }
 
@@ -877,6 +929,17 @@ class TestTheoremCommand:
         assert doc["summary"]["passed"] is True
         assert doc["summary"]["factor"] == pytest.approx(2.0, abs=1e-6)
         assert len(doc["pairs"]) == 2
+
+    def test_tiny_funk_k_passes_on_rounding(self, cfg, capsys):
+        # the lemma-2 margin scales as 1/k: -1.2e-4 here, with a discrepancy of
+        # 2e-16, is rounding against a bound of about 1e12
+        code, out, _ = run(
+            capsys, "theorem1", "verify", "--config", cfg["klein2"], "--pairs", "3", "--funk-k", "1e-12"
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["passed"] is True
+        assert -1e-3 < summary["min_lemma2_margin"] < 0.0
 
     def test_non_einstein_exits_4(self, cfg, capsys):
         code, _, err = run(
@@ -994,6 +1057,15 @@ class TestNumericalFailures:
         )
         assert code == 3 and out == ""
         assert json.loads(err)["message"] == "Funk distance = inf is not finite at gauge k = 1.2e-308"
+
+    def test_overflowing_partial_coefficient_exits_3(self, cfg, capsys):
+        # g11 = 1 + 1e308 x2^2 has the x2-partial 2e308 x2 = inf x2, which the
+        # generated source must bind: the field is not finite at the start
+        path = cfg["dir"] / "overflowing_partial.json"
+        path.write_text(json.dumps(overflowing_partial_config()))
+        code, out, err = run(capsys, "distance", "--config", str(path), "--from", "0.1,0.2", "--to", "0.3,-0.1")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "EvaluationDomainError", "message": "rhs not finite at the initial state"}
 
 
 class TestCompareCommand:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,21 +19,27 @@ from finslerlab import (
     spray_jet_functions,
     validate_structure,
 )
-from finslerlab import geodesics
+from finslerlab import geodesics, metrics
 from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import FAMILIES, SAMPLING_RADIUS, _fundamental_tensors, invert_scalarlike_matrix
 
 from conftest import (
     ball_point,
+    cross_term_config,
+    curved_riemannian_config,
+    curved_table_config,
     euclid_config,
     exact_randers_config,
     funk_config,
     indefinite_riemannian_config,
     klein_config,
     nonclosed_randers_config,
+    overflowing_partial_config,
+    randers3_config,
     unit_direction,
+    zero_form_randers_config,
 )
-from oracles import chart_reference, invert_by_division, klein_fundamental_tensor
+from oracles import chart_reference, invert_by_division, klein_fundamental_tensor, polynomial_reference
 
 
 def poly_const(n, value):
@@ -252,11 +261,13 @@ class TestChart:
                 assert ball.domain([v, 0.0]) is inside and ball.domain([0.0, v]) is inside
 
 
-# the Klein, Funk and interval float paths are generated from the source of
-# their f2 and spray_fast, so they are checked on 10^4 phase points (and the
-# generated f2 and spray_fast against chart_reference in TestChartReference);
-# the Riemannian and Randers float paths are spray_fast and f2 composed, and
-# 10^3 points keep their cost near a second
+# every family's float path is generated from the source of its f2 and
+# spray_fast (and the generated f2 and spray_fast are checked against
+# chart_reference in TestChartReference and against polynomial_reference in
+# TestPolynomialReference); the Klein, Funk and interval paths are checked on
+# 10^4 phase points, and the Riemannian and Randers ones, whose field inverts
+# g by the scalar-like Gauss-Jordan, on 10^3, which keeps their cost near a
+# second
 FLOAT_PATH_CASES = {
     "interval": {"family": "interval_funk", "dimension": 1, "k": 1.3, "scale": 0.7},
     **{f"klein{n}": klein_config(n) for n in (2, 3, 4)},
@@ -265,6 +276,9 @@ FLOAT_PATH_CASES = {
     **{f"euclid{n}": euclid_config(n) for n in (2, 3, 4)},
     "randers_exact": exact_randers_config(),
     "randers_nonclosed": nonclosed_randers_config(),
+    "cross_terms_scaled": cross_term_config(),
+    "curved4": curved_table_config(4),
+    "randers3": randers3_config(),
 }
 
 
@@ -429,6 +443,116 @@ class TestChartReference:
         assert outcomes == {True, False}
 
 
+def signed_zero_twin(sign):
+    """The README metric with a cross term g12 = g21 = (sign 0.0) x1."""
+    doc = curved_riemannian_config()
+    doc["riemannian"]["metric"][0][1] = doc["riemannian"]["metric"][1][0] = [[math.copysign(0.0, sign), 1, 0]]
+    return doc
+
+
+POLYNOMIAL_CASES = {
+    "readme": README_METRIC,
+    "cross_terms_scaled": cross_term_config(),
+    "curved3": curved_table_config(3),
+    "curved4": curved_table_config(4),
+    "randers_exact": exact_randers_config(),
+    "randers_nonclosed": nonclosed_randers_config(),
+    "randers_zero_form": zero_form_randers_config(),
+    "randers3": randers3_config(),
+    "overflowing_partial": overflowing_partial_config(),
+}
+
+
+def reference_outcomes(S, f2, spray_fast, form):
+    """Assert S's f2 and spray_fast give the reference's type and bits, or its refusal, on one input form.
+
+    The inputs are TestChartReference's columns, signed zeros, y = 0, NaN
+    and points off the chart, and a point at infinity.  Returns the set of
+    whether each call was refused.
+    """
+    n = S.dimension
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((n, 40))
+    X *= 0.999 * rng.uniform(size=40) ** (1.0 / n) / np.linalg.norm(X, axis=0)
+    Y = rng.standard_normal((n, 40)) * 10.0 ** rng.uniform(-3.0, 3.0, 40)
+    X[:, 0] = -0.0
+    zero_y, nan_x, nan_y, off_x = Y.copy(), X.copy(), Y.copy(), X.copy()
+    zero_y[:, 1] = 0.0
+    nan_x[0, 1] = nan_y[-1, 2] = math.nan
+    off_x[:, 1] = 1.5 / math.sqrt(n)
+    off_x[:, 2] = [1.0] + [0.0] * (n - 1)
+    off_x[:, 3] = [math.inf] + [0.0] * (n - 1)  # F^2 has no chart check: a zero term times inf is NaN
+    refused = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xs, ys in ((X, Y), (X, zero_y), (nan_x, Y), (X, nan_y), (off_x, Y)):
+            for x, y in chart_inputs(S, form, xs, ys):
+                for generated, reference in ((S.f2, f2), (S.spray_fast, spray_fast)):
+                    got = bits_or_error(generated, x, y)
+                    assert got == bits_or_error(reference, x, y)
+                    refused.add(got[0] == "EvaluationDomainError")
+    return refused
+
+
+def bits_or_error(fn, *args):
+    """bits_or_refusal, with any other exception as its type name and message.
+
+    The spray's matrix inverse takes floats or jets, so on (B,) float rows
+    both the generated spray and the reference raise TypeError.
+    """
+    try:
+        return bits_or_refusal(fn, *args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+FORMS = ["floats", "hessian_rows", "object_rows", "phase_jets_2", "phase_jets_4"]
+
+
+class TestPolynomialReference:
+    """The generated Riemannian and Randers f2 and spray_fast give polynomial_reference's bits."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("case", POLYNOMIAL_CASES)
+    def test_generated_matches_the_hand_written_reference(self, case, form):
+        S = make_metric(POLYNOMIAL_CASES[case])
+        assert reference_outcomes(S, *polynomial_reference(S.config), form) == {True, False}
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_a_negative_zero_coefficient_is_its_own_config(self, form):
+        # a cache keyed on coefficient values, where -0.0 == 0.0, would serve
+        # one twin the other's code; the jet products sum the sign away
+        # before it reaches an output, so the code objects are compared
+        plus, minus = (make_metric(signed_zero_twin(sign)) for sign in (1.0, -1.0))
+        for S in (plus, minus):
+            reference_outcomes(S, *polynomial_reference(S.config), form)
+        assert plus.f2.__code__ is not minus.f2.__code__
+
+    def test_sparse_tables_build_in_bounded_time_and_memory(self):
+        # n = 40 with a term in every entry: the source grows with the terms,
+        # and the n^3 contraction stays a loop.  The tables' own construction
+        # checks take about 1.8 s of this on 2 shared cores.  The peak is the
+        # child's VmHWM: ru_maxrss would carry this process's peak over exec.
+        script = (
+            "import time\n"
+            "from finslerlab import make_metric\n"
+            "n = 40\n"
+            "zero = [[0.0] + [0] * n]\n"
+            "diagonal = lambda i: [[1.0] + [0] * n, [0.1] + [2 if v == i else 0 for v in range(n)]]\n"
+            "metric = [[diagonal(i) if i == j else zero for j in range(n)] for i in range(n)]\n"
+            "start = time.perf_counter()\n"
+            "make_metric({'family': 'riemannian', 'dimension': n, 'riemannian': {'metric': metric}})\n"
+            "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]\n"
+            "print(time.perf_counter() - start, *peak)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(metrics.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=300
+        ).stdout
+        seconds, peak_kb = out.split()
+        assert float(seconds) < 4.0
+        assert int(peak_kb) < 150 * 1024
+
+
 class TestFundamentalTensor:
     def test_euclid_identity(self, euclid2):
         rng = np.random.default_rng(2)
@@ -527,6 +651,21 @@ class TestValidateStructure:
         doc = report.to_dict()
         assert doc["family"] == "klein_ball"
         assert isinstance(doc["failures"], list)
+
+    def test_a_hessian_that_is_not_finite_is_a_named_failure(self, klein2, monkeypatch):
+        # eigvalsh does not converge on some such matrices; none may reach it
+        def not_finite(S, x, y):
+            return np.full((x.shape[1], S.dimension, S.dimension), np.inf)
+
+        def refuse(g):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(metrics, "_hessian_half_f2", not_finite)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report = validate_structure(klein2, samples=5, seed=0)
+        assert not report.passed
+        assert [f.split(" at ")[0] for f in report.failures] == ["fundamental tensor not finite"] * 5
+        assert report.min_hessian_eigenvalue is None and report.homogeneity_residual is None
 
 
 class TestScalarLikeInverse:

@@ -470,6 +470,16 @@ class TestLemma2:
         out = lemma2_check(gauge, pmap, t0, t1, 1.0)
         assert out.ok and abs(out.margin) <= 1e-9
 
+    def test_the_slack_is_relative_to_the_bound(self, klein2):
+        # at k = 1e6 the margins are about 1e-22, far inside an absolute
+        # slack of 1e-6: a factor 1 % too large must still fail
+        gauge = FunkGauge(k=1e6)
+        res = finsler_distance(klein2, np.zeros(2), np.array([0.5, 0.0]))
+        pmap, (t0, t1) = canonical_projective_map(klein2, res.geodesic, 1.0)
+        factor = 2.0 / gauge.k
+        assert lemma2_check(gauge, pmap, t0, t1, factor).ok
+        assert not lemma2_check(gauge, pmap, t0, t1, 1.01 * factor).ok
+
     def test_ordered_endpoints_required(self, klein2):
         gauge = FunkGauge(k=1.0)
         geo = geodesic_ivp(klein2, np.zeros(2), np.array([1.0, 0.0]), 0.8)

@@ -16,10 +16,17 @@ from pathlib import Path
 import pytest
 
 import finslerlab
-from finslerlab import make_metric
+from finslerlab import geodesics, make_metric
 from finslerlab.jets import Jet
 
-from conftest import euclid_config, exact_randers_config, funk_config, klein_config
+from conftest import (
+    curved_riemannian_config,
+    euclid_config,
+    exact_randers_config,
+    funk_config,
+    klein_config,
+    nonclosed_randers_config,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "finslerbench" / "tracing.py"
 
@@ -85,3 +92,25 @@ def test_shots_are_counted_through_the_geodesics_binding():
 def test_structures_carry_the_wrapped_hooks(config):
     S = make_metric(config)
     assert callable(S.f2) and callable(S.spray_fast)
+
+
+@pytest.mark.parametrize(
+    "config", [curved_riemannian_config(), nonclosed_randers_config()], ids=lambda c: c["family"]
+)
+def test_generated_evaluators_call_the_inverse_through_the_metrics_module(monkeypatch, config):
+    # Tracer.install counts metrics.inverse_calls by replacing this module
+    # attribute, so the generated code must look it up there at call time
+    S = make_metric(config)
+    original = finslerlab.metrics.invert_scalarlike_matrix
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(finslerlab.metrics, "invert_scalarlike_matrix", counted)
+    x, y = [0.1, -0.2], [0.3, 0.7]
+    S.spray_fast(*geodesics.phase_jet_args(S, x, y, 2, base_degree=1))
+    assert len(calls) == 1
+    S.geodesic_field(x + y)
+    assert len(calls) == 2
