@@ -12,6 +12,7 @@ routes are required to agree.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -280,19 +281,33 @@ def _unit_against_F(S, p, v):
     return v / f
 
 
+@functools.cache
+def _chord_integrand(n: int):
+    """(F, a, d) -> the integrand t -> F([a_0 + t * d_0, ..., a_{n-1} + t * d_{n-1}], d).
+
+    Written out for dimension n from source on its first chord, so each node
+    builds its point without a loop; a and d are lists of n floats.
+    """
+    lines = ["".join(f"{v}{i}, " for i in range(n)) + f"= {v}" for v in "ad"]
+    lines.append("return lambda t: F([" + ", ".join(f"a{i} + t * d{i}" for i in range(n)) + "], d)")
+    namespace = {}
+    exec("def integrand(F, a, d):\n" + "\n".join("    " + line for line in lines), namespace)
+    return namespace["integrand"]
+
+
 def _chord_length(S, p, q) -> float:
     """Finsler length of the straight segment from p to q, by adaptive quadrature.
 
     QUADPACK's qagse to 1e-12, absolute and relative, over at most 200
-    intervals.  The shot's miss, not the quadrature's error estimate,
-    certifies this length as a start of the search, so the estimate is
-    taken as it comes near the chart boundary too.
+    intervals, of S.float_F at p + t (q - p), the integrand written out for
+    the dimension.  S.float_F is read on every chord, so a wrapper installed
+    on the structure before it sees every node.  The shot's miss, not the
+    quadrature's error estimate, certifies this length as a start of the
+    search, so the estimate is taken as it comes near the chart boundary too.
     """
     a = p.tolist()
-    d = (q - p).tolist()
-    length, _ = qagse(
-        lambda t: S.float_F([ai + t * di for ai, di in zip(a, d)], d), 0.0, 1.0, 1e-12, 1e-12, 200
-    )
+    integrand = _chord_integrand(len(a))(S.float_F, a, (q - p).tolist())
+    length, _ = qagse(integrand, 0.0, 1.0, 1e-12, 1e-12, 200)
     return float(length)
 
 

@@ -368,16 +368,22 @@ class Jet:
         decides for the whole batch, as it would column by column: if a column
         before it has coefficients that overflow the float range (exp above
         about 709.78, a power of a huge value) or divide by a power of a tiny
-        value that underflows to zero, the overflow error is raised, which is
-        a domain error too.
+        value that underflows to zero, that column's overflow or underflow
+        error is raised, which is a domain error too.
         """
         c0 = self.coef[0]
         values = np.ravel(c0).tolist()
         first = int(np.ravel(outside).argmax()) if outside is not None and outside.any() else None
+        inside = values if first is None else values[:first]
         try:
-            coeffs = rows(values if first is None else values[:first])
+            coeffs = rows(inside)
         except (OverflowError, ZeroDivisionError):
-            raise EvaluationDomainError(f"jet series coefficients overflow at value {c0}") from None
+            for v in inside:  # the batch failed: find the column that did
+                try:
+                    rows([v])
+                except (OverflowError, ZeroDivisionError) as exc:
+                    kind = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
+                    raise EvaluationDomainError(f"jet series coefficients {kind} at value {v!r}") from None
         if first is not None:
             raise EvaluationDomainError(message(values[first]))
         coeffs = np.array(coeffs).reshape((-1,) + c0.shape)

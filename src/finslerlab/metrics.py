@@ -647,7 +647,7 @@ class StructureValidation:
     positivity_ok: bool
     euler_residual: float | None
     g_homogeneity_residual: float | None
-    reversible_observed: bool
+    reversible_observed: bool | None  # None where no sample was measured
     reversible_declared: bool
     passed: bool
     failures: list = field(default_factory=list)
@@ -711,13 +711,13 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
         worst_ghom = max(worst_ghom, float(np.max(np.abs(g2 - g))) / max(1.0, float(np.max(np.abs(g)))))
         rev = abs(scaled[-1] - fval) / fval
         rev_dev = max(rev_dev, rev)
-    reversible_observed = rev_dev <= 1e-9
+    reversible_observed = rev_dev <= 1e-9 if measured else None
     convex_ok = measured > 0 and hessians_finite and min_eig > 0.0
     if measured and min_eig <= 0.0:
         failures.append(f"fundamental tensor not positive definite: min eig {min_eig:.3e}")
     if worst_hom > 1e-10:
         failures.append(f"homogeneity residual {worst_hom:.3e} exceeds 1e-10")
-    if reversible_observed != S.reversible:
+    if measured and reversible_observed != S.reversible:
         failures.append(
             f"reversibility mismatch: declared {S.reversible}, observed {reversible_observed}"
         )

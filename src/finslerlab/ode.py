@@ -9,22 +9,21 @@ side takes a list of floats and returns a sequence of floats, and the stage
 sums, the finiteness check and the error norm are plain float arithmetic.
 The trajectory's ndarrays are built once, when the integration ends.
 
-Each row of the tableau becomes one function per state length m,
-built from source on the first integration of that length, as namedtuple
-builds its classes: the state and every stage the row reads are unpacked
-into local names, and each of the m components is written out as
-y_i + h * (w_a * k_a_i + w_b * k_b_i + ...) over the row's nonzero weights,
-as float literals, added left to right from the first product.  That is
+The attempt is one function per state length m, built from source on
+the first integration of that length, as namedtuple builds its classes:
+the state and every stage component are local names, and each of the
+eleven stage states and the solution is written out as
+y_i + h * (w_a * k_a_i + w_b * k_b_i + ...) over its row's nonzero weights,
+as float literals, added left to right from the first product (the error
+estimates as the bare sums).  That is
 the arithmetic of the sum written out by hand on every Python version
-(sum() of floats compensates since 3.12).  Past 32 components a row is
-one loop over i with the same sum, since written-out rows for m = 6000
-took 6.4 s and about 250 MB to build.  The step runs eleven stage rows,
-the solution row and two error rows; the interpolant's three extra stages
-and four coefficient rows are built the same way, 21 rows in about 6 ms for
-m = 4.  One row for every length, a list comprehension over
-zip(y, k_a, k_b, ...), was measured against them and replaced: at m = 4
-the eleventh stage row took 2.9 us against 1.1 us, and the solution row
-1.8 us against 1.1 us (2 shared cores, Python 3.11).
+(sum() of floats compensates since 3.12).  Past 32 components each row is
+one comprehension over i with the same sum, since written-out rows for
+m = 6000 took 6.4 s and about 250 MB to build.  The interpolant's three
+extra stages and four coefficient rows come from the same emitter.  An
+attempt at m = 4 took 12-15 us against 17-18 us for one function per row
+called in a loop, each unpacking again every stage it read (2 shared
+cores, Python 3.11).
 
 The right-hand side owns its domain: a stage that raises
 EvaluationDomainError, or a result that is not finite, is one more reason
@@ -42,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +63,8 @@ _UNROLL_MAX = 32  # the longest state whose rows are written out component by co
 # row 12 is the eighth-order solution and rows 13..15 are the interpolant's
 # extra stages.  _E5 and _E3 weigh the fifth- and third-order error
 # estimates (_E3 is the solution's weights less the third-order ones, folded
-# to floats), and _D the interpolant's four highest coefficients.
+# to floats), and _D the interpolant's four highest coefficients.  The
+# right-hand side is autonomous, so the nodes c_s are not needed.
 _A = (
     {},
     {0: 0.05260015195876773},
@@ -123,60 +123,128 @@ _D = (
 )
 
 
-def _row(weights: dict, m: int):
-    """One tableau row for states of length m: (y, h, k) -> [y_i + h * sum_j weights_j k[j]_i].
+class _Emitter:
+    """Source text for the vectors of one state length m.
 
-    weights maps a stage to its nonzero weight; the weights enter as repr
-    literals, summed left to right in stage order.  Up to _UNROLL_MAX
-    components, the state and each stage the row reads are unpacked into
-    local names and each component is written out; a longer state gets one
-    loop over its components, so the source does not grow with m.
+    Up to _UNROLL_MAX components a vector v lives in the local names
+    v_0 .. v_{m-1}, and a vector expression is a list display with every
+    component written out; past it, v is a list and a vector expression is
+    one comprehension over i, so the source does not grow with m.
     """
-    terms = [(repr(w), j) for j, w in weights.items()]
-    if m <= _UNROLL_MAX:
-        lines = ["".join(f"y_{i}, " for i in range(m)) + "= y"]
-        lines += ["".join(f"k{j}_{i}, " for i in range(m)) + f"= k[{j}]" for _, j in terms]
-        sums = [" + ".join(f"{w} * k{j}_{i}" for w, j in terms) for i in range(m)]
-        lines.append("return [" + ", ".join(f"y_{i} + h * ({total})" for i, total in enumerate(sums)) + "]")
-    else:
-        lines = [f"k{j} = k[{j}]" for _, j in terms]
-        total = " + ".join(f"{w} * k{j}[i]" for w, j in terms)
-        lines.append(f"return [y[i] + h * ({total}) for i in range({m})]")
-    namespace = {}
-    exec("def row(y, h, k):\n" + "\n".join("    " + line for line in lines), namespace)
-    return namespace["row"]
 
+    def __init__(self, m: int):
+        self.m, self.unrolled = m, m <= _UNROLL_MAX
 
-class _Tableau(NamedTuple):
-    """DOP853's rows for one state length, each a function (y, h, k) -> list."""
+    def entry(self, name: str, i) -> str:
+        return f"{name}_{i}" if self.unrolled else f"{name}[{i}]"
 
-    stages: tuple
-    solution: Callable
-    error5: Callable
-    error3: Callable
-    extra_stages: tuple
-    dense: tuple
+    def vector(self, component) -> str:
+        if self.unrolled:
+            return "[" + ", ".join(component(i) for i in range(self.m)) + "]"
+        return f"[{component('i')} for i in range({self.m})]"
+
+    def bind(self, name: str, value: str) -> str:
+        """Copy the sequence value into the vector name."""
+        if self.unrolled:
+            return "".join(f"{name}_{i}, " for i in range(self.m)) + f"= {value}"
+        return f"{name} = list({value})"
+
+    def listed(self, name: str) -> str:
+        """The vector name as a fresh list."""
+        return self.vector(lambda i: self.entry(name, i)) if self.unrolled else name
+
+    def finite(self, names) -> str:
+        if self.unrolled:
+            return " and ".join(f"isfinite({v}_{i})" for v in names for i in range(self.m))
+        return " and ".join(f"all(map(isfinite, {v}))" for v in names)
+
+    def stage_sum(self, weights: dict, i) -> str:
+        """w_a * k_a_i + w_b * k_b_i + ... over the nonzero weights, repr literals in stage order."""
+        return " + ".join(f"{w!r} * {self.entry(f'k{j}', i)}" for j, w in weights.items())
+
+    def row(self, weights: dict, base: str = "y") -> str:
+        """The vector base + h * (stage sum), its components from 0.0 when base is None."""
+        return self.vector(
+            lambda i: f"{'0.0' if base is None else self.entry(base, i)} + h * ({self.stage_sum(weights, i)})"
+        )
+
+    def stages(self, first: int, last: int, refused) -> list:
+        """Each stage first..last bound from rhs at its row's state; refused(s) is the return of a refusal."""
+        lines = []
+        for s in range(first, last + 1):
+            lines += ["try:", f"    {self.bind(f'k{s}', f'rhs({self.row(_A[s])})')}",
+                      "except EvaluationDomainError:", f"    return {refused(s)}"]
+        return lines
+
+    def function(self, name: str, params: str, lines: list):
+        namespace = {"EvaluationDomainError": EvaluationDomainError, "isfinite": math.isfinite,
+                     "sqrt": math.sqrt}
+        exec(f"def {name}({params}):\n" + "\n".join("    " + line for line in lines), namespace)
+        return namespace[name]
 
 
 @functools.cache
-def _tableau(m: int) -> _Tableau:
-    """The rows for states of length m, built on first use of that length.
+def _attempt(m: int):
+    """DOP853's attempt for states of length m.
 
-    The right-hand side is autonomous, so the stage nodes c_s are not
-    needed.  Stages 1..11 of the step, its eighth-order solution and two
-    error estimates (no weight on the FSAL stage, number 12), then the
-    interpolant's extra stages 13..15 and four highest coefficients;
-    tests/oracles.py checks them against dense products over the full
-    tableau.
+    (rhs, y, f, h, tolerance) -> (calls, y_new, f_new, err, stages), built
+    from source on the first integration of that length, as namedtuple
+    builds its classes: the calls made, the eighth-order solution, its
+    derivative (the FSAL stage, reused as the next step's first), Hairer's
+    error norm in units of tolerance * (1 + max(|y_i|, |y_new_i|)) and the
+    twelve stages k0..k11, f itself first and then fresh lists.  Over tolerance (err > 1) the FSAL
+    stage is not evaluated and f_new is None; y_new, f_new, err and stages
+    are all None when a stage raised EvaluationDomainError (calls counts the
+    raising one) or y_new or f_new is not finite.  The right-hand side may
+    reuse the buffer it returns: each stage is copied as it comes.
+
+    The error estimates are bare stage sums: the row form 0.0 + 1.0 * s
+    differs from s only in the sign of a zero, which squaring drops, and
+    the squares, never -0.0, sum to the same bits from their first as from
+    0.0.
     """
-    return _Tableau(
-        stages=tuple(_row(_A[s], m) for s in range(1, 12)),
-        solution=_row(_A[12], m),
-        error5=_row(_E5, m),
-        error3=_row(_E3, m),
-        extra_stages=tuple(_row(_A[s], m) for s in range(13, 16)),
-        dense=tuple(_row(weights, m) for weights in _D),
-    )
+    e = _Emitter(m)
+    k = "[f, " + ", ".join(e.listed(f"k{s}") for s in range(1, 12)) + "]"
+    lines = [e.bind("y", "y"), e.bind("k0", "f")]
+    lines += e.stages(1, 11, lambda s: f"{s}, None, None, None, None")
+    lines += [f"y_new = {e.row(_A[12])}", e.bind("z", "y_new"),
+              f"if not ({e.finite(['z'])}):", "    return 11, None, None, None, None"]
+    if e.unrolled:
+        for i in range(m):
+            lines.append(f"sc_{i} = tolerance + tolerance * max(abs(y_{i}), abs(z_{i}))")
+        for name, weights in (("sq5", _E5), ("sq3", _E3)):
+            squares = [f"(({e.stage_sum(weights, i)}) / sc_{i}) ** 2" for i in range(m)]
+            lines.append(f"{name} = " + " + ".join(squares))
+    else:
+        lines += ["sq5 = sq3 = 0.0", f"for i in range({m}):",
+                  "    sc = tolerance + tolerance * max(abs(y[i]), abs(z[i]))",
+                  f"    sq5 += (({e.stage_sum(_E5, 'i')}) / sc) ** 2",
+                  f"    sq3 += (({e.stage_sum(_E3, 'i')}) / sc) ** 2"]
+    lines += [f"err = 0.0 if sq5 == 0.0 else abs(h) * sq5 / sqrt((sq5 + 0.01 * sq3) * {m})",
+              "if not err <= 1.0:", f"    return 11, y_new, None, err, {k}",
+              "try:", "    f_new = list(rhs(y_new))", "except EvaluationDomainError:",
+              "    return 12, None, None, None, None",
+              "if not all(map(isfinite, f_new)):", "    return 12, None, None, None, None",
+              f"return 12, y_new, f_new, err, {k}"]
+    return e.function("attempt", "rhs, y, f, h, tolerance", lines)
+
+
+@functools.cache
+def _dense(m: int):
+    """The interpolant's rows for states of length m, (rhs, y, h, k) -> (calls, rows).
+
+    k holds a step's thirteen stages k0..k12; the three extra stages 13..15
+    are evaluated from it, and rows are DOP853's four highest interpolant
+    coefficients, or None when an extra stage raised EvaluationDomainError
+    or any stage is not finite.  calls counts the extra stages' calls, a
+    raising one included.
+    """
+    e = _Emitter(m)
+    lines = [e.bind("y", "y")] + [e.bind(f"k{j}", f"k[{j}]") for j in range(13)]
+    lines += e.stages(13, 15, lambda s: f"{s - 12}, None")
+    lines += [f"if not ({e.finite([f'k{j}' for j in range(16)])}):", "    return 3, None"]
+    lines.append("return 3, [" + ", ".join(e.row(weights, None) for weights in _D) + "]")
+    return e.function("dense", "rhs, y, h, k", lines)
 
 
 MAX_STEPS = 200_000
@@ -248,20 +316,9 @@ class OdeTrajectory:
         y0, f0, f1 = self.states[i], self.derivs[i], self.derivs[i + 1]
         dy = self.states[i + 1] - y0
         rows = [dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0)]
-        stages = self.stages[i] + [f1.tolist()]
-        y = y0.tolist()
-        tableau = _tableau(len(y))
-        try:
-            for row in tableau.extra_stages:
-                self.rhs_calls += 1
-                stages.append(list(self.rhs(row(y, h, stages))))
-        except EvaluationDomainError:
-            return np.array(rows)
-        if not all(map(_all_finite, stages)):
-            return np.array(rows)
-        zero = [0.0] * len(y)
-        rows += [row(zero, h, stages) for row in tableau.dense]
-        return np.array(rows)
+        calls, dense = _dense(y0.size)(self.rhs, y0.tolist(), h, self.stages[i] + [f1.tolist()])
+        self.rhs_calls += calls
+        return np.array(rows if dense is None else rows + dense)
 
 
 def _rms(values) -> float:
@@ -270,49 +327,6 @@ def _rms(values) -> float:
 
 def _all_finite(values) -> bool:
     return all(map(math.isfinite, values))
-
-
-def _step(rhs, y, f, h, tolerance):
-    """One DOP853 attempt of size h from the state y, where f = rhs(y).
-
-    Returns (calls, y_new, f_new, err, stages): the right-hand-side calls
-    made, the eighth-order solution, its derivative (the FSAL stage, reused
-    as the next step's first), Hairer's error norm in units of
-    tolerance * (1 + max(|y_i|, |y_new_i|)) and the twelve stages k0..k11.
-    Over tolerance (err > 1) the FSAL stage is not evaluated and f_new is
-    None; y_new, f_new, err and stages are all None when a stage raised
-    EvaluationDomainError or y_new or f_new is not finite.  Every stage is
-    copied into a fresh list, so a right-hand side may reuse the buffer it
-    returns.
-    """
-    tableau = _tableau(len(y))
-    k = [f]  # f is no call of this attempt: len(k) counts the calls made, a raising one included
-    try:
-        for row in tableau.stages:
-            k.append(list(rhs(row(y, h, k))))
-    except EvaluationDomainError:
-        return len(k), None, None, None, None
-    y_new = tableau.solution(y, h, k)
-    if not _all_finite(y_new):
-        return 11, None, None, None, None
-    # the error estimates as plain sums: 0.0 + 1.0 * s differs from s only
-    # in the sign of a zero, which squaring drops
-    zero = [0.0] * len(y)
-    sq5 = sq3 = 0.0
-    for yi, zi, e5, e3 in zip(y, y_new, tableau.error5(zero, 1.0, k), tableau.error3(zero, 1.0, k)):
-        scale = tolerance + tolerance * max(abs(yi), abs(zi))
-        sq5 += (e5 / scale) ** 2
-        sq3 += (e3 / scale) ** 2
-    err = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
-    if not err <= 1.0:
-        return 11, y_new, None, err, k
-    try:
-        f_new = list(rhs(y_new))
-    except EvaluationDomainError:
-        return 12, None, None, None, None
-    if not _all_finite(f_new):
-        return 12, None, None, None, None
-    return 12, y_new, f_new, err, k
 
 
 def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
@@ -381,6 +395,7 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
         h = 0.01 * d0 / d1 if d1 > 1e-300 else (t1 - t0) / 100.0
         h = min(max(h, 1e-10), t1 - t0)
 
+    attempt = _attempt(len(y))
     t = t0
     left_domain = False  # a step was rejected by the domain signal since the last node
     step_rejected = False  # any rejection since the last node: the next step may not grow
@@ -399,7 +414,7 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
                     trajectory=trajectory(),
                 )
             raise StiffnessError(f"step size underflow at t = {t:.12g}")
-        calls, y_new, f_new, err, k = _step(rhs, y, f, h, tolerance)
+        calls, y_new, f_new, err, k = attempt(rhs, y, f, h, tolerance)
         rhs_calls += calls
         if y_new is None:
             rejected += 1

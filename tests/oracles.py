@@ -4,7 +4,8 @@ Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
 the interval gauge from direct quadrature, the Klein fundamental tensor from
 its closed form, the DOP853 step and interpolant from dense products over
-scipy's tableau, derivatives from central differences with Richardson
+scipy's tableau (and, bit for bit, row_step and row_dense: the same step and
+rows as a loop of row_fold sums over it), derivatives from central differences with Richardson
 extrapolation, Moebius fits from the nullspace of an incidence system.  The
 exceptions are second routes through the library's own types:
 - directional_derivatives and jet_log run the library's Jet arithmetic on
@@ -365,6 +366,59 @@ def row_fold(weights, y, stages, h: float) -> list[float]:
     return out
 
 
+def row_step(rhs, y, f, h: float, tolerance: float):
+    """One DOP853 attempt on Python floats, each tableau row a row_fold: (calls, y_new, f_new, err, stages).
+
+    The library's generated attempt written as a loop over the rows, with
+    the same returns: calls counts the right-hand-side calls, a raising one
+    included; over tolerance f_new is None; all but calls are None when a
+    stage raised EvaluationDomainError or y_new or f_new is not finite.
+    """
+    k = [f]
+    try:
+        for s in range(1, _DOP_STAGES):
+            k.append(list(rhs(row_fold(_DOP_A[s, :s], y, k, h))))
+    except EvaluationDomainError:
+        return len(k), None, None, None, None
+    y_new = row_fold(_DOP_B, y, k, h)
+    if not all(map(math.isfinite, y_new)):
+        return 11, None, None, None, None
+    zero = [0.0] * len(y)
+    sq5 = sq3 = 0.0
+    for yi, zi, e5, e3 in zip(y, y_new, row_fold(_DOP_E5, zero, k, 1.0), row_fold(_DOP_E3, zero, k, 1.0)):
+        scale = tolerance + tolerance * max(abs(yi), abs(zi))
+        sq5 += (e5 / scale) ** 2
+        sq3 += (e3 / scale) ** 2
+    err = 0.0 if sq5 == 0.0 else abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(y))
+    if not err <= 1.0:
+        return 11, y_new, None, err, k
+    try:
+        f_new = list(rhs(y_new))
+    except EvaluationDomainError:
+        return 12, None, None, None, None
+    if not all(map(math.isfinite, f_new)):
+        return 12, None, None, None, None
+    return 12, y_new, f_new, err, k
+
+
+def row_dense(rhs, y, h: float, k):
+    """The interpolant's extra stages and four highest coefficients by row_fold: (calls, rows).
+
+    k holds a step's thirteen stages; rows is None when an extra stage
+    raised EvaluationDomainError or a stage is not finite.
+    """
+    k = list(k)
+    try:
+        for s in range(_DOP_STAGES + 1, _DOP_EXTENDED):
+            k.append(list(rhs(row_fold(_DOP_A[s, :s], y, k, h))))
+    except EvaluationDomainError:
+        return len(k) - _DOP_STAGES - 1, None
+    if not all(math.isfinite(v) for stage in k for v in stage):
+        return 3, None
+    zero = [0.0] * len(y)
+    return 3, [row_fold(weights, zero, k, h) for weights in _DOP_D]
+
+
 def dop853_dense(rhs, y, K, y_new, h: float, x: float) -> np.ndarray:
     """DOP853's seventh-order interpolant at the fraction x of the step, 0 <= x <= 1.
 
@@ -542,11 +596,15 @@ def fancy_partial(jet: Jet, v: int) -> Jet:
 def per_column_series(jet: Jet, coefficients) -> Jet:
     """sum c[k] w^k (Horner over fancy_mul), with c = coefficients(value) called once per batch column."""
     c0 = jet.coef[0]
-    try:
-        coeffs = np.array([coefficients(c) for c in np.ravel(c0).tolist()]).T
-    except (OverflowError, ZeroDivisionError):
-        raise EvaluationDomainError(f"jet series coefficients overflow at value {c0}") from None
-    coeffs = coeffs.reshape((-1,) + c0.shape)
+    columns = []
+    for c in np.ravel(c0).tolist():
+        try:
+            columns.append(coefficients(c))
+        except OverflowError:
+            raise EvaluationDomainError(f"jet series coefficients overflow at value {c!r}") from None
+        except ZeroDivisionError:
+            raise EvaluationDomainError(f"jet series coefficients underflow at value {c!r}") from None
+    coeffs = np.array(columns).T.reshape((-1,) + c0.shape)
     w_coef = jet.coef.copy()
     w_coef[0] = 0.0
     w = Jet(jet.space, w_coef)

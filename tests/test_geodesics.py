@@ -488,6 +488,30 @@ class TestDistance:
             want = path_length(S, np.stack([p, q]), interpolation="linear")
             assert geodesics._chord_length(S, p, q).hex() == want.hex()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_chord_integrand_matches_the_zip_form_bit_for_bit(self, n):
+        # the written-out integrand builds each node's point as the list
+        # comprehension over zip(a, d) does, signed zeros included, and hands
+        # F the direction list itself
+        rng = np.random.default_rng(n)
+        seen = []
+
+        def F(x, d):
+            seen.append((x, d))
+            return 0.5
+
+        for _ in range(10):
+            a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+            d = rng.uniform(-1.0, 1.0, n)
+            a[::3], d[1::3] = -0.0, rng.choice([0.0, -0.0])
+            a, d = a.tolist(), d.tolist()
+            integrand = geodesics._chord_integrand(n)(F, a, d)
+            for t in (0.0, -0.0, 1.0, 0.5, 1e-300, *rng.uniform(0.0, 1.0, 5).tolist()):
+                assert integrand(t) == 0.5
+                x, given = seen.pop()
+                assert given is d and type(x) is list
+                assert [v.hex() for v in x] == [(ai + t * di).hex() for ai, di in zip(a, d)]
+
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
         # Wrappers installed on the module's integrate_ivp and on the
         # structure's geodesic_field, as a tracer installs them, must see

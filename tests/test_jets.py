@@ -292,10 +292,11 @@ def test_overflowing_series_is_outside_the_domain():
     with pytest.raises(EvaluationDomainError, match="800.0"):
         jet_exp(800.0)
     x = jet_space(1, 2).variable(0, np.array([1.0, 1e200]))
-    with pytest.raises(EvaluationDomainError, match="1.e\\+200"):
-        x.exp()
-    with pytest.raises(EvaluationDomainError, match="1.e\\+200"):
-        1.0 / x
+    # the batch names the failing column's value alone, as a float
+    for op in (x.exp, lambda: 1.0 / x):
+        with pytest.raises(EvaluationDomainError) as err:
+            op()
+        assert str(err.value) == "jet series coefficients overflow at value 1e+200"
     # the largest argument that does not overflow keeps its value
     assert jet_space(2, 1).constant(709.0).exp().value == math.exp(709.0)
     assert jet_exp(709.0) == math.exp(709.0)
@@ -561,17 +562,18 @@ def test_kernel_keeps_the_fancy_index_bits(nvars, order):
 
 @pytest.mark.parametrize("value", [1e-110, 1e-160, 1e-200])
 def test_series_of_a_tiny_value_is_outside_the_domain(value):
-    """A coefficient that divides by a power of the value underflowing to zero raises the overflow error."""
+    """A coefficient that divides by a power of the value underflowing to zero raises the underflow error."""
     x = jet_space(1, 3).variable(0, value)
-    message = f"jet series coefficients overflow at value {value!r}"
+    message = f"jet series coefficients underflow at value {value!r}"
     for op in (lambda: x._reciprocal(), lambda: x.sqrt(), lambda: x.log(), lambda: 1.0 / x):
         with pytest.raises(EvaluationDomainError) as err:
             op()
         assert str(err.value) == message
     # batched, the first failing column decides: an underflow before a negative value
     col = jet_space(1, 3).variable(0, np.array([1.0, value, -1.0]))
-    with pytest.raises(EvaluationDomainError, match="overflow at value"):
+    with pytest.raises(EvaluationDomainError) as err:
         col.sqrt()
+    assert str(err.value) == message
     col = jet_space(1, 3).variable(0, np.array([1.0, -1.0, value]))
     with pytest.raises(EvaluationDomainError, match="jet sqrt needs positive value, got -1.0"):
         col.sqrt()

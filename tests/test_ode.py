@@ -12,7 +12,7 @@ from finslerlab import (
 )
 from finslerlab import geodesics, ode
 
-from oracles import dop853_dense, dop853_step, row_fold
+from oracles import dop853_dense, dop853_step, row_dense, row_step
 
 
 class TestIntegrateIvp:
@@ -250,7 +250,7 @@ class TestFloatStep:
             h = 10.0 ** rng.uniform(-3.0, -0.3)
             tol = 10.0 ** rng.uniform(-12.0, -6.0)
             f = coupled(y.tolist())
-            calls, y_new, f_new, err, stages = ode._step(coupled, y.tolist(), f, h, tol)
+            calls, y_new, f_new, err, stages = ode._attempt(n)(coupled, y.tolist(), f, h, tol)
             K, ref_y, ref_err, err_scale = dop853_step(
                 lambda z: np.array(coupled(z.tolist())), y, np.array(f), h, tol
             )
@@ -282,67 +282,144 @@ def harmonic(y):
     return [y[1], -y[0]]
 
 
+def hexed(value):
+    """Every float in a nest of lists and tuples as float.hex, the rest as it is."""
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def zero_columns(zeros):
+    """coupled on the leading columns; the last `zeros` columns give signed zeros that follow the state's."""
+
+    def rhs(z):
+        m = len(z) - zeros
+        return coupled(z[:m]) + [(-0.0 if i % 2 else 0.0) * v for i, v in enumerate(z[m:])]
+
+    return rhs
+
+
+def refusing(rhs, call, value=None):
+    """rhs whose call-th call (from 1) raises EvaluationDomainError, or that returns
+    [value] * m from its call-th call on when value is given.  Call 0 is never made.
+    """
+    count = [0]
+
+    def wrapped(z):
+        count[0] += 1
+        if value is not None and count[0] >= call:
+            return [value] * len(z)
+        if count[0] == call:
+            raise EvaluationDomainError("refused")
+        return rhs(z)
+
+    return wrapped
+
+
+STATE_LENGTHS = (1, 2, 4, 5, 6, 16, ode._UNROLL_MAX + 8)
+
+
 class TestTableau:
-    """The tableau rows built from the literal DOP853 table, one set per state length,
-    checked against scipy's coefficients."""
+    """The generated attempt and interpolant rows, one pair per state length, against
+    the row-by-row reference of tests/oracles.py, and the literal DOP853 table against
+    scipy's coefficients."""
 
     C = dop853_coefficients.C
     EXTENDED = dop853_coefficients.N_STAGES_EXTENDED
 
-    def rows(self, m):
-        """(row, its weights in scipy's tableau) for every row built for state length m."""
-        dop = dop853_coefficients
-        t = ode._tableau(m)
-        stages = [dop.A[s, :s] for s in (*range(1, 12), *range(13, self.EXTENDED))]
-        built = t.stages + t.extra_stages + (t.solution, t.error5, t.error3) + t.dense
-        return list(zip(built, stages + [dop.B, dop.E5, dop.E3, *dop.D], strict=True))
-
     def weights(self, row):
-        # stage j is the unit vector e_j, so entry j of the row is its weight
-        m = self.EXTENDED
-        return np.array(row([0.0] * m, 1.0, np.eye(m).tolist()))
+        """A literal row {stage: weight} as a dense vector over the extended tableau."""
+        w = np.zeros(self.EXTENDED)
+        for j, v in row.items():
+            w[j] = v
+        return w
 
     def test_order_conditions(self):
         # row sums equal the nodes c_s, for the extra stages too; the
         # solution weights integrate c^k exactly for k <= 7; the error
         # estimates vanish on constants
-        t = ode._tableau(self.EXTENDED)
-        rows = t.stages + (None,) + t.extra_stages
-        for s, row in enumerate(rows, start=1):
-            if row is not None:
-                w = self.weights(row)
-                assert not w[s:].any()
-                assert math.fsum(w) == pytest.approx(self.C[s], abs=1e-14)
-        b = self.weights(t.solution)
+        for s in (*range(1, 12), *range(13, self.EXTENDED)):
+            w = self.weights(ode._A[s])
+            assert not w[s:].any()
+            assert math.fsum(w) == pytest.approx(self.C[s], abs=1e-14)
+        b = self.weights(ode._A[12])
         c = self.C[:12]
         assert not b[12:].any()
         b = b[:12]
         assert math.fsum(b) == pytest.approx(1.0, abs=1e-14)
         for k in range(1, 8):
             assert math.fsum(b * c**k) == pytest.approx(1.0 / (k + 1), abs=1e-14)
-        for row in (t.error5, t.error3):
+        for row in (ode._E5, ode._E3):
             w = self.weights(row)
             assert abs(math.fsum(w)) <= 1e-14
             assert not w[12:].any()  # no weight on the FSAL stage
 
-    def test_rows_match_the_left_to_right_fold(self):
-        # bit for bit at every state length, signed zeros included: the last
-        # m // 2 columns hold y = -0.0 and stages of +-0.0, whose sums keep
-        # or lose the sign of the zero
-        rng = np.random.default_rng(18)
-        for m in (1, 2, 4, 5, 6, 16, ode._UNROLL_MAX + 8):
-            rows, zeros = self.rows(m), m // 2
-            for _ in range(20):
-                y = rng.uniform(-2.0, 2.0, m)
-                k = rng.normal(size=(self.EXTENDED, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (self.EXTENDED, 1))
-                y[m - zeros:] = -0.0
-                k[:, m - zeros:] = rng.choice([0.0, -0.0], size=(self.EXTENDED, zeros))
-                h = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 0.0))
-                y, k = y.tolist(), k.tolist()
-                for row, weights in rows:
-                    got = row(y, h, k)
-                    want = row_fold(weights, y, k, h)
-                    assert [v.hex() for v in got] == [v.hex() for v in want]
+    def cases(self, m, seed):
+        """(rhs, y, f, h, tolerance): the last m // 2 columns hold y = -0.0 and
+        signed-zero stages, whose sums keep or lose the sign of the zero; the
+        steps range from tiny to far over tolerance, of either sign."""
+        rng = np.random.default_rng(seed)
+        zeros = m // 2
+        rhs = zero_columns(zeros)
+        for _ in range(20):
+            y = rng.uniform(-2.0, 2.0, m)
+            y[m - zeros:] = -0.0
+            y = y.tolist()
+            h = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 0.5))
+            yield rhs, y, list(rhs(y)), h, 10.0 ** rng.uniform(-12.0, -4.0)
+
+    @pytest.mark.parametrize("m", STATE_LENGTHS)
+    def test_attempt_matches_the_row_fold_step(self, m):
+        # bit for bit in every returned field, at every state length
+        outcomes = set()
+        for rhs, y, f, h, tol in self.cases(m, 18 + m):
+            got = ode._attempt(m)(rhs, y, f, h, tol)
+            want = row_step(rhs, y, f, h, tol)
+            assert hexed(got) == hexed(want)
+            assert type(got[1]) is list and all(type(k) is list for k in got[4] or [])
+            outcomes.add(got[2] is None)
+        assert outcomes == {True, False}  # accepted and over-tolerance attempts both met
+
+    @pytest.mark.parametrize("m", STATE_LENGTHS)
+    def test_every_early_exit_matches_the_row_fold_step(self, m):
+        # a stage refused at each of the eleven calls, then a refused or
+        # non-finite FSAL stage, a non-finite solution and an attempt over
+        # tolerance: the same call count and the same Nones
+        rhs, y, f, h, tol = next(self.cases(m, 5))
+        h, tol = 1e-3, 1e-4  # accepted when nothing is refused
+        assert ode._attempt(m)(rhs, y, f, h, tol)[0] == 12
+        variants = [((call, None), 1e-3, call) for call in range(1, 13)]
+        variants += [((12, math.nan), 1e-3, 12), ((12, -math.inf), 1e-3, 12), ((4, math.inf), 1e-3, 11)]
+        variants += [((0, None), 3.0, 11)]
+        for refusal, step, calls in variants:
+            got = ode._attempt(m)(refusing(rhs, *refusal), y, f, step, tol)
+            want = row_step(refusing(rhs, *refusal), y, f, step, tol)
+            assert got[0] == calls and hexed(got) == hexed(want)
+            if step == 3.0:
+                assert got[1] is not None and got[2] is None and got[3] > 1.0
+            else:
+                assert got[1:] == (None,) * 4
+
+    @pytest.mark.parametrize("m", STATE_LENGTHS)
+    def test_dense_rows_match_the_row_fold(self, m):
+        # the interpolant's extra stages and rows of accepted attempts, bit
+        # for bit; a refused extra stage at each of its three calls, or a
+        # stage that is not finite, leaves no rows
+        checked = 0
+        for rhs, y, f, h, tol in self.cases(m, 40 + m):
+            _, y_new, f_new, _, k = ode._attempt(m)(rhs, y, f, h, tol)
+            if f_new is None:
+                continue
+            k = k + [f_new]
+            calls, rows = ode._dense(m)(rhs, y, h, k)
+            assert hexed((calls, rows)) == hexed(row_dense(rhs, y, h, k)) and calls == 3
+            for call in (1, 2, 3):
+                assert ode._dense(m)(refusing(rhs, call), y, h, k) == (call, None)
+            assert ode._dense(m)(refusing(rhs, 2, math.nan), y, h, k) == (3, None)
+            # no extra stage reads stage 2, and it still refuses the rows
+            assert ode._dense(m)(rhs, y, h, k[:2] + [[math.inf] * m] + k[3:]) == (3, None)
+            checked += 1
+        assert checked >= 5
 
     def test_literal_table_is_scipys_entry_by_entry(self):
         # every row the library writes out holds exactly scipy's nonzero
@@ -364,7 +441,7 @@ class TestTableau:
         # divides it by about 2^9 = 512 (measured 527, 473, 505)
         errors = []
         for h in (1.6, 0.8, 0.4, 0.2):
-            _, y_new, _, _, _ = ode._step(harmonic, [0.0, 1.0], [1.0, 0.0], h, 1e-6)
+            _, y_new, _, _, _ = ode._attempt(2)(harmonic, [0.0, 1.0], [1.0, 0.0], h, 1e-6)
             errors.append(max(abs(y_new[0] - math.sin(h)), abs(y_new[1] - math.cos(h))))
         for coarse, fine in zip(errors, errors[1:]):
             assert 0.8 * 512 <= coarse / fine <= 1.25 * 512

@@ -11,6 +11,8 @@ module globals.
 
 import importlib.util
 import inspect
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,48 @@ def test_generated_evaluators_call_the_inverse_through_the_metrics_module(monkey
     assert len(calls) == 1
     S.geodesic_field(x + y)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "config", [klein_config(2), funk_config(2), klein_config(3)], ids=["klein2", "funk2", "klein3"]
+)
+def test_structure_wrappers_see_every_field_and_chord_call(monkeypatch, config):
+    # Wrappers installed on the structure's geodesic_field and float_F before
+    # a distance, as the tracer installs them, see every right-hand-side call
+    # the diagnostics report, and the 21 nodes of every qk21 panel the chord
+    # quadrature integrates
+    S = make_metric(config)
+    calls = {"geodesic_field": 0, "float_F": 0, "panels": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("geodesic_field", "float_F"):
+        monkeypatch.setattr(S, name, counting(name, getattr(S, name)))
+    monkeypatch.setattr(finslerlab.scalar, "_qk21", counting("panels", finslerlab.scalar._qk21))
+    n = S.dimension
+    res = geodesics.finsler_distance(S, [0.1 * (i + 1) for i in range(n)], [-0.3] + [0.2] * (n - 1))
+    assert res.diagnostics["rhs_calls"] == calls["geodesic_field"] > 0
+    assert calls["float_F"] == 21 * calls["panels"] > 0
+
+
+def test_a_long_state_builds_its_step_at_once():
+    # past _UNROLL_MAX the generated step is one loop per stage, so its
+    # source does not grow with the state: rows written out for m = 6000
+    # took 6.4 s and about 250 MB to build
+    m = 6000
+    ode = finslerlab.ode
+    ode._attempt.cache_clear()
+    start = time.perf_counter()
+    ode._attempt(m)
+    assert time.perf_counter() - start < 1.0
+    rates = [-1.0 - i / m for i in range(m)]
+    traj = ode.integrate_ivp(
+        lambda y: [r * v for r, v in zip(rates, y)], [1.0] * m, (0.0, 0.1), tolerance=1e-8
+    )
+    want = [math.exp(0.1 * r) for r in rates]
+    assert max(abs(a - b) for a, b in zip(traj.states[-1].tolist(), want)) < 1e-8
