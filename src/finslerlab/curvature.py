@@ -12,14 +12,19 @@ The formula takes at most one base (x) derivative of G, so the spray jets
 carry no more: the phase jets cap the base seeds at total degree 1 (2 on the
 F^2 jets of via="f2"), which leaves every value read bit for bit as on the
 uncapped jets.  R^i_k values come from order-2 spray jets batched over many
-phase points.
+phase points; the formula reads one gather of their coefficients and runs as
+array code over (n, n, B).
 einstein_classify draws all of its samples first and then evaluates each
 quantity once for all of them: one R^i_k batch for the Ricci scalars and the
 flags, one Ricci-tensor batch, one fundamental-tensor batch, and F^2 in one
-float evaluation.  The Ricci tensor is the fibre Hessian of R^k_k / 2, which
-costs two more derivative orders on top of the spray and keeps the formula on
-jets; there only the diagonal entries R^i_i are built.  An F^2 or g_ij that
-is not finite, as a huge scale makes it, raises EvaluationDomainError.
+float evaluation; the spreads, the fit Ric_ij = lambda g_ij and the flag
+curvatures are whole-batch array expressions.  The Ricci tensor is the fibre
+Hessian of R^k_k / 2, which costs two more derivative orders on top of the
+spray and keeps the formula on jets; there only the diagonal entries R^i_i
+are built, side by side on the batch axis.  Every value keeps the bits of
+the per-entry formula, which tests/oracles.py keeps as the reference.  An
+F^2 or g_ij that is not finite, as a huge scale makes it, raises
+EvaluationDomainError.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ import numpy as np
 from .errors import DegenerateFlagError, EvaluationDomainError
 from .geodesics import spray_jet_functions
 from .metrics import (
-    SAMPLING_RADIUS, FinslerStructure, FundamentalTensor, _fundamental_tensors, fundamental_tensor,
+    SAMPLING_RADIUS, FinslerStructure, _fundamental_tensors, fundamental_tensor,
 )
-from .jets import jet_space
+from .jets import Jet, jet_space
 
 EINSTEIN_TOLERANCE = 1e-6  # largest y-spread of Ric(x, y) that counts as Einstein
 MATRIX_TOLERANCE = 1e-4  # relative residual and spreads of the fit Ric_ij = lambda g_ij
@@ -46,51 +51,80 @@ def _require_flagpole(y):
         raise EvaluationDomainError("curvature undefined at y = 0")
 
 
-def _riemann_formula(G, y, at, diagonal: bool = False):
-    """R^i_k from the spray jets G^i and the fibre coordinates y.
-
-    at(jet) is what the formula reads of a spray derivative: the jet itself,
-    or its value; y holds jets or values to match.  diagonal=True builds
-    only the entries R^i_i, each by the same arithmetic, and leaves None
-    off the diagonal.
-    """
-    n = len(G)
-    Gy = [[G[i].partial(n + j) for j in range(n)] for i in range(n)]
-    R = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in (i,) if diagonal else range(n):
-            term = 2.0 * at(G[i].partial(k))
-            for j in range(n):
-                term = term - y[j] * at(Gy[i][k].partial(j))
-                term = term + 2.0 * (at(G[j]) * at(Gy[i][k].partial(n + j)))
-                term = term - at(Gy[i][j]) * at(Gy[j][k])
-            R[i][k] = term
-    return R
-
-
 def _riemann_values(S: FinslerStructure, x, y, via: str = "fast") -> np.ndarray:
     """R^i_k at B phase points, x and y of shape (n, B); returns shape (B, n, n).
 
     One batched evaluation of the order-2 spray jets supplies every value the
-    formula reads; the formula itself runs on (B,) float arrays.
+    formula reads, and one gather takes them from the stacked coefficients:
+    the value, the first derivatives and the mixed and fibre second ones.  A
+    fibre derivative d2G/dy^k dy^k is twice its coefficient, as the jet
+    partial's factor makes it.  The formula then runs once over (n, n, B)
+    arrays, j by j, with the float operations of each entry in the order of
+    the per-entry formula (tests/oracles.py keeps that loop as the reference).
     """
     _require_flagpole(y)
     G = spray_jet_functions(S, x, y, g_order=2, via=via)
-    R = _riemann_formula(G, y, lambda jet: jet.coef[0])
-    return np.ascontiguousarray(np.array(R).transpose(2, 0, 1))
+    n = S.dimension
+    index_of = G[0].space.index_of
+
+    def at(*seeds):
+        alpha = [0] * (2 * n)
+        for v in seeds:
+            alpha[v] += 1
+        return index_of[tuple(alpha)]
+
+    pairs = [(j, k) for j in range(n) for k in range(n)]
+    rows = [at()] + [at(k) for k in range(n)] + [at(n + j) for j in range(n)]
+    rows += [at(j, n + k) for j, k in pairs] + [at(n + j, n + k) for j, k in pairs]
+    C = np.stack([g.coef for g in G]).take(rows, axis=1)
+    batch = C.shape[2:]
+    value = C[:, 0]  # G^i
+    gx = C[:, 1 : n + 1]  # [i, k]: dG^i/dx^k
+    gy = C[:, n + 1 : 2 * n + 1]  # [i, j]: dG^i/dy^j
+    gyx = C[:, 2 * n + 1 : 2 * n + 1 + n * n].reshape((n, n, n) + batch)  # [i, j, k]: d2G^i/dx^j dy^k
+    gyy = C[:, 2 * n + 1 + n * n :].reshape((n, n, n) + batch)  # [i, j, k]: d2G^i/dy^j dy^k
+    gyy[:, range(n), range(n)] *= 2.0
+    R = 2.0 * gx
+    for j in range(n):
+        R = R - y[j] * gyx[:, j]
+        R = R + 2.0 * (value[j] * gyy[:, j])
+        R = R - gy[:, j, None] * gy[None, j]
+    return np.ascontiguousarray(np.moveaxis(R, -1, 0))
 
 
 def _riemann_trace_jet(S: FinslerStructure, x, y):
-    """R^k_k as a jet of total order 2 over the 2n phase seeds."""
+    """R^k_k as a jet of total order 2 over the 2n phase seeds.
+
+    The diagonal entries R^i_i sit side by side on the batch axis, entry i in
+    column block i of n B columns, so each jet product of the formula runs
+    once per j for all of them; every column keeps the bits of the per-entry
+    formula, and the trace adds the blocks in order.
+    """
     _require_flagpole(y)
     G = spray_jet_functions(S, x, y, g_order=4)
     n = S.dimension
-    yj = [G[0].space.variable(n + i, v) for i, v in enumerate(y)]
-    R = _riemann_formula(G, yj, lambda jet: jet, diagonal=True)
-    trace = R[0][0]
+    B = y.shape[1]
+
+    def block(jet, i):
+        return jet.coef[:, i * B : (i + 1) * B]
+
+    def stacked(space, blocks):  # blocks[i] in column block i
+        return Jet(space, np.concatenate(blocks, axis=1))
+
+    g = stacked(G[0].space, [gi.coef for gi in G])  # block i: G^i
+    gy = [g.partial(n + j) for j in range(n)]  # block i of gy[j]: dG^i/dy^j
+    gyy = stacked(gy[0].space, [block(gy[i], i) for i in range(n)])  # block i: dG^i/dy^i
+    gx = [G[i].partial(i) for i in range(n)]  # dG^i/dx^i
+    term = 2.0 * stacked(gx[0].space, [d.coef for d in gx])
+    for j in range(n):
+        yj = G[0].space.variable(n + j, np.tile(y[j], n))
+        term = term - yj * gyy.partial(j)
+        term = term + 2.0 * (stacked(G[j].space, [G[j].coef] * n) * gyy.partial(n + j))
+        term = term - gy[j] * stacked(gy[j].space, [block(gy[i], j) for i in range(n)])
+    coef = block(term, 0)
     for i in range(1, n):
-        trace = trace + R[i][i]
-    return trace
+        coef = coef + block(term, i)
+    return Jet(term.space, coef)
 
 
 @dataclass
@@ -120,6 +154,24 @@ def _flag_denominator(ft, y, u) -> float | None:
     gyu = ft.inner(y, u)
     denom = gyy * guu - gyu * gyu
     return None if denom <= 1e-4 * gyy * guu else denom
+
+
+def _flag_curvatures(g, R, y, u):
+    """Flag curvatures at B flags: g_y and R^i_k of shape (B, n, n), y and u of shape (B, n).
+
+    Returns K, shape (B,), and the mask of the flags that _flag_denominator
+    keeps; each kept K has the bits of flag_curvature at its flag, the inner
+    products coming from one stacked matmul each.
+    """
+
+    def inner(a, b):
+        return (a[:, None, :] @ g @ b[:, :, None])[:, 0, 0]
+
+    gyy, guu, gyu = inner(y, y), inner(u, u), inner(y, u)
+    with np.errstate(all="ignore"):  # silent like the float arithmetic of flag_curvature
+        denom = gyy * guu - gyu * gyu
+        kept = ~(denom <= 1e-4 * gyy * guu)
+        return inner(u, (R @ u[:, :, None])[:, :, 0]) / denom, kept
 
 
 def flag_curvature(S: FinslerStructure, x, y, u) -> float:
@@ -287,38 +339,31 @@ def einstein_classify(
         flag_xs.append(S.sample_point(rng, radius))
         flag_yus.append(S.sample_directions(rng, 2))
     flag_ys = [yu[0] for yu in flag_yus]
+    flag_us = [yu[1] for yu in flag_yus]
 
     # one R^i_k batch serves the Ricci scalars and the flags
     nric = x_samples * y_directions
     ric_x = np.repeat(np.array(xs).T, y_directions, axis=1)
     ric_y = np.concatenate(ys).T
     R = _riemann_values(S, np.hstack([ric_x, np.array(flag_xs).T]), np.hstack([ric_y, np.array(flag_ys).T]))
-    ric = _ricci_from_riemann(S, R[:nric], ric_x, ric_y)
-    per_x_means = []
-    y_spread = 0.0
-    ric_values = []
-    for vals in ric.reshape(x_samples, y_directions):
-        ric_values.append(vals.tolist())
-        y_spread = max(y_spread, float(vals.max() - vals.min()))
-        per_x_means.append(float(vals.mean()))
-    per_x_means = np.asarray(per_x_means)
+    ric = _ricci_from_riemann(S, R[:nric], ric_x, ric_y).reshape(x_samples, y_directions)
+    # Python's max keeps the running maxima, so a NaN spread is skipped as before
+    ric_values = ric.tolist()
+    y_spread = max(0.0, *(ric.max(axis=1) - ric.min(axis=1)).tolist())
+    per_x_means = ric.mean(axis=1)
     ric_mean = float(per_x_means.mean())
     ric_x_spread = float(per_x_means.max() - per_x_means.min())
     is_einstein = y_spread <= EINSTEIN_TOLERANCE
 
     # least-squares proportionality of Ric_ij against g_ij at a subsample; one
     # fundamental-tensor batch serves the fit and the flags
+    nfit = len(fit_xs)
     _, fit_ric = _ricci_tensors(S, np.array(fit_xs).T, fit_ys.T)
-    g_all, g_inv_all = _fundamental_tensors(
-        S, np.array(fit_xs + flag_xs).T, np.concatenate([fit_ys, flag_ys]).T
-    )
-    fit_vals = []
-    fit_resid = 0.0
-    for ric_ij, g in zip(fit_ric, g_all):
-        lam = float(np.sum(ric_ij * g) / np.sum(g * g))
-        fit_vals.append(lam)
-        fit_resid = max(fit_resid, float(np.max(np.abs(ric_ij - lam * g)) / np.max(np.abs(g))))
-    fit_vals = np.asarray(fit_vals)
+    g_all, _ = _fundamental_tensors(S, np.array(fit_xs + flag_xs).T, np.concatenate([fit_ys, flag_ys]).T)
+    g = g_all[:nfit]
+    fit_vals = (fit_ric * g).reshape(nfit, -1).sum(axis=1) / (g * g).reshape(nfit, -1).sum(axis=1)
+    resid = np.abs(fit_ric - fit_vals[:, None, None] * g).max(axis=(1, 2)) / np.abs(g).max(axis=(1, 2))
+    fit_resid = max(0.0, *resid.tolist())
     fit_spread = float(fit_vals.max() - fit_vals.min())
     fit_factor = float(fit_vals.mean())
     matrix_ok = fit_resid <= MATRIX_TOLERANCE and fit_spread <= MATRIX_TOLERANCE * max(
@@ -331,18 +376,11 @@ def einstein_classify(
         c = float(np.sqrt(-fit_factor))
 
     # sampled flag curvatures; a constant value is reported when the spread allows
-    flags = []
-    nfit = len(fit_xs)
-    for x, (y, u), g, g_inv, Rb in zip(flag_xs, flag_yus, g_all[nfit:], g_inv_all[nfit:], R[nric:]):
-        gy = FundamentalTensor(g=g, g_inv=g_inv, x=x, y=y)
-        denom = _flag_denominator(gy, y, u)
-        if denom is not None:
-            flags.append(float(gy.inner(u, Rb @ u) / denom))
+    flags, kept = _flag_curvatures(g_all[nfit:], R[nric:], np.array(flag_ys), np.array(flag_us))
+    flags = flags[kept]
     flag_constant = None
-    if flags:
-        flags = np.asarray(flags)
-        if float(flags.max() - flags.min()) <= MATRIX_TOLERANCE * max(1.0, float(np.abs(flags).max())):
-            flag_constant = float(flags.mean())
+    if flags.size and float(flags.max() - flags.min()) <= MATRIX_TOLERANCE * max(1.0, float(np.abs(flags).max())):
+        flag_constant = float(flags.mean())
 
     return EinsteinReport(
         family=S.family,

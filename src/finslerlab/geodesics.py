@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
-from .jets import jet_space
+from .jets import Jet, jet_space
 from .metrics import FinslerStructure, invert_scalarlike_matrix
 from .ode import OdeTrajectory, integrate_ivp
 from .scalar import minimize_bounded, qagse
@@ -34,9 +34,14 @@ def phase_jet_args(S: FinslerStructure, x, y, order: int, base_degree: int):
     """
     n = S.dimension
     space = jet_space(2 * n, order, lead=n, cap=base_degree)
-    xj = [space.variable(i, v) for i, v in enumerate(np.atleast_1d(np.asarray(x, dtype=float)))]
-    yj = [space.variable(n + i, v) for i, v in enumerate(np.atleast_1d(np.asarray(y, dtype=float)))]
-    return xj, yj
+    z = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))])
+    # one (2n, ncoef[, B]) array holds every seed jet: the value, and a 1 at the seed's own index
+    coef = np.zeros((2 * n, space.ncoef) + z.shape[1:])
+    coef[:, 0] = z
+    if order >= 1:
+        coef[range(2 * n), [space.index_of[tuple(int(u == v) for u in range(2 * n))] for v in range(2 * n)]] = 1.0
+    seeds = [Jet(space, c) for c in coef]
+    return seeds[:n], seeds[n:]
 
 
 def spray_from_f2_jets(S: FinslerStructure, xj, yj):
@@ -359,7 +364,7 @@ def _newton_polish(S, p, d0, s0, q, shots, stop=1e-12):
         # before the basis exists u is 0, and d0 + 0.0 is d0 + basis @ 0 bit
         # for bit: the product's zeros are +0.0, which turn a -0.0 into +0.0
         v = d0 + 0.0 if basis is None else d0 + basis @ u_loc
-        if np.linalg.norm(v) < 1e-10:
+        if math.sqrt(v.dot(v)) < 1e-10:
             return None
         traj = _shoot(S, p, _unit_against_F(S, p, v), s_loc, INTEGRATION_TOLERANCE, shots)
         if traj is None:

@@ -57,8 +57,19 @@ def _require_chart(d):
         raise EvaluationDomainError(_OFF_CHART)
 
 
-def _eval_table(table, x):
-    return [[p(x) for p in row] for row in table]
+def _eval_polynomials(polys, xs) -> np.ndarray:
+    """The polynomials at the rows of xs (B, n), shape (B, len(polys)).
+
+    Each runs once on the (B,) coordinate columns.  Polynomial uses only + and
+    *, so every value has the bits of its evaluation at the single point.
+    """
+    cols = xs.T
+    return np.stack([np.broadcast_to(p(cols), len(xs)) for p in polys], axis=1)
+
+
+def _eval_table(table, xs) -> np.ndarray:
+    """A table of polynomials at the rows of xs (B, n), shape (B, m, m)."""
+    return np.stack([_eval_polynomials(row, xs) for row in table], axis=1)
 
 
 class Polynomial:
@@ -253,7 +264,7 @@ class FinslerStructure:
         r_cap = SAMPLING_RADIUS if radius is None else radius
         n = self.dimension
         v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v.dot(v))
         r = r_cap * rng.uniform() ** (1.0 / n)
         return r * v
 
@@ -437,28 +448,38 @@ def _check_symmetric_tables(mat, n, where):
                     raise ConfigError(f"{where} must be symmetric: entry ({i},{j}) differs")
 
 
+def _construction_samples(S: FinslerStructure, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.array([S.sample_point(rng) for _ in range(CONSTRUCTION_SAMPLES)])
+
+
 def _check_riemannian_positive(S: FinslerStructure):
-    rng = np.random.default_rng(98765)
-    for _ in range(CONSTRUCTION_SAMPLES):
-        x = S.sample_point(rng)
-        if float(np.linalg.eigvalsh(_eval_table(S.config.riemannian_metric, x))[0]) <= 0.0:
-            raise StrongConvexityError(f"riemannian coefficient matrix not positive definite at x={x}")
+    xs = _construction_samples(S, 98765)
+    bad = np.flatnonzero(np.linalg.eigvalsh(_eval_table(S.config.riemannian_metric, xs))[:, 0] <= 0.0)
+    if bad.size:
+        raise StrongConvexityError(f"riemannian coefficient matrix not positive definite at x={xs[bad[0]]}")
 
 
 def _check_randers_convexity(S: FinslerStructure):
-    bpoly = S.config.randers_form
-    rng = np.random.default_rng(56789)
-    for _ in range(CONSTRUCTION_SAMPLES):
-        x = S.sample_point(rng)
-        a = np.array(_eval_table(S.config.randers_metric, x))
-        if float(np.linalg.eigvalsh(a)[0]) <= 0.0:
-            raise StrongConvexityError(f"randers base metric not positive definite at x={x}")
-        b = np.array([p(x) for p in bpoly])
-        norm2 = float(b @ np.linalg.solve(a, b))
-        if norm2 >= (1.0 - 1e-6) ** 2:
-            raise StrongConvexityError(
-                f"randers one-form too large at x={x}: ||beta||_alpha = {np.sqrt(norm2):.6f} >= 1"
-            )
+    """The base metric positive definite and ||beta||_alpha < 1 at every sample.
+
+    The first sample that fails either check is reported, the positivity
+    check first, as a point-by-point loop would; the norm is solved only at
+    the samples before the first indefinite one.
+    """
+    xs = _construction_samples(S, 56789)
+    a = _eval_table(S.config.randers_metric, xs)
+    indefinite = np.flatnonzero(np.linalg.eigvalsh(a)[:, 0] <= 0.0)
+    first = indefinite[0] if indefinite.size else len(xs)
+    b = _eval_polynomials(S.config.randers_form, xs[:first])
+    norm2 = (b[:, None, :] @ np.linalg.solve(a[:first], b[:, :, None]))[:, 0, 0]
+    large = np.flatnonzero(norm2 >= (1.0 - 1e-6) ** 2)
+    if large.size:
+        raise StrongConvexityError(
+            f"randers one-form too large at x={xs[large[0]]}: ||beta||_alpha = {np.sqrt(norm2[large[0]]):.6f} >= 1"
+        )
+    if indefinite.size:
+        raise StrongConvexityError(f"randers base metric not positive definite at x={xs[first]}")
 
 
 def make_metric(config: MetricConfig | dict) -> FinslerStructure:

@@ -580,7 +580,8 @@ def theorem1_verify(
     while len(pair_list) < pairs:
         p = S.sample_point(rng, PAIR_RADIUS)
         q = S.sample_point(rng, PAIR_RADIUS)
-        if float(np.linalg.norm(q - p)) >= MIN_SEPARATION:
+        d = q - p
+        if math.sqrt(d.dot(d)) >= MIN_SEPARATION:
             pair_list.append((p, q))
 
     records = []

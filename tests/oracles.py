@@ -22,6 +22,11 @@ exceptions are second routes through the library's own types:
 - uncapped_spray_jet_functions runs a family's spray on jets that carry
   every base derivative, and invert_by_division divides each pivot-row
   entry by its jet pivot, computing one reciprocal per entry;
+- riemann_formula is the curvature formula entry by entry on the library's
+  spray jets, through jet partials, as riemann_values_per_entry and
+  riemann_trace_jet_per_entry run it;
+- construction_check_per_point evaluates the library's Polynomial tables
+  one sample at a time;
 - the two per-point routes at the end, the Einstein classification and the
   projective-parameter solve, call the library's public single-point
   functions.
@@ -40,7 +45,7 @@ from scipy.interpolate import CubicSpline
 
 from finslerlab import flag_curvature, fundamental_tensor, metrics, ricci_scalar, ricci_tensor
 from finslerlab.errors import EvaluationDomainError, FinslerError
-from finslerlab.geodesics import Geodesic, spray_from_f2_jets
+from finslerlab.geodesics import Geodesic, spray_from_f2_jets, spray_jet_functions
 from finslerlab.jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
 from finslerlab.metrics import SAMPLING_RADIUS, _dot, _require_chart, _swap_pivots_per_column
 from finslerlab.ode import integrate_ivp
@@ -814,6 +819,50 @@ def invert_by_division(M):
     return inv
 
 
+# ----- the curvature formula, one entry at a time ------------------------------
+
+
+def riemann_formula(G, y, at, diagonal: bool = False):
+    """R^i_k from the spray jets G^i and the fibre coordinates y, entry by entry.
+
+    at(jet) is what the formula reads of a spray derivative: the jet itself,
+    or its value; y holds jets or values to match.  diagonal=True builds
+    only the entries R^i_i, each by the same arithmetic, and leaves None
+    off the diagonal.
+    """
+    n = len(G)
+    Gy = [[G[i].partial(n + j) for j in range(n)] for i in range(n)]
+    R = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in (i,) if diagonal else range(n):
+            term = 2.0 * at(G[i].partial(k))
+            for j in range(n):
+                term = term - y[j] * at(Gy[i][k].partial(j))
+                term = term + 2.0 * (at(G[j]) * at(Gy[i][k].partial(n + j)))
+                term = term - at(Gy[i][j]) * at(Gy[j][k])
+            R[i][k] = term
+    return R
+
+
+def riemann_values_per_entry(S, x, y, via: str = "fast") -> np.ndarray:
+    """R^i_k of shape (B, n, n) from riemann_formula on the spray jets' values."""
+    G = spray_jet_functions(S, x, y, g_order=2, via=via)
+    R = riemann_formula(G, y, lambda jet: jet.coef[0])
+    return np.ascontiguousarray(np.array(R).transpose(2, 0, 1))
+
+
+def riemann_trace_jet_per_entry(S, x, y) -> Jet:
+    """R^k_k as a jet, the diagonal entries of riemann_formula added in order."""
+    G = spray_jet_functions(S, x, y, g_order=4)
+    n = S.dimension
+    yj = [G[0].space.variable(n + i, v) for i, v in enumerate(y)]
+    R = riemann_formula(G, yj, lambda jet: jet, diagonal=True)
+    trace = R[0][0]
+    for i in range(1, n):
+        trace = trace + R[i][i]
+    return trace
+
+
 # ----- Einstein classification, one point at a time ---------------------------
 
 
@@ -829,6 +878,30 @@ def sample_direction(rng, n):
         nv = np.linalg.norm(v)
         if nv > 1e-8:
             return v / nv
+
+
+def construction_check_per_point(config):
+    """make_metric's positivity and Randers-norm checks, sample by sample.
+
+    Returns the message of the first failing sample, or None.  config is a
+    parsed riemannian or randers MetricConfig.
+    """
+    n = config.dimension
+    table = config.riemannian_metric or config.randers_metric
+    rng = np.random.default_rng(98765 if config.family == "riemannian" else 56789)
+    for _ in range(200):
+        x = sample_point(rng, n, SAMPLING_RADIUS)
+        a = np.array([[p(x) for p in row] for row in table])
+        if float(np.linalg.eigvalsh(a)[0]) <= 0.0:
+            if config.family == "riemannian":
+                return f"riemannian coefficient matrix not positive definite at x={x}"
+            return f"randers base metric not positive definite at x={x}"
+        if config.family == "randers":
+            b = np.array([p(x) for p in config.randers_form])
+            norm2 = float(b @ np.linalg.solve(a, b))
+            if norm2 >= (1.0 - 1e-6) ** 2:
+                return f"randers one-form too large at x={x}: ||beta||_alpha = {np.sqrt(norm2):.6f} >= 1"
+    return None
 
 
 def einstein_classify_per_point(S, rng, x_samples=10, y_directions=12, tolerance=1e-6, matrix_tolerance=1e-4):

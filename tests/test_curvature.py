@@ -20,7 +20,8 @@ from finslerlab.curvature import (
     _f2_values,
     _ricci_scalars,
     _ricci_tensors,
-    _riemann_formula,
+    _flag_curvatures,
+    _riemann_trace_jet,
     _riemann_values,
 )
 from finslerlab.geodesics import spray_jet_functions
@@ -31,6 +32,9 @@ from conftest import curved_riemannian_config, exact_randers_config, funk_config
 from oracles import (
     einstein_classify_per_point,
     invert_by_division,
+    riemann_formula,
+    riemann_trace_jet_per_entry,
+    riemann_values_per_entry,
     sample_direction,
     uncapped_spray_jet_functions,
 )
@@ -360,17 +364,20 @@ def skew_randers_config():
     }
 
 
-BATCH_CONFIGS = pytest.mark.parametrize(
+BATCH_CASES = {
+    "klein2": klein_config(2),
+    "klein3": klein_config(3),
+    "funk2": funk_config(2),
+    "riemannian2": curved_riemannian_config(),
+    "randers2": exact_randers_config(),
+    "randers_skew": skew_randers_config(),
+}
+BATCH_CONFIGS = pytest.mark.parametrize("config", list(BATCH_CASES.values()), ids=list(BATCH_CASES))
+# R^i_k and its trace are defined in dimension one too, where classification is not
+CURVATURE_CONFIGS = pytest.mark.parametrize(
     "config",
-    [
-        klein_config(2),
-        klein_config(3),
-        funk_config(2),
-        curved_riemannian_config(),
-        exact_randers_config(),
-        skew_randers_config(),
-    ],
-    ids=["klein2", "klein3", "funk2", "riemannian2", "randers2", "randers_skew"],
+    [*BATCH_CASES.values(), {"family": "interval_funk", "dimension": 1, "k": 1.0}],
+    ids=[*BATCH_CASES, "interval1"],
 )
 
 
@@ -517,8 +524,8 @@ class TestBatchedCurvature:
         G = spray_jet_functions(S, X, Y, g_order=4)
         yj = [G[0].space.variable(n + i, v) for i, v in enumerate(Y)]
         for y, at in ((yj, lambda jet: jet), (Y, lambda jet: jet.coef[0])):
-            full = _riemann_formula(G, y, at)
-            diag = _riemann_formula(G, y, at, diagonal=True)
+            full = riemann_formula(G, y, at)
+            diag = riemann_formula(G, y, at, diagonal=True)
             for i in range(n):
                 want, got = (getattr(R[i][i], "coef", R[i][i]) for R in (full, diag))
                 assert np.array_equal(got, want)
@@ -545,6 +552,68 @@ class TestBatchedCurvature:
         _, ric_values = einstein_classify_per_point(S, SwappedDraws(0, 1), x_samples=2, y_directions=8)
         assert ric_values[0][:2] == report.ric_values[0][1::-1]
         assert ric_values != report.ric_values
+
+
+def signed_zero_batch(S, seed, B):
+    """B phase points; from dimension two on, fibre entries +0.0 and -0.0 in every third column."""
+    rng = np.random.default_rng(seed)
+    X = np.array([S.sample_point(rng, 0.7) for _ in range(B)]).T
+    Y = S.sample_directions(rng, B).T
+    if S.dimension > 1:
+        Y[0, 1::3] = 0.0
+        Y[-1, 2::3] = -0.0
+    return X, Y
+
+
+class TestCurvatureArrays:
+    """R^i_k over (n, n, B) arrays and the trace over stacked diagonal entries keep
+    the per-entry formula's bits (riemann_formula in tests/oracles.py)."""
+
+    @CURVATURE_CONFIGS
+    @pytest.mark.parametrize("B", [1, 12, 130])
+    def test_riemann_values_equal_the_per_entry_formula(self, config, B):
+        S = make_metric(config)
+        X, Y = signed_zero_batch(S, 18, B)
+        for via in ("fast", "f2"):
+            got, want = _riemann_values(S, X, Y, via=via), riemann_values_per_entry(S, X, Y, via=via)
+            assert got.shape == want.shape == (B, S.dimension, S.dimension)
+            assert got.tobytes() == want.tobytes()
+
+    @CURVATURE_CONFIGS
+    @pytest.mark.parametrize("B", [1, 12, 130])
+    def test_trace_jet_equals_the_per_entry_formula(self, config, B):
+        S = make_metric(config)
+        X, Y = signed_zero_batch(S, 19, B)
+        got, want = _riemann_trace_jet(S, X, Y), riemann_trace_jet_per_entry(S, X, Y)
+        assert got.space is want.space
+        assert got.coef.shape == want.coef.shape
+        assert got.coef.tobytes() == want.coef.tobytes()
+
+    def test_signed_zero_batch_holds_both_zeros(self, klein2):
+        _, Y = signed_zero_batch(klein2, 18, 12)
+        assert np.signbit(Y[-1, 2::3]).all() and not np.signbit(Y[0, 1::3]).any()
+        assert (Y[0, 1::3] == 0.0).all() and Y.any(axis=0).all()
+
+    @pytest.mark.parametrize("case, spread", [("randers_skew", 0.0), ("riemannian2", 0.01), ("randers2", 0.01)])
+    def test_flag_values_equal_flag_curvature(self, case, spread):
+        # the constant skew Randers metric is flat, every flag 0.0 with its
+        # sign; on the curved two the flags vary, so flag_constant is None and
+        # the classification's per-point route cannot compare them
+        S = make_metric(BATCH_CASES[case])
+        rng = np.random.default_rng(20)
+        X = np.array([S.sample_point(rng, 0.7) for _ in range(12)]).T
+        Y, U = S.sample_directions(rng, 12), S.sample_directions(rng, 12)
+        U[::4] = Y[::4]  # degenerate flags, which flag_curvature refuses
+        g, _ = _fundamental_tensors(S, X, Y.T)
+        K, kept = _flag_curvatures(g, _riemann_values(S, X, Y.T), Y, U)
+        assert kept.tolist() == [b % 4 != 0 for b in range(12)]
+        assert np.ptp(K[kept]) >= spread
+        for b in range(12):
+            if kept[b]:
+                assert K[b].hex() == flag_curvature(S, X[:, b], Y[b], U[b]).hex()
+            else:
+                with pytest.raises(DegenerateFlagError):
+                    flag_curvature(S, X[:, b], Y[b], U[b])
 
 
 class TestCappedSprayJets:

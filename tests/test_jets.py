@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from finslerlab import EvaluationDomainError, einstein_classify, jet_space, make_metric
 from finslerlab.jets import MAX_JET_ORDER, Jet, jet_abs, jet_exp, jet_sqrt
 
+from conftest import curved_riemannian_config, klein_config
 from oracles import (
     DegenerateSeedsError,
     directional_derivatives,
@@ -594,4 +595,27 @@ def test_products_are_seen_through_the_class_attribute(monkeypatch):
     assert calls[0] == 3
     calls[0] = 0
     einstein_classify(make_metric({"family": "klein_ball", "dimension": 2}), seed=0)
-    assert calls[0] == 47
+    assert calls[0] == 38
+
+
+@pytest.mark.parametrize(
+    "config, partials",
+    [
+        (klein_config(2), 14),
+        (klein_config(3), 24),
+        (curved_riemannian_config(), 14),
+    ],
+    ids=["klein2", "klein3", "riemannian2"],
+)
+def test_partials_per_classification(monkeypatch, config, partials):
+    """R^i_k reads the stacked spray coefficients without a partial; the Ricci
+    trace takes 4n and its fibre Hessian n (n + 1)."""
+    calls = [0]
+
+    def counted(*args, fn=Jet.partial):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(Jet, "partial", counted)
+    einstein_classify(make_metric(config), seed=0)
+    assert calls[0] == partials

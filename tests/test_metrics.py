@@ -39,7 +39,14 @@ from conftest import (
     unit_direction,
     zero_form_randers_config,
 )
-from oracles import chart_reference, invert_by_division, klein_fundamental_tensor, polynomial_reference
+from oracles import (
+    chart_reference,
+    construction_check_per_point,
+    invert_by_division,
+    klein_fundamental_tensor,
+    polynomial_reference,
+    sample_point,
+)
 
 
 def poly_const(n, value):
@@ -229,6 +236,75 @@ README_METRIC = {
         ]
     },
 }
+
+
+def randers_failing_twice(c1):
+    """A Randers table with g11 = 1 + c1 x1, indefinite at some samples, and beta = 1.5 x2 dx1, too large at others."""
+    return {
+        "family": "randers",
+        "dimension": 2,
+        "randers": {
+            "metric": [[[[1.0, 0, 0], [c1, 1, 0]], [[0.0, 0, 0]]], [[[0.0, 0, 0]], [[1.0, 0, 0]]]],
+            "one_form": [[[0.0, 0, 0], [1.5, 0, 1]], [[0.0, 0, 0]]],
+        },
+    }
+
+
+class TestConstructionChecks:
+    """make_metric evaluates each table once over its 200 samples and keeps the per-point checks' bits."""
+
+    CASES = {
+        "readme": README_METRIC,
+        "cross_term": cross_term_config(),
+        "curved3": curved_table_config(3),
+        "curved4": curved_table_config(4),
+        "indefinite": indefinite_riemannian_config(),
+        "exact_randers": exact_randers_config(),
+        "nonclosed_randers": nonclosed_randers_config(),
+        "randers3": randers3_config(),
+        "oversized_form": randers_config(2, 1.1),
+        "form_fails_first": randers_failing_twice(4.0),
+        "metric_fails_first": randers_failing_twice(-4.0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_first_failure_equals_the_per_point_check(self, case):
+        config = MetricConfig.from_dict(self.CASES[case])
+        want = construction_check_per_point(config)
+        if want is None:
+            make_metric(config)
+        else:
+            with pytest.raises(StrongConvexityError) as err:
+                make_metric(config)
+            assert str(err.value) == want
+        failing = {"indefinite", "oversized_form", "form_fails_first", "metric_fails_first"}
+        assert (want is not None) == (case in failing)
+        if case.endswith("fails_first"):
+            assert want.startswith("randers one-form" if case == "form_fails_first" else "randers base metric")
+
+    @pytest.mark.parametrize("case", ["readme", "cross_term", "curved4", "indefinite", "randers3"])
+    def test_table_values_and_eigenvalues_equal_per_point(self, case):
+        config = MetricConfig.from_dict(self.CASES[case])
+        table = config.riemannian_metric or config.randers_metric
+        rng = np.random.default_rng(98765)
+        xs = np.array([sample_point(rng, config.dimension, SAMPLING_RADIUS) for _ in range(200)])
+        a = metrics._eval_table(table, xs)
+        want = np.array([[[float(p(x)) for p in row] for row in table] for x in xs])
+        assert a.tobytes() == want.tobytes()
+        low = np.linalg.eigvalsh(a)[:, 0]
+        assert low.tobytes() == np.array([np.linalg.eigvalsh(w)[0] for w in want]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dot_norm_equals_numpy_norm(n):
+    """math.sqrt(v.dot(v)), the norm of sample_point, theorem1_verify and _newton_polish, is np.linalg.norm's bits."""
+    rng = np.random.default_rng(n)
+    for v in rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-150.0, 150.0, (500, 1)):
+        assert math.sqrt(v.dot(v)).hex() == float(np.linalg.norm(v)).hex()
+    S = make_metric(klein_config(n) if n > 1 else {"family": "interval_funk", "dimension": 1})
+    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(50):
+        assert S.sample_point(ours).tobytes() == sample_point(theirs, n, SAMPLING_RADIUS).tobytes()
 
 
 class TestChart:
