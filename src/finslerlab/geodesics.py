@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codegen import emit
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
 from .jets import Jet, jet_space
 from .metrics import FinslerStructure, invert_scalarlike_matrix
@@ -290,14 +291,12 @@ def _unit_against_F(S, p, v):
 def _chord_integrand(n: int):
     """(F, a, d) -> the integrand t -> F([a_0 + t * d_0, ..., a_{n-1} + t * d_{n-1}], d).
 
-    Written out for dimension n from source on its first chord, so each node
+    Written out for dimension n by codegen.emit on its first chord, so each node
     builds its point without a loop; a and d are lists of n floats.
     """
     lines = ["".join(f"{v}{i}, " for i in range(n)) + f"= {v}" for v in "ad"]
     lines.append("return lambda t: F([" + ", ".join(f"a{i} + t * d{i}" for i in range(n)) + "], d)")
-    namespace = {}
-    exec("def integrand(F, a, d):\n" + "\n".join("    " + line for line in lines), namespace)
-    return namespace["integrand"]
+    return emit("integrand(F, a, d)", lines, {}, f"chord n={n}")
 
 
 def _chord_length(S, p, q) -> float:
@@ -515,7 +514,7 @@ def _fan_search(S, p, q, chord_dir, chord_len, seed, shots):
                 break
     if not hits:
         raise SearchFailureError(
-            f"no connecting geodesic found from {p} to {q} "
+            f"no connecting geodesic found from {list(map(float, p))} to {list(map(float, q))} "
             f"(best miss {best_miss:.3e}, {len(shots)} shots tried)"
         )
     hits.sort(key=lambda item: item[0])

@@ -7,11 +7,11 @@ curvature, the g_ij Hessian and the via="f2" cross-check.  The float path,
 geodesic_field and float_F, takes lists of Python floats only and serves
 the values that geodesic integration and the chord-length quadrature
 evaluate over and over.  Every family is generated: _compile states its
-F^2 and spray once and compiles both paths from it, doing the same float
-operations in the same order.  The chart families, the Klein ball, the
-Funk ball and the interval Funk metric, are compiled once per dimension;
-the Riemannian and Randers families write their config's polynomial
-tables into the source and are compiled per config.
+F^2 and spray once and compiles both paths from it by codegen.emit, with
+the same float operations in the same order.  The chart families, the
+Klein ball, the Funk ball and the interval Funk metric, are compiled once
+per dimension; the Riemannian and Randers families write their config's
+polynomial tables into the source and are compiled per config.
 Built-in families live on the open unit ball (the interval (-1, 1) in
 dimension one); sampling for validation stays inside radius 0.95.
 FinslerStructure.domain is the one chart predicate, and every family's
@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .codegen import emit
 from .errors import ConfigError, EvaluationDomainError, StrongConvexityError
 from .jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
 
@@ -432,20 +433,18 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
     namespace = {"sqrt": math.sqrt, "jet_sqrt": jet_sqrt, "jet_abs": jet_abs, "_require_chart": _require_chart}
     namespace.update(EvaluationDomainError=EvaluationDomainError, _OFF_CHART=_OFF_CHART, _dot=_dot, inf=math.inf)
     namespace["metrics"] = sys.modules[__name__]
-    exec("def make(s2, k):\n" + "\n".join("    " + line for line in lines), namespace)
-    return namespace["make"]
+    return emit("make(s2, k)", lines, namespace, f"{family} n={n}")
 
 
 def _check_symmetric_tables(mat, n, where):
-    rng = np.random.default_rng(12345)
-    for _ in range(16):
-        x = rng.uniform(-SAMPLING_RADIUS, SAMPLING_RADIUS, size=n) / np.sqrt(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = float(mat[i][j](x))
-                b = float(mat[j][i](x))
-                if abs(a - b) > 1e-12 * max(1.0, abs(a)):
-                    raise ConfigError(f"{where} must be symmetric: entry ({i},{j}) differs")
+    """Entry (i, j) against (j, i), i < j, at 16 sample points; the first failure by point, then row."""
+    xs = np.random.default_rng(12345).uniform(-SAMPLING_RADIUS, SAMPLING_RADIUS, size=(16, n)) / np.sqrt(n)
+    i, j = np.triu_indices(n, 1)
+    table = _eval_table(mat, xs)
+    a, b = table[:, i, j], table[:, j, i]
+    bad = np.argwhere(np.abs(a - b) > 1e-12 * np.maximum(1.0, np.abs(a)))
+    if bad.size:
+        raise ConfigError(f"{where} must be symmetric: entry ({i[bad[0, 1]]},{j[bad[0, 1]]}) differs")
 
 
 def _construction_samples(S: FinslerStructure, seed: int) -> np.ndarray:

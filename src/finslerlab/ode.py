@@ -9,8 +9,8 @@ side takes a list of floats and returns a sequence of floats, and the stage
 sums, the finiteness check and the error norm are plain float arithmetic.
 The trajectory's ndarrays are built once, when the integration ends.
 
-The attempt is one function per state length m, built from source on
-the first integration of that length, as namedtuple builds its classes:
+The attempt is one function per state length m, compiled by codegen.emit
+on the first integration of that length, as namedtuple builds its classes:
 the state and every stage component are local names, and each of the
 eleven stage states and the solution is written out as
 y_i + h * (w_a * k_a_i + w_b * k_b_i + ...) over its row's nonzero weights,
@@ -45,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from .codegen import emit
 from .errors import (
     DomainExitError,
     EvaluationDomainError,
@@ -54,6 +55,7 @@ from .errors import (
 
 
 _UNROLL_MAX = 32  # the longest state whose rows are written out component by component
+_NAMESPACE = {"EvaluationDomainError": EvaluationDomainError, "isfinite": math.isfinite, "sqrt": math.sqrt}
 
 
 # DOP853's coefficients (Hairer's dop853.f; scipy.integrate ships the same
@@ -176,12 +178,6 @@ class _Emitter:
                       "except EvaluationDomainError:", f"    return {refused(s)}"]
         return lines
 
-    def function(self, name: str, params: str, lines: list):
-        namespace = {"EvaluationDomainError": EvaluationDomainError, "isfinite": math.isfinite,
-                     "sqrt": math.sqrt}
-        exec(f"def {name}({params}):\n" + "\n".join("    " + line for line in lines), namespace)
-        return namespace[name]
-
 
 @functools.cache
 def _attempt(m: int):
@@ -226,7 +222,7 @@ def _attempt(m: int):
               "    return 12, None, None, None, None",
               "if not all(map(isfinite, f_new)):", "    return 12, None, None, None, None",
               f"return 12, y_new, f_new, err, {k}"]
-    return e.function("attempt", "rhs, y, f, h, tolerance", lines)
+    return emit("attempt(rhs, y, f, h, tolerance)", lines, _NAMESPACE, f"dop853 attempt m={m}")
 
 
 @functools.cache
@@ -244,7 +240,7 @@ def _dense(m: int):
     lines += e.stages(13, 15, lambda s: f"{s - 12}, None")
     lines += [f"if not ({e.finite([f'k{j}' for j in range(16)])}):", "    return 3, None"]
     lines.append("return 3, [" + ", ".join(e.row(weights, None) for weights in _D) + "]")
-    return e.function("dense", "rhs, y, h, k", lines)
+    return emit("dense(rhs, y, h, k)", lines, _NAMESPACE, f"dop853 dense m={m}")
 
 
 MAX_STEPS = 200_000

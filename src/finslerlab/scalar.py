@@ -12,13 +12,15 @@ flag ier comes back.  minimize_bounded is Brent's bounded minimiser as
 scipy.optimize.minimize_scalar(method="bounded") runs it, the same way.
 
 The 21-point rule is written out node by node, as ode.py writes out its
-tableau rows: one function built from source when this module loads, its
+tableau rows: one function built by codegen.emit when this module loads, its
 weights and abscissae repr literals, its sums added in dqk21's order.
 """
 
 from __future__ import annotations
 
 import math
+
+from .codegen import emit
 
 _EPMACH = 2.220446049250313e-16  # d1mach(4)
 _UFLOW = 2.2250738585072014e-308  # d1mach(1)
@@ -87,9 +89,7 @@ def _build_qk21():
         "return resk * hlgth, abserr, resabs, resasc",
     ]
     doc = '"""(result, abserr, resabs, resasc): the integral of f, its error, and those of |f| and |f - mean|."""'
-    namespace = {}
-    exec("def qk21(f, a, b):\n" + "\n".join("    " + line for line in [doc, *lines]), namespace)
-    return namespace["qk21"]
+    return emit("qk21(f, a, b)", [doc, *lines], {}, "qk21")
 
 
 _qk21 = _build_qk21()

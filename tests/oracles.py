@@ -904,6 +904,19 @@ def construction_check_per_point(config):
     return None
 
 
+def symmetry_check_per_point(table, n):
+    """make_metric's symmetry check point by point: the first (i, j), i < j, that differs, or None."""
+    rng = np.random.default_rng(12345)
+    for _ in range(16):
+        x = rng.uniform(-SAMPLING_RADIUS, SAMPLING_RADIUS, size=n) / np.sqrt(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = float(table[i][j](x)), float(table[j][i](x))
+                if abs(a - b) > 1e-12 * max(1.0, abs(a)):
+                    return i, j
+    return None
+
+
 def einstein_classify_per_point(S, rng, x_samples=10, y_directions=12, tolerance=1e-6, matrix_tolerance=1e-4):
     """einstein_classify's report fields and ric_values, one sample at a time.
 

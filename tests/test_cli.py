@@ -199,6 +199,15 @@ class TestUsageErrors:
         assert field in err
         assert "Traceback" not in err
 
+    def test_asymmetric_table_exits_64(self, cfg, capsys):
+        doc = riemannian_config(poly_const(2, 1.0))
+        doc["riemannian"]["metric"][0][1] = poly_const(2, 0.1)
+        path = cfg["dir"] / "asymmetric.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metric", "validate", "--config", str(path))
+        assert (code, out) == (64, "")
+        assert err == "usage error: riemannian.metric must be symmetric: entry (0,1) differs\n"
+
     def test_missing_file_exits_64(self, cfg, capsys):
         code, _, err = run(
             capsys, "metric", "validate", "--config", str(cfg["dir"] / "nope.json")

@@ -567,8 +567,10 @@ class TestDistance:
         # is finite, see the cross-ratio); the search must still end in
         # SearchFailureError with its best miss and shot count, also where
         # a dense-output stage of a shot near the sphere is off the chart.
-        with pytest.raises(SearchFailureError, match=r"best miss \S+, \d+ shots tried"):
+        with pytest.raises(SearchFailureError, match=r"best miss \S+, \d+ shots tried") as err:
             finsler_distance(klein2, [0.999999999, 0.0], [-0.7, 0.7])
+        # the endpoints print as floats, not as numpy's rounded arrays
+        assert "from [0.999999999, 0.0] to [-0.7, 0.7]" in str(err.value)
 
     @pytest.mark.parametrize(
         "config, oracle",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -46,6 +47,7 @@ from oracles import (
     klein_fundamental_tensor,
     polynomial_reference,
     sample_point,
+    symmetry_check_per_point,
 )
 
 
@@ -281,6 +283,45 @@ class TestConstructionChecks:
         assert (want is not None) == (case in failing)
         if case.endswith("fails_first"):
             assert want.startswith("randers one-form" if case == "form_fails_first" else "randers base metric")
+
+    @pytest.mark.parametrize("symmetric_12, entry", [(False, "(1,2)"), (True, "(0,1)")])
+    def test_asymmetric_table_reports_the_first_entry_by_point(self, symmetric_12, entry):
+        # g_10 - g_01 = x_0 - c vanishes at the first of the 16 sample points
+        # only, where g_12 - g_21 = 0.5 already fails: the check reports
+        # (1,2), the first failure in point order, ahead of (0,1), the first
+        # in row order; with g_12 symmetric, (0,1) fails at a later point.
+        c = np.random.default_rng(12345).uniform(-SAMPLING_RADIUS, SAMPLING_RADIUS, size=(16, 3))[0, 0] / np.sqrt(3)
+        metric = [[poly_const(3, 1.0 if i == j else 0.0) for j in range(3)] for i in range(3)]
+        metric[1][0] = [[1.0, 1, 0, 0], [-c, 0, 0, 0]]
+        metric[1][2] = poly_const(3, 0.0 if symmetric_12 else 0.5)
+        with pytest.raises(ConfigError) as err:
+            make_metric({"family": "riemannian", "dimension": 3, "riemannian": {"metric": metric}})
+        assert str(err.value) == f"riemannian.metric must be symmetric: entry {entry} differs"
+
+    def test_symmetry_failure_equals_the_per_point_check(self):
+        # random symmetric tables of two terms an entry, a few entries perturbed
+        # by one term of 1e-13 (under the tolerance), 1e-9 or 1
+        rng = np.random.default_rng(4)
+        failures = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            mat = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    terms = [(float(rng.normal()), tuple(map(int, rng.integers(0, 2, n)))) for _ in range(2)]
+                    mat[i][j] = mat[j][i] = metrics.Polynomial(n, terms)
+            for _ in range(int(rng.integers(0, 4))):
+                i, j = map(int, rng.choice(n, 2, replace=False))
+                eps = float(rng.choice([1e-13, 1e-9, 1.0]))
+                mat[i][j] = metrics.Polynomial(n, [*mat[i][j].terms, (eps, tuple(map(int, rng.integers(0, 3, n))))])
+            want = symmetry_check_per_point(mat, n)
+            if want is None:
+                metrics._check_symmetric_tables(mat, n, "g")
+                continue
+            failures += 1
+            with pytest.raises(ConfigError, match=re.escape(f"g must be symmetric: entry ({want[0]},{want[1]}) differs")):
+                metrics._check_symmetric_tables(mat, n, "g")
+        assert 10 <= failures <= 35
 
     @pytest.mark.parametrize("case", ["readme", "cross_term", "curved4", "indefinite", "randers3"])
     def test_table_values_and_eigenvalues_equal_per_point(self, case):
@@ -605,9 +646,10 @@ class TestPolynomialReference:
 
     def test_sparse_tables_build_in_bounded_time_and_memory(self):
         # n = 40 with a term in every entry: the source grows with the terms,
-        # and the n^3 contraction stays a loop.  The tables' own construction
-        # checks take about 1.8 s of this on 2 shared cores.  The peak is the
-        # child's VmHWM: ru_maxrss would carry this process's peak over exec.
+        # and the n^3 contraction stays a loop.  Of the 0.3 s measured on 2
+        # shared cores the compile takes about 0.22 s and the tables' own
+        # construction checks about 0.05 s.  The peak is the child's VmHWM:
+        # ru_maxrss would carry this process's peak over exec.
         script = (
             "import time\n"
             "from finslerlab import make_metric\n"
