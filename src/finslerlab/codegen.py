@@ -15,12 +15,24 @@ import weakref
 _serial = itertools.count(1)  # one filename per compile: per-config sources share a label
 
 
+class _Anchor:
+    """Kept in a generated namespace under its source's filename; its finalizer drops that source."""
+
+
 def emit(signature: str, lines: list, namespace: dict, label: str):
-    """def signature: over lines, run in namespace (which keeps it by name) and filed as <finslerlab label #k>."""
+    """def signature: over lines, run in namespace and filed as <finslerlab label #k>.
+
+    The function is taken out of the namespace again, so it and the
+    namespace, which is the globals of every function it defines, form no
+    cycle and go by reference counting.  The namespace keeps an anchor whose
+    finalizer drops the source from linecache: the source lives exactly as
+    long as some function compiled from it.
+    """
     source = "".join(line + "\n" for line in [f"def {signature}:", *("    " + line for line in lines)])
     filename = f"<finslerlab {label} #{next(_serial)}>"
     exec(compile(source, filename, "exec"), namespace)
-    function = namespace[signature.partition("(")[0]]
+    function = namespace.pop(signature.partition("(")[0])
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    weakref.finalize(function, linecache.cache.pop, filename, None)
+    namespace[filename] = anchor = _Anchor()
+    weakref.finalize(anchor, linecache.cache.pop, filename, None)
     return function

@@ -145,23 +145,29 @@ def _poly_vector_from_json(obj, n: int, where: str):
     return [Polynomial.from_json(cell, n, f"{where}[{i}]") for i, cell in enumerate(obj)]
 
 
+_TABLE_BLOCKS = {"riemannian": {"metric"}, "randers": {"metric", "one_form"}}  # a family's block and its fields
+
+
 @dataclass(frozen=True)
 class MetricConfig:
-    """Parsed, validated description of one metric instance."""
+    """Parsed, validated description of one metric instance.
+
+    metric is the riemannian or randers family's table of polynomials, and
+    one_form the randers family's b_i; both are None on the chart families.
+    """
 
     family: str
     dimension: int
     k: float = 1.0
     scale: float = 1.0
-    riemannian_metric: tuple | None = None
-    randers_metric: tuple | None = None
-    randers_form: tuple | None = None
+    metric: tuple | None = None
+    one_form: tuple | None = None
 
     @staticmethod
     def from_dict(doc: dict) -> "MetricConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        allowed = {"family", "dimension", "k", "scale", "riemannian", "randers"}
+        allowed = {"family", "dimension", "k", "scale", *_TABLE_BLOCKS}
         unknown = set(doc) - allowed
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -184,39 +190,22 @@ class MetricConfig:
         scale = doc.get("scale", 1.0)
         if not _finite_number(scale) or scale <= 0:
             raise ConfigError("scale must be a positive number")
-        riem = None
-        rmet = None
-        rform = None
-        if family == "riemannian":
-            block = doc.get("riemannian")
+        metric = one_form = None
+        for name, fields in _TABLE_BLOCKS.items():
+            if family != name:
+                if name in doc:
+                    raise ConfigError(f"'{name}' block is only valid for the {name} family")
+                continue
+            block = doc.get(name)
             if not isinstance(block, dict):
-                raise ConfigError("riemannian family needs a 'riemannian' block")
-            extra = set(block) - {"metric"}
+                raise ConfigError(f"{name} family needs a '{name}' block")
+            extra = set(block) - fields
             if extra:
-                raise ConfigError(f"unknown riemannian fields: {sorted(extra)}")
-            riem = tuple(tuple(r) for r in _poly_matrix_from_json(block.get("metric"), dim, "riemannian.metric"))
-        elif "riemannian" in doc:
-            raise ConfigError("'riemannian' block is only valid for the riemannian family")
-        if family == "randers":
-            block = doc.get("randers")
-            if not isinstance(block, dict):
-                raise ConfigError("randers family needs a 'randers' block")
-            extra = set(block) - {"metric", "one_form"}
-            if extra:
-                raise ConfigError(f"unknown randers fields: {sorted(extra)}")
-            rmet = tuple(tuple(r) for r in _poly_matrix_from_json(block.get("metric"), dim, "randers.metric"))
-            rform = tuple(_poly_vector_from_json(block.get("one_form"), dim, "randers.one_form"))
-        elif "randers" in doc:
-            raise ConfigError("'randers' block is only valid for the randers family")
-        return MetricConfig(
-            family=family,
-            dimension=dim,
-            k=float(k),
-            scale=float(scale),
-            riemannian_metric=riem,
-            randers_metric=rmet,
-            randers_form=rform,
-        )
+                raise ConfigError(f"unknown {name} fields: {sorted(extra)}")
+            metric = tuple(tuple(r) for r in _poly_matrix_from_json(block.get("metric"), dim, f"{name}.metric"))
+            if "one_form" in fields:
+                one_form = tuple(_poly_vector_from_json(block.get("one_form"), dim, f"{name}.one_form"))
+        return MetricConfig(family, dim, float(k), float(scale), metric, one_form)
 
     @staticmethod
     def from_json(text: str) -> "MetricConfig":
@@ -239,18 +228,40 @@ class FinslerStructure:
     geodesic_field(z) is [v, -2 G(x, v)] for the phase point z = x + v, a
     list of 2n floats; float_F(x, y) is F on lists of floats.  Both give the
     bits of the scalar-like path: all four are generated from one source.
-    g_ij is the jet Hessian of F^2/2.
+    g_ij is the jet Hessian of F^2/2.  Every other fact is read from the
+    config, which fixes it.
     """
 
-    dimension: int
-    family: str
-    reversible: bool
     config: MetricConfig
     f2: Callable
     spray_fast: Callable
     geodesic_field: Callable
     float_F: Callable
-    unique_geodesics: bool = False
+
+    @property
+    def dimension(self) -> int:
+        return self.config.dimension
+
+    @property
+    def family(self) -> str:
+        return self.config.family
+
+    @property
+    def reversible(self) -> bool:
+        """F(x, -y) = F(x, y): the Klein ball, every Riemannian table, and a Randers metric exactly when beta = 0.
+
+        beta = 0 when each b_i is the zero polynomial once like monomials are
+        added (Chern & Shen, Riemann-Finsler Geometry, 2005).
+        """
+        form = self.config.one_form
+        if form is not None:
+            return all(math.fsum(c for c, e in p.terms if e == exps) == 0.0 for p in form for _, exps in p.terms)
+        return self.family in ("klein_ball", "riemannian")
+
+    @property
+    def unique_geodesics(self) -> bool:
+        """The chart families' geodesics are chords; a table's are not known in advance."""
+        return self.config.metric is None
 
     def domain(self, x) -> bool:
         """x lies in the chart: the open unit ball, the interval (-1, 1) in dimension one."""
@@ -350,8 +361,8 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
         return lines
 
     if config is not None:
-        gpoly = config.riemannian_metric or config.randers_metric
-        bpoly = config.randers_form
+        gpoly = config.metric
+        bpoly = config.one_form
         g = table("g", gpoly, 2)
         dg = table("dg", [[[gpoly[i][j].partial(l) for j in range(n)] for i in range(n)] for l in range(n)], 3)
         if bpoly is not None:
@@ -447,71 +458,45 @@ def _check_symmetric_tables(mat, n, where):
         raise ConfigError(f"{where} must be symmetric: entry ({i[bad[0, 1]]},{j[bad[0, 1]]}) differs")
 
 
-def _construction_samples(S: FinslerStructure, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.array([S.sample_point(rng) for _ in range(CONSTRUCTION_SAMPLES)])
+def _check_table(S: FinslerStructure):
+    """The table symmetric, positive definite and, with a one-form, ||beta||_alpha < 1 at every sample.
 
-
-def _check_riemannian_positive(S: FinslerStructure):
-    xs = _construction_samples(S, 98765)
-    bad = np.flatnonzero(np.linalg.eigvalsh(_eval_table(S.config.riemannian_metric, xs))[:, 0] <= 0.0)
-    if bad.size:
-        raise StrongConvexityError(f"riemannian coefficient matrix not positive definite at x={xs[bad[0]]}")
-
-
-def _check_randers_convexity(S: FinslerStructure):
-    """The base metric positive definite and ||beta||_alpha < 1 at every sample.
-
-    The first sample that fails either check is reported, the positivity
-    check first, as a point-by-point loop would; the norm is solved only at
-    the samples before the first indefinite one.
+    The first sample that fails either sampled check is reported, the
+    positivity check first, as a point-by-point loop would; the norm is
+    solved only at the samples before the first indefinite one.
     """
-    xs = _construction_samples(S, 56789)
-    a = _eval_table(S.config.randers_metric, xs)
+    config = S.config
+    form = config.one_form
+    _check_symmetric_tables(config.metric, S.dimension, f"{S.family}.metric")
+    rng = np.random.default_rng(98765 if form is None else 56789)
+    xs = np.array([S.sample_point(rng) for _ in range(CONSTRUCTION_SAMPLES)])
+    a = _eval_table(config.metric, xs)
     indefinite = np.flatnonzero(np.linalg.eigvalsh(a)[:, 0] <= 0.0)
     first = indefinite[0] if indefinite.size else len(xs)
-    b = _eval_polynomials(S.config.randers_form, xs[:first])
-    norm2 = (b[:, None, :] @ np.linalg.solve(a[:first], b[:, :, None]))[:, 0, 0]
-    large = np.flatnonzero(norm2 >= (1.0 - 1e-6) ** 2)
-    if large.size:
-        raise StrongConvexityError(
-            f"randers one-form too large at x={xs[large[0]]}: ||beta||_alpha = {np.sqrt(norm2[large[0]]):.6f} >= 1"
-        )
+    if form is not None:
+        b = _eval_polynomials(form, xs[:first])
+        norm2 = (b[:, None, :] @ np.linalg.solve(a[:first], b[:, :, None]))[:, 0, 0]
+        large = np.flatnonzero(norm2 >= (1.0 - 1e-6) ** 2)
+        if large.size:
+            raise StrongConvexityError(
+                f"randers one-form too large at x={xs[large[0]]}: ||beta||_alpha = {np.sqrt(norm2[large[0]]):.6f} >= 1"
+            )
     if indefinite.size:
-        raise StrongConvexityError(f"randers base metric not positive definite at x={xs[first]}")
+        what = "riemannian coefficient matrix" if form is None else "randers base metric"
+        raise StrongConvexityError(f"{what} not positive definite at x={xs[first]}")
 
 
 def make_metric(config: MetricConfig | dict) -> FinslerStructure:
-    """Build the structure for a validated config (dicts are parsed first), running its family's checks."""
+    """Build the structure for a validated config (dicts are parsed first), running its table's checks."""
     if isinstance(config, dict):
         config = MetricConfig.from_dict(config)
-    family, n = config.family, config.dimension
-    table = config.riemannian_metric or config.randers_metric
-    if table is None:
-        make = _chart_paths(family, n)
+    if config.metric is None:
+        make = _chart_paths(config.family, config.dimension)
     else:
-        _check_symmetric_tables(table, n, f"{family}.metric")
-        make = _compile(family, n, config)
-    f2, spray_fast, geodesic_field, float_F = make(config.scale * config.scale, config.k)
-    if family == "randers":
-        reversible = not any(p.terms for p in config.randers_form)
-    else:
-        reversible = family in ("klein_ball", "riemannian")
-    structure = FinslerStructure(
-        dimension=n,
-        family=family,
-        reversible=reversible,
-        config=config,
-        f2=f2,
-        spray_fast=spray_fast,
-        geodesic_field=geodesic_field,
-        float_F=float_F,
-        unique_geodesics=table is None,
-    )
-    if family == "riemannian":
-        _check_riemannian_positive(structure)
-    elif family == "randers":
-        _check_randers_convexity(structure)
+        make = _compile(config.family, config.dimension, config)
+    structure = FinslerStructure(config, *make(config.scale * config.scale, config.k))
+    if config.metric is not None:
+        _check_table(structure)
     return structure
 
 

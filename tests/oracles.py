@@ -239,7 +239,7 @@ def polynomial_reference(config):
     """
     n = config.dimension
     if config.family == "riemannian":
-        gpoly = config.riemannian_metric
+        gpoly = config.metric
         s2 = config.scale * config.scale
         christoffel = _levi_civita_spray(gpoly, n)
 
@@ -252,8 +252,8 @@ def polynomial_reference(config):
         return f2, spray_fast
     if config.family != "randers":
         raise ValueError(f"{config.family} has no polynomial tables")
-    apoly = config.randers_metric
-    bpoly = config.randers_form
+    apoly = config.metric
+    bpoly = config.one_form
     scale = config.scale
     christoffel = _levi_civita_spray(apoly, n)
     db = [[bpoly[i].partial(j) for j in range(n)] for i in range(n)]  # db[i][j] = d_j b_i
@@ -887,7 +887,7 @@ def construction_check_per_point(config):
     parsed riemannian or randers MetricConfig.
     """
     n = config.dimension
-    table = config.riemannian_metric or config.randers_metric
+    table = config.metric
     rng = np.random.default_rng(98765 if config.family == "riemannian" else 56789)
     for _ in range(200):
         x = sample_point(rng, n, SAMPLING_RADIUS)
@@ -897,7 +897,7 @@ def construction_check_per_point(config):
                 return f"riemannian coefficient matrix not positive definite at x={x}"
             return f"randers base metric not positive definite at x={x}"
         if config.family == "randers":
-            b = np.array([p(x) for p in config.randers_form])
+            b = np.array([p(x) for p in config.one_form])
             norm2 = float(b @ np.linalg.solve(a, b))
             if norm2 >= (1.0 - 1e-6) ** 2:
                 return f"randers one-form too large at x={x}: ||beta||_alpha = {np.sqrt(norm2):.6f} >= 1"

@@ -128,6 +128,21 @@ class TestValidateCommand:
         assert doc["reversible_observed"] is False
         assert doc["reversible_declared"] is False
 
+    @pytest.mark.parametrize(
+        "b1", ["[[0.0, 0, 0]]", "[[0.0, 1, 0]]", "[[0.3, 1, 0], [-0.3, 1, 0]]"], ids=["constant", "monomial", "cancelling"]
+    )
+    def test_a_zero_one_form_is_declared_reversible(self, cfg, capsys, b1):
+        path = cfg["dir"] / "zero_form.json"
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[[0.0, 0, 0]], json.loads(b1)]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "metric", "validate", "--config", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["reversible_observed"] is True
+        assert doc["reversible_declared"] is True
+
     def test_convexity_failure_exits_2(self, cfg, capsys):
         code, out, _ = run(capsys, "metric", "validate", "--config", cfg["randers_bad"])
         assert code == 2

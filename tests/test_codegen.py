@@ -31,7 +31,8 @@ class TestNamedSources:
         ids=["chart", "chart_F", "per_config", "attempt", "dense", "chord", "qk21"],
     )
     def test_filename_names_the_site_and_its_size(self, request, function, label):
-        code = function(request).__code__
+        held = function(request)  # a per-config source lives as long as a function compiled from it
+        code = held.__code__
         assert re.fullmatch(rf"<finslerlab {label} #\d+>", code.co_filename)
         # the source is registered, so the first line is the function's own def
         assert linecache.getline(code.co_filename, code.co_firstlineno).lstrip().startswith(f"def {code.co_name}(")
@@ -57,3 +58,15 @@ class TestNamedSources:
         del structures
         gc.collect()
         assert generated_sources() <= before
+
+    def test_a_dropped_structure_frees_its_source_without_the_cycle_collector(self):
+        gc.collect()
+        before = generated_sources()
+        gc.disable()
+        try:
+            structures = [make_metric(euclid_config(2)) for _ in range(20)]
+            assert len(generated_sources() - before) == 20
+            del structures
+            assert generated_sources() <= before
+        finally:
+            gc.enable()

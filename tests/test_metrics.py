@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from finslerlab import (
 )
 from finslerlab import geodesics, metrics
 from finslerlab.jets import Jet, jet_space
-from finslerlab.metrics import FAMILIES, SAMPLING_RADIUS, _fundamental_tensors, invert_scalarlike_matrix
+from finslerlab.metrics import FAMILIES, SAMPLING_RADIUS, FinslerStructure, _fundamental_tensors, invert_scalarlike_matrix
 
 from conftest import (
     ball_point,
@@ -132,6 +133,55 @@ class TestConfig:
         for beta1 in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError):
                 MetricConfig.from_dict(randers_config(2, beta1))
+
+    METRIC = euclid_config(2)["riemannian"]["metric"]
+    FORM = [poly_const(2, 0.1), poly_const(2, 0.0)]
+    ONLY_RIEMANNIAN = "'riemannian' block is only valid for the riemannian family"
+    ONLY_RANDERS = "'randers' block is only valid for the randers family"
+    BLOCK_ERRORS = {  # case: (family, blocks, the first error's message)
+        "riemannian_missing": ("riemannian", {}, "riemannian family needs a 'riemannian' block"),
+        "riemannian_not_an_object": ("riemannian", {"riemannian": []}, "riemannian family needs a 'riemannian' block"),
+        "riemannian_unknown_field": (
+            "riemannian", {"riemannian": {"metric": [], "one_form": FORM}}, "unknown riemannian fields: ['one_form']"
+        ),
+        "riemannian_metric_missing": (
+            "riemannian", {"riemannian": {}}, "riemannian.metric: expected an 2x2 matrix of polynomials"
+        ),
+        "riemannian_scale_first": ("riemannian", {"scale": -1.0}, "scale must be a positive number"),
+        "riemannian_with_randers": (
+            "riemannian", {"riemannian": {"metric": METRIC}, "randers": {"metric": METRIC, "one_form": FORM}}, ONLY_RANDERS
+        ),
+        "riemannian_own_block_first": (
+            "riemannian", {"randers": {"metric": METRIC, "one_form": FORM}}, "riemannian family needs a 'riemannian' block"
+        ),
+        "riemannian_own_metric_first": (
+            "riemannian", {"riemannian": {"metric": [[]]}, "randers": {}}, "riemannian.metric: expected an 2x2 matrix of polynomials"
+        ),
+        "randers_missing": ("randers", {}, "randers family needs a 'randers' block"),
+        "randers_unknown_field": (
+            "randers", {"randers": {"metric": [], "one_form": [], "scale": 2}}, "unknown randers fields: ['scale']"
+        ),
+        "randers_metric_before_form": (
+            "randers", {"randers": {"metric": [[]]}}, "randers.metric: expected an 2x2 matrix of polynomials"
+        ),
+        "randers_form_missing": (
+            "randers", {"randers": {"metric": METRIC}}, "randers.one_form: expected 2 polynomial entries"
+        ),
+        "randers_with_riemannian": (
+            "randers", {"riemannian": {"metric": METRIC}, "randers": {"metric": METRIC, "one_form": FORM}}, ONLY_RIEMANNIAN
+        ),
+        "randers_foreign_block_first": ("randers", {"riemannian": {"metric": METRIC}}, ONLY_RIEMANNIAN),
+        "chart_with_riemannian": ("klein_ball", {"riemannian": {"metric": METRIC}}, ONLY_RIEMANNIAN),
+        "chart_with_randers": ("funk_ball", {"randers": {}}, ONLY_RANDERS),
+        "chart_with_both": ("klein_ball", {"randers": {}, "riemannian": {}}, ONLY_RIEMANNIAN),
+    }
+
+    @pytest.mark.parametrize("case", list(BLOCK_ERRORS))
+    def test_table_block_errors_and_their_order(self, case):
+        family, blocks, message = self.BLOCK_ERRORS[case]
+        with pytest.raises(ConfigError) as err:
+            MetricConfig.from_dict({"family": family, "dimension": 2, **blocks})
+        assert str(err.value) == message
 
 
 class TestEvaluators:
@@ -326,7 +376,7 @@ class TestConstructionChecks:
     @pytest.mark.parametrize("case", ["readme", "cross_term", "curved4", "indefinite", "randers3"])
     def test_table_values_and_eigenvalues_equal_per_point(self, case):
         config = MetricConfig.from_dict(self.CASES[case])
-        table = config.riemannian_metric or config.randers_metric
+        table = config.metric
         rng = np.random.default_rng(98765)
         xs = np.array([sample_point(rng, config.dimension, SAMPLING_RADIUS) for _ in range(200)])
         a = metrics._eval_table(table, xs)
@@ -709,7 +759,7 @@ class TestFundamentalTensor:
         S = make_metric(dict(README_METRIC, scale=scale))
         x, y = self._batch(S, 43)
         g, _ = _fundamental_tensors(S, x, y)
-        table = S.config.riemannian_metric
+        table = S.config.metric
         want = [[[scale * scale * float(p(xb)) for p in row] for row in table] for xb in x.T]
         assert np.array_equal(g, np.array(want))
 
@@ -760,9 +810,60 @@ class TestValidateStructure:
         assert report.passed
         assert report.homogeneity_residual <= 1e-14
 
+    @pytest.mark.parametrize(
+        "b1",
+        [[[0.0, 0, 0]], [[0.0, 1, 0]], [[0.3, 1, 0], [-0.3, 1, 0]]],
+        ids=["constant_zero", "monomial_zero", "cancelling"],
+    )
+    def test_a_zero_one_form_is_reversible(self, b1):
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[[0.0, 0, 0]], b1]
+        S = make_metric(doc)
+        assert S.reversible is True
+        report = validate_structure(S, samples=50, seed=2)
+        assert report.passed and report.reversible_observed is True
+
     def test_needs_a_sample(self, klein2):
         with pytest.raises(ValueError):
             validate_structure(klein2, samples=0)
+
+
+class TestDataModel:
+    """A structure is its config and four generated functions; every other fact is read from the config."""
+
+    def test_the_fields(self):
+        assert [f.name for f in dataclasses.fields(FinslerStructure)] == [
+            "config", "f2", "spray_fast", "geodesic_field", "float_F",
+        ]
+        assert [f.name for f in dataclasses.fields(MetricConfig)] == [
+            "family", "dimension", "k", "scale", "metric", "one_form",
+        ]
+
+    # (config, dimension, family, reversible, unique_geodesics), as the structure stored them
+    # before they were read from the config; the zero one-form's reversible is the one change
+    CASES = {
+        "klein2": (klein_config(2), 2, "klein_ball", True, True),
+        "klein3_scaled": (klein_config(3, scale=1.7), 3, "klein_ball", True, True),
+        "funk3": (funk_config(3), 3, "funk_ball", False, True),
+        "interval1": ({"family": "interval_funk", "dimension": 1, "k": 1.0}, 1, "interval_funk", False, True),
+        "euclid3": (euclid_config(3), 3, "riemannian", True, False),
+        "curved": (curved_riemannian_config(), 2, "riemannian", True, False),
+        "overflowing_partial": (overflowing_partial_config(), 2, "riemannian", True, False),
+        "cross_term": (cross_term_config(), 2, "riemannian", True, False),
+        "curved3": (curved_table_config(3), 3, "riemannian", True, False),
+        "exact_randers": (exact_randers_config(), 2, "randers", False, False),
+        "nonclosed_randers": (nonclosed_randers_config(), 2, "randers", False, False),
+        "randers3": (randers3_config(), 3, "randers", False, False),
+        "zero_form_randers": (zero_form_randers_config(), 2, "randers", True, False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_the_facts_its_config_fixes(self, case):
+        doc, *facts = self.CASES[case]
+        S = make_metric(doc)
+        assert [S.dimension, S.family, S.reversible, S.unique_geodesics] == facts
+        with pytest.raises(AttributeError):
+            S.reversible = not S.reversible
 
     def test_report_serializes(self, klein2):
         report = validate_structure(klein2, samples=20, seed=0)
