@@ -21,7 +21,7 @@ import numpy as np
 from .codegen import emit
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
 from .jets import Jet, jet_space
-from .metrics import FinslerStructure, invert_scalarlike_matrix
+from .metrics import FinslerStructure, _dot, invert_scalarlike_matrix
 from .ode import OdeTrajectory, integrate_ivp
 from .scalar import minimize_bounded, qagse
 
@@ -218,9 +218,8 @@ def geodesic_ivp(
         raise EvaluationDomainError("zero initial direction")
     if length == 0.0:
         raise ValueError("length must be nonzero")
-    v0 = _unit_against_F(S, x0, y0)
+    z0 = x0.tolist() + _unit_against_F(S, x0.tolist(), y0.tolist())
     backward = length < 0.0
-    z0 = np.concatenate((x0, v0))
     span = (0.0, abs(length))
 
     try:
@@ -280,11 +279,15 @@ def _closest_approach(traj: OdeTrajectory, q: np.ndarray, n: int):
 
 
 def _unit_against_F(S, p, v):
-    """v / F(p, v); EvaluationDomainError unless F(p, v) is finite and positive."""
-    f = float(S.F(p, v))
+    """v / F(p, v) as a list of floats; EvaluationDomainError unless F(p, v) is finite and positive.
+
+    p and v are sequences of floats, and F(p, v) is S.float_F, which has the
+    bits of S.F.  The message prints p and v as arrays.
+    """
+    f = S.float_F(p, v)
     if not (math.isfinite(f) and f > 0.0):
-        raise EvaluationDomainError(f"cannot normalise y = {v} at x = {p}: F(x, y) = {f!r}")
-    return v / f
+        raise EvaluationDomainError(f"cannot normalise y = {np.array(v)} at x = {np.array(p)}: F(x, y) = {f!r}")
+    return [w / f for w in v]
 
 
 @functools.cache
@@ -304,13 +307,13 @@ def _chord_length(S, p, q) -> float:
 
     QUADPACK's qagse to 1e-12, absolute and relative, over at most 200
     intervals, of S.float_F at p + t (q - p), the integrand written out for
-    the dimension.  S.float_F is read on every chord, so a wrapper installed
-    on the structure before it sees every node.  The shot's miss, not the
-    quadrature's error estimate, certifies this length as a start of the
-    search, so the estimate is taken as it comes near the chart boundary too.
+    the dimension; p and q are sequences of floats.  S.float_F is read on
+    every chord, so a wrapper installed on the structure before it sees
+    every node.  The shot's miss, not the quadrature's error estimate,
+    certifies this length as a start of the search, so the estimate is taken
+    as it comes near the chart boundary too.
     """
-    a = p.tolist()
-    integrand = _chord_integrand(len(a))(S.float_F, a, (q - p).tolist())
+    integrand = _chord_integrand(len(p))(S.float_F, p, [b - a for a, b in zip(p, q)])
     length, _ = qagse(integrand, 0.0, 1.0, 1e-12, 1e-12, 200)
     return float(length)
 
@@ -318,13 +321,15 @@ def _chord_length(S, p, q) -> float:
 def _shoot(S, p, v, s, tol, shots):
     """The geodesic from (p, v) over [0, s], or None when it leaves the chart.
 
-    Every trajectory is appended to `shots`, a chart exit's too.  The list
-    is read once, when the search ends: finsler_distance sums its ODE work
-    then, so the dense-output stages that the closest-approach searches
-    evaluate on these trajectories are counted as well.
+    p and v are sequences of floats, and the start state is their
+    concatenation as a list.  Every trajectory is appended to `shots`, a
+    chart exit's too.  The list is read once, when the search ends:
+    finsler_distance sums its ODE work then, so the dense-output stages that
+    the closest-approach searches evaluate on these trajectories are counted
+    as well.
     """
     try:
-        traj = integrate_ivp(_geodesic_rhs(S), np.concatenate((p, v)), (0.0, s), tolerance=tol)
+        traj = integrate_ivp(_geodesic_rhs(S), [*p, *v], (0.0, s), tolerance=tol)
     except DomainExitError as exc:
         shots.append(exc.trajectory)
         return None
@@ -332,7 +337,7 @@ def _shoot(S, p, v, s, tol, shots):
     return traj
 
 
-def _direction_basis(p_dim: int, d0: np.ndarray) -> np.ndarray:
+def _direction_basis(p_dim: int, d0: list[float]) -> np.ndarray:
     """Orthonormal complement of d0, columns spanning the search space."""
     mat = np.eye(p_dim)
     qmat, _ = np.linalg.qr(np.column_stack([d0] + [mat[:, i] for i in range(p_dim)]))
@@ -345,8 +350,10 @@ def _newton_polish(S, p, d0, s0, q, shots, stop=1e-12):
     The m = n - 1 direction offsets span the complement of d0 (none in
     dimension one, where Newton runs on the arc length alone).  Their
     Jacobian columns are one-sided differences against the current
-    endpoint; the arc-length column is the endpoint velocity.  Iteration
-    stops once the miss is at most `stop`.  Returns the best iterate as
+    endpoint; the arc-length column is the endpoint velocity.  p, d0 and q
+    are sequences of floats; the endpoints and misses are lists of floats,
+    and only the Jacobian solve is array code.  Iteration stops once the
+    max-norm miss is at most `stop`.  Returns the best iterate as
     (s, miss, iterations, trajectory), the trajectory being that iterate's
     shot over [0, s], also when a probe leaves the chart or the Jacobian is
     singular; None only when the start itself fails.
@@ -362,20 +369,23 @@ def _newton_polish(S, p, d0, s0, q, shots, stop=1e-12):
             return None
         # before the basis exists u is 0, and d0 + 0.0 is d0 + basis @ 0 bit
         # for bit: the product's zeros are +0.0, which turn a -0.0 into +0.0
-        v = d0 + 0.0 if basis is None else d0 + basis @ u_loc
-        if math.sqrt(v.dot(v)) < 1e-10:
+        v = [w + 0.0 for w in d0] if basis is None else np.add(d0, basis @ u_loc).tolist()
+        if math.sqrt(_dot(v, v)) < 1e-10:
             return None
         traj = _shoot(S, p, _unit_against_F(S, p, v), s_loc, INTEGRATION_TOLERANCE, shots)
         if traj is None:
             return None
-        z = traj(s_loc)
+        z = traj(s_loc).tolist()
         return z[:n], z[n:], traj
+
+    def miss(x):
+        r = [a - b for a, b in zip(x, q)]
+        return r, max(map(abs, r))
 
     cur = endpoint(u, s)
     if cur is None:
         return None
-    r = cur[0] - q
-    best = float(np.max(np.abs(r)))
+    r, best = miss(cur[0])
     iters = 0
     h = 1e-7
     for _ in range(NEWTON_MAX_ITER):
@@ -386,7 +396,7 @@ def _newton_polish(S, p, d0, s0, q, shots, stop=1e-12):
         probes = [endpoint(u + h * e, s) for e in np.eye(m)]
         if any(ep is None for ep in probes):
             break
-        J = np.column_stack([(ep[0] - cur[0]) / h for ep in probes] + [cur[1]])
+        J = np.column_stack([np.subtract(ep[0], cur[0]) / h for ep in probes] + [cur[1]])
         try:
             delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -397,10 +407,9 @@ def _newton_polish(S, p, d0, s0, q, shots, stop=1e-12):
             s_new = s - step * delta[m]
             cand = endpoint(u_new, s_new)
             if cand is not None:
-                r_new = cand[0] - q
-                if float(np.max(np.abs(r_new))) < best:
-                    u, s, cur, r = u_new, s_new, cand, r_new
-                    best = float(np.max(np.abs(r_new)))
+                r_new, best_new = miss(cand[0])
+                if best_new < best:
+                    u, s, cur, r, best = u_new, s_new, cand, r_new, best_new
                     break
             step *= 0.5
         else:
@@ -428,20 +437,29 @@ def finsler_distance(S: FinslerStructure, p, q, *, seed: int = 0) -> DistanceRes
     directions in dimension >= 3.  The returned geodesic is the hit's own
     shot, so its endpoint lies within MISS_TOLERANCE of q.
 
+    p and q are converted once to lists of floats, and the chord route
+    carries them so from the chart test to the hit: the chord's direction,
+    length and shots, and every Newton miss, are Python float arithmetic.
+    The fan keeps its arrays for the closest-approach search and the
+    Jacobian solve.
+
     diagnostics["path"] is "chord" or "fan"; diagnostics["shots"] counts
     every integrated trajectory, and diagnostics["rhs_calls"] and
     diagnostics["steps_rejected"] sum their ODE work, failed shots and the
     dense-output stages of the closest-approach searches included.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float)).tolist()
+    q = np.atleast_1d(np.asarray(q, dtype=float)).tolist()
+    if len(p) != len(q):
+        raise ValueError(f"endpoints of different lengths {len(p)} and {len(q)}")
     if not S.domain(p) or not S.domain(q):
         raise EvaluationDomainError("endpoints must lie inside the chart")
-    if float(np.max(np.abs(q - p))) < 1e-14:
+    d = [b - a for a, b in zip(p, q)]
+    if max(map(abs, d)) < 1e-14:
         return DistanceResult(0.0, None, {"trivial": True})
 
     shots = []
-    chord_dir = _unit_against_F(S, p, q - p)
+    chord_dir = _unit_against_F(S, p, d)
     chord_len = _chord_length(S, p, q)
 
     # With unique geodesics the chord direction and the chord's length start
@@ -481,17 +499,17 @@ def _fan_search(S, p, q, chord_dir, chord_len, seed, shots):
         base_angle = math.atan2(chord_dir[1], chord_dir[0])
         for i in range(FAN_DIRECTIONS):
             ang = base_angle + 2.0 * math.pi * (i + 1) / (FAN_DIRECTIONS + 1)
-            candidates.append(_unit_against_F(S, p, np.array([math.cos(ang), math.sin(ang)])))
+            candidates.append(_unit_against_F(S, p, [math.cos(ang), math.sin(ang)]))
     else:
         for _ in range(FAN_DIRECTIONS):
-            v = rng.standard_normal(n)
-            candidates.append(_unit_against_F(S, p, v))
+            candidates.append(_unit_against_F(S, p, rng.standard_normal(n).tolist()))
 
+    q_arr = np.array(q)
     coarse = []
     for v in candidates:
         traj = _shoot(S, p, v, s_max, 1e-8, shots)
         if traj is not None:
-            s_star, miss = _closest_approach(traj, q, n)
+            s_star, miss = _closest_approach(traj, q_arr, n)
             coarse.append((miss, v, s_star))
     if not coarse:
         raise SearchFailureError("all shooting starts left the domain")
@@ -514,7 +532,7 @@ def _fan_search(S, p, q, chord_dir, chord_len, seed, shots):
                 break
     if not hits:
         raise SearchFailureError(
-            f"no connecting geodesic found from {list(map(float, p))} to {list(map(float, q))} "
+            f"no connecting geodesic found from {p} to {q} "
             f"(best miss {best_miss:.3e}, {len(shots)} shots tried)"
         )
     hits.sort(key=lambda item: item[0])

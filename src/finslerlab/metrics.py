@@ -667,6 +667,13 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
     A sample is measured when F(x, y) is positive and finite, F(x, lam y) is
     finite for every lam and both Hessians are finite; any other sample is a
     named failure, and no Hessian that is not finite reaches eigvalsh.
+
+    Reversibility is observed from |F(x, -y) - F(x, y)| / F, judged against
+    the size of the sampled one-form: on a Randers metric F = scale (alpha +
+    beta) that deviation is 2 |beta(x, y)| / (alpha + beta).  F reads
+    non-reversible when the deviation exceeds 1e-9 somewhere, or when the
+    form is nonzero at some sample and the deviation is 2 |beta| / (alpha +
+    beta) to 1e-9 at every one, however far below F's rounding the form is.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -680,6 +687,9 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
     hessians_finite = True
     measured = 0
     rev_dev = 0.0
+    form_dev = 0.0  # the largest sampled 2 |beta| / (alpha + beta), 0 without a one-form
+    unexplained = 0.0  # the largest gap between the deviation and the form's size
+    form = S.config.one_form
     failures: list[str] = []
     for _ in range(samples):
         x = S.sample_point(rng)
@@ -715,8 +725,11 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
         worst_euler = max(worst_euler, euler)
         worst_ghom = max(worst_ghom, float(np.max(np.abs(g2 - g))) / max(1.0, float(np.max(np.abs(g)))))
         rev = abs(scaled[-1] - fval) / fval
+        size = 0.0 if form is None else 2.0 * S.config.scale * abs(sum(b(x) * v for b, v in zip(form, y))) / fval
         rev_dev = max(rev_dev, rev)
-    reversible_observed = rev_dev <= 1e-9 if measured else None
+        form_dev = max(form_dev, size)
+        unexplained = max(unexplained, abs(rev - size))
+    reversible_observed = rev_dev <= 1e-9 and not (form_dev > 0.0 and unexplained <= 1e-9) if measured else None
     convex_ok = measured > 0 and hessians_finite and min_eig > 0.0
     if measured and min_eig <= 0.0:
         failures.append(f"fundamental tensor not positive definite: min eig {min_eig:.3e}")

@@ -273,13 +273,20 @@ class OdeTrajectory:
         return float(self.ts[-1])
 
     def __call__(self, t):
-        """The state at t: exact at the nodes, DOP853's interpolant between them."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        """The state at t: exact at the nodes, DOP853's interpolant between them.
+
+        A scalar t gives the state as a fresh array of shape (m,), a float
+        (a numpy float64 is one) with no array of times built around it; a
+        1-d array of times gives one row per time.
+        """
+        if isinstance(t, float):
+            return self._eval_one(t)
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim == 0:
+            return self._eval_one(float(ts))
         out = np.empty((ts.size, self.states.shape[1]))
         for m, tv in enumerate(ts):
             out[m] = self._eval_one(tv)
-        if np.ndim(t) == 0:
-            return out[0]
         return out
 
     def _eval_one(self, t: float) -> np.ndarray:
@@ -328,12 +335,14 @@ def _all_finite(values) -> bool:
 def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
     """Integrate y' = rhs(y) over span = (t0, t1) with local error <= tolerance.
 
-    rhs is autonomous: it takes the state as a list of Python floats and
-    returns a sequence of floats (a list, a tuple or a 1-d array; it may
-    reuse one buffer).  It raises EvaluationDomainError outside its domain,
-    and that is the only domain signal: at y0 the error propagates, and a
-    step whose stage raises it, or whose result is not finite, is rejected
-    and retried at half the size; once the step is below
+    y0 is a sequence of floats, best a list of Python floats: it is copied
+    entry by entry, with no array built; a y0 that is not one-dimensional
+    raises ValueError.  rhs is autonomous: it takes the state as a list of
+    Python floats and returns a sequence of floats (a list, a tuple or a 1-d
+    array; it may reuse one buffer).  It raises EvaluationDomainError
+    outside its domain, and that is the only domain signal: at y0 the error
+    propagates, and a step whose stage raises it, or whose result is not
+    finite, is rejected and retried at half the size; once the step is below
     tolerance * max(1, |t|), DomainExitError reports the last accepted node
     (its state as an array).  The trajectory keeps rhs, and its dense
     output calls it again, three times per step on first use.
@@ -345,10 +354,10 @@ def integrate_ivp(rhs, y0, span, tolerance: float = 1e-10) -> OdeTrajectory:
         raise ValueError("span must satisfy t1 > t0")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    y = np.asarray(y0, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("state must be one-dimensional")
-    y = y.tolist()
+    try:
+        y = [float(v) for v in y0]
+    except TypeError:  # y0 is a scalar, or an entry of it is not
+        raise ValueError("state must be one-dimensional") from None
     # a copy: f is the first stage of every attempt, and rhs may reuse its buffer
     f = list(rhs(y))
     if not _all_finite(f):

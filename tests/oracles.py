@@ -2,7 +2,8 @@
 
 Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
-the interval gauge from direct quadrature, the Klein fundamental tensor from
+the interval gauge from direct quadrature and its line element written out
+(funk_gauge_value), the Klein fundamental tensor from
 its closed form, the DOP853 step and interpolant from dense products over
 scipy's tableau (and, bit for bit, row_step and row_dense: the same step and
 rows as a loop of row_fold sums over it), derivatives from central differences with Richardson
@@ -27,6 +28,7 @@ exceptions are second routes through the library's own types:
   riemann_trace_jet_per_entry run it;
 - construction_check_per_point evaluates the library's Polynomial tables
   one sample at a time;
+- chain_legs counts the segments of a library Chain;
 - the two per-point routes at the end, the Einstein classification and the
   projective-parameter solve, call the library's public single-point
   functions.
@@ -298,6 +300,18 @@ def interval_funk_quadrature(k: float, a: float, b: float) -> float:
 
     val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-13)
     return sign * val
+
+
+def funk_gauge_value(gauge, u: float, y: float) -> float:
+    """The gauge's line element L_f(u, y) = (|y| + u y) / (k (1 - u^2)), refused off I = (-1, 1)."""
+    if not -1.0 < u < 1.0:
+        raise EvaluationDomainError(f"gauge point {u} outside (-1, 1)")
+    return (abs(y) + u * y) / (gauge.k * (1.0 - u * u))
+
+
+def chain_legs(chain) -> int:
+    """A chain's number of legs: one projective segment each."""
+    return len(chain.segments)
 
 
 def interval_funk_closed(k: float, a: float, b: float) -> float:

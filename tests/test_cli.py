@@ -143,6 +143,23 @@ class TestValidateCommand:
         assert doc["reversible_observed"] is True
         assert doc["reversible_declared"] is True
 
+    @pytest.mark.parametrize(
+        "b1",
+        ["[[0.1, 0, 0], [0.2, 0, 0], [-0.3, 0, 0]]", "[[1e-12, 0, 0]]", "[[1e-3, 0, 0]]"],
+        ids=["sums_to_2.8e-17", "1e-12", "1e-3"],
+    )
+    def test_a_small_nonzero_one_form_is_declared_and_observed_non_reversible(self, cfg, capsys, b1):
+        path = cfg["dir"] / "small_form.json"
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [json.loads(b1), [[0.0, 0, 0]]]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "metric", "validate", "--config", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["failures"] == []
+        assert doc["reversible_observed"] is False
+        assert doc["reversible_declared"] is False
+
     def test_convexity_failure_exits_2(self, cfg, capsys):
         code, out, _ = run(capsys, "metric", "validate", "--config", cfg["randers_bad"])
         assert code == 2

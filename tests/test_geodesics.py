@@ -630,5 +630,5 @@ class TestDistance:
         assert out is not None and len(out) == 4
         s, miss, iters, start = out
         assert len(calls) == 2
-        assert start.states[0][2:].tobytes() == v0.tobytes() and s == s0 and iters == 0
+        assert start.states[0][2:].tobytes() == np.array(v0).tobytes() and s == s0 and iters == 0
         assert miss == start_miss > 1e-3

@@ -388,7 +388,7 @@ class TestConstructionChecks:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dot_norm_equals_numpy_norm(n):
-    """math.sqrt(v.dot(v)), the norm of sample_point, theorem1_verify and _newton_polish, is np.linalg.norm's bits."""
+    """math.sqrt(v.dot(v)), the norm of sample_point and theorem1_verify, is np.linalg.norm's bits."""
     rng = np.random.default_rng(n)
     for v in rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-150.0, 150.0, (500, 1)):
         assert math.sqrt(v.dot(v)).hex() == float(np.linalg.norm(v)).hex()
@@ -488,6 +488,28 @@ class TestFloatPath:
             assert outcome(S.geodesic_field, z) == outcome(scalar_like_field, S, z)
             assert outcome(backward, z) == outcome(scalar_like_field, S, z, True)
             assert outcome(S.float_F, x, y) == outcome(lambda: float(S.F(x, y)))
+
+    @pytest.mark.parametrize("case", FLOAT_PATH_CASES)
+    def test_F_on_arrays_is_float_F_on_lists(self, case):
+        # _unit_against_F reads float_F on lists where F on arrays was read:
+        # the same float, by float.hex, and the same refusals, on and off the chart
+        S = make_metric(FLOAT_PATH_CASES[case])
+        n = S.dimension
+        rng = np.random.default_rng(26)
+        xs = rng.standard_normal((400, n))
+        xs *= (rng.uniform(0.0, 1.3, 400) / np.linalg.norm(xs, axis=1))[:, None]
+        ys = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (400, 1))
+        ys[0] = 0.0
+
+        def hexed(fn, *args):
+            try:
+                return float(fn(*args)).hex()
+            except EvaluationDomainError:
+                return "EvaluationDomainError"
+
+        seen = [hexed(S.float_F, x.tolist(), y.tolist()) for x, y in zip(xs, ys)]
+        assert seen == [hexed(S.F, x, y) for x, y in zip(xs, ys)]
+        assert "EvaluationDomainError" in seen and len(set(seen)) > 300
 
     @pytest.mark.parametrize("case", FLOAT_PATH_CASES)
     def test_off_the_chart_both_paths_refuse(self, case):
@@ -822,6 +844,36 @@ class TestValidateStructure:
         assert S.reversible is True
         report = validate_structure(S, samples=50, seed=2)
         assert report.passed and report.reversible_observed is True
+
+    @pytest.mark.parametrize(
+        "b1",
+        [[[0.1, 0, 0], [0.2, 0, 0], [-0.3, 0, 0]], [[1e-12, 0, 0]], [[1e-3, 0, 0]]],
+        ids=["sums_to_2.8e-17", "1e-12", "1e-3"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_a_small_nonzero_one_form_reads_non_reversible(self, b1, scale):
+        # the deviation |F(x, -y) - F(x, y)| / F is judged against the sampled
+        # 2 |beta| / (alpha + beta): below 1e-9, or below F's rounding, it is
+        # still the form's, so the declaration and the observation agree
+        doc = exact_randers_config()
+        doc["scale"] = scale
+        doc["randers"]["one_form"] = [b1, [[0.0, 0, 0]]]
+        S = make_metric(doc)
+        assert S.reversible is False
+        report = validate_structure(S)
+        assert report.passed and report.reversible_observed is False and report.failures == []
+
+    def test_a_reversible_F_under_a_nonzero_form_is_a_mismatch(self):
+        # F without its form's deviation: the form predicts 2 |beta| / F, F
+        # shows none, so F reads reversible and the declaration disagrees
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[[1e-3, 0, 0]], [[0.0, 0, 0]]]
+        S = make_metric(doc)
+        doc["randers"]["one_form"] = [[[0.0, 0, 0]], [[0.0, 0, 0]]]
+        S = dataclasses.replace(S, f2=make_metric(doc).f2)
+        report = validate_structure(S)
+        assert not report.passed and report.reversible_observed is True
+        assert report.failures == ["reversibility mismatch: declared False, observed True"]
 
     def test_needs_a_sample(self, klein2):
         with pytest.raises(ValueError):

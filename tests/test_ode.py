@@ -120,6 +120,27 @@ class TestIntegrateIvp:
         with pytest.raises(ValueError):
             integrate_ivp(lambda y: y, np.array([1.0]), (1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "y0",
+        [1.0, np.float64(1.0), np.array(1.0), np.ones((2, 1)), np.ones((1, 2)), [[1.0], [0.5]], [1.0, [0.5]]],
+        ids=["float", "float64", "0-d", "column", "row", "nested", "ragged"],
+    )
+    def test_a_state_that_is_not_one_dimensional_is_rejected(self, y0):
+        with pytest.raises(ValueError, match="^state must be one-dimensional$"):
+            integrate_ivp(lambda y: y, y0, (0.0, 1.0))
+
+    def test_a_list_start_is_the_array_start(self):
+        # the start state is copied entry by entry: a list of floats, an array
+        # and a list of ints and numpy floats give one trajectory, bit for bit
+        runs = [
+            integrate_ivp(harmonic, y0, (0.0, 3.0), tolerance=1e-10)
+            for y0 in ([1.0, 0.0], np.array([1.0, 0.0]), [1, np.float64(0.0)])
+        ]
+        for traj in runs[1:]:
+            assert traj.states.tobytes() == runs[0].states.tobytes()
+            assert traj.ts.tobytes() == runs[0].ts.tobytes()
+        assert isinstance(runs[2].states[0].tolist()[0], float)
+
     @pytest.mark.parametrize("t1", [math.inf, math.nan])
     def test_non_finite_span_rejected(self, t1):
         with pytest.raises(ValueError, match="finite"):
@@ -451,6 +472,21 @@ class TestDenseOutput:
     def test_nodes_are_exact(self):
         traj = integrate_ivp(harmonic, np.array([0.0, 1.0]), (0.0, 3.0), tolerance=1e-10)
         assert np.array_equal(traj(traj.ts), traj.states)
+
+    def test_a_float_time_is_the_row_of_an_array_of_times(self):
+        # a float, a numpy float64, an int and a 0-d array give one state, the
+        # row an array of times gives; each is a fresh array, not a node's view
+        traj = integrate_ivp(harmonic, [0.0, 1.0], (0.0, 3.0), tolerance=1e-10)
+        times = [-1.0, 0.0, 0.37, float(traj.ts[2]), 2.0, 3.0, 4.5]
+        rows = traj(np.array(times))
+        for t, row in zip(times, rows):
+            for form in (t, np.float64(t), np.array(t)):
+                got = traj(form)
+                assert got.shape == (2,) and got.tobytes() == row.tobytes()
+        assert traj(2).tobytes() == traj(2.0).tobytes()
+        state = traj(0.0)
+        state[0] = 7.0
+        assert traj.states[0, 0] == 0.0
 
     def test_interpolant_matches_the_array_interpolant(self):
         def rhs(y):

@@ -2,6 +2,7 @@
 the pseudo-distance, and the proportionality theorem between the invariant
 pseudo-distance and the Finslerian distance on Einstein structures."""
 
+import hashlib
 import json
 import math
 
@@ -41,6 +42,8 @@ from finslerlab.jets import jet_exp
 from conftest import curved_riemannian_config, funk_config, klein_config
 from oracles import (
     DegenerateFitError,
+    chain_legs,
+    funk_gauge_value,
     interval_funk_closed,
     interval_funk_quadrature,
     jet_log,
@@ -129,17 +132,17 @@ class TestFunkGauge:
 
     def test_metric_value_spots(self):
         g = FunkGauge(k=1.0)
-        assert g.metric_value(0.0, 1.0) == 1.0
-        assert g.metric_value(0.0, -1.0) == 1.0
+        assert funk_gauge_value(g, 0.0, 1.0) == 1.0
+        assert funk_gauge_value(g, 0.0, -1.0) == 1.0
         # non-reversible away from the origin
-        assert abs(g.metric_value(0.5, 1.0) - 2.0) <= 1e-15
-        assert abs(g.metric_value(0.5, -1.0) - 2.0 / 3.0) <= 1e-15
+        assert abs(funk_gauge_value(g, 0.5, 1.0) - 2.0) <= 1e-15
+        assert abs(funk_gauge_value(g, 0.5, -1.0) - 2.0 / 3.0) <= 1e-15
 
     def test_metric_value_outside_interval(self):
         g = FunkGauge(k=1.0)
         for u in (-1.0, 1.0, 1.5):
             with pytest.raises(EvaluationDomainError):
-                g.metric_value(u, 1.0)
+                funk_gauge_value(g, u, 1.0)
 
     def test_distance_endpoint_validation(self):
         g = FunkGauge(k=1.0)
@@ -354,7 +357,7 @@ class TestChains:
     def test_single_segment_length(self, klein2):
         gauge = FunkGauge(k=1.0)
         chain = build_canonical_chain(klein2, [np.zeros(2), np.array([0.5, 0.0])], 1.0)
-        assert chain.legs == 1
+        assert chain_legs(chain) == 1
         # factor * d_F = 2 artanh(1/2) = ln 3
         assert abs(chain_length(gauge, chain) - LN3) <= 1e-9
 
@@ -585,6 +588,76 @@ class TestProjectiveRelation:
             "seed",
         }
         json.dumps(doc)
+
+
+# ROADMAP item 13's four shared pairs, padded with zeros past dimension two
+SHARED_PAIRS = (((0.0, 0.0), (0.5, 0.0)), ((0.5, 0.0), (0.0, 0.0)), ((-0.3, 0.2), (0.4, 0.1)), ((0.4, 0.1), (-0.3, 0.2)))
+KLEIN_FUNK_SPREAD = (
+    "one projective structure should give one d_M, but under the Funk gauge k = 1 canonical_length reads "
+    "Klein 1.0986 against the Funk ball's 0.6931 (forward) and 0.4055 (backward) on (0, 0) <-> (0.5, 0), "
+    "and 1.4995 against 0.7733 and 0.7262 on (-0.3, 0.2) <-> (0.4, 0.1); the Moebius maps of I keep its "
+    "Hilbert metric, not its Funk metric (ROADMAP items 1 and 13)"
+)
+
+
+class TestOneProjectiveStructure:
+    """Projectively related structures on one chart give one canonical length on shared pairs."""
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            pytest.param(
+                (klein_config(2), funk_config(2)),
+                id="klein2-funk2",
+                marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=KLEIN_FUNK_SPREAD),
+            ),
+            pytest.param(
+                (klein_config(3), funk_config(3)),
+                id="klein3-funk3",
+                marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=KLEIN_FUNK_SPREAD),
+            ),
+            # the control: a homothetic copy, whose spread is 4e-16
+            pytest.param((klein_config(2), klein_config(2, scale=2.5)), id="klein2-klein2x2.5"),
+        ],
+    )
+    def test_related_structures_give_one_canonical_length(self, configs):
+        A, B = (make_metric(c) for c in configs)
+        assert projective_relation(A, B).related
+        gauge = FunkGauge(k=1.0)
+        pad = [0.0] * (A.dimension - 2)
+        reports = [einstein_classify(S, x_samples=6, seed=0) for S in (A, B)]
+        for p, q in SHARED_PAIRS:
+            a, b = (
+                pseudo_distance(S, [*p, *pad], [*q, *pad], gauge, einstein=rep).canonical_length
+                for S, rep in zip((A, B), reports)
+            )
+            assert abs(a - b) <= 1e-6 * max(a, b), (p, q, a, b)
+
+
+class TestRandomChainBytes:
+    """Every bit of pseudo_distance's random chains, whose legs each run finsler_distance.
+
+    SHA-256 of to_dict() as sorted-key JSON, for (-0.3, 0.2, 0.1) -> (0.4, 0.1, -0.2)
+    cut to the dimension; no CLI command draws random chains.
+    """
+
+    DIGESTS = {
+        ("klein_ball", 2, 0): "985164c4b9491f75ec527153cb5b82677c6959a0242f0ad3fb5ce4fe5bd19fd1",
+        ("klein_ball", 2, 7): "cd7c084453ce0896804a958d7949d9805dde9740d0767479d91ce8c7145de13f",
+        ("funk_ball", 2, 0): "5470c9a7ef7752fb5826ddf8a64c0703dac46f70ce9fac3506df174516cd2252",
+        ("funk_ball", 2, 7): "2aec4a53e3f832bace840cda141a2fa0bd3d8631cb972b88ab5918f0c728ac7f",
+        ("klein_ball", 3, 0): "26a46ce039bbae188d46a59375856d59b979f353eb9ef351d802f1b48550a076",
+        ("klein_ball", 3, 7): "21cc01a74eabeb3f678582c44ec615aa3c878e8a89b14f3836e1100bc01a4310",
+    }
+
+    @pytest.mark.parametrize("family, n, seed", DIGESTS, ids=lambda v: str(v))
+    def test_random_chains_keep_their_bytes(self, family, n, seed):
+        S = make_metric({"family": family, "dimension": n})
+        p, q = [-0.3, 0.2, 0.1][:n], [0.4, 0.1, -0.2][:n]
+        doc = pseudo_distance(S, p, q, FunkGauge(k=1.0), random_chains=50, seed=seed).to_dict()
+        assert doc["best_random_chain"] is not None
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == self.DIGESTS[family, n, seed]
 
 
 class TestProportionalityTheorem:
