@@ -61,7 +61,6 @@ from .metrics import (
 from .ode import OdeTrajectory, integrate_ivp
 from .projective import (
     Chain,
-    ChainSegment,
     FunkGauge,
     GeodesicProjectiveMap,
     Lemma2Result,

@@ -8,6 +8,7 @@ with repr so reports round-trip exactly.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -17,7 +18,6 @@ import click
 import numpy as np
 
 from .curvature import (
-    _flag_denominator,
     einstein_classify,
     flag_curvature,
     ricci_scalar,
@@ -27,6 +27,7 @@ from .curvature import (
 )
 from .errors import (
     ConfigError,
+    DegenerateFlagError,
     DomainExitError,
     FinslerError,
     NotEinsteinError,
@@ -234,21 +235,25 @@ def curvature_report(config_path, x, y, u, out) -> int:
         lam = ric / (n - 1.0)
         payload["scalar_shape_lambda"] = lam
         payload["scalar_shape_residual"] = scalar_curvature_residual(S, xv, yv, lam)
-        if u is not None:
-            uv = _parse_vector(u, n, "--u")
-        else:
-            # the first coordinate axis that spans a flag with y, by flag_curvature's own test;
-            # if none does, the g_y-orthogonal part of the axis at the widest g_y-angle to y
-            ft = fundamental_tensor(S, xv, yv)
-            axes = np.eye(n)
-            uv = next((e for e in axes if _flag_denominator(ft, yv, e) is not None), None)
-            if uv is None:
-                e = min(axes, key=lambda a: ft.inner(yv, a) ** 2 / ft.inner(a, a))
-                uv = e - ft.inner(yv, e) / ft.inner(yv, yv) * yv
-        payload["flag_curvature"] = flag_curvature(S, xv, yv, uv)
-        payload["flag_edge"] = list(uv)
+        uv = None if u is None else _parse_vector(u, n, "--u")
+        payload["flag_edge"], payload["flag_curvature"] = _flag(S, xv, yv, uv)
     _emit(payload, out)
     return EXIT_OK
+
+
+def _flag(S, x, y, u):
+    """(u, K) of the flag (y; u).  Without u, u is the first coordinate axis that flag_curvature does
+    not refuse; if it refuses every one, the g_y-orthogonal part of the axis at the widest g_y-angle to y."""
+    if u is not None:
+        return u, flag_curvature(S, x, y, u)
+    axes = np.eye(S.dimension)
+    for e in axes:
+        with contextlib.suppress(DegenerateFlagError):
+            return e, flag_curvature(S, x, y, e)
+    ft = fundamental_tensor(S, x, y)
+    e = min(axes, key=lambda a: ft.inner(y, a) ** 2 / ft.inner(a, a))
+    u = e - ft.inner(y, e) / ft.inner(y, y) * y
+    return u, flag_curvature(S, x, y, u)
 
 
 @cli.group()

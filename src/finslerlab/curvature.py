@@ -147,47 +147,37 @@ def riemann_curvature(S: FinslerStructure, x, y, via: str = "fast") -> RiemannCu
     return RiemannCurvature(matrix=mat, x=x, y=y)
 
 
-def _flag_denominator(ft, y, u) -> float | None:
-    """g_y(y,y) g_y(u,u) - g_y(y,u)^2, or None when sin^2 of the g_y-angle of (y, u) is <= 1e-4."""
-    gyy = ft.inner(y, y)
-    guu = ft.inner(u, u)
-    gyu = ft.inner(y, u)
-    denom = gyy * guu - gyu * gyu
-    return None if denom <= 1e-4 * gyy * guu else denom
-
-
 def _flag_curvatures(g, R, y, u):
     """Flag curvatures at B flags: g_y and R^i_k of shape (B, n, n), y and u of shape (B, n).
 
-    Returns K, shape (B,), and the mask of the flags that _flag_denominator
-    keeps; each kept K has the bits of flag_curvature at its flag, the inner
-    products coming from one stacked matmul each.
+    K = g_y(u, R_y u) / ( g_y(y,y) g_y(u,u) - g_y(y,u)^2 ), shape (B,), and the
+    mask of the flags kept: a flag whose sin^2 of the g_y-angle of (y, u) is at
+    most 1e-4 is degenerate.  The inner products come from one stacked matmul each.
     """
 
     def inner(a, b):
         return (a[:, None, :] @ g @ b[:, :, None])[:, 0, 0]
 
     gyy, guu, gyu = inner(y, y), inner(u, u), inner(y, u)
-    with np.errstate(all="ignore"):  # silent like the float arithmetic of flag_curvature
+    with np.errstate(all="ignore"):  # an inf or NaN flag passes through unwarned, as a Python float would
         denom = gyy * guu - gyu * gyu
         kept = ~(denom <= 1e-4 * gyy * guu)
         return inner(u, (R @ u[:, :, None])[:, :, 0]) / denom, kept
 
 
 def flag_curvature(S: FinslerStructure, x, y, u) -> float:
-    """Sectional curvature of the flag (y; u).
+    """Sectional curvature of the flag (y; u): _flag_curvatures at one flag.
 
-    K = g_y(u, R_y u) / ( g_y(y,y) g_y(u,u) - g_y(y,u)^2 ).
+    Raises DegenerateFlagError on a flag that _flag_curvatures does not keep.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    ft = fundamental_tensor(S, x, y)
-    denom = _flag_denominator(ft, y, u)
-    if denom is None:
+    g = fundamental_tensor(S, x, y).g
+    K, kept = _flag_curvatures(g[None], riemann_curvature(S, x, y).matrix[None], y[None], u[None])
+    if not kept[0]:
         raise DegenerateFlagError("flag plane degenerate: u is (nearly) parallel to the flagpole")
-    R = riemann_curvature(S, x, y)
-    return float(ft.inner(u, R.matrix @ u) / denom)
+    return float(K[0])
 
 
 def _f2_values(S: FinslerStructure, x, y) -> np.ndarray:

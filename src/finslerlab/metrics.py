@@ -74,13 +74,24 @@ def _eval_table(table, xs) -> np.ndarray:
 
 
 class Polynomial:
-    """Multivariate polynomial in the chart coordinates; exact on jets."""
+    """Multivariate polynomial in the chart coordinates; exact on jets.
+
+    terms holds one term per monomial, in order of first appearance: its
+    coefficient is the math.fsum of the like coefficients given, and a zero
+    sum is dropped, so every evaluation reads the exact sum of like terms.
+    math.fsum raises OverflowError where that sum, or a partial sum, leaves
+    the finite floats.
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms):
         self.nvars = nvars
-        self.terms = tuple((float(c), tuple(int(e) for e in exps)) for c, exps in terms)
+        like = {}
+        for c, exps in terms:
+            like.setdefault(tuple(int(e) for e in exps), []).append(float(c))
+        sums = ((math.fsum(cs), exps) for exps, cs in like.items())
+        self.terms = tuple((c, exps) for c, exps in sums if c != 0.0)
 
     def __call__(self, x):
         total = 0.0
@@ -120,7 +131,10 @@ class Polynomial:
             if sum(exps) > MAX_POLY_DEGREE:
                 raise ConfigError(f"{where}: total degree exceeds {MAX_POLY_DEGREE}")
             terms.append((coeff, exps))
-        return Polynomial(nvars, terms)
+        try:
+            return Polynomial(nvars, terms)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: like terms sum beyond the finite floats") from exc
 
 
 def _finite_number(value) -> bool:
@@ -250,12 +264,12 @@ class FinslerStructure:
     def reversible(self) -> bool:
         """F(x, -y) = F(x, y): the Klein ball, every Riemannian table, and a Randers metric exactly when beta = 0.
 
-        beta = 0 when each b_i is the zero polynomial once like monomials are
-        added (Chern & Shen, Riemann-Finsler Geometry, 2005).
+        beta = 0 when each b_i is the zero polynomial, which has no terms once
+        like monomials are added (Chern & Shen, Riemann-Finsler Geometry, 2005).
         """
         form = self.config.one_form
         if form is not None:
-            return all(math.fsum(c for c, e in p.terms if e == exps) == 0.0 for p in form for _, exps in p.terms)
+            return not any(p.terms for p in form)
         return self.family in ("klein_ball", "riemannian")
 
     @property

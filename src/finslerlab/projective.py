@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -252,13 +253,13 @@ def canonical_projective_map(
 class NumericalProjectiveMap(_MobiusProjectiveMap):
     """Projective map built from a numerically solved parameter.
 
-    Used when no Einstein constant is available.  The default Moebius
+    Used when no Einstein constant is available.  The Moebius
     renormalization w -> w / (w + 1) squeezes the forward image into [0, 1)
     whatever the span of pi, keeping the map inside I.
     """
 
     parameterization: ProjectiveParameter
-    mobius: tuple = (1.0, 0.0, 1.0, 1.0)
+    mobius: ClassVar[tuple] = (1.0, 0.0, 1.0, 1.0)
 
     @property
     def geodesic(self) -> Geodesic:
@@ -277,28 +278,18 @@ class NumericalProjectiveMap(_MobiusProjectiveMap):
         return float(_lagrange6(param.pi, param.s, w))
 
 
-@dataclass
-class ChainSegment:
-    pmap: GeodesicProjectiveMap | NumericalProjectiveMap
-    a: float
-    b: float
+def _leg(S: FinslerStructure, p, q, c: float | None) -> tuple[DistanceResult, _MobiusProjectiveMap | None]:
+    """d_F(p, q) and the projective map of its geodesic (None when p == q).
 
-
-def _leg(S: FinslerStructure, p, q, c: float | None) -> tuple[DistanceResult, ChainSegment | None]:
-    """d_F(p, q) and the projective segment of its geodesic (None when p == q).
-
-    The segment uses the canonical exponential map when c is given and the
-    numerically solved parameter otherwise.
+    The map is the canonical exponential one when c is given and the
+    numerically solved parameter otherwise; it spans the leg over interval().
     """
     res = finsler_distance(S, p, q)
     if res.geodesic is None:
         return res, None
     if c is not None:
-        pmap, interval = canonical_projective_map(S, res.geodesic, c)
-    else:
-        pmap = NumericalProjectiveMap(parameterization=projective_parameter(S, res.geodesic))
-        interval = pmap.interval()
-    return res, ChainSegment(pmap, *interval)
+        return res, canonical_projective_map(S, res.geodesic, c)[0]
+    return res, NumericalProjectiveMap(parameterization=projective_parameter(S, res.geodesic))
 
 
 @dataclass
@@ -308,20 +299,19 @@ class Chain:
 
 
 def chain_length(gauge: FunkGauge, chain: Chain) -> float:
-    """Sum of Funk gaps over the segments, after validating the stitching."""
+    """Sum of Funk gaps over each leg's interval, after validating the stitching."""
     if len(chain.points) != len(chain.segments) + 1:
         raise MalformedChainError("chain needs one more point than segments")
     total = 0.0
-    for i, seg in enumerate(chain.segments):
+    for i, pmap in enumerate(chain.segments):
         start = np.asarray(chain.points[i], dtype=float)
         end = np.asarray(chain.points[i + 1], dtype=float)
-        fa = seg.pmap.point(seg.a)
-        fb = seg.pmap.point(seg.b)
-        if float(np.max(np.abs(fa - start))) > STITCH_TOLERANCE:
+        a, b = pmap.interval()
+        if float(np.max(np.abs(pmap.point(a) - start))) > STITCH_TOLERANCE:
             raise MalformedChainError(f"segment {i} does not start at x_{i}")
-        if float(np.max(np.abs(fb - end))) > STITCH_TOLERANCE:
+        if float(np.max(np.abs(pmap.point(b) - end))) > STITCH_TOLERANCE:
             raise MalformedChainError(f"segment {i} does not end at x_{i + 1}")
-        total += funk_distance(gauge, seg.a, seg.b)
+        total += funk_distance(gauge, a, b)
     return float(total)
 
 
@@ -336,10 +326,10 @@ def build_canonical_chain(S: FinslerStructure, points, c: float | None) -> Chain
         raise MalformedChainError("a chain needs at least two points")
     segments = []
     for i in range(len(pts) - 1):
-        _, seg = _leg(S, pts[i], pts[i + 1], c)
-        if seg is None:
+        _, pmap = _leg(S, pts[i], pts[i + 1], c)
+        if pmap is None:
             raise MalformedChainError("degenerate leg: identical consecutive points")
-        segments.append(seg)
+        segments.append(pmap)
     return Chain(points=pts, segments=segments)
 
 
@@ -376,15 +366,27 @@ def lemma2_check(
 
 @dataclass
 class PseudoDistanceResult:
-    d_finsler: float
+    """The single-leg bound and what it is compared with; d_F and the discrepancy follow from them."""
+
     canonical_length: float
     theoretical: float | None
-    theoretical_available: bool
     best_random_chain: float | None
-    discrepancy: float | None
     distance: DistanceResult
     einstein: EinsteinReport
-    segment: ChainSegment | None  # the single leg's map; None when p == q
+    pmap: _MobiusProjectiveMap | None  # the single leg's map; None when p == q
+
+    @property
+    def d_finsler(self) -> float:
+        return self.distance.distance
+
+    @property
+    def theoretical_available(self) -> bool:
+        return self.theoretical is not None
+
+    @property
+    def discrepancy(self) -> float | None:
+        t = self.theoretical
+        return None if t is None else abs(self.canonical_length - t) / max(t, 1e-300)
 
     def to_dict(self) -> dict:
         # written out, not asdict: it projects the nested distance onto its
@@ -423,12 +425,12 @@ def pseudo_distance(
     c = einstein.einstein_constant_c
     n = S.dimension
     factor = None if c is None else _gauge_factor(c, n, gauge)
-    res, seg = _leg(S, p, q, c)
+    res, pmap = _leg(S, p, q, c)
     # p == q: no leg, every length is 0 and no random chain is drawn
-    bound = 0.0 if seg is None else funk_distance(gauge, seg.a, seg.b)
+    bound = 0.0 if pmap is None else funk_distance(gauge, *pmap.interval())
     theoretical = None if factor is None else factor * res.distance
     best_random = None
-    if random_chains > 0 and seg is not None:
+    if random_chains > 0 and pmap is not None:
         rng = np.random.default_rng(seed)
         p_arr = np.atleast_1d(np.asarray(p, dtype=float))
         q_arr = np.atleast_1d(np.asarray(q, dtype=float))
@@ -446,19 +448,13 @@ def pseudo_distance(
                 continue
         if not np.isfinite(best_random):
             best_random = None
-    discrepancy = None
-    if theoretical is not None:
-        discrepancy = abs(bound - theoretical) / max(theoretical, 1e-300)
     return PseudoDistanceResult(
-        d_finsler=res.distance,
         canonical_length=bound,
         theoretical=theoretical,
-        theoretical_available=theoretical is not None,
         best_random_chain=best_random,
-        discrepancy=discrepancy,
         distance=res,
         einstein=einstein,
-        segment=seg,
+        pmap=pmap,
     )
 
 
@@ -582,8 +578,8 @@ def theorem1_verify(
     lemma2_ok = True
     for p, q in pair_list:
         out = pseudo_distance(S, p, q, gauge, einstein=einstein)
-        pmap = out.segment.pmap
-        full = lemma2_check(gauge, pmap, out.segment.a, out.segment.b, factor)
+        pmap = out.pmap
+        full = lemma2_check(gauge, pmap, *pmap.interval(), factor)
         L = out.d_finsler
         sub = lemma2_check(gauge, pmap, pmap.parameter(0.25 * L), pmap.parameter(0.75 * L), factor)
         lemma2_ok = lemma2_ok and full.ok and sub.ok

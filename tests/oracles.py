@@ -26,6 +26,8 @@ exceptions are second routes through the library's own types:
 - riemann_formula is the curvature formula entry by entry on the library's
   spray jets, through jet partials, as riemann_values_per_entry and
   riemann_trace_jet_per_entry run it;
+- flag_curvature_per_point is the flag-curvature formula at one flag over
+  the library's FundamentalTensor.inner and riemann_curvature;
 - construction_check_per_point evaluates the library's Polynomial tables
   one sample at a time;
 - chain_legs counts the segments of a library Chain;
@@ -45,8 +47,8 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import CubicSpline
 
-from finslerlab import flag_curvature, fundamental_tensor, metrics, ricci_scalar, ricci_tensor
-from finslerlab.errors import EvaluationDomainError, FinslerError
+from finslerlab import flag_curvature, fundamental_tensor, metrics, ricci_scalar, ricci_tensor, riemann_curvature
+from finslerlab.errors import DegenerateFlagError, EvaluationDomainError, FinslerError
 from finslerlab.geodesics import Geodesic, spray_from_f2_jets, spray_jet_functions
 from finslerlab.jets import Jet, jet_abs, jet_space, jet_sqrt, scalar_value
 from finslerlab.metrics import SAMPLING_RADIUS, _dot, _require_chart, _swap_pivots_per_column
@@ -878,6 +880,20 @@ def riemann_trace_jet_per_entry(S, x, y) -> Jet:
 
 
 # ----- Einstein classification, one point at a time ---------------------------
+
+
+def flag_curvature_per_point(S, x, y, u) -> float:
+    """K = g_y(u, R_y u) / (g_y(y,y) g_y(u,u) - g_y(y,u)^2) in Python floats from FundamentalTensor.inner.
+
+    Raises DegenerateFlagError where sin^2 of the g_y-angle of (y, u) is at most 1e-4.
+    """
+    x, y, u = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y, u))
+    ft = fundamental_tensor(S, x, y)
+    gyy, guu, gyu = ft.inner(y, y), ft.inner(u, u), ft.inner(y, u)
+    denom = gyy * guu - gyu * gyu
+    if denom <= 1e-4 * gyy * guu:
+        raise DegenerateFlagError("flag plane degenerate")
+    return float(ft.inner(u, riemann_curvature(S, x, y).matrix @ u) / denom)
 
 
 def sample_point(rng, n, radius):

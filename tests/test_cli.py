@@ -145,8 +145,13 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize(
         "b1",
-        ["[[0.1, 0, 0], [0.2, 0, 0], [-0.3, 0, 0]]", "[[1e-12, 0, 0]]", "[[1e-3, 0, 0]]"],
-        ids=["sums_to_2.8e-17", "1e-12", "1e-3"],
+        [
+            "[[0.1, 0, 0], [0.2, 0, 0], [-0.3, 0, 0]]",
+            "[[1e-12, 0, 0]]",
+            "[[1e-3, 0, 0]]",
+            "[[1e16, 0, 0], [0.5, 0, 0], [-1e16, 0, 0]]",
+        ],
+        ids=["sums_to_2.8e-17", "1e-12", "1e-3", "sums_to_0.5_past_1e16"],
     )
     def test_a_small_nonzero_one_form_is_declared_and_observed_non_reversible(self, cfg, capsys, b1):
         path = cfg["dir"] / "small_form.json"
@@ -159,6 +164,28 @@ class TestValidateCommand:
         assert doc["passed"] is True and doc["failures"] == []
         assert doc["reversible_observed"] is False
         assert doc["reversible_declared"] is False
+
+    def test_a_form_of_float_sum_zero_and_exact_sum_one_exits_2(self, cfg, capsys):
+        path = cfg["dir"] / "unit_form.json"
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[[1e16, 0, 0], [1, 0, 0], [-1e16, 0, 0]], []]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "metric", "validate", "--config", str(path))
+        assert code == 2
+        [failure] = json.loads(out)["failures"]
+        assert failure.startswith("strong convexity: randers one-form too large") and failure.endswith("= 1.000000 >= 1")
+
+    @pytest.mark.parametrize(
+        "b1", ["[[1e308, 0, 0], [1e308, 0, 0]]", "[[1e308, 0, 0], [1e308, 0, 0], [-1e308, 0, 0]]"], ids=["inf", "finite"]
+    )
+    def test_like_terms_past_the_finite_floats_exit_64(self, cfg, capsys, b1):
+        path = cfg["dir"] / "overflowing_form.json"
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [json.loads(b1), []]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "metric", "validate", "--config", str(path))
+        assert (code, out) == (64, "")
+        assert err == f"usage error: config error in {path}: randers.one_form[0]: like terms sum beyond the finite floats\n"
 
     def test_convexity_failure_exits_2(self, cfg, capsys):
         code, out, _ = run(capsys, "metric", "validate", "--config", cfg["randers_bad"])
@@ -613,6 +640,21 @@ class TestCurvatureCommand:
         assert doc["flag_edge"] == edge
         assert doc["flag_curvature"] == pytest.approx(-1.0, abs=1e-9)
 
+    # SHA-256 of the stdout of `finslerlab curvature report --config <name> --x
+    # <x> --y <y>` at commit 6951925: y lies along the first axis, which the flag
+    # refuses, so the default edge is the second axis
+    EDGE_DIGESTS = {
+        ("klein2", "0.1,0.1", "1,0"): "03c4df4581005d9fb7989be97ab12eb1bd0ead36bd8f381e2ac57dc29ec9e963",
+        ("klein3", "0.1,0.1,0.1", "1,0,0"): "189b7ddfe29673c9523e3458b46c49676fcbe4199d911fd5dc5e6b29a6a403db",
+    }
+
+    @pytest.mark.parametrize("name, x, y", sorted(EDGE_DIGESTS))
+    def test_default_edge_bytes_unchanged(self, cfg, capsys, name, x, y):
+        code, out, _ = run(capsys, "curvature", "report", "--config", cfg[name], "--x", x, "--y", y)
+        assert code == 0
+        assert json.loads(out)["flag_edge"][:2] == [0.0, 1.0]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EDGE_DIGESTS[name, x, y]
+
     def test_parallel_flag_edge_exits_3(self, cfg, capsys):
         code, _, err = run(
             capsys,
@@ -952,6 +994,24 @@ class TestDistanceCommand:
         assert doc["theoretical_available"] is False
         assert doc["einstein_c"] is None
         assert doc["d_M"] > 0.0
+
+    # SHA-256 of the stdout of `finslerlab distance --config <name> --from
+    # -0.3,0.1 --to 0.4,-0.2 --pseudo --seed <seed>` at commit 6951925.  Neither
+    # metric is Einstein, so the leg is the numerically solved projective map.
+    PSEUDO_DIGESTS = {
+        ("curved", 0): "8cbb4dcd8dd8f1c146afeba6d420014b8c06fa1f344fcdbc0f234d32b9f49c60",
+        ("curved", 1): "a8799b7661e88ddad8f4f6809da3a32b13854dda7ec83607a502a011a59e468f",
+        ("randers_nc", 0): "4c6fd5cc8caad1b1291b05388882fe897aee00c95ae1b8d64b24c989d7d7a686",
+        ("randers_nc", 1): "e0dfa9494e16177bcf7a5f6b720b5ce0f0f6c190697dd0ad483a3db1012bc8eb",
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(PSEUDO_DIGESTS))
+    def test_numerical_map_bytes_unchanged(self, cfg, capsys, name, seed):
+        argv = ["--from", "-0.3,0.1", "--to", "0.4,-0.2", "--pseudo", "--seed", str(seed)]
+        code, out, err = run(capsys, "distance", "--config", cfg[name], *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["theoretical_available"] is False
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PSEUDO_DIGESTS[name, seed]
 
 
 class TestTheoremCommand:

@@ -28,9 +28,10 @@ from finslerlab.geodesics import spray_jet_functions
 from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import _fundamental_tensors, invert_scalarlike_matrix
 
-from conftest import curved_riemannian_config, exact_randers_config, funk_config, klein_config
+from conftest import curved_riemannian_config, exact_randers_config, funk_config, klein_config, nonclosed_randers_config
 from oracles import (
     einstein_classify_per_point,
+    flag_curvature_per_point,
     invert_by_division,
     riemann_formula,
     riemann_trace_jet_per_entry,
@@ -373,6 +374,7 @@ BATCH_CASES = {
     "randers_skew": skew_randers_config(),
 }
 BATCH_CONFIGS = pytest.mark.parametrize("config", list(BATCH_CASES.values()), ids=list(BATCH_CASES))
+FLAG_CASES = {**BATCH_CASES, "klein4": klein_config(4), "funk3": funk_config(3), "randers_nc": nonclosed_randers_config()}
 # R^i_k and its trace are defined in dimension one too, where classification is not
 CURVATURE_CONFIGS = pytest.mark.parametrize(
     "config",
@@ -594,26 +596,36 @@ class TestCurvatureArrays:
         assert np.signbit(Y[-1, 2::3]).all() and not np.signbit(Y[0, 1::3]).any()
         assert (Y[0, 1::3] == 0.0).all() and Y.any(axis=0).all()
 
-    @pytest.mark.parametrize("case, spread", [("randers_skew", 0.0), ("riemannian2", 0.01), ("randers2", 0.01)])
-    def test_flag_values_equal_flag_curvature(self, case, spread):
-        # the constant skew Randers metric is flat, every flag 0.0 with its
-        # sign; on the curved two the flags vary, so flag_constant is None and
-        # the classification's per-point route cannot compare them
-        S = make_metric(BATCH_CASES[case])
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    def test_flag_curvatures_equal_the_per_point_formula(self, case):
+        # both library routes against flag_curvature_per_point, bit for bit,
+        # with the same refusals: parallel flags and flags at sin^2 ~ 1e-6
+        S = make_metric(FLAG_CASES[case])
         rng = np.random.default_rng(20)
-        X = np.array([S.sample_point(rng, 0.7) for _ in range(12)]).T
-        Y, U = S.sample_directions(rng, 12), S.sample_directions(rng, 12)
-        U[::4] = Y[::4]  # degenerate flags, which flag_curvature refuses
+        B = 16
+        X = np.array([S.sample_point(rng, 0.7) for _ in range(B)]).T
+        Y, U = S.sample_directions(rng, B), S.sample_directions(rng, B)
+        U[::4] = Y[::4]
+        U[1::8] = Y[1::8] + 1e-3 * U[1::8]
         g, _ = _fundamental_tensors(S, X, Y.T)
         K, kept = _flag_curvatures(g, _riemann_values(S, X, Y.T), Y, U)
-        assert kept.tolist() == [b % 4 != 0 for b in range(12)]
-        assert np.ptp(K[kept]) >= spread
-        for b in range(12):
-            if kept[b]:
-                assert K[b].hex() == flag_curvature(S, X[:, b], Y[b], U[b]).hex()
-            else:
-                with pytest.raises(DegenerateFlagError):
-                    flag_curvature(S, X[:, b], Y[b], U[b])
+        want = [flag_outcome(flag_curvature_per_point, S, X[:, b], Y[b], U[b]) for b in range(B)]
+        assert [w is not DegenerateFlagError for w in want] == kept.tolist()
+        assert kept.tolist() == [b % 4 != 0 and b % 8 != 1 for b in range(B)]
+        assert [K[b].hex() if kept[b] else DegenerateFlagError for b in range(B)] == want
+        assert [flag_outcome(flag_curvature, S, X[:, b], Y[b], U[b]) for b in range(B)] == want
+        if case in ("riemannian2", "randers2", "randers_nc"):
+            assert np.ptp(K[kept]) >= 0.01  # the flags vary here
+        if case == "randers_skew":
+            assert (K[kept] == 0.0).all()  # the constant Randers metric is flat
+
+
+def flag_outcome(fn, *args):
+    """The hex of fn's flag curvature, or DegenerateFlagError where fn refuses the flag."""
+    try:
+        return fn(*args).hex()
+    except DegenerateFlagError:
+        return DegenerateFlagError
 
 
 class TestCappedSprayJets:

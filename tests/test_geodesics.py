@@ -7,6 +7,7 @@ import pytest
 
 from finslerlab import (
     DomainExitError,
+    EvaluationDomainError,
     SearchFailureError,
     finsler_distance,
     geodesic_ivp,
@@ -606,6 +607,37 @@ class TestDistance:
         for S in (klein2, make_metric(curved_riemannian_config())):
             with pytest.raises(SearchFailureError, match=r"best miss 1\.000e-03, \d+ shots tried"):
                 finsler_distance(S, [0.0, 0.0], [0.4, 0.1])
+
+    def test_a_missed_chord_polish_falls_back_to_the_fan(self, klein2, monkeypatch):
+        # The chord polish reports a miss, so the fan runs on a structure with
+        # unique geodesics: it stops at its first hit, and the diagnostics
+        # count the chord polish among the candidates polished.
+        p, q = [-0.2, 0.3], [0.4, -0.1]
+        chord = finsler_distance(klein2, p, q)
+        polish = geodesics._newton_polish
+        calls = []
+
+        def first_misses(*args, **kwargs):
+            calls.append(1)
+            out = polish(*args, **kwargs)
+            return (out[0], 1.0, out[2], out[3]) if len(calls) == 1 else out
+
+        monkeypatch.setattr(geodesics, "_newton_polish", first_misses)
+        res = finsler_distance(klein2, p, q)
+        diag = res.diagnostics
+        assert len(calls) == 2
+        assert (diag["path"], diag["starts"], diag["candidates_polished"], diag["shots"]) == ("fan", 13, 2, 17)
+        assert diag["miss"] <= geodesics.MISS_TOLERANCE
+        assert res.distance == pytest.approx(chord.distance, rel=1e-10)
+
+    def test_endpoints_of_different_lengths_are_refused(self, klein2):
+        with pytest.raises(ValueError, match="endpoints of different lengths 2 and 3"):
+            finsler_distance(klein2, [0.0, 0.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("p, q", [([1.5, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, 1.5])], ids=["from", "to"])
+    def test_an_endpoint_off_the_chart_is_refused(self, klein2, p, q):
+        with pytest.raises(EvaluationDomainError, match="endpoints must lie inside the chart"):
+            finsler_distance(klein2, p, q)
 
     def test_failed_probe_returns_the_start(self, klein2, monkeypatch):
         # Every shot after the start leaves the chart, so the first Jacobian

@@ -847,8 +847,13 @@ class TestValidateStructure:
 
     @pytest.mark.parametrize(
         "b1",
-        [[[0.1, 0, 0], [0.2, 0, 0], [-0.3, 0, 0]], [[1e-12, 0, 0]], [[1e-3, 0, 0]]],
-        ids=["sums_to_2.8e-17", "1e-12", "1e-3"],
+        [
+            [[0.1, 0, 0], [0.2, 0, 0], [-0.3, 0, 0]],
+            [[1e-12, 0, 0]],
+            [[1e-3, 0, 0]],
+            [[1e16, 0, 0], [0.5, 0, 0], [-1e16, 0, 0]],
+        ],
+        ids=["sums_to_2.8e-17", "1e-12", "1e-3", "sums_to_0.5_past_1e16"],
     )
     @pytest.mark.parametrize("scale", [1.0, 2.5])
     def test_a_small_nonzero_one_form_reads_non_reversible(self, b1, scale):
@@ -878,6 +883,54 @@ class TestValidateStructure:
     def test_needs_a_sample(self, klein2):
         with pytest.raises(ValueError):
             validate_structure(klein2, samples=0)
+
+
+class TestLikeTerms:
+    """A polynomial holds one term per monomial, the exact sum of its like coefficients."""
+
+    def test_like_terms_are_summed_exactly_in_order_of_first_appearance(self):
+        terms = [(1e16, (0, 0)), (0.3, (1, 0)), (0.5, (0, 0)), (0.2, (0, 2)), (-1e16, (0, 0)), (-0.3, (1, 0))]
+        assert metrics.Polynomial(2, terms).terms == ((0.5, (0, 0)), (0.2, (0, 2)))
+        # the exact 0.1 + 0.2 - 0.3, not the 5.6e-17 that float additions leave
+        p = metrics.Polynomial(1, [(0.1, (1,)), (0.2, (1,)), (-0.3, (1,))])
+        assert p.terms == ((2.7755575615628914e-17, (1,)),)
+        assert p([2.0]) == 2.0 * 2.7755575615628914e-17
+
+    @pytest.mark.parametrize(
+        "b1", [[[0.0, 0, 0]], [[0.0, 1, 0]], [[0.3, 1, 0], [-0.3, 1, 0]], [[1e16, 0, 0], [-1e16, 0, 0]], []]
+    )
+    def test_a_zero_polynomial_has_no_terms(self, b1):
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[], b1]
+        S = make_metric(doc)
+        assert [p.terms for p in S.config.one_form] == [(), ()]
+        assert S.reversible is True
+
+    def test_every_reader_sees_the_summed_form(self):
+        # beta = 0.5 dx1 exactly, which 1e16 + 0.5 - 1e16 evaluated term by term loses
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[[1e16, 0, 0], [0.5, 0, 0], [-1e16, 0, 0]], []]
+        S = make_metric(doc)
+        x = [0.1, -0.2]
+        assert S.reversible is False
+        assert S.float_F(x, [1.0, 0.0]) == 1.5 and S.float_F(x, [-1.0, 0.0]) == 0.5
+        assert float(S.f2(x, [1.0, 0.0])) == 2.25
+        assert metrics._eval_polynomials(S.config.one_form, np.array([x])).tolist() == [[0.5, 0.0]]
+
+    def test_a_form_of_float_sum_zero_and_exact_sum_one_is_too_large(self):
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[[1e16, 0, 0], [1, 0, 0], [-1e16, 0, 0]], []]
+        with pytest.raises(StrongConvexityError, match=re.escape("||beta||_alpha = 1.000000 >= 1")):
+            make_metric(doc)
+
+    @pytest.mark.parametrize(
+        "b1", [[[1e308, 0, 0], [1e308, 0, 0]], [[1e308, 0, 0], [1e308, 0, 0], [-1e308, 0, 0]]], ids=["inf", "finite"]
+    )
+    def test_a_sum_past_the_finite_floats_is_a_config_error(self, b1):
+        doc = exact_randers_config()
+        doc["randers"]["one_form"] = [[], b1]
+        with pytest.raises(ConfigError, match=re.escape("randers.one_form[1]: like terms sum beyond the finite floats")):
+            MetricConfig.from_dict(doc)
 
 
 class TestDataModel:

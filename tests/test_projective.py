@@ -2,19 +2,24 @@
 the pseudo-distance, and the proportionality theorem between the invariant
 pseudo-distance and the Finslerian distance on Einstein structures."""
 
+import ast
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+import finslerlab
+from finslerlab import cli
 from finslerlab import (
     Chain,
-    ChainSegment,
     FunkGauge,
     GeodesicProjectiveMap,
     NumericalProjectiveMap,
+    PseudoDistanceResult,
     build_canonical_chain,
     canonical_projective_map,
     chain_length,
@@ -420,7 +425,7 @@ class TestChains:
         S = make_metric(curved_riemannian_config())
         gauge = FunkGauge(k=1.0)
         chain = build_canonical_chain(S, [np.array([-0.3, 0.1]), np.array([0.4, -0.2])], None)
-        assert isinstance(chain.segments[0].pmap, NumericalProjectiveMap)
+        assert isinstance(chain.segments[0], NumericalProjectiveMap)
         assert chain_length(gauge, chain) > 0.0
 
 
@@ -634,6 +639,42 @@ class TestOneProjectiveStructure:
             assert abs(a - b) <= 1e-6 * max(a, b), (p, q, a, b)
 
 
+class TestDataModel:
+    """A chain leg is its projective map, and a result stores only what the rest derives from."""
+
+    def test_the_result_fields(self):
+        assert [f.name for f in dataclasses.fields(PseudoDistanceResult)] == [
+            "canonical_length", "theoretical", "best_random_chain", "distance", "einstein", "pmap",
+        ]
+        assert [f.name for f in dataclasses.fields(NumericalProjectiveMap)] == ["parameterization"]
+        assert NumericalProjectiveMap.mobius == (1.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("q", [[0.5, 0.0], [0.0, 0.0]], ids=["leg", "no_leg"])
+    def test_derived_values_are_read_only_properties(self, klein2, q):
+        out = pseudo_distance(klein2, [0.0, 0.0], q, FunkGauge(k=1.0))
+        assert out.d_finsler == out.distance.distance
+        assert out.theoretical_available is True
+        assert out.discrepancy == abs(out.canonical_length - out.theoretical) / max(out.theoretical, 1e-300)
+        assert (out.pmap is None) == (q == [0.0, 0.0])
+        for name in ("d_finsler", "theoretical_available", "discrepancy"):
+            with pytest.raises(AttributeError):
+                setattr(out, name, 0.0)
+
+    def test_a_chain_holds_the_maps_of_its_legs(self, klein2):
+        points = [np.zeros(2), np.array([0.3, 0.1]), np.array([0.5, 0.0])]
+        chain = build_canonical_chain(klein2, points, 1.0)
+        assert [type(pmap) for pmap in chain.segments] == [GeodesicProjectiveMap] * 2
+        gauge = FunkGauge(k=1.0)
+        assert chain_length(gauge, chain) == sum(funk_distance(gauge, *pmap.interval()) for pmap in chain.segments)
+        assert "ChainSegment" not in finslerlab.__all__
+
+    def test_the_cli_imports_no_private_name(self):
+        tree = ast.parse(inspect.getsource(cli))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert "flag_curvature" in names
+        assert [name for name in names if name.startswith("_")] == []
+
+
 class TestRandomChainBytes:
     """Every bit of pseudo_distance's random chains, whose legs each run finsler_distance.
 
@@ -658,6 +699,21 @@ class TestRandomChainBytes:
         assert doc["best_random_chain"] is not None
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == self.DIGESTS[family, n, seed]
+
+    # the same digest for 20 chains on the curved table at commit 6951925: it is
+    # not Einstein, so every leg is the numerically solved projective map
+    CURVED_DIGESTS = {
+        0: "41a74cd7c46c21be2b0387a88be115c359dafd278a334119793a1bdf35dcc925",
+        7: "c6a36ccf22b8498deec221151eb5b092a85d5053de92f968322b5e597d07e180",
+    }
+
+    @pytest.mark.parametrize("seed", CURVED_DIGESTS)
+    def test_numerical_map_chains_keep_their_bytes(self, seed):
+        S = make_metric(curved_riemannian_config())
+        out = pseudo_distance(S, [-0.3, 0.1], [0.4, -0.2], FunkGauge(k=1.0), random_chains=20, seed=seed)
+        assert out.theoretical is None and out.best_random_chain is not None
+        digest = hashlib.sha256(json.dumps(out.to_dict(), sort_keys=True).encode()).hexdigest()
+        assert digest == self.CURVED_DIGESTS[seed]
 
 
 class TestProportionalityTheorem:
