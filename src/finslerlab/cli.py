@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from .curvature import (
+    MAX_X_SAMPLES,
     einstein_classify,
     flag_curvature,
     ricci_scalar,
@@ -101,6 +102,12 @@ def _in_range(test, message: str):
 
 def _at_least(low: int):
     return _in_range(lambda v: v >= low, f"must be at least {low}")
+
+
+def _between(low: int, high: int):
+    """_at_least(low), then the refusal of a value above high with its own message."""
+    at_least, at_most = _at_least(low), _in_range(lambda v: v <= high, f"must be at most {high}")
+    return lambda ctx, param, value: at_most(ctx, param, at_least(ctx, param, value))
 
 
 _POSITIVE = _in_range(lambda v: math.isfinite(v) and v > 0.0, "must be positive and finite")
@@ -263,7 +270,7 @@ def einstein() -> None:
 
 @einstein.command("check")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--samples", default=10, show_default=True, callback=_at_least(2))
+@click.option("--samples", default=10, show_default=True, callback=_between(2, MAX_X_SAMPLES))
 @click.option(
     "--directions",
     default=12,

@@ -14,11 +14,16 @@ F^2 jets of via="f2"), which leaves every value read bit for bit as on the
 uncapped jets.  R^i_k values come from order-2 spray jets batched over many
 phase points; the formula reads one gather of their coefficients and runs as
 array code over (n, n, B).
-einstein_classify draws all of its samples first and then evaluates each
-quantity once for all of them: one R^i_k batch for the Ricci scalars and the
-flags, one Ricci-tensor batch, one fundamental-tensor batch, and F^2 in one
-float evaluation; the spreads, the fit Ric_ij = lambda g_ij and the flag
-curvatures are whole-batch array expressions.  The Ricci tensor is the fibre
+einstein_classify draws all of its samples in one pass, one plan of
+FinslerStructure.sample_blocks, and then evaluates each quantity once for
+all of them: one R^i_k batch for the Ricci scalars and the flags, one
+Ricci-tensor batch, one fundamental-tensor batch, and F^2 in one float
+evaluation; the spreads, the fit Ric_ij = lambda g_ij and the flag
+curvatures are whole-batch array expressions.  The two curvature batches
+repeat each base point over its directions, so they hand the spray its
+distinct base points and the column map of that repeat: the spray's x-only
+part runs once per distinct x and take gathers it onto the columns, which
+keeps every column's bits.  The Ricci tensor is the fibre
 Hessian of R^k_k / 2, which costs two more derivative orders on top of the
 spray and keeps the formula on jets; there only the diagonal entries R^i_i
 are built, side by side on the batch axis.  Every value keeps the bits of
@@ -43,6 +48,7 @@ from .jets import Jet, jet_space
 
 EINSTEIN_TOLERANCE = 1e-6  # largest y-spread of Ric(x, y) that counts as Einstein
 MATRIX_TOLERANCE = 1e-4  # relative residual and spreads of the fit Ric_ij = lambda g_ij
+MAX_X_SAMPLES = 5_000  # base points of one classification; at 16 directions and n = 4 it peaks near 0.6 GB
 
 
 def _require_flagpole(y):
@@ -51,8 +57,11 @@ def _require_flagpole(y):
         raise EvaluationDomainError("curvature undefined at y = 0")
 
 
-def _riemann_values(S: FinslerStructure, x, y, via: str = "fast") -> np.ndarray:
+def _riemann_values(S: FinslerStructure, x, y, via: str = "fast", columns=None) -> np.ndarray:
     """R^i_k at B phase points, x and y of shape (n, B); returns shape (B, n, n).
+
+    With columns, x holds distinct base points and column b's is
+    x[:, columns[b]], as spray_jet_functions takes them.
 
     One batched evaluation of the order-2 spray jets supplies every value the
     formula reads, and one gather takes them from the stacked coefficients:
@@ -63,7 +72,7 @@ def _riemann_values(S: FinslerStructure, x, y, via: str = "fast") -> np.ndarray:
     the per-entry formula (tests/oracles.py keeps that loop as the reference).
     """
     _require_flagpole(y)
-    G = spray_jet_functions(S, x, y, g_order=2, via=via)
+    G = spray_jet_functions(S, x, y, g_order=2, via=via, columns=columns)
     n = S.dimension
     index_of = G[0].space.index_of
 
@@ -92,7 +101,7 @@ def _riemann_values(S: FinslerStructure, x, y, via: str = "fast") -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(R, -1, 0))
 
 
-def _riemann_trace_jet(S: FinslerStructure, x, y):
+def _riemann_trace_jet(S: FinslerStructure, x, y, columns=None):
     """R^k_k as a jet of total order 2 over the 2n phase seeds.
 
     The diagonal entries R^i_i sit side by side on the batch axis, entry i in
@@ -101,7 +110,7 @@ def _riemann_trace_jet(S: FinslerStructure, x, y):
     formula, and the trace adds the blocks in order.
     """
     _require_flagpole(y)
-    G = spray_jet_functions(S, x, y, g_order=4)
+    G = spray_jet_functions(S, x, y, g_order=4, columns=columns)
     n = S.dimension
     B = y.shape[1]
 
@@ -228,10 +237,10 @@ class RicciData:
     y: np.ndarray
 
 
-def _ricci_tensors(S: FinslerStructure, x, y):
-    """R^k_k, shape (B,), and Ric_ij, shape (B, n, n), at B phase points."""
+def _ricci_tensors(S: FinslerStructure, x, y, columns=None):
+    """R^k_k, shape (B,), and Ric_ij, shape (B, n, n), at B phase points (columns as in _riemann_values)."""
     n = S.dimension
-    trace = _riemann_trace_jet(S, x, y)
+    trace = _riemann_trace_jet(S, x, y, columns)
     ric_ij = np.empty((y.shape[1], n, n))
     for i in range(n):
         for j in range(i, n):
@@ -303,39 +312,38 @@ def einstein_classify(
 ) -> EinsteinReport:
     """Sampled classification: Einstein iff Ric(x, y) has no y-dependence.
 
+    x_samples base points (2 to MAX_X_SAMPLES), each with y_directions fibre
+    directions (8 to 16); a count outside raises ValueError before any draw.
+
     Additionally fits Ric_ij against Ric(x) g_ij; when the fitted factor is
     x-independent and negative the Einstein constant c = sqrt(-factor) of the
     normal form Ric_ij = -c^2 g_ij is reported.
     """
     if x_samples < 2:
         raise ValueError("need at least two base points")
+    if x_samples > MAX_X_SAMPLES:
+        raise ValueError(f"x_samples must be at most {MAX_X_SAMPLES}")
     if not 8 <= y_directions <= 16:
         raise ValueError("y_directions should stay between 8 and 16")
     if S.dimension < 2:
         raise ValueError("classification needs dimension >= 2")
-    # every sample is drawn first, in the order the per-point loops drew them
-    rng = np.random.default_rng(seed)
-    radius = 0.8 * SAMPLING_RADIUS
-    xs = []
-    ys = []
-    for _ in range(x_samples):
-        xs.append(S.sample_point(rng, radius))
-        ys.append(S.sample_directions(rng, y_directions))
-    fit_xs = [x for x in xs[: min(len(xs), 6)] for _ in range(2)]
-    fit_ys = S.sample_directions(rng, len(fit_xs))
-    flag_xs = []
-    flag_yus = []  # the rows (y, u) of each flag
-    for _ in range(10):
-        flag_xs.append(S.sample_point(rng, radius))
-        flag_yus.append(S.sample_directions(rng, 2))
-    flag_ys = [yu[0] for yu in flag_yus]
-    flag_us = [yu[1] for yu in flag_yus]
-
-    # one R^i_k batch serves the Ricci scalars and the flags
+    # every sample is drawn first, in one plan, in the order the per-point loops drew them;
+    # the fit takes two fibre directions at each of the first (at most 6) base points
+    fit_columns = np.repeat(np.arange(min(x_samples, 6)), 2)
+    nfit = len(fit_columns)
+    plan = [(True, y_directions)] * x_samples + [(False, nfit)] + [(True, 2)] * 10
+    points, dirs = S.sample_blocks(np.random.default_rng(seed), plan, 0.8 * SAMPLING_RADIUS)
     nric = x_samples * y_directions
-    ric_x = np.repeat(np.array(xs).T, y_directions, axis=1)
-    ric_y = np.concatenate(ys).T
-    R = _riemann_values(S, np.hstack([ric_x, np.array(flag_xs).T]), np.hstack([ric_y, np.array(flag_ys).T]))
+    fit_ys = dirs[nric : nric + nfit]
+    flag_ys, flag_us = dirs[nric + nfit :: 2], dirs[nric + nfit + 1 :: 2]
+    flag_columns = np.arange(x_samples, x_samples + 10)
+
+    # one R^i_k batch serves the Ricci scalars and the flags; it evaluates each
+    # base point's part of the spray once, and columns takes it to its columns
+    columns = np.concatenate([np.repeat(np.arange(x_samples), y_directions), flag_columns])
+    ric_x = points[columns[:nric]].T
+    ric_y = dirs[:nric].T
+    R = _riemann_values(S, points.T, np.concatenate([dirs[:nric], flag_ys]).T, columns=columns)
     ric = _ricci_from_riemann(S, R[:nric], ric_x, ric_y).reshape(x_samples, y_directions)
     # Python's max keeps the running maxima, so a NaN spread is skipped as before
     ric_values = ric.tolist()
@@ -347,9 +355,9 @@ def einstein_classify(
 
     # least-squares proportionality of Ric_ij against g_ij at a subsample; one
     # fundamental-tensor batch serves the fit and the flags
-    nfit = len(fit_xs)
-    _, fit_ric = _ricci_tensors(S, np.array(fit_xs).T, fit_ys.T)
-    g_all, _ = _fundamental_tensors(S, np.array(fit_xs + flag_xs).T, np.concatenate([fit_ys, flag_ys]).T)
+    _, fit_ric = _ricci_tensors(S, points[: nfit // 2].T, fit_ys.T, fit_columns)
+    g_x = points[np.concatenate([fit_columns, flag_columns])].T
+    g_all, _ = _fundamental_tensors(S, g_x, np.concatenate([fit_ys, flag_ys]).T)
     g = g_all[:nfit]
     fit_vals = (fit_ric * g).reshape(nfit, -1).sum(axis=1) / (g * g).reshape(nfit, -1).sum(axis=1)
     resid = np.abs(fit_ric - fit_vals[:, None, None] * g).max(axis=(1, 2)) / np.abs(g).max(axis=(1, 2))
@@ -366,7 +374,7 @@ def einstein_classify(
         c = float(np.sqrt(-fit_factor))
 
     # sampled flag curvatures; a constant value is reported when the spread allows
-    flags, kept = _flag_curvatures(g_all[nfit:], R[nric:], np.array(flag_ys), np.array(flag_us))
+    flags, kept = _flag_curvatures(g_all[nfit:], R[nric:], flag_ys, flag_us)
     flags = flags[kept]
     flag_constant = None
     if flags.size and float(flags.max() - flags.min()) <= MATRIX_TOLERANCE * max(1.0, float(np.abs(flags).max())):

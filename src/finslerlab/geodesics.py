@@ -31,18 +31,23 @@ def phase_jet_args(S: FinslerStructure, x, y, order: int, base_degree: int):
 
     The jets carry derivatives of total degree at most base_degree along the
     base seeds.  x and y have shape (n,), or (n, B) for a batch of B phase
-    points.
+    points; x may also have its own batch width, as spray_fast's columns
+    take it.
     """
     n = S.dimension
     space = jet_space(2 * n, order, lead=n, cap=base_degree)
-    z = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))])
-    # one (2n, ncoef[, B]) array holds every seed jet: the value, and a 1 at the seed's own index
-    coef = np.zeros((2 * n, space.ncoef) + z.shape[1:])
-    coef[:, 0] = z
-    if order >= 1:
-        coef[range(2 * n), [space.index_of[tuple(int(u == v) for u in range(2 * n))] for v in range(2 * n)]] = 1.0
-    seeds = [Jet(space, c) for c in coef]
-    return seeds[:n], seeds[n:]
+
+    def seeds(values, first):
+        # one (n, ncoef[, B]) array holds n seed jets: the value, and a 1 at the seed's own index
+        z = np.atleast_1d(np.asarray(values, dtype=float))
+        coef = np.zeros((n, space.ncoef) + z.shape[1:])
+        coef[:, 0] = z
+        if order >= 1:
+            at = [space.index_of[tuple(int(u == v) for u in range(2 * n))] for v in range(first, first + n)]
+            coef[range(n), at] = 1.0
+        return [Jet(space, c) for c in coef]
+
+    return seeds(x, 0), seeds(y, n)
 
 
 def spray_from_f2_jets(S: FinslerStructure, xj, yj):
@@ -81,20 +86,26 @@ def spray_coefficients(S: FinslerStructure, x, y) -> np.ndarray:
     return np.array([gi.value for gi in spray_jet_functions(S, x, y, 0, via="f2")])
 
 
-def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fast"):
+def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fast", columns=None):
     """G^i as jets of total order `g_order` over the 2n phase seeds.
 
     The jets carry at most one derivative along the base seeds, all that the
     curvature formula reads: reading a second one raises ValueError.  via
     "fast" runs the family's closed form; "f2" runs the jet spray from F^2,
     two orders higher and with two base derivatives, as the cross-check.
-    x and y of shape (n, B) give jets batched over B phase points.
+    x and y of shape (n, B) give jets batched over B phase points.  With
+    columns, an index array of length B, x of shape (n, P) holds distinct
+    base points and batch column b sits at x[:, columns[b]]: the closed form
+    evaluates its base part once per base point, and the F^2 route takes x
+    onto the columns first.
     """
     if via == "fast":
         xj, yj = phase_jet_args(S, x, y, g_order, base_degree=1)
-        return list(S.spray_fast(xj, yj))
+        return list(S.spray_fast(xj, yj, columns=columns))
     if via != "f2":
         raise ValueError("via must be fast or f2")
+    if columns is not None:
+        x = np.asarray(x, dtype=float)[:, columns]
     xj, yj = phase_jet_args(S, x, y, g_order + 2, base_degree=min(g_order, 1) + 1)
     return spray_from_f2_jets(S, xj, yj)
 

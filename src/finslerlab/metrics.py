@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -56,6 +57,60 @@ def _require_chart(d):
     """D = 1 - |x|^2 must be positive: a float, or every column of a (B,) array or jet."""
     if d <= 0.0 if isinstance(d, float) else np.any(d <= 0.0):
         raise EvaluationDomainError(_OFF_CHART)
+
+
+def _take_columns(columns, *values):
+    """The values on the batch columns: batch column c reads column columns[c].
+
+    A value is a batched jet or array, which take gathers along the batch
+    axis, or a nested list of them; a float or an unbatched jet, the same at
+    every column, stays as it is.
+    """
+
+    def take(v):
+        if isinstance(v, list):
+            return [take(u) for u in v]
+        if isinstance(v, Jet):
+            return Jet(v.space, v.coef.take(columns, axis=-1)) if v.coef.ndim > 1 else v
+        return v.take(columns, axis=-1) if isinstance(v, np.ndarray) else v
+
+    return [take(v) for v in values]
+
+
+def _row_norms(v):
+    """The norms of the rows of v (B, n), shape (B, 1), by one stacked matmul."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
+
+
+def _unit_rows(rows, n):
+    """The rows of a list of (k, n) arrays, stacked and each divided by its norm."""
+    if not rows:
+        return np.empty((0, n))
+    v = np.concatenate(rows)
+    return v / _row_norms(v)
+
+
+def _draw_rows(rng, n, need, point):
+    """The normal rows that need directions and then, if point, one point take, the point's row last.
+
+    A direction row of norm at most 1e-8 is dropped, and the stream's next
+    row takes its place, drawn when the rows in hand run out; the point's
+    row is the one after the last good direction.
+    """
+    v = rng.standard_normal((need + point, n))
+    if not need or abs(v).min() > 2e-8:  # each row's norm then exceeds 1e-8, whatever the rounding
+        return v
+    while True:
+        good = _row_norms(v)[:, 0] > 1e-8
+        count = np.cumsum(good)
+        if count[-1] < need:  # every row in hand is a direction
+            missing = need - int(count[-1]) + point
+        else:
+            end = int(np.searchsorted(count, need)) + 1
+            missing = end + point - len(v)
+            if not missing:
+                return np.concatenate([v[:end][good[:end]], v[end:]])
+        v = np.concatenate([v, rng.standard_normal((missing, n))])
 
 
 def _eval_polynomials(polys, xs) -> np.ndarray:
@@ -285,31 +340,47 @@ class FinslerStructure:
         val = self.f2(x, y)
         return jet_sqrt(val)
 
-    def sample_point(self, rng, radius: float | None = None) -> np.ndarray:
-        """Uniform point of the chart ball, inside the sampling margin."""
-        r_cap = SAMPLING_RADIUS if radius is None else radius
+    def sample_blocks(self, rng, blocks, radius: float | None = None):
+        """(points, directions) of a plan of blocks, shapes (P, n) and (K, n), in draw order.
+
+        A block (point, k) draws what sample_point, when point holds, and
+        then k calls of sample_direction draw one at a time, and the plan
+        draws that stream: a point is a normal row and then a uniform, a
+        direction a normal row, redrawn while its norm is at most 1e-8.  The
+        normal rows between two uniforms come from one standard_normal call
+        (_draw_rows), since a call of size a + b draws what calls of size a
+        and b draw.  rng.random() gives the bits of rng.uniform().  Each
+        row's norm is the stacked matmul's, which is np.linalg.norm's bits,
+        and a point's radius is r_cap * u ** (1 / n) in Python floats.
+        """
         n = self.dimension
-        v = rng.standard_normal(n)
-        v /= math.sqrt(v.dot(v))
-        r = r_cap * rng.uniform() ** (1.0 / n)
-        return r * v
+        r_cap = SAMPLING_RADIUS if radius is None else radius
+        points, directions, radii = [], [], []
+        need = 0  # directions drawn with the next point's row
+        for point, k in blocks:
+            if point:
+                v = _draw_rows(rng, n, need, 1)
+                if need:
+                    directions.append(v[:need])
+                points.append(v[need:])
+                radii.append(r_cap * rng.random() ** (1.0 / n))
+                need = 0
+            need += k
+        if need:
+            directions.append(_draw_rows(rng, n, need, 0))
+        return np.array(radii)[:, None] * _unit_rows(points, n), _unit_rows(directions, n)
+
+    def sample_point(self, rng, radius: float | None = None) -> np.ndarray:
+        """Uniform point of the chart ball, inside the sampling margin: sample_blocks at one point."""
+        return self.sample_blocks(rng, [(True, 0)], radius)[0][0]
 
     def sample_direction(self, rng) -> np.ndarray:
+        """One unit direction: sample_blocks at one direction."""
         return self.sample_directions(rng, 1)[0]
 
     def sample_directions(self, rng, k: int) -> np.ndarray:
-        """k unit directions, shape (k, n), the stream of k successive draws.
-
-        A row of norm <= 1e-8 is dropped and replaced by a row drawn at the
-        end, which is where a one-at-a-time redraw takes it from.  The stacked
-        matmul gives each row's norm bit for bit as np.linalg.norm would.
-        """
-        v = rng.standard_normal((k, self.dimension))
-        nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
-        keep = nv[:, 0] > 1e-8
-        if keep.all():
-            return v / nv
-        return np.concatenate([v[keep] / nv[keep], self.sample_directions(rng, k - int(keep.sum()))])
+        """k unit directions, shape (k, n), the stream of k successive draws: sample_blocks at k directions."""
+        return self.sample_blocks(rng, [(False, k)])[1]
 
 
 @functools.cache
@@ -345,6 +416,18 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
     Both flavours invert g through invert_scalarlike_matrix, looked up in
     this module at call time.  A partial's coefficient can overflow to inf,
     whose repr the namespace binds.
+
+    spray_fast's base part is every statement before the first that reads
+    y: |x|^2, D, the chart check and, on a table, g, its inverse, its
+    x-partials and a Randers form's b and J.  Given columns, an index array
+    that names each batch column's base point, x holds the distinct base
+    points: the base part runs once for each, and _take_columns gathers the
+    base values the rest reads, the x seeds among them, onto the columns.
+    A jet divides by multiplying with the divisor's reciprocal (Jet.
+    __truediv__), so on jets the chart families take D's reciprocal with
+    the base part and multiply by it; floats, (B,) rows and object arrays
+    keep / D, since x * (1 / D) does not give the bits of x / D that the
+    float path's geodesic_field computes.
     """
 
     def dot(total, a, b):
@@ -386,12 +469,12 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
 
     def polynomial_statements(head, floats):
         # G^i_a = (1/4) g^il (2 d_k g_lj - d_l g_jk) y^j y^k, with dg[l][i][j] = d_l g_ij
-        spray = head + g + ["ginv = metrics.invert_scalarlike_matrix(g)"] + dg + ["inner = []"]
+        base = head + g + ["ginv = metrics.invert_scalarlike_matrix(g)"] + dg
         contract = "acc = acc + (2.0 * dg[kk][l][j] - dg[l][j][kk]) * y[j] * y[kk]"
-        spray += loop("l", "acc = 0.0", *loop("j", *loop("kk", contract)), "inner.append(acc)")
-        spray += ["Ga = []"] + loop("i", "acc = 0.0", *loop("l", "acc = acc + ginv[i][l] * inner[l]"), "Ga.append(0.25 * acc)")
+        rest = ["inner = []"] + loop("l", "acc = 0.0", *loop("j", *loop("kk", contract)), "inner.append(acc)")
+        rest += ["Ga = []"] + loop("i", "acc = 0.0", *loop("l", "acc = acc + ginv[i][l] * inner[l]"), "Ga.append(0.25 * acc)")
         if bpoly is None:
-            return g + quadratic + ["f2 = s2 * q"], spray, [f"Ga[{i}]" for i in range(n)]
+            return g + quadratic + ["f2 = s2 * q"], base, rest, [f"Ga[{i}]" for i in range(n)]
         check, sqrt_q = root("q", floats)
         f2 = g + quadratic + check + [f"alpha = {sqrt_q}"] + b + ["beta = 0.0"]
         f2 += loop("i", "beta = beta + b[i] * y[i]") + ["F = alpha + beta", "f2 = s2 * F * F"]
@@ -399,63 +482,80 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
         # Riemann-Finsler Geometry, 2005).  The Christoffel terms of b_{i|j}
         # cancel in s_ij and give r_00 = (d_j b_i) y^i y^j - 2 b_k G^k_a; then
         # e_00 = r_00 + 2 beta s_0 and s_0 = b_k s^k_0.  scale drops out.
-        spray += b + J + [
+        base += b + J
+        rest += [
             "Jy = [_dot(row, y) for row in J]",
             f"s_lo = [0.5 * (Jy[i] - _dot([row[i] for row in J], y)) for i in range({n})]",
             "s_up = [_dot(row, s_lo) for row in ginv]",
         ]
-        spray += quadratic + check + [
+        rest += quadratic + check + [
             f"alpha = {sqrt_q}",
             "beta = _dot(b, y)",
             "s_0 = _dot(b, s_up)",
             "e_00 = _dot(Jy, y) - 2.0 * _dot(b, Ga) + 2.0 * beta * s_0",
             "P = e_00 / (2.0 * (alpha + beta)) - s_0",
         ]
-        return f2, spray, [f"Ga[{i}] + P * y{i} + alpha * s_up[{i}]" for i in range(n)]
+        return f2, base, rest, [f"Ga[{i}] + P * y{i} + alpha * s_up[{i}]" for i in range(n)]
 
-    def statements(floats):
-        """(f2 lines, spray lines, G^i expressions) in the float or the scalar-like flavour."""
+    def statements(floats, over_D=" / D"):
+        """(f2 lines, spray's base lines, spray's other lines, G^i expressions) in one flavour.
+
+        The base lines read x alone; the spray divides by D as over_D says.
+        """
         chart = "if D <= 0.0: raise EvaluationDomainError(_OFF_CHART)" if floats else "_require_chart(D)"
         absolute = "abs" if floats else "jet_abs"
         head = dot("xx", "x", "x") + ["D = 1.0 - xx", chart]
         if config is not None:
             return polynomial_statements(head, floats)
-        head += dot("xy", "x", "y")
+        xy = dot("xy", "x", "y")
         if family == "klein_ball":
-            spray = head + ["P = xy / D"]
-            f2 = head + dot("yy", "y", "y") + ["f2 = s2 * (yy * D + xy ** 2) / (D * D)"]
+            rest = xy + [f"P = xy{over_D}"]
+            f2 = head + xy + dot("yy", "y", "y") + ["f2 = s2 * (yy * D + xy ** 2) / (D * D)"]
             G = "P * y{}"
         elif family == "funk_ball":
             # Funk metrics solve F_{x^k} = F F_{y^k}; the spray collapses to F y / 2.
             # Constant rescalings of F leave the spray unchanged, so use raw F.
             check, sqrt_rad = root("rad", floats)
-            spray = head + dot("yy", "y", "y") + ["rad = xy * xy + yy * D"] + check + [f"F = ({sqrt_rad} + xy) / D"]
-            f2 = spray + ["f2 = s2 * F * F"]
+            rest = xy + dot("yy", "y", "y") + ["rad = xy * xy + yy * D"] + check + [f"F = ({sqrt_rad} + xy){over_D}"]
+            f2 = head + rest + ["f2 = s2 * F * F"]
             G = "0.5 * F * y{}"
         else:
             # The k = 1 gauge solves F_u = F F_w, so as on the Funk ball the spray
             # is F w / 2; k and scale rescale F and drop out.
-            spray = head + [f"F = ({absolute}(y0) + xy) / D"]
-            f2 = head + [f"F = ({absolute}(y0) + xy) / (k * D)", "f2 = s2 * F * F"]
+            rest = xy + [f"F = ({absolute}(y0) + xy){over_D}"]
+            f2 = head + xy + [f"F = ({absolute}(y0) + xy) / (k * D)", "f2 = s2 * F * F"]
             G = "0.5 * F * y{}"
-        return f2, spray, [G.format(i) for i in range(n)]
+        return f2, head, rest, [G.format(i) for i in range(n)]
 
     def function(signature, body):
         return [f"def {signature}:"] + ["    " + line for line in body]
 
+    def gathered(rest, G):
+        """rest and the return of G, after the base values rest reads are taken onto the batch columns."""
+        words = set(re.findall(r"\w+", "\n".join(rest)))
+        read = [v for v in [*(f"x{i}" for i in range(n)), "D", "rD", "g", "ginv", "dg", "b", "J"] if v in words]
+        names = ", ".join(read)
+        take = [f"if columns is not None: {names}, = _take_columns(columns, {names})"]
+        return take + rest + ["return [" + ", ".join(G) + "]"]
+
     xs, ys = ("".join(f"{c}{i}, " for i in range(n)) for c in "xy")
     unpack = [f"{xs}= x", f"{ys}= y"]
-    f2, spray, G = statements(floats=False)
+    f2, base, rest, G = statements(floats=False)
     lines = function("f2(x, y)", unpack + f2 + ["return f2"])
-    lines += function("spray_fast(x, y)", unpack + spray + ["return [" + ", ".join(G) + "]"])
-    f2, spray, G = statements(floats=True)
+    spray = unpack + base
+    if config is None:  # a jet divides by multiplying with the reciprocal: take D's once, with the base
+        _, _, jet_rest, _ = statements(floats=False, over_D=" * rD")
+        spray += ["if isinstance(D, Jet):"] + ["    " + line for line in ["rD = D._reciprocal()"] + gathered(jet_rest, G)]
+    lines += function("spray_fast(x, y, columns=None)", spray + gathered(rest, G))
+    f2, base, rest, G = statements(floats=True)
     field = "return [" + ys + ", ".join(f"-2.0 * ({g})" for g in G) + "]"
     phase = [f"{xs}{ys}= z"] + ([f"y = z[{n}:]"] if config is not None else [])
-    lines += function("geodesic_field(z)", phase + spray + [field])
+    lines += function("geodesic_field(z)", phase + base + rest + [field])
     check, sqrt_f2 = root("f2", True)
     lines += function("float_F(x, y)", unpack + f2 + check + [f"return {sqrt_f2}"])
     lines.append("return f2, spray_fast, geodesic_field, float_F")
     namespace = {"sqrt": math.sqrt, "jet_sqrt": jet_sqrt, "jet_abs": jet_abs, "_require_chart": _require_chart}
+    namespace.update(Jet=Jet, _take_columns=_take_columns)
     namespace.update(EvaluationDomainError=EvaluationDomainError, _OFF_CHART=_OFF_CHART, _dot=_dot, inf=math.inf)
     namespace["metrics"] = sys.modules[__name__]
     return emit("make(s2, k)", lines, namespace, f"{family} n={n}")
@@ -483,7 +583,7 @@ def _check_table(S: FinslerStructure):
     form = config.one_form
     _check_symmetric_tables(config.metric, S.dimension, f"{S.family}.metric")
     rng = np.random.default_rng(98765 if form is None else 56789)
-    xs = np.array([S.sample_point(rng) for _ in range(CONSTRUCTION_SAMPLES)])
+    xs = S.sample_blocks(rng, [(True, 0)] * CONSTRUCTION_SAMPLES)[0]
     a = _eval_table(config.metric, xs)
     indefinite = np.flatnonzero(np.linalg.eigvalsh(a)[:, 0] <= 0.0)
     first = indefinite[0] if indefinite.size else len(xs)
@@ -706,8 +806,8 @@ def validate_structure(S: FinslerStructure, samples: int = 100, seed: int = 0) -
     form = S.config.one_form
     failures: list[str] = []
     for _ in range(samples):
-        x = S.sample_point(rng)
-        y = S.sample_direction(rng) * rng.uniform(0.5, 2.0)
+        (x,), (y,) = S.sample_blocks(rng, [(True, 1)])
+        y = y * rng.uniform(0.5, 2.0)
         try:
             fval = float(S.F(x, y))
         except EvaluationDomainError:

@@ -437,10 +437,7 @@ def pseudo_distance(
         best_random = math.inf
         for _ in range(random_chains):
             kmid = int(rng.integers(1, MAX_INTERMEDIATE + 1))
-            pts = [p_arr]
-            for _ in range(kmid):
-                pts.append(S.sample_point(rng, 0.8 * SAMPLING_RADIUS))
-            pts.append(q_arr)
+            pts = [p_arr, *S.sample_blocks(rng, [(True, 0)] * kmid, 0.8 * SAMPLING_RADIUS)[0], q_arr]
             try:
                 chain = build_canonical_chain(S, pts, c)
                 best_random = min(best_random, chain_length(gauge, chain))
@@ -493,11 +490,10 @@ def projective_relation(
     radius = 0.8 * SAMPLING_RADIUS
     xs, ys = [], []
     for _ in range(samples):
-        xs.append(A.sample_point(rng, radius))
-        while True:
+        (x,), (y,) = A.sample_blocks(rng, [(True, 1)], radius)
+        while float(np.min(np.abs(y))) <= 0.15 / math.sqrt(n):
             y = A.sample_direction(rng)
-            if float(np.min(np.abs(y))) > 0.15 / math.sqrt(n):
-                break
+        xs.append(x)
         ys.append(y)
     x, y = np.array(xs).T, np.array(ys).T
     Ga = spray_coefficients(A, x, y)
@@ -567,12 +563,12 @@ def theorem1_verify(
     factor = _gauge_factor(c, n, gauge)
     rng = np.random.default_rng(seed)
     pair_list = []
-    while len(pair_list) < pairs:
-        p = S.sample_point(rng, PAIR_RADIUS)
-        q = S.sample_point(rng, PAIR_RADIUS)
-        d = q - p
-        if math.sqrt(d.dot(d)) >= MIN_SEPARATION:
-            pair_list.append((p, q))
+    while len(pair_list) < pairs:  # a round draws the pairs still missing, which the stream holds next
+        ends = S.sample_blocks(rng, [(True, 0)] * (2 * (pairs - len(pair_list))), PAIR_RADIUS)[0]
+        for p, q in zip(ends[::2], ends[1::2]):
+            d = q - p
+            if math.sqrt(d.dot(d)) >= MIN_SEPARATION:
+                pair_list.append((p, q))
 
     records = []
     lemma2_ok = True

@@ -794,9 +794,15 @@ def mobius_fit(pi1, pi2) -> MobiusFit:
 # ----- spray jets and their matrix inverse, without the cap -------------------
 
 
-def uncapped_spray_jet_functions(S, x, y, g_order: int, via: str = "fast"):
-    """spray_jet_functions on the uncapped jet_space(2n, order): every base derivative is carried."""
+def uncapped_spray_jet_functions(S, x, y, g_order: int, via: str = "fast", columns=None):
+    """spray_jet_functions on the uncapped jet_space(2n, order): every base derivative is carried.
+
+    With columns, x is first taken onto every batch column, x[:, columns], so
+    each column runs its whole spray with no base part shared.
+    """
     n = S.dimension
+    if columns is not None:
+        x = np.asarray(x, dtype=float)[:, columns]
     space = jet_space(2 * n, g_order if via == "fast" else g_order + 2)
     xj = [space.variable(i, v) for i, v in enumerate(np.atleast_1d(np.asarray(x, dtype=float)))]
     yj = [space.variable(n + i, v) for i, v in enumerate(np.atleast_1d(np.asarray(y, dtype=float)))]

@@ -737,6 +737,19 @@ class TestEinsteinCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, seed]
 
+    def test_samples_above_the_cap_are_refused(self, cfg, capsys):
+        # the cap keeps one classification's batch well inside memory;
+        # without it, 3,000,000 samples under a 3 GB address-space limit
+        # ended in a numpy allocation traceback
+        cap = cli.MAX_X_SAMPLES
+        for samples in (cap + 1, 10**12):
+            code, out, err = run(capsys, "einstein", "check", "--config", cfg["klein2"], "--samples", str(samples))
+            assert (code, out) == (64, "")
+            doc = json.loads(err)
+            assert (doc["option"], doc["message"]) == ("--samples", f"--samples must be at most {cap}")
+        param = next(p for p in cli.einstein_check.params if p.name == "samples")
+        assert param.callback(None, param, cap) == cap
+
 
 class TestGeodesicLayerBytes:
     """Byte pins of the commands that integrate geodesics on the ball models.

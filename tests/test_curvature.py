@@ -26,7 +26,7 @@ from finslerlab.curvature import (
 )
 from finslerlab.geodesics import spray_jet_functions
 from finslerlab.jets import Jet, jet_space
-from finslerlab.metrics import _fundamental_tensors, invert_scalarlike_matrix
+from finslerlab.metrics import SAMPLING_RADIUS, _fundamental_tensors, invert_scalarlike_matrix
 
 from conftest import curved_riemannian_config, exact_randers_config, funk_config, klein_config, nonclosed_randers_config
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
     riemann_trace_jet_per_entry,
     riemann_values_per_entry,
     sample_direction,
+    sample_point,
     uncapped_spray_jet_functions,
 )
 
@@ -402,6 +403,12 @@ class ZeroRowGenerator:
             self.rows += 1
         return v
 
+    def random(self):
+        return self.rng.random()
+
+    def uniform(self):
+        return self.rng.uniform()
+
 
 def _concatenated_directions(rng, k, n):
     """k unit rows, each redraw appended onto what was kept, starting from an empty array."""
@@ -556,6 +563,148 @@ class TestBatchedCurvature:
         assert ric_values != report.ric_values
 
 
+def draws_one_at_a_time(rng, n, blocks, radius):
+    """(points, directions) of a plan of blocks from the oracle's sample_point and sample_direction, in order."""
+    points, directions = [], []
+    for point, k in blocks:
+        if point:
+            points.append(sample_point(rng, n, radius))
+        directions += [sample_direction(rng, n) for _ in range(k)]
+    return np.reshape(points, (-1, n)), np.reshape(directions, (-1, n))
+
+
+SAMPLER_STRUCTURES = {
+    1: {"family": "interval_funk", "dimension": 1},
+    **{n: klein_config(n) for n in (2, 3, 4)},
+}
+PLANS = {
+    "classification": [(True, 3)] * 3 + [(False, 4)] + [(True, 2)] * 2,
+    "pointless": [(False, 2), (False, 3), (True, 0), (False, 1)],
+    "empty_blocks": [(True, 0), (False, 0), (True, 0), (True, 2), (False, 0)],
+    "points_only": [(True, 0)] * 4,
+    "directions_only": [(False, 5)],
+    "no_blocks": [],
+}
+
+
+class TestSampleBlocks:
+    """sample_blocks draws the stream that sample_point and sample_direction draw in order."""
+
+    @pytest.mark.parametrize("n", sorted(SAMPLER_STRUCTURES))
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_plan_draws_the_one_at_a_time_stream(self, n, plan):
+        # a zero row at every place of the stream: inside a direction block
+        # whose call also draws the next point's row, as that block's last
+        # row, so that the redraw pushes the point's row past the call, as a
+        # point's own row (a NaN point, as sample_point makes it) and past
+        # the end of the plan
+        S = make_metric(SAMPLER_STRUCTURES[n])
+        blocks = PLANS[plan]
+        for zero_at in (None, *range(sum(point + k for point, k in blocks) + 2)):
+            ours, theirs = ZeroRowGenerator(9, zero_at), ZeroRowGenerator(9, zero_at)
+            with np.errstate(invalid="ignore"):
+                got = S.sample_blocks(ours, blocks, 0.7)
+                want = draws_one_at_a_time(theirs, n, blocks, 0.7)
+            assert [a.shape for a in got] == [a.shape for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert ours.rows == theirs.rows
+            assert ours.rng.standard_normal(n).tobytes() == theirs.rng.standard_normal(n).tobytes()
+
+    @pytest.mark.parametrize("n", sorted(SAMPLER_STRUCTURES))
+    def test_single_draws_are_views_of_the_plan(self, n):
+        S = make_metric(SAMPLER_STRUCTURES[n])
+        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(3):
+            assert S.sample_point(ours).tobytes() == sample_point(theirs, n, SAMPLING_RADIUS).tobytes()
+            assert S.sample_point(ours, 0.5).tobytes() == sample_point(theirs, n, 0.5).tobytes()
+            assert S.sample_direction(ours).tobytes() == sample_direction(theirs, n).tobytes()
+        assert ours.random() == theirs.uniform()
+
+
+def singular_table_config():
+    """The Riemannian metric diag(1, x1^2): positive definite off the line x1 = 0, singular on it."""
+    return {
+        "family": "riemannian",
+        "dimension": 2,
+        "riemannian": {"metric": [[[[1.0, 0, 0]], []], [[], [[1.0, 2, 0]]]]},
+    }
+
+
+def shared_base_outcomes(S, X, Y, columns):
+    """R^i_k by both routes and the Ricci tensors, each as bytes or its EvaluationDomainError's message."""
+    calls = [lambda via=via: (_riemann_values(S, X, Y, via=via, columns=columns),) for via in ("fast", "f2")]
+    calls.append(lambda: _ricci_tensors(S, X, Y, columns))
+    out = []
+    for call in calls:
+        try:
+            out.append([a.tobytes() for a in call()])
+        except EvaluationDomainError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestSharedBasePoints:
+    """Distinct base points and a column map keep the bits of the batch with x on every column."""
+
+    COLUMNS = np.array([2, 0, 0, 3, 1, 2, 2, 0, 3])
+
+    @classmethod
+    def batch(cls, S, seed):
+        rng = np.random.default_rng(seed)
+        X = S.sample_blocks(rng, [(True, 0)] * 4, 0.7)[0].T
+        return X, S.sample_directions(rng, len(cls.COLUMNS)).T
+
+    @BATCH_CONFIGS
+    def test_map_equals_x_on_every_column(self, config):
+        S = make_metric(config)
+        X, Y = self.batch(S, 21)
+        got = shared_base_outcomes(S, X, Y, self.COLUMNS)
+        assert not any(isinstance(g, str) for g in got)
+        assert got == shared_base_outcomes(S, X[:, self.COLUMNS], Y, None)
+        G = spray_jet_functions(S, X, Y, 2, columns=self.COLUMNS)
+        want = spray_jet_functions(S, X[:, self.COLUMNS], Y, 2)
+        assert [g.coef.tobytes() for g in G] == [w.coef.tobytes() for w in want]
+
+    @BATCH_CONFIGS
+    def test_signed_zero_base_points_stay_apart(self, config):
+        # a map inferred by float equality would merge -0.0 and +0.0
+        S = make_metric(config)
+        n = S.dimension
+        X = np.array([[-0.0] + [0.3] * (n - 1), [0.0] + [0.3] * (n - 1)]).T
+        columns = np.array([0, 1, 1, 0])
+        Y = S.sample_directions(np.random.default_rng(22), 4).T
+        G = spray_jet_functions(S, X, Y, 4, columns=columns)
+        want = spray_jet_functions(S, X[:, columns], Y, 4)
+        assert [g.coef.tobytes() for g in G] == [w.coef.tobytes() for w in want]
+        assert shared_base_outcomes(S, X, Y, columns) == shared_base_outcomes(S, X[:, columns], Y, None)
+
+    @BATCH_CONFIGS
+    def test_an_off_chart_base_point_raises_as_the_batch_does(self, config):
+        S = make_metric(config)
+        X, Y = self.batch(S, 23)
+        X[:, 3] = 1.5 / math.sqrt(S.dimension)
+        got = shared_base_outcomes(S, X, Y, self.COLUMNS)
+        assert got[0] == got[2] == "point outside the unit-ball chart"
+        assert got == shared_base_outcomes(S, X[:, self.COLUMNS], Y, None)
+
+    def test_a_singular_table_raises_as_the_batch_does(self):
+        S = make_metric(singular_table_config())
+        X, Y = self.batch(S, 24)
+        X[0, 1] = 0.0  # the line x1 = 0
+        got = shared_base_outcomes(S, X, Y, self.COLUMNS)
+        assert got[0] == got[2] == "singular matrix in scalar-like inverse"
+        assert got == shared_base_outcomes(S, X[:, self.COLUMNS], Y, None)
+
+
+def test_classification_refuses_base_points_above_the_cap_before_drawing(klein2, monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(klein2, "sample_blocks", draw)
+    with pytest.raises(ValueError, match=f"at most {curvature.MAX_X_SAMPLES}"):
+        einstein_classify(klein2, x_samples=10**12)
+
+
 def signed_zero_batch(S, seed, B):
     """B phase points; from dimension two on, fibre entries +0.0 and -0.0 in every third column."""
     rng = np.random.default_rng(seed)
@@ -651,6 +800,22 @@ class TestCappedSprayJets:
         want = [_riemann_values(S, X, Y, via=via) for via in ("fast", "f2")] + list(_ricci_tensors(S, X, Y))
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @BATCH_CONFIGS
+    def test_shared_base_points_equal_the_uncapped_route(self, config, monkeypatch):
+        # the oracle takes x onto every column, so each column runs the whole spray uncapped
+        S = make_metric(config)
+        X, Y = self.batch(S, 17)
+        columns = np.array([4, 4, 1, 0, 1, 3, 2, 4])
+        Y = np.concatenate([Y, Y[:, :3]], axis=1)
+
+        def outcomes():
+            R = [_riemann_values(S, X, Y, via=via, columns=columns) for via in ("fast", "f2")]
+            return [a.tobytes() for a in R + list(_ricci_tensors(S, X, Y, columns))]
+
+        got = outcomes()
+        monkeypatch.setattr(curvature, "spray_jet_functions", uncapped_spray_jet_functions)
+        assert got == outcomes()
 
     @BATCH_CONFIGS
     def test_f2_spray_values_need_one_base_derivative_of_f2(self, config, monkeypatch):
