@@ -7,23 +7,25 @@ structure's float path, geodesic_field, and curvature reads it on jets
 through spray_fast.  The spray from F^2 alone through the jet engine
 (via="f2", spray_coefficients) is the independent cross-check, and the
 routes are required to agree.
+
+Shooting starts from the chord's Finsler length: on the ball models and
+the interval, whose geodesics are the chords, the chart's cross-ratio in
+closed form; on the tables, a 10-point Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codegen import emit
 from .errors import DomainExitError, EvaluationDomainError, SearchFailureError
 from .jets import Jet, jet_space
 from .metrics import FinslerStructure, _dot, invert_scalarlike_matrix
 from .ode import OdeTrajectory, integrate_ivp
-from .scalar import minimize_bounded, qagse
+from .scalar import minimize_bounded
 
 
 def phase_jet_args(S: FinslerStructure, x, y, order: int, base_degree: int):
@@ -165,10 +167,14 @@ class Geodesic:
         sign = -1.0 if self.backward else 1.0
         return sign * self.trajectory.ts
 
+    def residual(self, z) -> float:
+        """F(x, v) - 1 at the phase point z = (x, v)."""
+        n = self.n
+        return float(self.structure.F(z[:n], z[n:])) - 1.0
+
     def node_residuals(self) -> list[float]:
         """F(x, v) - 1 at every accepted node."""
-        n = self.n
-        return [float(self.structure.F(z[:n], z[n:])) - 1.0 for z in self.trajectory.states]
+        return [self.residual(z) for z in self.trajectory.states]
 
     def unit_speed_residual(self) -> float:
         return max(abs(r) for r in self.node_residuals())
@@ -197,14 +203,7 @@ class Geodesic:
         )
         for s in s_values:
             z = self.state(s)
-            xx, vv = z[:n], z[n:]
-            resid = float(self.structure.F(xx, vv)) - 1.0
-            writer.writerow(
-                [repr(float(s))]
-                + [repr(float(v)) for v in xx]
-                + [repr(float(v)) for v in vv]
-                + [repr(resid)]
-            )
+            writer.writerow([repr(float(s))] + [repr(float(v)) for v in z] + [repr(self.residual(z))])
 
 
 def geodesic_ivp(
@@ -219,7 +218,8 @@ def geodesic_ivp(
     |F(x, v) - 1| is not within sqrt(tolerance), the error control has run
     out of precision (near the boundary of a ball, where 1 - |x|^2 falls to
     a few ulps), and DomainExitError carries that node's arc length and
-    state and the whole trajectory.
+    state and the whole trajectory.  The nodes are checked in order, and a
+    node where F raises EvaluationDomainError is such an exit too.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -241,7 +241,11 @@ def geodesic_ivp(
         raise
     geo = Geodesic(structure=S, trajectory=traj, length=length, backward=backward)
     bound = math.sqrt(tolerance)
-    for s, state, resid in zip(geo.s_grid, traj.states, geo.node_residuals()):
+    for s, state in zip(geo.s_grid, traj.states):
+        try:
+            resid = geo.residual(state)
+        except EvaluationDomainError:  # F itself lost its precision here
+            resid = math.nan
         if not abs(resid) <= bound:
             raise DomainExitError(
                 f"unit-speed residual {resid:.3g} exceeds sqrt(tolerance) = {bound:.3g} "
@@ -301,32 +305,80 @@ def _unit_against_F(S, p, v):
     return [w / f for w in v]
 
 
-@functools.cache
-def _chord_integrand(n: int):
-    """(F, a, d) -> the integrand t -> F([a_0 + t * d_0, ..., a_{n-1} + t * d_{n-1}], d).
+# The 10-point Gauss-Legendre rule on [-1, 1]: its positive abscissae and their weights
+_GAUSS_X = (
+    0.973906528517171720077964012084452, 0.865063366688984510732096688423493,
+    0.679409568299024406234327365114874, 0.433395394129247190799265943165784,
+    0.148874338981631210884826001129720,
+)
+_GAUSS_W = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# its nodes and weights on [0, 1]
+_GAUSS_NODES = [(0.5 + 0.5 * side * x, 0.5 * w) for x, w in zip(_GAUSS_X, _GAUSS_W) for side in (-1.0, 1.0)]
 
-    Written out for dimension n by codegen.emit on its first chord, so each node
-    builds its point without a loop; a and d are lists of n floats.
+
+def _one_minus_norm2(q) -> float:
+    """1 - |q|^2 rounded once: each q_i^2 and its rounding error (Dekker's product), added by math.fsum.
+
+    Near the sphere 1 - q.q in floats keeps only the digits that q_i^2's
+    rounding leaves: up to 3e-8 relative at |q|^2 = 1 - 2e-9.
     """
-    lines = ["".join(f"{v}{i}, " for i in range(n)) + f"= {v}" for v in "ad"]
-    lines.append("return lambda t: F([" + ", ".join(f"a{i} + t * d{i}" for i in range(n)) + "], d)")
-    return emit("integrand(F, a, d)", lines, {}, f"chord n={n}")
+    terms = [1.0]
+    for v in q:
+        square = v * v
+        split = 134217729.0 * v  # 2^27 + 1: v = top + bottom, halves whose products are exact
+        top = split - (split - v)
+        bottom = v - top
+        terms += [-square, -(((top * top - square) + 2.0 * top * bottom) + bottom * bottom)]
+    return math.fsum(terms)
+
+
+def _beyond(p, q, d) -> float:
+    """1 / u for the root u > 0 of |q + u d|^2 = 1, d = q - p: |q - p| over q's distance to the hit beyond it.
+
+    The root is taken in the form that adds terms of one sign, over 1 -
+    |q|^2 rounded once, so nothing cancels.
+    """
+    qd = _dot(q, d)
+    dd = _dot(d, d)
+    c = _one_minus_norm2(q)
+    s = math.sqrt(qd * qd + dd * c)
+    return (qd + s) / c if qd >= 0.0 else dd / (s - qd)
 
 
 def _chord_length(S, p, q) -> float:
-    """Finsler length of the straight segment from p to q, by adaptive quadrature.
+    """Finsler length of the straight segment from p to q; p and q are sequences of floats.
 
-    QUADPACK's qagse to 1e-12, absolute and relative, over at most 200
-    intervals, of S.float_F at p + t (q - p), the integrand written out for
-    the dimension; p and q are sequences of floats.  S.float_F is read on
-    every chord, so a wrapper installed on the structure before it sees
-    every node.  The shot's miss, not the quadrature's error estimate,
-    certifies this length as a start of the search, so the estimate is taken
-    as it comes near the chart boundary too.
+    On the chart families the chord is the geodesic, and its length has a
+    closed form in the chord's boundary hits p + t (q - p), t- < 0 < 1 < t+:
+    scale ln(t+ / (t+ - 1)) on the Funk ball, and on the Klein ball scale
+    times half the log of the cross-ratio (1 - t-) t+ / ((-t-)(t+ - 1)).
+    They are taken as log1p(1 / (t+ - 1)) and log1p(1 / (-t-)), each root
+    seen from its own end (_beyond), so nothing cancels.  The interval's
+    (scale / k) ln((1 -+ a) / (1 -+ b)) is written directly in a and b, as
+    log1p((b - a) / (1 - b)) rightward and log1p((a - b) / (1 + b))
+    leftward: the sphere's 1 - b^2 would lose what 1 - b keeps.  The shot's
+    miss, not this formula, certifies the length as the distance.
+
+    On the tables the chord length only spans the fan's coarse shots, and
+    the 10-point Gauss-Legendre rule over S.float_F at p + t (q - p) gives
+    it; S.float_F is read on every chord, so a wrapper installed on the
+    structure before it sees every node.
     """
-    integrand = _chord_integrand(len(p))(S.float_F, p, [b - a for a, b in zip(p, q)])
-    length, _ = qagse(integrand, 0.0, 1.0, 1e-12, 1e-12, 200)
-    return float(length)
+    d = [b - a for a, b in zip(p, q)]
+    if not S.unique_geodesics:
+        return math.fsum(w * S.float_F([a + t * b for a, b in zip(p, d)], d) for t, w in _GAUSS_NODES)
+    scale = S.config.scale
+    if S.family == "interval_funk":
+        (a,), (b,) = p, q
+        return scale / S.config.k * math.log1p((b - a) / (1.0 - b) if b > a else (a - b) / (1.0 + b))
+    funk = math.log1p(_beyond(p, q, d))
+    if S.family == "funk_ball":
+        return scale * funk
+    return scale * 0.5 * (funk + math.log1p(_beyond(q, p, [-v for v in d])))
 
 
 def _shoot(S, p, v, s, tol, shots):

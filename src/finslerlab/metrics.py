@@ -5,7 +5,7 @@ F = sqrt(f2)), accepts floats, (B,) rows, object arrays or jets and
 therefore feeds both ordinary evaluation and the derivative machinery:
 curvature, the g_ij Hessian and the via="f2" cross-check.  The float path,
 geodesic_field and float_F, takes lists of Python floats only and serves
-the values that geodesic integration and the chord-length quadrature
+the values that geodesic integration and the tables' chord-length rule
 evaluate over and over.  Every family is generated: _compile states its
 F^2 and spray once and compiles both paths from it by codegen.emit, with
 the same float operations in the same order.  The chart families, the

@@ -2,6 +2,7 @@
 
 Everything here is independent of the library's own evaluators: the ball
 distances come from chord/boundary intersections and logarithms of ratios,
+in floats and again at 50 digits in mpmath (chart_distance_50_digits),
 the interval gauge from direct quadrature and its line element written out
 (funk_gauge_value), the Klein fundamental tensor from
 its closed form, the DOP853 step and interpolant from dense products over
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.integrate._ivp import dop853_coefficients
@@ -323,6 +325,29 @@ def interval_funk_closed(k: float, a: float, b: float) -> float:
     if b < a:
         return math.log((1.0 + a) / (1.0 + b)) / k
     return 0.0
+
+
+def chart_distance_50_digits(family: str, p, q, k: float = 1.0) -> float:
+    """A chart family's closed-form distance at 50 digits, from the same float inputs, rounded once.
+
+    The chord p + t (q - p) meets the sphere at t- < 0 < 1 < t+: Klein's
+    distance is half the log of the cross-ratio (1 - t-) t+ / ((-t-)(t+ - 1)),
+    the Funk ball's ln(t+ / (t+ - 1)).  The interval's is
+    interval_funk_closed's formula.  Every operation runs in mpmath.
+    """
+    with mpmath.workdps(50):
+        if family == "interval_funk":
+            a, b = (mpmath.mpf(float(v[0])) for v in (p, q))
+            value = mpmath.log((1 - a) / (1 - b) if b > a else (1 + a) / (1 + b)) / k
+            return float(value)
+        p, q = ([mpmath.mpf(float(v)) for v in x] for x in (p, q))
+        d = [b - a for a, b in zip(p, q)]
+        dd, pd, pp = (mpmath.fsum(u * v for u, v in zip(x, y)) for x, y in ((d, d), (p, d), (p, p)))
+        root = mpmath.sqrt(pd * pd - dd * (pp - 1))
+        t_minus, t_plus = (-pd - root) / dd, (-pd + root) / dd
+        if family == "klein_ball":
+            return float(mpmath.log((1 - t_minus) * t_plus / ((-t_minus) * (t_plus - 1))) / 2)
+        return float(mpmath.log(t_plus / (t_plus - 1)))
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sections II.5 and II.6) on

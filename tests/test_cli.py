@@ -568,6 +568,30 @@ class TestTraceCommand:
         assert "unit-speed residual" in doc["message"]
         assert 12.0 < doc["exit_arc_length"] <= length
 
+    def test_funk_trace_stops_at_the_first_node_past_the_bound(self, cfg, capsys):
+        # Along this Funk geodesic F(x, v) - 1 first exceeds sqrt(tolerance)
+        # at s = 26.34, where F is finite; deeper into the precision loss F^2
+        # reaches 0 and F raises.  The nodes are checked in order, so the
+        # trace exits 3 at the first one, with its arc length.
+        code, out, err = run(
+            capsys,
+            "geodesic",
+            "trace",
+            "--config",
+            cfg["funk2"],
+            "--x0=-0.3,0.2",
+            "--y0=1.2998977451656177,-0.18569967788080255",
+            "--length=60",
+            "--step",
+            "1",
+        )
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "DomainExitError"
+        assert "unit-speed residual 6.78e-05" in doc["message"]
+        assert doc["exit_arc_length"] == 26.343944808507363
+
 
 class TestCurvatureCommand:
     def test_klein_center_report(self, cfg, capsys):
@@ -767,16 +791,16 @@ class TestGeodesicLayerBytes:
     }
     DIGESTS = {
         ("distance", "klein2", "--from", "-0.2,0.3", "--to", "0.4,-0.1"): (
-            0, "4335d443839bfd2338596a51f51094ad0a077f7bc475ca34874de5094920e289"
+            0, "75ac465d635679757c030d982e56e57d1a22dbe675ec87fc374c4e6a177546a6"
         ),
         ("distance", "klein2", "--from", "-0.2,0.3", "--to", "0.4,-0.1", "--pseudo"): (
-            0, "0d890c540c6ce1269f4e8dc42e75d93411badbf01862bfdb001344e39f8edf8a"
+            0, "6ed60e03195e84fc8e4ea828d120c89ae454d5df95fea182e97bc0d971dea372"
         ),
         ("distance", "klein2", "--from", "0.99,0", "--to", "-0.3,0.9"): (
-            0, "c4ee4c3f05923932a59f1eb85fba9825bda55bde4c2292a29c636e610a0e2158"
+            0, "d3dd66cbe8eb288312f905fda6eaf9d1a21fbc8a6138bb38d278f79fe6000f08"
         ),
         ("distance", "klein2", "--from", "0.99,0", "--to", "-0.3,0.9", "--pseudo"): (
-            0, "dc85c0da5161aee5a513ec74acce3e66e5d2c1ecc71081369a6e6ef5da5c6629"
+            0, "842fd65a4fe20bd0e632ca388c5a1af2f2200ee2fdc528e59b56f07327a0cc44"
         ),
         ("distance", "funk2", "--from", "-0.2,0.3", "--to", "0.4,-0.1"): (
             0, "c691e4e8203e75265791b3706a4839a06e65c1d827b3f0b10efa062d516f2484"
@@ -785,10 +809,10 @@ class TestGeodesicLayerBytes:
             0, "37375fa041ee775d7cf7acfac8ec16966a5a441388be9dafa4d2a485f272a067"
         ),
         ("distance", "funk2", "--from", "0,0.98", "--to", "0.5,-0.3"): (
-            0, "600225439387a2b6d539294d53e1632c68a2f47cdf19dcd2614a4b2b2d79ed57"
+            0, "f3c4cb4cde43b4e9c0c446fe037feba032057fd708512eadff138bd530b435c4"
         ),
         ("distance", "funk2", "--from", "0,0.98", "--to", "0.5,-0.3", "--pseudo"): (
-            0, "fa15b5c0f3942f7697baaef4c3e7b54eacc54eabfc3650ba8ca3265915d7206b"
+            0, "40e73d0791e0b7a271b60bd29196df942bddc5d6babdb2f1c7f3a2efcb1bf2f1"
         ),
         ("distance", "klein3", "--from", "0.1,-0.2,0.3", "--to", "-0.3,0.2,0.1"): (
             0, "960524b5aec4987d3a7cce833f5f9878afb095153d8afeaf20afd594225f3003"
@@ -803,13 +827,13 @@ class TestGeodesicLayerBytes:
             0, "7444ce6a1d32fb86e61bcb61ed56de765fc5da8a70c92f5b6572a04653c5a873"
         ),
         ("theorem1", "klein2", "--pairs", "4", "--seed", "2"): (
-            0, "dbd0c1448c5125e31c9feb53e8464d41c5d18c0bf3c2a63996df989b8412d585"
+            0, "ba16faed753de54dd85ec823caf96eacc6ece4512140dd4d692cbe29808d1e40"
         ),
         ("theorem1", "funk2", "--pairs", "4", "--seed", "2"): (
-            0, "50883a2b85fde845c89b0cb8c4a03c52e8bd5337ea948464154ae519bcc4dea0"
+            0, "6b6709bf6652b53af389f637c4156ae5a7237884d7f479c096550d1383cbae9a"
         ),
         ("theorem1", "klein3", "--pairs", "4", "--seed", "2"): (
-            0, "4f284c954c8eba6d2d257b1bd9fa045acd4a4b5351f2dbefb53fb52ae5b39a00"
+            0, "60e9a16fcc211e1b3e1ce79c0e58876598d5d398e4c0bb36b28463f76c2b4516"
         ),
         ("trace", "klein2", "--x0", "0.1,-0.2", "--y0", "0.7,0.4", "--length", "1.2"): (
             0, "79a6fb246e09f63bde832b02ae5574e6e693b2f585b65b5f49a03c670e1813aa"
@@ -1014,8 +1038,8 @@ class TestDistanceCommand:
     PSEUDO_DIGESTS = {
         ("curved", 0): "8cbb4dcd8dd8f1c146afeba6d420014b8c06fa1f344fcdbc0f234d32b9f49c60",
         ("curved", 1): "a8799b7661e88ddad8f4f6809da3a32b13854dda7ec83607a502a011a59e468f",
-        ("randers_nc", 0): "4c6fd5cc8caad1b1291b05388882fe897aee00c95ae1b8d64b24c989d7d7a686",
-        ("randers_nc", 1): "e0dfa9494e16177bcf7a5f6b720b5ce0f0f6c190697dd0ad483a3db1012bc8eb",
+        ("randers_nc", 0): "1a60e6824dcc5f95c1edd5df954ff27493113948e018579ecfa2cb35da821318",
+        ("randers_nc", 1): "b2af75e3be4b6aee5856d67a9b636c7901b1c7db0b449b1934215f082df49ca1",
     }
 
     @pytest.mark.parametrize("name, seed", sorted(PSEUDO_DIGESTS))

@@ -7,7 +7,7 @@ import traceback
 
 import pytest
 
-from finslerlab import EvaluationDomainError, geodesics, make_metric, ode, scalar
+from finslerlab import EvaluationDomainError, make_metric, ode
 
 from conftest import curved_riemannian_config, euclid_config
 
@@ -25,10 +25,8 @@ class TestNamedSources:
             (lambda request: make_metric(curved_riemannian_config()).f2, "riemannian n=2"),
             (lambda request: ode._attempt(4), "dop853 attempt m=4"),
             (lambda request: ode._dense(6), "dop853 dense m=6"),
-            (lambda request: geodesics._chord_integrand(2), "chord n=2"),
-            (lambda request: scalar._qk21, "qk21"),
         ],
-        ids=["chart", "chart_F", "per_config", "attempt", "dense", "chord", "qk21"],
+        ids=["chart", "chart_F", "per_config", "attempt", "dense"],
     )
     def test_filename_names_the_site_and_its_size(self, request, function, label):
         held = function(request)  # a per-config source lives as long as a function compiled from it

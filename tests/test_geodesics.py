@@ -20,11 +20,16 @@ from finslerlab import geodesics
 from conftest import (
     ball_point,
     curved_riemannian_config,
+    curved_table_config,
     euclid_config,
     exact_randers_config,
+    funk_config,
+    klein_config,
     nonclosed_randers_config,
+    randers3_config,
 )
 from oracles import (
+    chart_distance_50_digits,
     euclidean_distance,
     exact_randers_distance,
     funk_distance_ball,
@@ -244,6 +249,27 @@ class TestGeodesicIvp:
             geodesic_ivp(funk2, [0.0, 0.0], [1.0, 0.0], -1.0)
         assert info.value.t_exit == pytest.approx(-math.log(2.0), abs=1e-8)
 
+    def test_a_node_where_F_raises_is_a_precision_exit(self, monkeypatch):
+        # F raising at a node ends the trace there, as a residual past the
+        # bound does, and no node after it is evaluated
+        S = make_metric(klein_config(2))
+        F, seen = S.F, []
+
+        def refusing(x, y):
+            seen.append(float(x[0]))
+            if x[0] > 0.5:
+                raise EvaluationDomainError("sqrt domain violation: 0.0")
+            return F(x, y)
+
+        monkeypatch.setattr(S, "F", refusing)
+        with pytest.raises(DomainExitError) as info:
+            geodesic_ivp(S, [0.0, 0.0], [1.0, 0.0], 2.0)
+        exit_ = info.value
+        assert exit_.state[0] == seen[-1] > 0.5 >= max(seen[:-1])
+        assert exit_.t_exit == pytest.approx(math.atanh(exit_.state[0]), abs=1e-8)
+        assert "unit-speed residual nan" in str(exit_)
+        assert exit_.trajectory.states[:, 0].max() > 0.9
+
     def test_unit_speed_drift(self, klein2, funk2):
         for S in (klein2, funk2):
             for tol in (1e-8, 1e-10):
@@ -437,21 +463,24 @@ class TestDistance:
             assert res.distance == pytest.approx(oracle(p, q), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "ball, p, q, oracle",
+        "ball, p, q, rel",
         [
-            ("klein2", [0.9999, 0.0], [0.0, 0.5], klein_distance),
-            ("klein2", [0.707106781, 0.707106781], [-0.707106781, -0.707106781], klein_distance),
-            ("funk2", [0.0, 0.999999999], [0.999999999, 0.0], funk_distance_ball),
-            ("interval1", [0.999999999], [-0.999999999], interval1_distance),
+            ("klein2", [0.9999, 0.0], [0.0, 0.5], 1e-8),
+            ("klein2", [0.707106781, 0.707106781], [-0.707106781, -0.707106781], 1e-10),
+            ("funk2", [0.0, 0.999999999], [0.999999999, 0.0], 1e-10),
+            ("interval1", [0.999999999], [-0.999999999], 1e-10),
         ],
         ids=["klein2-1e-4", "klein2-antipode", "funk2-1e-9", "interval1-1e-9"],
     )
-    def test_endpoints_near_the_sphere_resolve(self, request, ball, p, q, oracle):
+    def test_endpoints_near_the_sphere_resolve(self, request, ball, p, q, rel):
         # Geodesics of these complete metrics never reach the sphere, so an
         # RK stage that overshoots it must shrink the step, not end the shot.
+        # The chord's closed-form length starts Newton, which keeps it except
+        # on the first Klein pair, where it moves s; the reference is the
+        # closed form at 50 digits from the same float inputs.
         S = request.getfixturevalue(ball)
-        res = finsler_distance(S, p, q)
-        assert res.distance == pytest.approx(oracle(p, q), rel=1e-6)
+        want = chart_distance_50_digits(S.family, p, q)
+        assert finsler_distance(S, p, q).distance == pytest.approx(want, rel=rel)
 
     def test_returned_geodesic_ends_at_q(self, klein2):
         # The hit shot is the geodesic on both paths: no re-integration
@@ -467,51 +496,67 @@ class TestDistance:
             assert miss == res.diagnostics["miss"] <= geodesics.MISS_TOLERANCE
 
     def test_chord_length_quadrature_warnings_stay_silent(self, klein2, monkeypatch):
-        # Near the boundary the chord-length quadrature ends on roundoff,
-        # where quad would warn; the shot's miss certifies that length, so
-        # no warning may escape.  Every shot leaves the chart here, so the
-        # search fails at once.
+        # Near the boundary the chord length's log1p terms are large but
+        # finite; the shot's miss certifies that length, so no warning may
+        # escape.  Every shot leaves the chart here, so the search fails at
+        # once.
         monkeypatch.setattr(geodesics, "_shoot", lambda *args, **kwargs: None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SearchFailureError):
                 finsler_distance(klein2, [0.999999999, 0.0], [-0.7, 0.7])
 
-    @pytest.mark.parametrize("family", ["klein2", "funk2", "interval1", "riemannian", "randers"])
-    def test_chord_length_matches_the_polyline_oracle_bit_for_bit(self, request, family):
-        # The chord length starts the search on every family; it must be the
-        # oracle's two-point linear path length to the last bit.
-        configs = {"riemannian": curved_riemannian_config, "randers": nonclosed_randers_config}
-        S = make_metric(configs[family]()) if family in configs else request.getfixturevalue(family)
-        rng = np.random.default_rng(12)
+    CHART_CHORDS = {
+        "klein2": (klein_config(2), klein_distance),
+        "klein3-scale2.5": (klein_config(3, scale=2.5), lambda p, q: 2.5 * klein_distance(p, q)),
+        "funk2-scale2.5": (
+            {**funk_config(2), "scale": 2.5},
+            lambda p, q: 2.5 * funk_distance_ball(p, q),
+        ),
+        "funk3": (funk_config(3), funk_distance_ball),
+        # interval_funk_closed takes the log of a rounded ratio, whose error
+        # over a log near 0 reaches 1.2e-14 relative on the closer pairs
+        # drawn here; the same formula at 50 digits is the reference instead
+        "interval-k1.7-scale2": (
+            {"family": "interval_funk", "dimension": 1, "k": 1.7, "scale": 2.0},
+            lambda p, q: 2.0 * chart_distance_50_digits("interval_funk", p, q, k=1.7),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CHART_CHORDS)
+    def test_chart_chord_length_matches_the_cross_ratio(self, name):
+        # The chord length starts the search and, when the start hits, is
+        # the distance: the chart's closed form, against the oracle's own
+        # boundary hits and logarithms, scale and k included
+        config, oracle = self.CHART_CHORDS[name]
+        S = make_metric(config)
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            p, q = ball_point(rng, S.dimension, 0.95), ball_point(rng, S.dimension, 0.95)
+            want = oracle(p, q)
+            assert abs(geodesics._chord_length(S, p.tolist(), q.tolist()) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("p, q", [([0.9999, 0.0], [0.999, 0.0]), ([0.0, 0.99999], [0.0, 0.9999])])
+    def test_funk_chord_moving_inward_from_near_the_sphere(self, funk2, p, q):
+        # q . (q - p) < 0: the hit beyond q is the far one, and its root
+        # taken as (q.d + s) / (1 - |q|^2) would cancel to 1e-13 here
+        want = chart_distance_50_digits("funk_ball", p, q)
+        assert abs(geodesics._chord_length(funk2, p, q) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize(
+        "config",
+        [curved_riemannian_config, nonclosed_randers_config, lambda: curved_table_config(3), randers3_config],
+        ids=["readme", "randers_nc", "curved3", "randers3"],
+    )
+    def test_table_chord_length_matches_the_polyline_oracle(self, config):
+        # On the tables the chord length spans the fan's coarse shots: the
+        # 10-point Gauss-Legendre rule against adaptive quadrature
+        S = make_metric(config())
+        rng = np.random.default_rng(36)
         for _ in range(50):
             p, q = ball_point(rng, S.dimension), ball_point(rng, S.dimension)
             want = path_length(S, np.stack([p, q]), interpolation="linear")
-            assert geodesics._chord_length(S, p, q).hex() == want.hex()
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 40])
-    def test_chord_integrand_matches_the_zip_form_bit_for_bit(self, n):
-        # the written-out integrand builds each node's point as the list
-        # comprehension over zip(a, d) does, signed zeros included, and hands
-        # F the direction list itself
-        rng = np.random.default_rng(n)
-        seen = []
-
-        def F(x, d):
-            seen.append((x, d))
-            return 0.5
-
-        for _ in range(10):
-            a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
-            d = rng.uniform(-1.0, 1.0, n)
-            a[::3], d[1::3] = -0.0, rng.choice([0.0, -0.0])
-            a, d = a.tolist(), d.tolist()
-            integrand = geodesics._chord_integrand(n)(F, a, d)
-            for t in (0.0, -0.0, 1.0, 0.5, 1e-300, *rng.uniform(0.0, 1.0, 5).tolist()):
-                assert integrand(t) == 0.5
-                x, given = seen.pop()
-                assert given is d and type(x) is list
-                assert [v.hex() for v in x] == [(ai + t * di).hex() for ai, di in zip(a, d)]
+            assert abs(geodesics._chord_length(S, p.tolist(), q.tolist()) - want) <= 1e-13 * want
 
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
         # Wrappers installed on the module's integrate_ivp and on the

@@ -683,12 +683,12 @@ class TestRandomChainBytes:
     """
 
     DIGESTS = {
-        ("klein_ball", 2, 0): "985164c4b9491f75ec527153cb5b82677c6959a0242f0ad3fb5ce4fe5bd19fd1",
-        ("klein_ball", 2, 7): "cd7c084453ce0896804a958d7949d9805dde9740d0767479d91ce8c7145de13f",
-        ("funk_ball", 2, 0): "5470c9a7ef7752fb5826ddf8a64c0703dac46f70ce9fac3506df174516cd2252",
-        ("funk_ball", 2, 7): "2aec4a53e3f832bace840cda141a2fa0bd3d8631cb972b88ab5918f0c728ac7f",
-        ("klein_ball", 3, 0): "26a46ce039bbae188d46a59375856d59b979f353eb9ef351d802f1b48550a076",
-        ("klein_ball", 3, 7): "21cc01a74eabeb3f678582c44ec615aa3c878e8a89b14f3836e1100bc01a4310",
+        ("klein_ball", 2, 0): "c01e81976aac0834af7fca5afb1d897d856e9040f25fedf581650d3bf2f02fc4",
+        ("klein_ball", 2, 7): "67856d6ee8264ab8278803d3b892a79082de7ab1a8c387b8aad281a04afa0545",
+        ("funk_ball", 2, 0): "403ae5d029fd23bff1b480068d0aec4985617f0fe47ae8cea161652c86b48003",
+        ("funk_ball", 2, 7): "51055b02f165c22b4f19edee8128153f3c6e09e52bc87b2eae0b3d4b9ba6dff1",
+        ("klein_ball", 3, 0): "c6e621276c967ff50b0828b4ac6027ec00d7a46070d6651d96b908c677a1be88",
+        ("klein_ball", 3, 7): "61a3b29250c479b1858e606b6c745c1ae7af8e434e87472e67e7ae1c8bd8412d",
     }
 
     @pytest.mark.parametrize("family, n, seed", DIGESTS, ids=lambda v: str(v))

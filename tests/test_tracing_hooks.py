@@ -119,15 +119,18 @@ def test_generated_evaluators_call_the_inverse_through_the_metrics_module(monkey
 
 
 @pytest.mark.parametrize(
-    "config", [klein_config(2), funk_config(2), klein_config(3)], ids=["klein2", "funk2", "klein3"]
+    "config, chord_nodes",
+    [(klein_config(2), 0), (funk_config(2), 0), (klein_config(3), 0), (curved_riemannian_config(), 10)],
+    ids=["klein2", "funk2", "klein3", "readme"],
 )
-def test_structure_wrappers_see_every_field_and_chord_call(monkeypatch, config):
+def test_structure_wrappers_see_every_field_and_chord_call(monkeypatch, config, chord_nodes):
     # Wrappers installed on the structure's geodesic_field and float_F before
     # a distance, as the tracer installs them, see every right-hand-side call
-    # the diagnostics report, and the 21 nodes of every qk21 panel the chord
-    # quadrature integrates plus the one F of every direction normalised
+    # the diagnostics report, and every F: the one of every direction
+    # normalised, plus on a table the 10 Gauss-Legendre nodes of the chord
+    # length; a chart family's chord length is its closed form and reads no F
     S = make_metric(config)
-    calls = {"geodesic_field": 0, "float_F": 0, "panels": 0, "normalisations": 0}
+    calls = {"geodesic_field": 0, "float_F": 0, "normalisations": 0}
 
     def counting(key, fn):
         def counted(*args):
@@ -138,13 +141,13 @@ def test_structure_wrappers_see_every_field_and_chord_call(monkeypatch, config):
 
     for name in ("geodesic_field", "float_F"):
         monkeypatch.setattr(S, name, counting(name, getattr(S, name)))
-    monkeypatch.setattr(finslerlab.scalar, "_qk21", counting("panels", finslerlab.scalar._qk21))
     monkeypatch.setattr(geodesics, "_unit_against_F", counting("normalisations", geodesics._unit_against_F))
     n = S.dimension
     res = geodesics.finsler_distance(S, [0.1 * (i + 1) for i in range(n)], [-0.3] + [0.2] * (n - 1))
     assert res.diagnostics["rhs_calls"] == calls["geodesic_field"] > 0
-    assert calls["normalisations"] == 1 + res.diagnostics["shots"]  # the chord and each shot's start
-    assert calls["float_F"] == 21 * calls["panels"] + calls["normalisations"] > 21
+    if chord_nodes == 0:
+        assert calls["normalisations"] == 1 + res.diagnostics["shots"]  # the chord and each shot's start
+    assert calls["float_F"] == chord_nodes + calls["normalisations"]
 
 
 def test_a_long_state_builds_its_step_at_once():
