@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -557,6 +558,52 @@ class TestDistance:
             p, q = ball_point(rng, S.dimension), ball_point(rng, S.dimension)
             want = path_length(S, np.stack([p, q]), interpolation="linear")
             assert abs(geodesics._chord_length(S, p.tolist(), q.tolist()) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("degree", range(20))
+    def test_gauss_legendre_rule_is_exact_to_degree_19(self, degree):
+        # Ten nodes integrate every polynomial of degree 2 * 10 - 1 exactly;
+        # the nodes' own rounding leaves up to 8e-16 relative at degree 18,
+        # and a wrong digit in an abscissa or a weight shows on the high
+        # powers (degree 20, past the rule, misses by 3e-11)
+        got = math.fsum(w * t**degree for t, w in geodesics._GAUSS_NODES)
+        assert abs(got - 1.0 / (degree + 1)) <= 2e-15 / (degree + 1)
+
+    @pytest.mark.parametrize("name", CHART_CHORDS)
+    def test_chart_chord_lengths_add_along_the_line(self, name):
+        # The chart's straight lines are its geodesics, so a point between p
+        # and q splits the chord's length in two; this checks the closed form
+        # against itself, with no oracle
+        S = make_metric(self.CHART_CHORDS[name][0])
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            p, q = ball_point(rng, S.dimension, 0.95), ball_point(rng, S.dimension, 0.95)
+            m = p + rng.uniform(0.1, 0.9) * (q - p)
+            p, q, m = p.tolist(), q.tolist(), m.tolist()
+            whole = geodesics._chord_length(S, p, q)
+            parts = geodesics._chord_length(S, p, m) + geodesics._chord_length(S, m, q)
+            assert abs(parts - whole) <= 1e-13 * whole
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_funk_chord_symmetrises_to_the_klein_chord(self, n):
+        # The Hilbert metric is the Funk metric's symmetrisation: Funk forward
+        # plus Funk backward is twice the Klein length, each from its own
+        # boundary hit
+        funk, klein = make_metric(funk_config(n)), make_metric(klein_config(n))
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            p, q = ball_point(rng, n, 0.95).tolist(), ball_point(rng, n, 0.95).tolist()
+            both = geodesics._chord_length(funk, p, q) + geodesics._chord_length(funk, q, p)
+            assert abs(both - 2.0 * geodesics._chord_length(klein, p, q)) <= 1e-14 * both
+
+    @pytest.mark.parametrize(
+        "q",
+        [[0.0], [0.999999999], [0.6, -0.8 + 1e-12], [0.577350269189626, -0.577350269189626, 0.577350269189625]],
+        ids=["origin", "interval-edge", "circle-edge", "sphere-edge"],
+    )
+    def test_one_minus_norm2_is_rounded_once(self, q):
+        # Against exact rational arithmetic: the float nearest 1 - |q|^2
+        want = float(1 - sum(Fraction(v) ** 2 for v in q))
+        assert geodesics._one_minus_norm2(q) == want
 
     def test_both_paths_count_every_integration(self, klein2, monkeypatch):
         # Wrappers installed on the module's integrate_ivp and on the
