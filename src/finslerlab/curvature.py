@@ -23,13 +23,15 @@ curvatures are whole-batch array expressions.  The two curvature batches
 repeat each base point over its directions, so they hand the spray its
 distinct base points and the column map of that repeat: the spray's x-only
 part runs once per distinct x and take gathers it onto the columns, which
-keeps every column's bits.  The Ricci tensor is the fibre
-Hessian of R^k_k / 2, which costs two more derivative orders on top of the
-spray and keeps the formula on jets; there only the diagonal entries R^i_i
-are built, side by side on the batch axis.  Every value keeps the bits of
-the per-entry formula, which tests/oracles.py keeps as the reference.  An
-F^2 or g_ij that is not finite, as a huge scale makes it, raises
-EvaluationDomainError.
+keeps every column's bits; that part runs on first-order jets (see
+spray_jet_functions).  The Ricci tensor is the fibre Hessian of R^k_k / 2,
+which costs two more derivative orders on top of the spray and keeps the
+formula on jets; there only the diagonal entries R^i_i are built, side by
+side on the batch axis, and every product runs in the trace's own space,
+order 2 in the fibre seeds alone, where Ric_ij is read straight off the
+coefficients.  Every value keeps the bits of the per-entry formula, which
+tests/oracles.py keeps as the reference.  An F^2 or g_ij that is not
+finite, as a huge scale makes it, raises EvaluationDomainError.
 """
 
 from __future__ import annotations
@@ -102,17 +104,24 @@ def _riemann_values(S: FinslerStructure, x, y, via: str = "fast", columns=None) 
 
 
 def _riemann_trace_jet(S: FinslerStructure, x, y, columns=None):
-    """R^k_k as a jet of total order 2 over the 2n phase seeds.
+    """R^k_k as a jet of total order 2 in the fibre seeds alone.
 
-    The diagonal entries R^i_i sit side by side on the batch axis, entry i in
-    column block i of n B columns, so each jet product of the formula runs
-    once per j for all of them; every column keeps the bits of the per-entry
-    formula, and the trace adds the blocks in order.
+    The Ricci tensor reads the trace's fibre Hessian and nothing else, so
+    the trace lives on the 2n phase seeds' space of order 2 with the base
+    seeds capped at degree 0.  The spray jets and their partials keep their
+    base derivatives, and each operand is restricted to that space before
+    it is multiplied: the dropped multi-indices form an ideal, so every
+    coefficient kept sums the same terms in the same order as on the larger
+    space.  The diagonal entries R^i_i sit side by side on the batch axis,
+    entry i in column block i of n B columns, so each jet product of the
+    formula runs once per j for all of them; every column keeps the bits of
+    the per-entry formula, and the trace adds the blocks in order.
     """
     _require_flagpole(y)
     G = spray_jet_functions(S, x, y, g_order=4, columns=columns)
     n = S.dimension
     B = y.shape[1]
+    fibre = jet_space(2 * n, 2, lead=n, cap=0)
 
     def block(jet, i):
         return jet.coef[:, i * B : (i + 1) * B]
@@ -123,17 +132,20 @@ def _riemann_trace_jet(S: FinslerStructure, x, y, columns=None):
     g = stacked(G[0].space, [gi.coef for gi in G])  # block i: G^i
     gy = [g.partial(n + j) for j in range(n)]  # block i of gy[j]: dG^i/dy^j
     gyy = stacked(gy[0].space, [block(gy[i], i) for i in range(n)])  # block i: dG^i/dy^i
-    gx = [G[i].partial(i) for i in range(n)]  # dG^i/dx^i
-    term = 2.0 * stacked(gx[0].space, [d.coef for d in gx])
+    gx = [G[i].partial(i)._restricted(fibre) for i in range(n)]  # dG^i/dx^i
+    # from here on every operand is read in the trace's space alone
+    G = [gi._restricted(fibre) for gi in G]
+    gy = [d._restricted(fibre) for d in gy]
+    term = 2.0 * stacked(fibre, [d.coef for d in gx])
     for j in range(n):
-        yj = G[0].space.variable(n + j, np.tile(y[j], n))
-        term = term - yj * gyy.partial(j)
-        term = term + 2.0 * (stacked(G[j].space, [G[j].coef] * n) * gyy.partial(n + j))
-        term = term - gy[j] * stacked(gy[j].space, [block(gy[i], j) for i in range(n)])
+        yj = fibre.variable(n + j, np.tile(y[j], n))
+        term = term - yj * gyy.partial(j)._restricted(fibre)
+        term = term + 2.0 * (stacked(fibre, [G[j].coef] * n) * gyy.partial(n + j)._restricted(fibre))
+        term = term - gy[j] * stacked(fibre, [block(gy[i], j) for i in range(n)])
     coef = block(term, 0)
     for i in range(1, n):
         coef = coef + block(term, i)
-    return Jet(term.space, coef)
+    return Jet(fibre, coef)
 
 
 @dataclass
@@ -238,13 +250,24 @@ class RicciData:
 
 
 def _ricci_tensors(S: FinslerStructure, x, y, columns=None):
-    """R^k_k, shape (B,), and Ric_ij, shape (B, n, n), at B phase points (columns as in _riemann_values)."""
+    """R^k_k, shape (B,), and Ric_ij, shape (B, n, n), at B phase points (columns as in _riemann_values).
+
+    Ric_ij = (R^k_k / 2)_{y^i y^j} is half the trace's coefficient at
+    e_{n+i} + e_{n+j}, doubled on the diagonal, as the jet partials' factors
+    make it.
+    """
     n = S.dimension
     trace = _riemann_trace_jet(S, x, y, columns)
+    i, j = np.triu_indices(n)
+    rows = []
+    for a, b in zip(i, j):
+        alpha = [0] * (2 * n)
+        alpha[n + a] += 1
+        alpha[n + b] += 1
+        rows.append(trace.space.index_of[tuple(alpha)])
+    hessian = 0.5 * (trace.coef.take(rows, axis=0) * np.where(i == j, 2.0, 1.0)[:, None])
     ric_ij = np.empty((y.shape[1], n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ric_ij[:, i, j] = ric_ij[:, j, i] = 0.5 * trace.partial(n + i).partial(n + j).coef[0]
+    ric_ij[:, i, j] = ric_ij[:, j, i] = hessian.T
     return trace.coef[0], ric_ij
 
 

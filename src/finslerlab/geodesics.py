@@ -38,18 +38,18 @@ def phase_jet_args(S: FinslerStructure, x, y, order: int, base_degree: int):
     """
     n = S.dimension
     space = jet_space(2 * n, order, lead=n, cap=base_degree)
+    return _seeds(space, x, 0), _seeds(space, y, n)
 
-    def seeds(values, first):
-        # one (n, ncoef[, B]) array holds n seed jets: the value, and a 1 at the seed's own index
-        z = np.atleast_1d(np.asarray(values, dtype=float))
-        coef = np.zeros((n, space.ncoef) + z.shape[1:])
-        coef[:, 0] = z
-        if order >= 1:
-            at = [space.index_of[tuple(int(u == v) for u in range(2 * n))] for v in range(first, first + n)]
-            coef[range(n), at] = 1.0
-        return [Jet(space, c) for c in coef]
 
-    return seeds(x, 0), seeds(y, n)
+def _seeds(space, values, first):
+    """The n jets values[i] + seed first + i on space, built as one (n, ncoef[, B]) array."""
+    z = np.atleast_1d(np.asarray(values, dtype=float))
+    coef = np.zeros((len(z), space.ncoef) + z.shape[1:])
+    coef[:, 0] = z
+    if space.order >= 1:
+        at = [space.index_of[tuple(int(u == v) for u in range(space.nvars))] for v in range(first, first + len(z))]
+        coef[range(len(z)), at] = 1.0
+    return [Jet(space, c) for c in coef]
 
 
 def spray_from_f2_jets(S: FinslerStructure, xj, yj):
@@ -100,9 +100,17 @@ def spray_jet_functions(S: FinslerStructure, x, y, g_order: int, via: str = "fas
     base points and batch column b sits at x[:, columns[b]]: the closed form
     evaluates its base part once per base point, and the F^2 route takes x
     onto the columns first.
+
+    The closed form's base part reads x alone, so its jets carry a value
+    and n first derivatives: it runs on first-order jets, whose layout is
+    the first 2n + 1 rows of the fibre jets' space, and spray_fast pads
+    them with +0.0 into that space.  Every coefficient it keeps is the one
+    the base part computes on the fibre jets' space, bit for bit.
     """
     if via == "fast":
-        xj, yj = phase_jet_args(S, x, y, g_order, base_degree=1)
+        n = S.dimension
+        xj = _seeds(jet_space(2 * n, min(g_order, 1)), x, 0)
+        yj = _seeds(jet_space(2 * n, g_order, lead=n, cap=1), y, n)
         return list(S.spray_fast(xj, yj, columns=columns))
     if via != "f2":
         raise ValueError("via must be fast or f2")

@@ -239,6 +239,14 @@ class Jet:
         at = self.space._gather(space)
         return Jet(space, self.coef[at] if isinstance(at, slice) else self.coef.take(at, axis=0))
 
+    def _padded(self, space: JetSpace) -> "Jet":
+        """This jet on a space that holds its own, +0.0 at every coefficient it does not carry."""
+        if space is self.space:
+            return self
+        coef = np.zeros((space.ncoef,) + self.coef.shape[1:])
+        coef[space._gather(self.space)] = self.coef
+        return Jet(space, coef)
+
     def partial(self, v: int) -> "Jet":
         """Derivative jet along seed v; lives one order lower."""
         if self.space.order == 0:
@@ -367,26 +375,33 @@ class Jet:
         message(value) words the error of one.  The first failing column
         decides for the whole batch, as it would column by column: if a column
         before it has coefficients that overflow the float range (exp above
-        about 709.78, a power of a huge value) or divide by a power of a tiny
+        about 709.78, a power of a huge value, or a division by a power of a
+        tiny value that rounds to a subnormal, which Python's float division
+        takes to inf without raising) or that divide by a power of a tiny
         value that underflows to zero, that column's overflow or underflow
-        error is raised, which is a domain error too.
+        error is raised, which is a domain error too.  A column whose value
+        is not finite passes its coefficients on as they come.
         """
         c0 = self.coef[0]
         values = np.ravel(c0).tolist()
         first = int(np.ravel(outside).argmax()) if outside is not None and outside.any() else None
         inside = values if first is None else values[:first]
         try:
-            coeffs = rows(inside)
+            coeffs = np.array(rows(inside))
         except (OverflowError, ZeroDivisionError):
-            for v in inside:  # the batch failed: find the column that did
+            coeffs = None
+        if coeffs is None or np.isinf(coeffs).any():
+            for v in inside:  # find the column that failed, if one did
                 try:
-                    rows([v])
+                    row = rows([v])
                 except (OverflowError, ZeroDivisionError) as exc:
                     kind = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
                     raise EvaluationDomainError(f"jet series coefficients {kind} at value {v!r}") from None
+                if math.isfinite(v) and np.isinf(row).any():
+                    raise EvaluationDomainError(f"jet series coefficients overflow at value {v!r}")
         if first is not None:
             raise EvaluationDomainError(message(values[first]))
-        coeffs = np.array(coeffs).reshape((-1,) + c0.shape)
+        coeffs = coeffs.reshape((-1,) + c0.shape)
         w_coef = self.coef.copy()
         w_coef[0] = 0.0
         w = Jet(self.space, w_coef)

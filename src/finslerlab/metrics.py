@@ -59,20 +59,26 @@ def _require_chart(d):
         raise EvaluationDomainError(_OFF_CHART)
 
 
-def _take_columns(columns, *values):
-    """The values on the batch columns: batch column c reads column columns[c].
+def _take_columns(like, columns, *values):
+    """The base values in the space and on the batch columns of the fibre values.
 
-    A value is a batched jet or array, which take gathers along the batch
-    axis, or a nested list of them; a float or an unbatched jet, the same at
-    every column, stays as it is.
+    like is the first fibre value.  When it is a jet, a jet of another
+    space, as the base part's first-order jets are, is padded with +0.0
+    into its space.  Given columns, batch column c reads column columns[c]
+    of a batched jet or array, which take gathers along the batch axis.  A
+    value may be a nested list of them; a float, and an unbatched jet's
+    columns, stay as they are.
     """
+    space = like.space if isinstance(like, Jet) else None
 
     def take(v):
         if isinstance(v, list):
             return [take(u) for u in v]
         if isinstance(v, Jet):
-            return Jet(v.space, v.coef.take(columns, axis=-1)) if v.coef.ndim > 1 else v
-        return v.take(columns, axis=-1) if isinstance(v, np.ndarray) else v
+            if columns is not None and v.coef.ndim > 1:
+                v = Jet(v.space, v.coef.take(columns, axis=-1))
+            return v if space is None else v._padded(space)
+        return v.take(columns, axis=-1) if columns is not None and isinstance(v, np.ndarray) else v
 
     return [take(v) for v in values]
 
@@ -419,15 +425,22 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
 
     spray_fast's base part is every statement before the first that reads
     y: |x|^2, D, the chart check and, on a table, g, its inverse, its
-    x-partials and a Randers form's b and J.  Given columns, an index array
-    that names each batch column's base point, x holds the distinct base
-    points: the base part runs once for each, and _take_columns gathers the
-    base values the rest reads, the x seeds among them, onto the columns.
-    A jet divides by multiplying with the divisor's reciprocal (Jet.
-    __truediv__), so on jets the chart families take D's reciprocal with
-    the base part and multiply by it; floats, (B,) rows and object arrays
-    keep / D, since x * (1 / D) does not give the bits of x / D that the
-    float path's geodesic_field computes.
+    x-partials and a Randers form's b and J.  On jets it runs on the
+    first-order jets spray_jet_functions gives the x seeds, which carry all
+    a function of x alone carries when the base seeds are capped at degree
+    one.  Every call passes the base values the rest reads, the x seeds
+    among them, through _take_columns, the one junction of the two parts: it
+    pads a jet with +0.0 into the fibre jets' space and, given columns, an
+    index array that names each batch column's base point, gathers the
+    values of the distinct base points x holds onto the columns, so the
+    base part runs once for each.  The product tables skip no nonzero term
+    and sum from +0.0, so each coefficient kept is the one the base part
+    computes on the fibre jets' space, bit for bit.  A jet divides by
+    multiplying with the divisor's reciprocal (Jet.__truediv__), so on jets
+    the chart families take D's reciprocal with the base part and multiply
+    by it; floats, (B,) rows and object arrays keep / D, since x * (1 / D)
+    does not give the bits of x / D that the float path's geodesic_field
+    computes.
     """
 
     def dot(total, a, b):
@@ -535,7 +548,7 @@ def _compile(family: str, n: int, config: MetricConfig | None = None):
         words = set(re.findall(r"\w+", "\n".join(rest)))
         read = [v for v in [*(f"x{i}" for i in range(n)), "D", "rD", "g", "ginv", "dg", "b", "J"] if v in words]
         names = ", ".join(read)
-        take = [f"if columns is not None: {names}, = _take_columns(columns, {names})"]
+        take = [f"{names}, = _take_columns(y0, columns, {names})"]
         return take + rest + ["return [" + ", ".join(G) + "]"]
 
     xs, ys = ("".join(f"{c}{i}, " for i in range(n)) for c in "xy")

@@ -28,7 +28,15 @@ from finslerlab.geodesics import spray_jet_functions
 from finslerlab.jets import Jet, jet_space
 from finslerlab.metrics import SAMPLING_RADIUS, _fundamental_tensors, invert_scalarlike_matrix
 
-from conftest import curved_riemannian_config, exact_randers_config, funk_config, klein_config, nonclosed_randers_config
+from conftest import (
+    curved_riemannian_config,
+    curved_table_config,
+    exact_randers_config,
+    funk_config,
+    klein_config,
+    nonclosed_randers_config,
+    randers3_config,
+)
 from oracles import (
     einstein_classify_per_point,
     flag_curvature_per_point,
@@ -694,6 +702,55 @@ class TestSharedBasePoints:
         got = shared_base_outcomes(S, X, Y, self.COLUMNS)
         assert got[0] == got[2] == "singular matrix in scalar-like inverse"
         assert got == shared_base_outcomes(S, X[:, self.COLUMNS], Y, None)
+
+
+BASE_PART_CASES = {
+    "klein2": klein_config(2),
+    "klein3": klein_config(3),
+    "funk2": funk_config(2),
+    "funk3": funk_config(3),
+    "interval1": {"family": "interval_funk", "dimension": 1, "k": 1.7},
+    "riemannian2": curved_riemannian_config(),
+    "riemannian3": curved_table_config(3),
+    "randers2": nonclosed_randers_config(),
+    "randers3": randers3_config(),
+}
+
+
+class TestFirstOrderBasePart:
+    """The base part on first-order jets, padded into the fibre jets' space, keeps
+    the bits of spray_fast fed base seeds of the fibre jets' own order."""
+
+    @pytest.mark.parametrize("g_order", [0, 2, 4])
+    @pytest.mark.parametrize("case", BASE_PART_CASES)
+    def test_spray_jets_equal_full_order_base_seeds(self, case, g_order):
+        S = make_metric(BASE_PART_CASES[case])
+        rng = np.random.default_rng(28)
+        X = S.sample_blocks(rng, [(True, 0)] * 3, 0.7)[0].T
+        Y = S.sample_directions(rng, 7).T
+        if S.dimension > 1:
+            Y[0, 1] = -0.0
+        columns = np.array([1, 0, 2, 2, 1, 0, 1])
+        for x, cols in ((X[:, columns], None), (X, columns)):
+            got = spray_jet_functions(S, x, Y, g_order, columns=cols)
+            xj, yj = geodesics.phase_jet_args(S, x, Y, g_order, base_degree=1)
+            want = S.spray_fast(xj, yj, columns=cols)
+            assert [g.space for g in got] == [w.space for w in want] == [yj[0].space] * S.dimension
+            assert [g.coef.tobytes() for g in got] == [w.coef.tobytes() for w in want]
+
+    @CURVATURE_CONFIGS
+    def test_ricci_tensor_reads_the_partial_chain(self, config):
+        S = make_metric(config)
+        n = S.dimension
+        X, Y = signed_zero_batch(S, 29, 12)
+        trace = _riemann_trace_jet(S, X, Y)
+        want = np.empty((12, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                want[:, i, j] = want[:, j, i] = 0.5 * trace.partial(n + i).partial(n + j).coef[0]
+        got_trace, got = _ricci_tensors(S, X, Y)
+        assert got_trace.tobytes() == trace.coef[0].tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_classification_refuses_base_points_above_the_cap_before_drawing(klein2, monkeypatch):

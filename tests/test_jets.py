@@ -580,6 +580,27 @@ def test_series_of_a_tiny_value_is_outside_the_domain(value):
         col.sqrt()
 
 
+@pytest.mark.parametrize("order, value", [(1, 1e-160), (2, 1e-107), (4, 3.16e-64)])
+def test_series_coefficient_that_rounds_to_inf_is_an_overflow(order, value):
+    """Dividing by a power of the value that rounds to a subnormal gives inf, which
+    Python's float division does not raise; the overflow error is raised instead."""
+    message = f"jet series coefficients overflow at value {value!r}"
+    x = jet_space(1, order).variable(0, value)
+    for op in (x._reciprocal, lambda: 1.0 / x):
+        with pytest.raises(EvaluationDomainError) as err:
+            op()
+        assert str(err.value) == message
+    # batched, the first failing column decides
+    col = jet_space(1, order).variable(0, np.array([1.0, value, 0.0]))
+    with pytest.raises(EvaluationDomainError) as err:
+        col._reciprocal()
+    assert str(err.value) == message
+    # a column whose value is not finite passes its coefficients on: exp(inf) is inf
+    with np.errstate(invalid="ignore"):
+        big = jet_space(1, order).variable(0, np.array([0.0, math.inf])).exp()
+    assert big.coef[:, 0].tolist() == jet_space(1, order).variable(0, 0.0).exp().coef.tolist()
+
+
 def test_products_are_seen_through_the_class_attribute(monkeypatch):
     """A wrapper set on Jet.__mul__, as the benchmark tracer sets it, counts every product,
     those of a series' Horner loop included."""
@@ -595,21 +616,21 @@ def test_products_are_seen_through_the_class_attribute(monkeypatch):
     assert calls[0] == 3
     calls[0] = 0
     einstein_classify(make_metric({"family": "klein_ball", "dimension": 2}), seed=0)
-    assert calls[0] == 38
+    assert calls[0] == 34
 
 
 @pytest.mark.parametrize(
     "config, partials",
     [
-        (klein_config(2), 14),
-        (klein_config(3), 24),
-        (curved_riemannian_config(), 14),
+        (klein_config(2), 8),
+        (klein_config(3), 12),
+        (curved_riemannian_config(), 8),
     ],
     ids=["klein2", "klein3", "riemannian2"],
 )
 def test_partials_per_classification(monkeypatch, config, partials):
     """R^i_k reads the stacked spray coefficients without a partial; the Ricci
-    trace takes 4n and its fibre Hessian n (n + 1)."""
+    trace takes 4n, its fibre Hessian none."""
     calls = [0]
 
     def counted(*args, fn=Jet.partial):
